@@ -1,7 +1,9 @@
 """Command-line entry point: construction, bounds, generators, verification.
 
 Machine-readable results go to stdout (JSON by default, CSV for sweeps);
-logging goes to stderr.  Exit codes: 0 all checks pass, 1 check failures,
+logging goes to stderr.  JSON documents are strict (RFC 8259): a float
+infinity is written as the string ``"inf"`` or ``"-inf"``, and NaN is
+refused.  Exit codes: 0 all checks pass, 1 check failures,
 2 usage errors (argparse's default).  ``SPANORM_EXACT=1`` forces rational
 arithmetic in the ``lb`` subcommand.  Every seeded command is deterministic:
 rerunning produces byte-identical output.
@@ -55,7 +57,23 @@ def _log(msg: str) -> None:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, default=_json_default))
+    print(_dumps(obj))
+
+
+def _dumps(obj) -> str:
+    """Strict JSON text of ``obj``; raises ValueError on NaN."""
+    return json.dumps(_encode_infinities(obj), sort_keys=True,
+                      default=_json_default, allow_nan=False)
+
+
+def _encode_infinities(value):
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: _encode_infinities(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode_infinities(v) for v in value]
+    return value
 
 
 def _json_default(value):
@@ -284,9 +302,7 @@ def _cmd_gen(args) -> int:
                 )
     else:
         raise ValueError(f"unknown family {family}")
-    Path(f"{args.out}.meta.json").write_text(
-        json.dumps(meta, sort_keys=True, default=_json_default) + "\n"
-    )
+    Path(f"{args.out}.meta.json").write_text(_dumps(meta) + "\n")
     _emit(meta)
     return 0 if meta.get("verified", True) else 1
 
@@ -430,7 +446,7 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
         "version": __version__,
     }
     (outdir / f"{spec.get('name', 'experiment')}.summary.json").write_text(
-        json.dumps(summary, sort_keys=True) + "\n"
+        _dumps(summary) + "\n"
     )
     _emit(summary)
     return 1 if failures else 0
@@ -509,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; rows run sequentially")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("greedy", help="construct the greedy t-spanner")

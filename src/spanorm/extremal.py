@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph_core import Graph, girth, girth_at_least, lp_norm
+from .graph_core import Graph, girth, girth_at_least, lp_norm, within_hops
 from .greedy import verify_stretch
 from .lb_lp import LcrParams, SKEW_LEFT, SKEW_NONE, SKEW_RIGHT
 
@@ -190,30 +190,23 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int,
             adj[side + new].append(left)
         perms[k][i], perms[k][j] = pj, pi
 
+    stamp = [0] * (2 * side)
+    queries = 0
+
     def edge_clean(left: int, right_vertex: int) -> bool:
         """No parallel edge and no alternative left->right path < min_girth-1."""
-        if adj[left].count(side + right_vertex) > 1:
-            return False
+        nonlocal queries
         target = side + right_vertex
-        seen = {left}
-        frontier = [left]
-        first = True
-        for _ in range(limit - 1):
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if first and x == left and y == target:
-                        continue  # skip one copy of the direct edge
-                    if y == target and not first:
-                        return False
-                    if y not in seen:
-                        if y == target:
-                            return False
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-            first = False
-        return True
+        if adj[left].count(target) > 1:
+            return False
+        # take the edge out, look for another path, put it back in its slots
+        i, j = adj[left].index(target), adj[target].index(left)
+        del adj[left][i], adj[target][j]
+        queries += 1
+        clean = not within_hops(adj, left, target, limit - 1, stamp, queries)
+        adj[left].insert(i, target)
+        adj[target].insert(j, left)
+        return clean
 
     def find_short_cycle():
         # parallel matchings first (2-cycles are invisible to the BFS below)

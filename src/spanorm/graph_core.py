@@ -1,8 +1,8 @@
 """Immutable undirected graphs, hop-layer profiles, girth, and lp degree norms.
 
 Vertices are dense integer ids ``0..n-1``.  Edges are unordered pairs with
-optional strictly positive lengths; a graph without lengths is treated as
-unit-length.  Hop layers (``layer_profile``) always ignore edge lengths,
+optional finite, strictly positive lengths; a graph without lengths is
+treated as unit-length.  Hop layers (``layer_profile``) always ignore edge lengths,
 even on weighted graphs; weighted shortest paths are a separate code path
 (``shortest_paths`` with ``use_lengths=True``).
 """
@@ -23,7 +23,6 @@ __all__ = [
     "UNBOUNDED",
     "girth",
     "girth_at_least",
-    "hop_distance_bounded",
     "layer_profile",
     "lp_norm",
     "parse_edge_list",
@@ -31,6 +30,7 @@ __all__ = [
     "shortest_paths",
     "subset_norm",
     "weighted_distance_bounded",
+    "within_hops",
 ]
 
 # Relative tolerance for comparisons between weighted (float) distances.
@@ -60,7 +60,7 @@ class Graph:
     """Immutable undirected graph on vertex ids ``0..n-1``.
 
     No self-loops, no parallel edges.  ``lengths`` maps each edge to a
-    strictly positive length; ``None`` means unit lengths throughout.
+    finite, strictly positive length; ``None`` means unit lengths throughout.
     """
 
     __slots__ = ("n", "edges", "lengths", "_adj", "_degrees")
@@ -94,8 +94,8 @@ class Graph:
                 e = (u, v) if u < v else (v, u)
                 if e not in seen:
                     raise GraphError(f"length given for non-edge {e}")
-                if not w > 0:
-                    raise GraphError(f"non-positive length {w} on edge {e}")
+                if not (math.isfinite(w) and w > 0):
+                    raise GraphError(f"length {w} on edge {e} is not finite and > 0")
                 norm_len[e] = float(w)
             missing = seen - set(norm_len)
             if missing:
@@ -308,31 +308,49 @@ def shortest_paths(g: Graph, v: int, use_lengths: bool = True) -> list[float]:
     return dist
 
 
-def hop_distance_bounded(
-    adj: Sequence[Sequence[int]], u: int, v: int, cap: int
-) -> float:
-    """Hop distance from ``u`` to ``v`` if it is <= cap, else ``math.inf``.
+def within_hops(
+    adj: Sequence[Sequence[int]],
+    u: int,
+    v: int,
+    cap: int,
+    stamp: list[int] | None = None,
+    tick: int = 1,
+) -> bool:
+    """True iff the hop distance from ``u`` to ``v`` in ``adj`` is <= ``cap``.
 
-    Works on a raw adjacency structure so callers can query evolving graphs
-    (the greedy loop) without rebuilding Graph objects.
+    Bidirectional bounded BFS: each step grows the smaller frontier by one
+    layer, until the two radii add up to ``cap``.  ``adj`` is raw adjacency,
+    so the greedy can query its evolving spanner.  A caller issuing many
+    queries allocates ``stamp`` (``len(adj)`` zeros) once and passes a new
+    positive ``tick`` per query; the two sides mark ``tick`` and ``-tick``.
     """
     if u == v:
-        return 0.0
-    dist = {u: 0}
-    frontier = [u]
-    d = 0
-    while frontier and d < cap:
-        d += 1
+        return cap >= 0
+    if cap < 1 or not adj[u] or not adj[v]:
+        return False
+    if stamp is None:
+        stamp = [0] * len(adj)
+    near, far = tick, -tick
+    stamp[u] = near
+    stamp[v] = far
+    frontier, other = [u], [v]
+    for _ in range(cap):
+        if len(frontier) > len(other):
+            frontier, other = other, frontier
+            near, far = far, near
         nxt = []
         for x in frontier:
             for y in adj[x]:
-                if y not in dist:
-                    if y == v:
-                        return float(d)
-                    dist[y] = d
+                mark = stamp[y]
+                if mark == far:
+                    return True
+                if mark != near:
+                    stamp[y] = near
                     nxt.append(y)
+        if not nxt:
+            return False
         frontier = nxt
-    return math.inf
+    return False
 
 
 def weighted_distance_bounded(

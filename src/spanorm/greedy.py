@@ -5,6 +5,11 @@ edge exactly when the spanner built so far does not already span it within
 the stretch budget.  On unit-length inputs the output always has girth at
 least t+2: a kept edge closing a cycle of length <= t+1 would have been
 spanned by the rest of that cycle.
+
+Each greedy step and each edge of the stretch check asks: is d_H(u,v) within
+budget?  On unit-length graphs ``graph_core.within_hops`` answers with a
+bidirectional BFS, two balls of radius about t/2 instead of one of radius t;
+weighted graphs use a Dijkstra run cut at the budget.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from .graph_core import (
     Graph,
     INFINITY,
     LENGTH_RTOL,
-    hop_distance_bounded,
     weighted_distance_bounded,
+    within_hops,
 )
 
 __all__ = [
@@ -54,10 +59,10 @@ def greedy_spanner(g: Graph, t: int) -> Spanner:
     """Greedy t-spanner of ``g`` under the deterministic edge order.
 
     Ties between equal-length edges break by (min endpoint, max endpoint),
-    so reruns are reproducible.  Distance queries during the loop are fresh
-    bounded BFS/Dijkstra runs on the partial spanner; for an edge of a
-    unit-length graph d_G(u,v) is exactly 1, for weighted graphs the true
-    d_G(u,v) is computed (it can be below the edge length).
+    so reruns are reproducible.  A unit-length edge is kept iff the
+    bidirectional ``within_hops`` finds no path of at most t hops in the
+    partial spanner; for weighted graphs the true d_G(u,v) is computed (it
+    can be below the edge length) and a Dijkstra run cut at t*d_G(u,v) asks.
     """
     if t < 1:
         raise ValueError(f"stretch must be a positive integer, got {t}")
@@ -66,30 +71,9 @@ def greedy_spanner(g: Graph, t: int) -> Spanner:
     kept: list[tuple[int, int]] = []
     if not g.weighted:
         # Unit lengths: d_G(u,v) = 1 for every edge, the budget is just t.
-        # Timestamped BFS keeps the inner loop allocation-free.
         stamp = [0] * g.n
-        tick = 0
-        for u, v in order:
-            tick += 1
-            stamp[u] = tick
-            frontier = [u]
-            spanned = False
-            for _depth in range(t):
-                nxt = []
-                for x in frontier:
-                    for y in adj[x]:
-                        if stamp[y] != tick:
-                            if y == v:
-                                spanned = True
-                                break
-                            stamp[y] = tick
-                            nxt.append(y)
-                    if spanned:
-                        break
-                if spanned or not nxt:
-                    break
-                frontier = nxt
-            if not spanned:
+        for tick, (u, v) in enumerate(order, start=1):
+            if not within_hops(adj, u, v, t, stamp, tick):
                 kept.append((u, v))
                 adj[u].append(v)
                 adj[v].append(u)
@@ -128,10 +112,11 @@ def verify_stretch(g: Graph, h: Spanner | Graph, t: int) -> bool:
         hg = h
     adj = hg.adjacency()
     if not g.weighted:
-        for u, v in g.edges:
-            if hop_distance_bounded(adj, u, v, t) > t:
-                return False
-        return True
+        stamp = [0] * hg.n
+        return all(
+            within_hops(adj, u, v, t, stamp, tick)
+            for tick, (u, v) in enumerate(g.edges, start=1)
+        )
     lengths = g.lengths
     assert lengths is not None
     full_adj = g.adjacency()

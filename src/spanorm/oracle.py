@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from .graph_core import (
     Graph,
     INFINITY,
-    hop_distance_bounded,
     layer_profile,
     lp_norm,
     weighted_distance_bounded,
+    within_hops,
 )
 from .greedy import Spanner, greedy_spanner, verify_stretch
 
@@ -114,24 +114,17 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
             # the edge order[idx] was dropped; it must be spannable using the
             # kept edges plus every undecided one
             u, v = order[idx]
-            avail = kept + order[idx + 1 :]
-            adj: dict[int, list[int]] = {}
-            for a, b in avail:
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-            adj.setdefault(u, [])
-            adj.setdefault(v, [])
+            adj: list[list[int]] = [[] for _ in range(g.n)]
+            for a, b in kept + order[idx + 1 :]:
+                adj[a].append(b)
+                adj[b].append(a)
             if g.weighted:
-                w = g.edge_length(u, v)
-                lengths = g.lengths
-                budget = t * w
+                budget = t * g.edge_length(u, v)
                 return (
-                    weighted_distance_bounded(
-                        _PaddedAdj(adj, g.n), lengths, u, v, budget
-                    )
+                    weighted_distance_bounded(adj, g.lengths, u, v, budget)
                     <= budget * (1 + 1e-12)
                 )
-            return hop_distance_bounded(_PaddedAdj(adj, g.n), u, v, t) <= t
+            return within_hops(adj, u, v, t)
 
         def dfs(idx: int) -> None:
             nonlocal explored, pruned
@@ -168,20 +161,6 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         explored=explored,
         pruned=pruned,
     )
-
-
-class _PaddedAdj:
-    """Adjacency view over a dict that tolerates untouched vertex ids."""
-
-    def __init__(self, adj: dict, n: int):
-        self._adj = adj
-        self._n = n
-
-    def __getitem__(self, v: int):
-        return self._adj.get(v, ())
-
-    def __len__(self) -> int:
-        return self._n
 
 
 def greedy_ratio(g: Graph, t: int, p) -> float:

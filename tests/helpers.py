@@ -10,6 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
+
+from hypothesis import strategies as st
 
 from spanorm.graph_core import Graph
 
@@ -102,6 +105,32 @@ def brute_force_girth(g: Graph) -> float:
     return best
 
 
+def one_sided_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:
+    """Kept edges of the unit-length greedy t-spanner, one plain BFS per edge.
+
+    With unit lengths the greedy order is the sorted edge order; an edge is
+    kept iff the BFS from u over the kept edges, cut at depth t, misses v.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    kept = []
+    for u, v in g.edges:
+        dist = {u: 0}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            if dist[x] == t:
+                continue
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if v not in dist:
+            kept.append((u, v))
+            adj[u].append(v)
+            adj[v].append(u)
+    return tuple(kept)
+
+
 def is_t_spanner_all_pairs(g: Graph, h: Graph, t: float) -> bool:
     """All-pairs stretch check via Floyd-Warshall on both graphs."""
     dg = floyd_warshall(g)
@@ -114,3 +143,13 @@ def is_t_spanner_all_pairs(g: Graph, h: Graph, t: float) -> bool:
             elif dh[u][v] > t * dg[u][v] * (1 + 1e-9):
                 return False
     return True
+
+
+@st.composite
+def unit_graphs(draw, max_n: int = 12) -> Graph:
+    """Hypothesis strategy: unit-length graphs on 1..max_n vertices, often
+    disconnected, edgeless included."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, sorted(edges))

@@ -1,12 +1,16 @@
 """CLI subcommands: round trips, determinism, exit codes, resume."""
 
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from spanorm.cli import main, run_experiment
+import spanorm
+from spanorm.cli import _dumps, main, run_experiment
 from spanorm.extremal import named_girth_graph
 from spanorm.graph_core import format_edge_list, parse_edge_list
 
@@ -97,6 +101,34 @@ class TestSubcommands:
             main(["lb", "--t", "not_an_int"])
         assert exc.value.code == 2
 
+    def test_infinite_length_refused(self, tmp_path, capsys):
+        path = tmp_path / "inf.edges"
+        path.write_text("2 1\n0 1 inf\n")
+        code = main(["greedy", "--input", str(path), "--stretch", "3"])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert captured.out == ""
+        assert "inf" in captured.err
+
+    def test_lb_stdout_is_strict_json(self, capsys):
+        # cond1's slack is infinite at p = 1
+        code, out = run_cli(["lb", "--t", 3, "--p", 1, "--lambda", 1], capsys)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert report["conditions"]["cond1"]["slack"] == "inf"
+
+    def test_json_encoding_of_infinities(self):
+        # the one encoder behind stdout and meta.json
+        assert _dumps({"b": [-math.inf, 1.5], "a": math.inf}) == (
+            '{"a": "inf", "b": ["-inf", 1.5]}'
+        )
+        with pytest.raises(ValueError):
+            _dumps({"a": math.nan})
+
     def test_gen_deterministic(self, tmp_path, capsys):
         args = [
             "gen", "--family", "lp",
@@ -166,10 +198,15 @@ class TestExperiment:
 
 
 def test_module_entry_point():
+    # the child finds the package where this process found it, so the test
+    # also runs from a checkout without PYTHONPATH or an install
+    src = str(Path(spanorm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spanorm.cli", "lb", "--t", "2", "--p", "1.5",
          "--lambda", "1", "--exact"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ell_exact"] == {"num": 3, "den": 5}

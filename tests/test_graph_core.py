@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from spanorm.graph_core import (
     Graph,
@@ -18,6 +19,7 @@ from spanorm.graph_core import (
     parse_edge_list,
     shortest_paths,
     subset_norm,
+    within_hops,
 )
 
 from helpers import (
@@ -29,6 +31,7 @@ from helpers import (
     petersen_graph,
     random_connected_graph,
     star_graph,
+    unit_graphs,
 )
 
 
@@ -48,6 +51,11 @@ class TestConstruction:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(GraphError):
             Graph(2, [(0, 1)], {(0, 1): 0.0})
+
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_length(self, w):
+        with pytest.raises(GraphError):
+            Graph(2, [(0, 1)], {(0, 1): w})
 
     def test_rejects_missing_length(self):
         with pytest.raises(GraphError):
@@ -229,6 +237,26 @@ class TestShortestPaths:
                     assert d[u] == pytest.approx(dist[v][u])
 
 
+class TestWithinHops:
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs())
+    def test_matches_bfs_distance(self, g):
+        # one stamp shared by every query, as the greedy and the stretch
+        # check share it, and a fresh one per call; u == v and caps 0, 1
+        # and t = 3, 5, 7 included
+        adj = g.adjacency()
+        stamp = [0] * g.n
+        tick = 0
+        for u in range(g.n):
+            dist = shortest_paths(g, u)
+            for v in range(g.n):
+                for cap in (0, 1, 2, 3, 5, 7):
+                    tick += 1
+                    want = dist[v] <= cap
+                    assert within_hops(adj, u, v, cap, stamp, tick) == want
+                    assert within_hops(adj, u, v, cap) == want
+
+
 class TestEdgeListFormat:
     def test_round_trip_unit(self):
         g = petersen_graph()
@@ -248,3 +276,8 @@ class TestEdgeListFormat:
             parse_edge_list("2 2\n0 1\n")
         with pytest.raises(GraphError):
             parse_edge_list("")
+
+    @pytest.mark.parametrize("w", ["inf", "-inf", "nan"])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(GraphError):
+            parse_edge_list(f"2 1\n0 1 {w}\n")

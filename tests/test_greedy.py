@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanorm.graph_core import (
     Graph,
@@ -26,10 +28,12 @@ from helpers import (
     complete_graph,
     cycle_graph,
     is_t_spanner_all_pairs,
+    one_sided_greedy,
     path_graph,
     petersen_graph,
     random_connected_graph,
     star_graph,
+    unit_graphs,
 )
 
 
@@ -134,8 +138,25 @@ class TestVerifyStretch:
             for t in (2, 3):
                 assert verify_stretch(g, sub, t) == is_t_spanner_all_pairs(g, sub, t)
 
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(), t=st.integers(1, 7), data=st.data())
+    def test_edge_check_equals_all_pairs_property(self, g, t, data):
+        # a random subgraph (often not a spanner), and the same subgraph
+        # plus the greedy spanner's edges (always a spanner)
+        some = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
+        greedy = set(greedy_spanner(g, t).kept_edges)
+        for kept in (some, some | greedy):
+            sub = g.subgraph(sorted(kept))
+            assert verify_stretch(g, sub, t) == verify_stretch_all_pairs(g, sub, t)
+        assert verify_stretch(g, g.subgraph(sorted(some | greedy)), t)
+
 
 class TestGreedyInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(max_n=16), t=st.integers(1, 7))
+    def test_matches_one_sided_reference(self, g, t):
+        assert greedy_spanner(g, t).kept_edges == one_sided_greedy(g, t)
+
     def test_girth_bound_random(self):
         rng = random.Random(41)
         for _ in range(15):
