@@ -4,9 +4,12 @@ Machine-readable results go to stdout (JSON by default, CSV for sweeps);
 logging goes to stderr.  JSON documents are strict (RFC 8259): a float
 infinity is written as the string ``"inf"`` or ``"-inf"``, and NaN is
 refused.  Exit codes: 0 all checks pass, 1 check failures,
-2 usage errors (argparse's default).  ``SPANORM_EXACT=1`` forces rational
-arithmetic in the ``lb`` subcommand.  Every seeded command is deterministic:
-rerunning produces byte-identical output.
+2 usage errors (bad options or out-of-range parameters), 3 domain failures
+(an ``--input`` or ``--spanner`` file that is not a valid graph, or an
+(L,C,R) shape or closed-form dual that cannot be constructed).
+``SPANORM_EXACT=1`` forces rational arithmetic in the ``lb`` subcommand.
+Every seeded command is deterministic: rerunning produces byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .extremal import (
 from .graph_core import (
     INFINITY,
     UNBOUNDED,
+    GraphError,
     format_edge_list,
     girth,
     girth_at_least,
@@ -591,6 +595,9 @@ def main(argv=None) -> int:
     # seed is honored by subcommands that draw randomness
     try:
         return args.func(args)
+    except (GraphError, lb_lp.DualConstructionError, lb_lp.DeriveDiagnostic) as exc:
+        _log(f"error: {exc}")
+        return 3
     except (ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 2

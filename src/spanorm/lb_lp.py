@@ -15,8 +15,10 @@ growth is governed by the coefficients
 and dual optimality is certified by explicit complementary-slackness systems
 (one per structural case: plain L>0, plain L=0, left-skewed, right-skewed,
 and right-skewed with L=0).  This module constructs those certificates by
-solving the corresponding linear systems exactly and verifies them against
-the LP.
+solving the corresponding linear systems with ``simplex._dense_solve`` and
+verifies them against the LP.  For rational p the solve is exact integer
+fraction-free elimination, with a ``Fraction`` formed only for each dual
+value; for float p it is float Gauss-Jordan.
 
 All functions accept ``p`` and ``lambda`` as int, float, or Fraction and
 preserve exact arithmetic when given exact inputs.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .simplex import solve_lp
+from .simplex import _dense_solve, solve_lp
 
 __all__ = [
     "ConditionReport",
@@ -622,8 +624,11 @@ def _interpolation_walk(base: LcrParams, p):
     Returns ``(shapes, frames)`` with ``frames[i]`` bridging ``shapes[i]`` to
     ``shapes[i+1]``.
     """
+    # keyed on the type of p too: 2.0 == Fraction(2), but float walks decide
+    # with a tolerance and exact walks without one
+    key = (base, type(p), p)
     try:
-        cached = _WALK_CACHE.get((base, p))
+        cached = _WALK_CACHE.get(key)
     except TypeError:
         cached = None
     if cached is not None:
@@ -653,10 +658,30 @@ def _interpolation_walk(base: LcrParams, p):
         current = move[1]
     result = (shapes, frames)
     try:
-        _WALK_CACHE[(base, p)] = result
+        _WALK_CACHE[key] = result
     except TypeError:
         pass
     return result
+
+
+def _walk_segment(base: LcrParams, p, lam):
+    """The walk from ``base`` and the segment of it that holds lambda.
+
+    Returns ``(shapes, frames, seg, thresholds)``: ``thresholds[i]`` is the
+    lambda cap of ``shapes[i]``, and lambda lies in
+    ``(thresholds[seg - 1], thresholds[seg]]``, the range bridged by
+    ``frames[seg - 1]``.
+    """
+    p = _exactify(p)
+    shapes, frames = _interpolation_walk(base, p)
+    # lambda thresholds of the walk shapes increase and end at 1 + 1/p
+    thresholds = [min(nice_range_max(s, p), 1 + 1 / p) for s in shapes]
+    for seg in range(1, len(shapes)):
+        if lam <= thresholds[seg] or math.isclose(
+            float(lam), float(thresholds[seg]), rel_tol=1e-12
+        ):
+            return shapes, frames, seg, thresholds
+    raise ParameterError(f"lambda {lam} above 1 + 1/p")
 
 
 def predicted_exponent(t: int, p, lam):
@@ -676,18 +701,7 @@ def predicted_exponent(t: int, p, lam):
             "params": base,
             "segment": None,
         }
-    shapes, _frames = _interpolation_walk(base, p)
-    # lambda thresholds of the walk shapes increase and end at 1 + 1/p
-    thresholds = [min(nice_range_max(s, p), 1 + 1 / p) for s in shapes]
-    seg = None
-    for i in range(1, len(shapes)):
-        if lam <= thresholds[i] or math.isclose(
-            float(lam), float(thresholds[i]), rel_tol=1e-12
-        ):
-            seg = i
-            break
-    if seg is None:
-        raise ParameterError(f"lambda {lam} above 1 + 1/p")
+    shapes, _frames, seg, thresholds = _walk_segment(base, p, lam)
     lo, hi = thresholds[seg - 1], thresholds[seg]
     theta = (hi - lam) / (hi - lo)
     top = 1 + 1 / p
@@ -794,7 +808,10 @@ def skewed_primal(params: LcrParams, p, lam) -> dict:
         vec = [0 * one, one, lam - 1]
     else:
         raise ParameterError("skewed_primal needs a left or right skew")
-    ell, mu, tau = _solve_square_system(mat, vec)
+    try:
+        ell, mu, tau = _dense_solve(mat, vec)
+    except ZeroDivisionError:
+        raise DualConstructionError("singular complementary-slackness system") from None
 
     t = params.t
     nu = [None] * (t + 1)
@@ -838,24 +855,6 @@ def skewed_primal(params: LcrParams, p, lam) -> dict:
         assign[f"delta{i}"] = delta[i]
     assign["_tau"] = tau
     return assign
-
-
-def _solve_square_system(mat, vec):
-    """Gaussian elimination with partial pivoting; exact for Fractions."""
-    n = len(vec)
-    m = [list(row) + [v] for row, v in zip(mat, vec)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(float(m[r][col])))
-        if m[piv][col] == 0:
-            raise DualConstructionError("singular complementary-slackness system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 # -- dual certificates -------------------------------------------------------
@@ -932,7 +931,10 @@ def construct_dual(params: LcrParams, p, t: int | None = None) -> DualCertificat
         j = model.var_index(colname)
         mat.append([cast(model.rows[model.row_index(r)][j]) for r in row_order])
         vec.append(cast(cvec[colname]))
-    sol = _solve_square_system(mat, vec)
+    try:
+        sol = _dense_solve(mat, vec)
+    except ZeroDivisionError:
+        raise DualConstructionError("singular complementary-slackness system") from None
     values = dict(zip(row_order, sol))
     tol = 0 if exact else 1e-11
     for name, val in values.items():
@@ -1093,17 +1095,7 @@ def certificate_for(t: int, p, lam):
         primal = minimal_spanner_primal(base, p, lam)
         cert = construct_dual(base, p, t)
         return base, primal, cert
-    shapes, frames = _interpolation_walk(base, p)
-    thresholds = [min(nice_range_max(s, p), 1 + 1 / _exactify(p)) for s in shapes]
-    seg = None
-    for i in range(1, len(shapes)):
-        if lam <= thresholds[i] or math.isclose(
-            float(lam), float(thresholds[i]), rel_tol=1e-12
-        ):
-            seg = i
-            break
-    if seg is None:
-        raise ParameterError(f"lambda {lam} above 1 + 1/p")
+    _shapes, frames, seg, _thresholds = _walk_segment(base, p, lam)
     frame = frames[seg - 1]
     primal = skewed_primal(frame, p, lam)
     cert = construct_dual(frame, p, t)

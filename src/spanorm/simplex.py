@@ -12,13 +12,21 @@ pivots on ill-conditioned data can drift, the result of a float run is
 always re-derived from the final basis against the original data and
 verified (primal feasibility and non-negative reduced costs); failures fall
 back to exact arithmetic.  Exact mode uses the float run for basis
-discovery and certifies that basis with exact algebra, resorting to fully
-exact pivoting only when the shortcut cannot be certified, so both modes
-return genuine optima for the data they were handed.
+discovery and certifies that basis exactly, resorting to fully exact
+pivoting only when the shortcut cannot be certified, so both modes return
+genuine optima for the data they were handed.
+
+Exact linear solves are integer fraction-free elimination: each rational
+row is scaled to integers by the lcm of its denominators, Gauss-Jordan runs
+on Python ints, and a ``Fraction`` is built only for each answer.  The
+basis certificate reads every sign it needs (basic values, reduced costs)
+off those integers.  ``_dense_solve`` is the package's one linear solver;
+the closed-form certificates in ``lb_lp`` use it too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -115,16 +123,18 @@ def solve_lp(
 ) -> LpSolution:
     """Minimize ``c.x`` over ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``."""
     if exact:
-        prog = _Program(c, a_ub, b_ub, a_eq, b_eq, Fraction)
+        rprog = _Program(c, a_ub, b_ub, a_eq, b_eq, _to_rational)
         try:
             basis = _float_basis(_Program(c, a_ub, b_ub, a_eq, b_eq, _to_float))
         except (SimplexError, ZeroDivisionError, OverflowError):
             basis = None
         if basis is not None:
             try:
-                return _certified_from_basis(prog, basis, exact=True)
+                return _certified_exact(rprog, basis)
             except _NeedsExact:
                 pass
+        prog = _Program(c, a_ub, b_ub, a_eq, b_eq, Fraction)
+        if basis is not None:
             try:
                 # float basis is near-optimal: re-optimize exactly from it
                 return _exact_warm_start(prog, basis)
@@ -135,7 +145,7 @@ def solve_lp(
     prog = _Program(c, a_ub, b_ub, a_eq, b_eq, _to_float)
     try:
         basis = _float_basis(prog)
-        return _certified_from_basis(prog, basis, exact=False)
+        return _certified_from_basis(prog, basis)
     except _NeedsExact:
         eprog = _Program(c, a_ub, b_ub, a_eq, b_eq, _via_float_fraction)
         basis = _pivot_phases(eprog, Fraction(0))
@@ -149,6 +159,10 @@ def _to_float(v):
     return float(v)
 
 
+def _to_rational(v):
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 def _via_float_fraction(v):
     return Fraction(float(v))
 
@@ -157,15 +171,14 @@ def _float_basis(prog: _Program) -> list[int]:
     return _pivot_phases(prog, FLOAT_TOL)
 
 
-def _certified_from_basis(prog: _Program, basis, exact: bool) -> LpSolution:
-    """Rebuild x and the duals from the basis against the original data.
+def _certified_from_basis(prog: _Program, basis) -> LpSolution:
+    """Rebuild x and the duals from the basis against the original float data.
 
-    Raises ``_NeedsExact`` unless the basis proves optimal: basic values
-    non-negative, rows satisfied, and all reduced costs non-negative (within
-    tolerance in float mode, exactly in exact mode).
+    Raises ``_NeedsExact`` unless the basis proves optimal within tolerance:
+    basic values non-negative, rows satisfied, and all reduced costs
+    non-negative.
     """
     m, width, n = prog.m, prog.width, prog.n
-    tol = 0 if exact else VERIFY_TOL
     bmat = [[prog.rows[i][basis[r]] for r in range(m)] for i in range(m)]
     try:
         xb = _dense_solve(bmat, prog.rhs)
@@ -177,25 +190,60 @@ def _certified_from_basis(prog: _Program, basis, exact: bool) -> LpSolution:
         raise _NeedsExact
     xfull = [prog.zero] * width
     for r in range(m):
-        if xb[r] < -tol:
+        if xb[r] < -VERIFY_TOL:
             raise _NeedsExact
         xfull[basis[r]] = xb[r]
     for j in prog.art_cols:
-        if xfull[j] > tol:
+        if xfull[j] > VERIFY_TOL:
             raise _NeedsExact
-    if not exact:
-        for i in range(m):
-            lhs = sum(prog.rows[i][j] * xfull[j] for j in range(width))
-            if abs(lhs - prog.rhs[i]) > VERIFY_TOL * max(1.0, abs(prog.rhs[i])):
-                raise _NeedsExact
+    for i in range(m):
+        lhs = sum(prog.rows[i][j] * xfull[j] for j in range(width))
+        if abs(lhs - prog.rhs[i]) > VERIFY_TOL * max(1.0, abs(prog.rhs[i])):
+            raise _NeedsExact
     cols = prog.column_nonzeros()
     for j in range(width):
         if j in prog.art_cols:
             continue
         reduced = prog.full_c[j] - sum(v * yvec[i] for i, v in cols[j])
-        if reduced < -tol:
+        if reduced < -VERIFY_TOL:
             raise _NeedsExact
     x = xfull[:n]
+    objective = sum(ci * xi for ci, xi in zip(prog.c, x))
+    return LpSolution(objective=objective, x=tuple(x))
+
+
+def _certified_exact(prog: _Program, basis) -> LpSolution:
+    """Exact twin of ``_certified_from_basis``, in integer arithmetic.
+
+    Row i of the program, rhs included, becomes an integer row
+    ``I_i = s_i * A_i``.  The basic values solve the basis columns of I
+    against its rhs.  The duals are ``y_i = s_i * z_i``, where z solves
+    ``sum_i I[i][basis[r]] * z_i = c[basis[r]]``, so the reduced cost of
+    column j is ``c_j - sum_i I[i][j] * z_i``; each sign is read off integers.
+    Raises ``_NeedsExact`` unless the basis is exactly optimal.
+    """
+    irows = _integer_rows([*row, rhs] for row, rhs in zip(prog.rows, prog.rhs))
+    try:
+        xnum, xden = _integer_solve([[row[j] for j in basis] + [row[-1]] for row in irows])
+        znum, zden = _integer_solve(
+            _integer_rows([row[j] for row in irows] + [prog.full_c[j]] for j in basis)
+        )
+    except ZeroDivisionError:
+        raise _NeedsExact
+    basic = dict(zip(basis, xnum))
+    if any(v < 0 for v in xnum) or any(basic.get(j, 0) > 0 for j in prog.art_cols):
+        raise _NeedsExact
+    # basic columns have reduced cost 0 by construction
+    skip = set(basis).union(prog.art_cols)
+    zrows = [(row, z) for row, z in zip(irows, znum) if z]
+    for j in range(prog.width):
+        if j in skip:
+            continue
+        cnum, cden = prog.full_c[j].as_integer_ratio()
+        # the reduced cost times zden * cden, both positive
+        if cnum * zden < cden * sum(row[j] * z for row, z in zrows):
+            raise _NeedsExact
+    x = [Fraction(basic.get(j, 0), xden) for j in range(prog.n)]
     objective = sum(ci * xi for ci, xi in zip(prog.c, x))
     return LpSolution(objective=objective, x=tuple(x))
 
@@ -299,11 +347,18 @@ def _nonzero(v, tol) -> bool:
 
 
 def _dense_solve(mat, vec):
-    """Solve a square system by Gauss-Jordan elimination, partial pivoting.
+    """Solve a square system by Gauss-Jordan elimination.
 
-    Skips zero entries (the LP basis matrices are sparse), which matters a
-    lot when the scalars are Fractions.
+    When every entry is an int or a ``Fraction`` the solve is exact and
+    fraction-free: each row is scaled to integers by the lcm of its
+    denominators, eliminated with Python ints, and a ``Fraction`` is formed
+    only for the answers.  Otherwise the scalars are eliminated as they are,
+    with partial pivoting.  Both branches skip zero entries (the LP basis
+    matrices are sparse).  A singular system raises ``ZeroDivisionError``.
     """
+    if all(isinstance(v, (int, Fraction)) for row in (*mat, vec) for v in row):
+        nums, den = _integer_solve(_integer_rows([*row, v] for row, v in zip(mat, vec)))
+        return [Fraction(v, den) for v in nums]
     n = len(vec)
     m = [list(row) + [v] for row, v in zip(mat, vec)]
     for col in range(n):
@@ -326,6 +381,65 @@ def _dense_solve(mat, vec):
             for j in nonzero:
                 row_r[j] -= factor * prow[j]
     return [m[r][n] for r in range(n)]
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    """Each rational row times the lcm of its denominators, in lowest terms."""
+    out = []
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        scale = math.lcm(*[d for _, d in ratios])
+        ints = [a * (scale // d) for a, d in ratios]
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
+    return out
+
+
+def _integer_solve(m: list[list[int]]) -> tuple[list[int], int]:
+    """Exact branch of ``_dense_solve``: fraction-free integer Gauss-Jordan.
+
+    ``m`` holds the augmented integer rows ``[a_r0 .. a_r(n-1), b_r]`` and is
+    eliminated in place.  A row stays proportional to its rational row, so
+    the update ``(a/g)*row_r - (f/g)*pivot_row`` with ``g = gcd(a, f)``
+    clears column ``col`` without a division, and dividing the row by its
+    gcd afterwards keeps the integers short.  Returns ``(nums, den)`` with
+    ``x_r = nums[r] / den`` and ``den > 0``; raises ``ZeroDivisionError`` on
+    a singular system.
+    """
+    n = len(m)
+    for col in range(n):
+        # the smallest non-zero pivot keeps the multipliers a/g small
+        piv = None
+        size = 0
+        for r in range(col, n):
+            a = m[r][col]
+            if a and (piv is None or abs(a) < size):
+                piv, size = r, abs(a)
+        if piv is None:
+            raise ZeroDivisionError("singular basis matrix")
+        m[col], m[piv] = m[piv], m[col]
+        prow = m[col]
+        a = prow[col]
+        nonzero = [j for j in range(col, n + 1) if prow[j]]
+        for r in range(n):
+            if r == col:
+                continue
+            row_r = m[r]
+            f = row_r[col]
+            if not f:
+                continue
+            g = math.gcd(a, f)
+            ag, fg = a // g, f // g
+            if ag != 1:
+                m[r] = row_r = [ag * v for v in row_r]
+            for j in nonzero:
+                row_r[j] -= fg * prow[j]
+            g = math.gcd(*row_r)
+            if g > 1:
+                m[r] = [v // g for v in row_r]
+    # row r now reads m[r][r] * x_r = m[r][n]
+    den = math.lcm(*[m[r][r] for r in range(n)])
+    return [m[r][n] * (den // m[r][r]) for r in range(n)], den
 
 
 def _pivot(tableau, basis, row: int, col: int) -> None:

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 from collections import deque
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -153,3 +154,59 @@ def unit_graphs(draw, max_n: int = 12) -> Graph:
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return Graph(n, sorted(edges))
+
+
+def fraction_gauss_jordan(mat, vec):
+    """Plain ``Fraction`` Gauss-Jordan: the solution list, or None if singular."""
+    n = len(vec)
+    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(mat, vec)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+def float_dense_solve(mat, vec):
+    """The float Gauss-Jordan of ``simplex._dense_solve`` as it stood before
+    the solver gained its integer branch; float results must not move."""
+    n = len(vec)
+    m = [list(row) + [v] for row, v in zip(mat, vec)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if m[piv][col] == 0:
+            raise ZeroDivisionError("singular basis matrix")
+        m[col], m[piv] = m[piv], m[col]
+        prow = m[col]
+        inv = prow[col]
+        if inv != 1:
+            m[col] = prow = [v / inv for v in prow]
+        nonzero = [j for j in range(col, n + 1) if prow[j] != 0]
+        for r in range(n):
+            if r == col:
+                continue
+            row_r = m[r]
+            factor = row_r[col]
+            if factor == 0:
+                continue
+            for j in nonzero:
+                row_r[j] -= factor * prow[j]
+    return [m[r][n] for r in range(n)]
+
+
+@st.composite
+def square_systems(draw, entries, zero=0, max_n: int = 7):
+    """Hypothesis strategy: ``(mat, vec)`` with n in 1..max_n, each entry
+    ``zero`` about half the time and otherwise drawn from ``entries``."""
+    n = draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(zero), entries)
+    mat = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    vec = draw(st.lists(entry, min_size=n, max_size=n))
+    return mat, vec

@@ -110,6 +110,24 @@ class TestSubcommands:
         assert captured.out == ""
         assert "inf" in captured.err
 
+    def test_bad_p_exit_2(self, capsys):
+        assert main(["lb", "--t", "3", "--p", "0.5", "--lambda", "1"]) == 2
+        assert "p must be" in capsys.readouterr().err
+
+    def test_invalid_graph_file_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "inf.edges"
+        path.write_text("2 1\n0 1 inf\n")
+        assert main(["greedy", "--input", str(path), "--stretch", "3"]) == 3
+        assert main(["norm", "--input", str(path)]) == 3
+
+    def test_unconstructible_dual_exit_3(self, capsys):
+        # at p = 1 the (L,C,R) case system for t = 3 is singular
+        code = main(["lb", "--t", "3", "--p", "1", "--lambda", "1", "--certificate"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "singular" in captured.err
+
     def test_lb_stdout_is_strict_json(self, capsys):
         # cond1's slack is infinite at p = 1
         code, out = run_cli(["lb", "--t", 3, "--p", 1, "--lambda", 1], capsys)

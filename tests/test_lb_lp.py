@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from spanorm import lb_lp
 from spanorm.lb_lp import (
     DualConstructionError,
     LcrParams,
@@ -331,6 +332,41 @@ class TestCertificatePipeline:
             assert cert.objective(lam) == lp.ell
             pred, info = predicted_exponent(t, p, lam)
             assert pred == lp.ell
+
+    def test_singular_case_system_refused(self):
+        # at p = 1 the (1,1,1) complementary-slackness system is singular
+        for p in (F(1), 1.0):
+            with pytest.raises(DualConstructionError, match="singular"):
+                construct_dual(LcrParams(1, 1, 1), p)
+
+    @pytest.mark.parametrize("p", [F(5), 5.0, 5])
+    def test_prediction_and_certificate_share_a_segment(self, p):
+        base = derive_lcr(p, 5)
+        top = 1 + 1 / F(p) if not isinstance(p, float) else 1 + 1 / p
+        seen = set()
+        for k in range(1, 21):
+            lam = top * (F(k, 20) if not isinstance(p, float) else k / 20)
+            _pred, info = predicted_exponent(5, p, lam)
+            frame, _primal, _cert = certificate_for(5, p, lam)
+            if info["segment"] is None:
+                assert frame == base
+                continue
+            _shapes, frames = lb_lp._interpolation_walk(base, lb_lp._exactify(p))
+            assert frame == frames[info["segment"] - 1]
+            seen.add(info["segment"])
+        assert len(seen) >= 3
+
+    def test_walk_cache_keyed_on_type_of_p(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(lb_lp, "_WALK_CACHE", cache)
+        base = derive_lcr(F(5), 5)
+        exact = lb_lp._interpolation_walk(base, F(5))
+        assert len(cache) == 1
+        assert lb_lp._interpolation_walk(base, F(5)) is exact
+        approx = lb_lp._interpolation_walk(base, 5.0)
+        assert len(cache) == 2
+        assert approx is not exact
+        assert approx == exact
 
     def test_skewed_primal_endpoints(self):
         # tau = 0 at the nice boundary reproduces the plain shape

@@ -1,12 +1,33 @@
-"""Simplex solver: known LPs, exact mode, and a vertex-enumeration cross-check."""
+"""Simplex solver: known LPs, exact mode, a vertex-enumeration cross-check,
+and the linear solver behind both."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spanorm.simplex import Infeasible, Unbounded, solve_lp
+from spanorm.simplex import (
+    Infeasible,
+    Unbounded,
+    _certified_exact,
+    _dense_solve,
+    _NeedsExact,
+    _pivot_phases,
+    _Program,
+    _solution_from_tableau,
+    solve_lp,
+)
+
+from helpers import float_dense_solve, fraction_gauss_jordan, square_systems
+
+RATIONALS = st.one_of(st.integers(-4, 4), st.fractions(-6, 6, max_denominator=12))
+FLOATS = st.one_of(
+    st.integers(-40, 40).map(lambda k: k / 8),
+    st.floats(-10, 10).filter(lambda v: abs(v) > 1e-3),
+)
 
 
 class TestKnownPrograms:
@@ -84,7 +105,7 @@ def _brute_force_min(c, a_ub, b_ub):
     for idx in itertools.combinations(range(len(rows)), n):
         mat = [[Fraction(rows[i][j]) for j in range(n)] for i in idx]
         vec = [Fraction(rhs[i]) for i in idx]
-        x = _solve_square(mat, vec)
+        x = fraction_gauss_jordan(mat, vec)
         if x is None:
             continue
         if any(xi < -Fraction(1, 10**9) for xi in x):
@@ -99,23 +120,6 @@ def _brute_force_min(c, a_ub, b_ub):
         if best is None or val < best:
             best = val
     return best
-
-
-def _solve_square(mat, vec):
-    n = len(vec)
-    m = [row[:] + [v] for row, v in zip(mat, vec)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 def test_random_cross_check_against_vertex_enumeration():
@@ -140,3 +144,104 @@ def test_random_cross_check_against_vertex_enumeration():
         assert sol.objective == expect
         checked += 1
     assert checked >= 15
+
+
+class TestDenseSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(system=square_systems(RATIONALS))
+    def test_exact_matches_fraction_reference(self, system):
+        mat, vec = system
+        want = fraction_gauss_jordan(mat, vec)
+        if want is None:
+            with pytest.raises(ZeroDivisionError):
+                _dense_solve(mat, vec)
+            return
+        got = _dense_solve(mat, vec)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+        for row, b in zip(mat, vec):
+            assert sum(a * x for a, x in zip(row, got)) == b
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=square_systems(RATIONALS), data=st.data())
+    def test_singular_raises(self, system, data):
+        # make one row a combination of two others (or a copy, or zero)
+        mat, vec = system
+        n = len(vec)
+        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        a, b = data.draw(RATIONALS), data.draw(RATIONALS)
+        mat[i] = [a * x + b * y for x, y in zip(mat[j], mat[k])] if i not in (j, k) else [0] * n
+        with pytest.raises(ZeroDivisionError):
+            _dense_solve(mat, vec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=square_systems(FLOATS, zero=0.0))
+    def test_float_results_unchanged(self, system):
+        mat, vec = system
+        try:
+            want = float_dense_solve(mat, vec)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _dense_solve(mat, vec)
+            return
+        got = _dense_solve(mat, vec)
+        assert got == want
+        # bit for bit, signed zeros included
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+
+    def test_mixed_float_input_takes_the_float_branch(self):
+        mat = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+        got = _dense_solve(mat, [1.0, Fraction(2)])
+        assert got == float_dense_solve(mat, [1.0, Fraction(2)])
+        assert all(type(v) is float for v in got)
+
+
+class TestExactCertification:
+    def _program(self, c, a_ub, b_ub):
+        return _Program(c, a_ub, b_ub, [], [], Fraction)
+
+    def test_optimal_basis_certified(self):
+        # min -x - 2y  s.t. x + y <= 4, y <= 3: optimum x = 1, y = 3
+        prog = self._program([-1, -2], [[1, 1], [0, 1]], [4, 3])
+        sol = _certified_exact(prog, [0, 1])
+        assert sol.x == (Fraction(1), Fraction(3))
+        assert sol.objective == Fraction(-7)
+
+    def test_feasible_but_suboptimal_basis_refused(self):
+        # the slack basis (x = y = 0) is feasible but has negative reduced costs
+        prog = self._program([-1, -2], [[1, 1], [0, 1]], [4, 3])
+        with pytest.raises(_NeedsExact):
+            _certified_exact(prog, [2, 3])
+
+    def test_infeasible_basis_refused(self):
+        # basis {x, slack 2}: x = 4 leaves x <= 1 violated (slack 2 = -3)
+        prog = self._program([-1, 0], [[1, 1], [1, 0]], [4, 1])
+        with pytest.raises(_NeedsExact):
+            _certified_exact(prog, [0, 3])
+
+    def test_singular_basis_refused(self):
+        prog = self._program([-1, -1], [[1, 1], [2, 2]], [1, 2])
+        with pytest.raises(_NeedsExact):
+            _certified_exact(prog, [0, 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exact_solve_matches_exact_pivoting(self, data):
+        """Float basis + integer certificate agrees with fully exact pivoting."""
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 4))
+        c = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        a_ub = [data.draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(m)]
+        b_ub = data.draw(st.lists(RATIONALS, min_size=m, max_size=m))
+        try:
+            prog = _Program(c, a_ub, b_ub, [], [], Fraction)
+            want = _solution_from_tableau(prog, _pivot_phases(prog, Fraction(0))).objective
+        except (Infeasible, Unbounded) as exc:
+            with pytest.raises(type(exc)):
+                solve_lp(c, a_ub, b_ub, exact=True)
+            return
+        sol = solve_lp(c, a_ub, b_ub, exact=True)
+        assert sol.objective == want
+        assert all(type(v) is Fraction and v >= 0 for v in sol.x)
+        for row, b in zip(a_ub, b_ub):
+            assert sum(a * x for a, x in zip(row, sol.x)) <= b
