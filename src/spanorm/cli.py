@@ -315,12 +315,11 @@ def _cmd_oracle(args) -> int:
     g = _read_graph(args.input)
     p = _parse_p(args.p)
     result = optimal_spanner(g, args.stretch, p)
-    ratio = greedy_ratio(g, args.stretch, p)
     _emit(
         {
             "optimum_edges": [list(e) for e in result.optimum.kept_edges],
             "optimum_norm": result.optimum_norm,
-            "greedy_ratio": ratio,
+            "greedy_ratio": result.greedy_ratio,
             "explored": result.explored,
             "pruned": result.pruned,
         }
@@ -501,8 +500,6 @@ def _experiment_row(family: str, seed: int, n: int, t: int, p_text: str) -> dict
 
 
 def _random_graph(rng, n: int, m: int):
-    import itertools
-
     from .graph_core import Graph
 
     edges = set()

@@ -22,7 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph_core import Graph, girth, girth_at_least, lp_norm, within_hops
+from .graph_core import (Graph, degree_norm, girth, girth_at_least, lp_norm,
+                         short_cycle, within_hops)
 from .greedy import verify_stretch
 from .lb_lp import LcrParams, SKEW_LEFT, SKEW_NONE, SKEW_RIGHT
 
@@ -209,49 +210,23 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int,
         return clean
 
     def find_short_cycle():
-        # parallel matchings first (2-cycles are invisible to the BFS below)
+        """(left, matching) of a matching edge on a short cycle, or None."""
+        # parallel matchings first (short_cycle does not see 2-cycles)
         for i in range(side):
             seen = {}
             for k in range(degree):
                 if perms[k][i] in seen:
                     return i, k
                 seen[perms[k][i]] = k
-        # truncated BFS from every vertex; a non-tree edge closing a walk of
-        # length <= limit pins a short cycle.  Returns (left, matching) of a
-        # matching edge on it, or None.
-        n = 2 * side
-        dist = [-1] * n
-        parent = [-1] * n
-        stamp = [0] * n
-        tick = 0
-        half = limit // 2 + 1
-        for s in range(n):
-            tick += 1
-            dist[s] = 0
-            parent[s] = -1
-            stamp[s] = tick
-            frontier = [s]
-            depth = 0
-            while frontier and depth < half:
-                depth += 1
-                nxt = []
-                for x in frontier:
-                    for y in adj[x]:
-                        if stamp[y] != tick:
-                            stamp[y] = tick
-                            dist[y] = depth
-                            parent[y] = x
-                            nxt.append(y)
-                        elif parent[x] != y and parent[y] != x:
-                            if dist[x] + dist[y] + 1 <= limit:
-                                left = x if x < side else y
-                                right = (y if x < side else x) - side
-                                for k in range(degree):
-                                    if perms[k][left] == right:
-                                        return left, k
-                                return left, 0
-                frontier = nxt
-        return None
+        hit = short_cycle(adj, limit)
+        if hit is None:
+            return None
+        _, x, y = hit
+        left, right = (x, y - side) if x < side else (y, x - side)
+        for k in range(degree):
+            if perms[k][left] == right:
+                return left, k
+        return left, 0
 
     for _ in range(max_rounds):
         bad = find_short_cycle()
@@ -540,11 +515,13 @@ class LayeredInstance:
 
     def spanner_norm(self, p=None) -> float:
         p = self.p if p is None else p
-        return _counter_norm(self.spanner_degree_counts(), p)
+        counts = self.spanner_degree_counts()
+        return degree_norm(counts.keys(), p, counts.values())
 
     def host_norm(self, p=None) -> float:
         p = self.p if p is None else p
-        return _counter_norm(self.host_degree_counts(), p)
+        counts = self.host_degree_counts()
+        return degree_norm(counts.keys(), p, counts.values())
 
     def measured(self) -> dict:
         log_n = math.log(self.n)
@@ -676,15 +653,6 @@ def _combine_layer_counters(
     if size > 2_000_000:
         raise ValueError("two irregular sides on a huge layer")
     return Counter(lfn(v) + rfn(v) for v in range(size))
-
-
-def _counter_norm(counts: Counter, p) -> float:
-    from .graph_core import INFINITY
-
-    if p is INFINITY:
-        return float(max((d for d in counts if counts[d]), default=0))
-    total = math.fsum(cnt * float(d) ** float(p) for d, cnt in counts.items() if d)
-    return total ** (1.0 / float(p)) if total else 0.0
 
 
 # -- builders ------------------------------------------------------------------

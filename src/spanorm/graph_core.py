@@ -5,6 +5,10 @@ optional finite, strictly positive lengths; a graph without lengths is
 treated as unit-length.  Hop layers (``layer_profile``) always ignore edge lengths,
 even on weighted graphs; weighted shortest paths are a separate code path
 (``shortest_paths`` with ``use_lengths=True``).
+
+Shared kernels take plain adjacency lists or degree multisets:
+``within_hops`` (bounded hop distance), ``short_cycle`` (the one cycle
+search) and ``degree_norm`` (the one lp norm of degrees).
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -21,12 +27,14 @@ __all__ = [
     "INFINITY",
     "LayerProfile",
     "UNBOUNDED",
+    "degree_norm",
     "girth",
     "girth_at_least",
     "layer_profile",
     "lp_norm",
     "parse_edge_list",
     "format_edge_list",
+    "short_cycle",
     "shortest_paths",
     "subset_norm",
     "weighted_distance_bounded",
@@ -201,6 +209,26 @@ def _check_p(p) -> None:
         raise GraphError(f"norm parameter must satisfy p >= 1, got {p}")
 
 
+def degree_norm(degrees: Iterable[int], p, counts: Iterable[int] | None = None) -> float:
+    """lp norm of a degree multiset; 0.0 when every degree is 0.
+
+    Degree ``degrees[i]`` is taken ``counts[i]`` times, or once when
+    ``counts`` is None (a per-vertex degree list).  A histogram passes its
+    ``keys()`` and ``values()``.  ``p`` is a real >= 1 (callers check it) or
+    ``INFINITY``: the largest degree with a non-zero count.  The sum is
+    ``math.fsum`` of ``count * float(d) ** float(p)``; for an integer ``p``
+    and ``d**p`` above 2**53 a term is rounded by ``pow``, not exactly.
+    """
+    if p is INFINITY:
+        if counts is not None:
+            degrees = [d for d, c in zip(degrees, counts) if c]
+        return float(max(degrees, default=0))
+    fp = float(p)
+    powers = map(pow, map(float, degrees), repeat(fp))
+    total = math.fsum(powers if counts is None else map(mul, counts, powers))
+    return total ** (1.0 / fp) if total else 0.0
+
+
 def lp_norm(g: Graph, p) -> float:
     """lp norm of the degree vector of ``g``; 0 for an edgeless graph.
 
@@ -208,14 +236,7 @@ def lp_norm(g: Graph, p) -> float:
     ``lp_norm(g, 1)`` equals exactly twice the edge count.
     """
     _check_p(p)
-    degs = g.degrees()
-    if p is INFINITY:
-        return float(max(degs, default=0))
-    if not g.edges:
-        return 0.0
-    if p == 1:
-        return float(sum(degs))
-    return math.fsum(d**p for d in degs if d) ** (1.0 / p)
+    return degree_norm(g.degrees(), p)
 
 
 def subset_norm(g: Graph, s: Iterable[int], p) -> float:
@@ -228,13 +249,7 @@ def subset_norm(g: Graph, s: Iterable[int], p) -> float:
     for v in vs:
         if not 0 <= v < g.n:
             raise GraphError(f"vertex {v} out of range for n={g.n}")
-    degs = [g.degree(v) for v in vs]
-    if p is INFINITY:
-        return float(max(degs, default=0))
-    if p == 1:
-        return float(sum(degs))
-    total = math.fsum(d**p for d in degs if d)
-    return total ** (1.0 / p) if total else 0.0
+    return degree_norm([g.degree(v) for v in vs], p)
 
 
 # -- hop layers and distances --------------------------------------------
@@ -382,73 +397,67 @@ def weighted_distance_bounded(
 # -- girth ----------------------------------------------------------------
 
 
+def short_cycle(adj: Sequence[Sequence[int]], limit: int) -> tuple[int, int, int] | None:
+    """``(length, x, y)``: the first non-tree edge closing a walk of at most
+    ``limit`` edges, or None.
+
+    Truncated BFS from every root in id order, one level at a time.  A
+    non-tree edge (x,y) closes the walk root->x, x-y, y->root of
+    dist[x]+dist[y]+1 edges, which contains a cycle no longer than itself.
+    For a root on a shortest cycle of length L the BFS meets that cycle's
+    far edge with a walk of exactly L edges, while scanning only levels d
+    with 2d+1 <= L.  So a hit proves a cycle of at most ``length`` edges,
+    and None at ``limit`` proves there is no cycle of length <= ``limit``.
+    ``adj`` must be simple: a parallel edge (a 2-cycle) is not seen.
+    """
+    n = len(adj)
+    dist = [0] * n
+    parent = [-1] * n
+    stamp = [0] * n
+    deepest = (limit - 1) // 2  # deepest level whose edges are scanned
+    for s in range(n):
+        tick = s + 1
+        stamp[s] = tick
+        dist[s] = 0
+        parent[s] = -1
+        frontier = [s]
+        depth = 0
+        while frontier and depth <= deepest:
+            depth += 1
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if stamp[y] != tick:
+                        stamp[y] = tick
+                        dist[y] = depth
+                        parent[y] = x
+                        nxt.append(y)
+                    elif parent[x] != y and parent[y] != x:
+                        length = dist[x] + dist[y] + 1
+                        if length <= limit:
+                            return length, x, y
+            frontier = nxt
+    return None
+
+
 def girth(g: Graph):
     """Length (edge count) of a shortest cycle; ``UNBOUNDED`` for forests.
 
-    BFS from every vertex; any non-tree edge (x,y) closes a walk of length
-    dist[x]+dist[y]+1 that contains a cycle no longer than itself, and for a
-    root on a shortest cycle the bound is attained, so the minimum over all
-    roots is exact.
+    Takes any cycle witness, then asks :func:`short_cycle` for a shorter one
+    until there is none.
     """
-    best = math.inf
     adj = g.adjacency()
-    n = g.n
-    for s in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            if 2 * dist[x] + 1 >= best:
-                break
-            for y in adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    q.append(y)
-                elif parent[x] != y and parent[y] != x:
-                    cand = dist[x] + dist[y] + 1
-                    if cand < best:
-                        best = cand
-    return best if best < math.inf else UNBOUNDED
+    best = UNBOUNDED
+    hit = short_cycle(adj, g.n)
+    while hit is not None:
+        best = hit[0]
+        hit = short_cycle(adj, best - 1)
+    return best
 
 
 def girth_at_least(g: Graph, k: int) -> bool:
-    """True iff ``g`` has no cycle shorter than ``k`` edges.
-
-    Truncated variant of :func:`girth` (search stops at depth k/2), so it
-    stays cheap on large sparse graphs.
-    """
-    if k <= 3:
-        return True
-    limit = k - 1  # largest forbidden cycle length
-    adj = g.adjacency()
-    n = g.n
-    dist = [-1] * n
-    parent = [-1] * n
-    stamp = [0] * n
-    tick = 0
-    for s in range(n):
-        tick += 1
-        dist[s] = 0
-        parent[s] = -1
-        stamp[s] = tick
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            if 2 * dist[x] + 1 > limit:
-                break
-            for y in adj[x]:
-                if stamp[y] != tick:
-                    stamp[y] = tick
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    q.append(y)
-                elif parent[x] != y and parent[y] != x:
-                    if dist[x] + dist[y] + 1 <= limit:
-                        return False
-    return True
+    """True iff ``g`` has no cycle shorter than ``k`` edges."""
+    return k <= 3 or short_cycle(g.adjacency(), k - 1) is None
 
 
 # -- edge-list interchange format ----------------------------------------
@@ -493,10 +502,9 @@ def parse_edge_list(text: str) -> Graph:
 def format_edge_list(g: Graph) -> str:
     """Inverse of :func:`parse_edge_list`; deterministic edge order."""
     out = [f"{g.n} {g.m}"]
-    for u, v in g.edges:
-        if g.weighted:
-            w = g.lengths[(u, v)]
-            out.append(f"{u} {v} {w:.12g}")
-        else:
-            out.append(f"{u} {v}")
+    lengths = g.lengths
+    if lengths is None:
+        out += [f"{u} {v}" for u, v in g.edges]
+    else:
+        out += [f"{u} {v} {lengths[(u, v)]:.12g}" for u, v in g.edges]
     return "\n".join(out) + "\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .graph_core import (
     Graph,
-    INFINITY,
+    degree_norm,
     layer_profile,
     lp_norm,
     weighted_distance_bounded,
@@ -48,13 +48,15 @@ class OracleResult:
     optimum_norm: float
     explored: int
     pruned: int
+    greedy_norm: float
 
-
-def _norm_of_degrees(degrees, p) -> float:
-    if p is INFINITY:
-        return float(max(degrees, default=0))
-    total = math.fsum(d ** float(p) for d in degrees if d)
-    return total ** (1.0 / float(p)) if total else 0.0
+    @property
+    def greedy_ratio(self) -> float:
+        """Norm ratio of the greedy spanner to the optimum (>= 1); 1 when
+        the optimum norm is 0."""
+        if self.optimum_norm == 0:
+            return 1.0
+        return self.greedy_norm / self.optimum_norm
 
 
 def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
@@ -72,7 +74,8 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         raise OracleSizeError(
             f"{m} edges exceeds the exhaustive limit {EXHAUSTIVE_EDGE_LIMIT}"
         )
-    greedy_edges = set(greedy_spanner(g, t).kept_edges)
+    greedy = greedy_spanner(g, t)
+    greedy_edges = set(greedy.kept_edges)
     order = [e for e in g.edges if e not in greedy_edges] + [
         e for e in g.edges if e in greedy_edges
     ]
@@ -129,7 +132,7 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         def dfs(idx: int) -> None:
             nonlocal explored, pruned
             explored += 1
-            partial_norm = _norm_of_degrees(degrees, p)
+            partial_norm = degree_norm(degrees, p)
             if partial_norm > best_norm + 1e-12:
                 pruned += 1
                 return
@@ -160,16 +163,13 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         optimum_norm=best_norm,
         explored=explored,
         pruned=pruned,
+        greedy_norm=lp_norm(greedy.graph(), p),
     )
 
 
 def greedy_ratio(g: Graph, t: int, p) -> float:
     """Norm ratio of the greedy spanner to the oracle optimum (>= 1)."""
-    greedy_norm = lp_norm(greedy_spanner(g, t).graph(), p)
-    result = optimal_spanner(g, t, p)
-    if result.optimum_norm == 0:
-        return 1.0
-    return greedy_norm / result.optimum_norm
+    return optimal_spanner(g, t, p).greedy_ratio
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from spanorm.graph_core import Graph
+from spanorm.graph_core import INFINITY, Graph
 
 
 def path_graph(k: int) -> Graph:
@@ -104,6 +104,27 @@ def brute_force_girth(g: Graph) -> float:
     for s in range(g.n):
         dfs(s, s, {s}, 0)
     return best
+
+
+def reference_lp_norm(degrees, p) -> float:
+    """The per-vertex lp norm as ``lp_norm`` computed it before
+    ``graph_core.degree_norm``; the kernel must agree bit for bit."""
+    if p is INFINITY:
+        return float(max(degrees, default=0))
+    if not any(degrees):
+        return 0.0
+    if p == 1:
+        return float(sum(degrees))
+    return math.fsum(d**p for d in degrees if d) ** (1.0 / p)
+
+
+def reference_counter_norm(counts, p) -> float:
+    """The degree-histogram lp norm as the virtual instances computed it
+    before ``graph_core.degree_norm``; the kernel must agree bit for bit."""
+    if p is INFINITY:
+        return float(max((d for d in counts if counts[d]), default=0))
+    total = math.fsum(cnt * float(d) ** float(p) for d, cnt in counts.items() if d)
+    return total ** (1.0 / float(p)) if total else 0.0
 
 
 def one_sided_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:

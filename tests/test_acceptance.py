@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from spanorm import lb_lp
+from spanorm.cli import _random_graph
 from spanorm.decomposition import check_coverage, class_contributions, heavy_mass, phi
 from spanorm.extremal import (
     build_lcr,
@@ -28,20 +29,6 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 GRID_PS = [F(101, 100), F(11, 10), F(13, 10), GOLDEN, F(9, 5), F(2), F(5, 2), F(3), F(5), F(10)]
 GRID_TS = range(2, 9)
 GRID_LAMBDA_POINTS = 20
-
-
-def _random_graph(rng, n, m):
-    edges = set()
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in range(1, n):
-        u, v = order[i], order[rng.randrange(i)]
-        edges.add((min(u, v), max(u, v)))
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
 
 
 def _report(name: str, detail: str = "") -> None:

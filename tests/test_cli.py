@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import spanorm
+import spanorm.oracle
 from spanorm.cli import _dumps, main, run_experiment
 from spanorm.extremal import named_girth_graph
 from spanorm.graph_core import format_edge_list, parse_edge_list
@@ -77,6 +78,17 @@ class TestSubcommands:
         report = json.loads(out)
         assert report["optimum_norm"] == pytest.approx(10**0.5)
         assert report["greedy_ratio"] == pytest.approx(1.2**0.5)
+
+    def test_oracle_searches_once(self, k4_file, capsys, monkeypatch):
+        # one search (hence one greedy) yields both the optimum and the ratio
+        calls = []
+        real = spanorm.oracle.greedy_spanner
+        monkeypatch.setattr(
+            spanorm.oracle, "greedy_spanner", lambda g, t: calls.append(t) or real(g, t)
+        )
+        code, _ = run_cli(["oracle", "--input", k4_file, "--stretch", 3, "--p", 2], capsys)
+        assert code == 0
+        assert calls == [3]
 
     def test_verify_clean(self, petersen_file, capsys):
         code, out = run_cli(["verify", "--input", petersen_file, "--stretch", 3], capsys)

@@ -2,21 +2,26 @@
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanorm.graph_core import (
     Graph,
     GraphError,
     INFINITY,
     UNBOUNDED,
+    degree_norm,
     format_edge_list,
     girth,
     girth_at_least,
     layer_profile,
     lp_norm,
     parse_edge_list,
+    short_cycle,
     shortest_paths,
     subset_norm,
     within_hops,
@@ -30,9 +35,13 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_connected_graph,
+    reference_counter_norm,
+    reference_lp_norm,
     star_graph,
     unit_graphs,
 )
+
+NORM_PS = (1, 2, 1.5, 2.5, Fraction(5, 2), (1 + math.sqrt(5)) / 2, INFINITY)
 
 
 class TestConstruction:
@@ -125,6 +134,37 @@ class TestNorms:
             lp_norm(cycle_graph(4), 0.5)
 
 
+class TestDegreeNorm:
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs())
+    def test_matches_old_formulas(self, g):
+        degs = g.degrees()
+        hist = Counter(degs)
+        evens = range(0, g.n, 2)
+        for p in NORM_PS:
+            want = reference_lp_norm(degs, p)
+            assert degree_norm(degs, p) == want
+            assert lp_norm(g, p) == want
+            assert subset_norm(g, range(g.n), p) == want
+            sub = [degs[v] for v in evens]
+            assert subset_norm(g, evens, p) == reference_lp_norm(sub, p)
+            want = reference_counter_norm(hist, p)
+            assert degree_norm(hist.keys(), p, hist.values()) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(hist=st.dictionaries(st.integers(0, 10**7), st.integers(0, 10**7), max_size=8))
+    def test_large_histograms_match_old_formula(self, hist):
+        # virtual instances carry degrees and counts far beyond any explicit graph
+        counts = Counter(hist)
+        for p in NORM_PS:
+            want = reference_counter_norm(counts, p)
+            assert degree_norm(counts.keys(), p, counts.values()) == want
+
+    def test_zero_counts_ignored_by_max(self):
+        assert degree_norm([5, 2], INFINITY, [0, 3]) == 2.0
+        assert degree_norm([5, 2], 2, [0, 3]) == math.sqrt(12)
+
+
 class TestLayerProfile:
     def test_petersen_layers(self):
         g = petersen_graph()
@@ -184,6 +224,34 @@ class TestGirth:
             gv = girth(g)
             for k in range(3, 9):
                 assert girth_at_least(g, k) == (gv >= k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs())
+    def test_girth_matches_brute_force_property(self, g):
+        assert girth(g) == brute_force_girth(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs())
+    def test_girth_at_least_matches_girth_property(self, g):
+        gv = girth(g)
+        for k in range(3, g.n + 2):
+            assert girth_at_least(g, k) == (gv >= k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs())
+    def test_short_cycle_sound_and_complete(self, g):
+        # a hit names an edge and a length between the girth and the limit;
+        # None means no cycle of length <= limit
+        adj = g.adjacency()
+        best = brute_force_girth(g)
+        for limit in range(g.n + 2):
+            hit = short_cycle(adj, limit)
+            if hit is None:
+                assert best > limit
+            else:
+                length, x, y = hit
+                assert g.has_edge(x, y)
+                assert best <= length <= limit
 
     def test_unique_short_paths_in_high_girth(self):
         # girth >= 2k+1 forces a unique i-hop path to each vertex of N_i(v), i <= k

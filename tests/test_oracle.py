@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import spanorm.oracle
 from spanorm.graph_core import Graph, INFINITY, girth_at_least, lp_norm
 from spanorm.greedy import Spanner, greedy_spanner
 from spanorm.oracle import (
@@ -96,6 +97,31 @@ class TestGreedyRatio:
             ratio = greedy_ratio(g, 3, 2)
             assert ratio >= 1.0 - 1e-12
             assert ratio <= g.n ** (63 / 128) + 1e-9
+
+    def test_result_carries_greedy_norm(self):
+        # the ratio as it was computed from a separate greedy run, bit for bit
+        rng = random.Random(79)
+        for _ in range(10):
+            g = random_connected_graph(rng, rng.randint(3, 7), rng.randint(2, 12) + 6)
+            for p in (2, 1.5, INFINITY):
+                greedy_norm = lp_norm(greedy_spanner(g, 3).graph(), p)
+                for prune in (True, False):
+                    res = optimal_spanner(g, 3, p, prune=prune)
+                    assert res.greedy_norm == greedy_norm
+                    want = greedy_norm / res.optimum_norm if res.optimum_norm else 1.0
+                    assert res.greedy_ratio == want
+                assert greedy_ratio(g, 3, p) == want
+
+    def test_one_greedy_per_ratio(self, monkeypatch):
+        calls = []
+
+        def counting_greedy(g, t):
+            calls.append(t)
+            return greedy_spanner(g, t)
+
+        monkeypatch.setattr(spanorm.oracle, "greedy_spanner", counting_greedy)
+        greedy_ratio(complete_graph(4), 3, 2)
+        assert calls == [3]
 
 
 class TestBallGrowth:
