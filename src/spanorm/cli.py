@@ -384,8 +384,10 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
     """Run a parameter grid, appending one CSV row per instance.
 
     Rows are keyed by (family, seed, params); existing keys are skipped on
-    resume, so an interrupted run completes to the identical CSV.  Failures
-    are recorded as rows, never abort the sweep.
+    resume, so an interrupted run completes to the identical CSV.  Only
+    whole rows count as done (see ``_finished_rows``); the file is rewritten
+    to them before new rows are appended.  Failures are recorded as rows,
+    never abort the sweep.
     """
     grid = spec.get("grid") or {}
     if not grid or not spec.get("families"):
@@ -399,12 +401,12 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
         "family", "seed", "n", "t", "p", "m_in", "m_out",
         "norm", "bound", "ratio", "ok", "seconds",
     ]
-    done = set()
-    if resume and csv_path.exists():
-        with csv_path.open() as fh:
-            for row in csv.DictReader(fh):
-                done.add((row["family"], row["seed"], row["n"], row["t"], row["p"]))
-    mode = "a" if resume and csv_path.exists() else "w"
+    finished = (
+        _finished_rows(csv_path, fieldnames) if resume and csv_path.exists() else []
+    )
+    done = {
+        (row["family"], row["seed"], row["n"], row["t"], row["p"]) for row in finished
+    }
     failures = 0
     jobs = []
     for family in spec["families"]:
@@ -416,25 +418,30 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
                         if key not in done:
                             jobs.append((family, seed, n, t, p_text))
     threads = max(1, int(spec.get("threads", 1)))
-    with csv_path.open(mode, newline="") as fh:
+    with csv_path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        if mode == "w":
-            writer.writeheader()
+        writer.writeheader()
+        writer.writerows(finished)
+        fh.flush()
+
+        def write(row: dict) -> None:
+            nonlocal failures
+            failures += 0 if row["ok"] == "1" else 1
+            writer.writerow(row)
+            fh.flush()
+
         if threads == 1:
-            results = (_experiment_row(*job) for job in jobs)
+            for job in jobs:
+                write(_experiment_row(*job))
         else:
             # rows own their state; the single writer drains futures in
             # submission order, so output is identical to a sequential run
             from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(max_workers=threads)
-            results = (f.result() for f in [
-                pool.submit(_experiment_row, *job) for job in jobs
-            ])
-        for row in results:
-            failures += 0 if row["ok"] == "1" else 1
-            writer.writerow(row)
-            fh.flush()
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(_experiment_row, *job) for job in jobs]
+                for future in futures:
+                    write(future.result())
     import hashlib
 
     from . import __version__
@@ -453,6 +460,27 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
     )
     _emit(summary)
     return 1 if failures else 0
+
+
+def _finished_rows(csv_path: Path, fieldnames: list[str]) -> list[dict]:
+    """The rows of an earlier run that are whole, in file order.
+
+    A crash can tear the last line: a row counts only if its line ends in a
+    newline, it has every column and its ``ok`` is "0" or "1".  A file whose
+    header is not ``fieldnames`` yields no rows.
+    """
+    text = csv_path.read_text()
+    # every row is written with its newline, so an unterminated tail is torn
+    text = text[: text.rfind("\n") + 1]
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != fieldnames:
+        return []
+    ok = fieldnames.index("ok")
+    return [
+        dict(zip(fieldnames, row))
+        for row in reader
+        if len(row) == len(fieldnames) and row[ok] in ("0", "1")
+    ]
 
 
 def _experiment_row(family: str, seed: int, n: int, t: int, p_text: str) -> dict:

@@ -2,11 +2,15 @@
 
 The oracle enumerates edge subsets, so it is the independent ground truth
 the rest of the package is validated against.  Exhaustive mode walks every
-subset; branch-and-bound mode prunes on two sound tests (the norm of the
-degrees already forced, and spannability of each excluded edge inside the
-still-available graph) and re-verifies every surviving leaf, so both modes
-return the same optimum.  Ties break to the lexicographically smallest kept
-edge set, making results reproducible.
+subset and checks each with ``verify_stretch``; branch-and-bound mode prunes
+on two sound tests (the norm of the degrees already forced, and
+spannability of each excluded edge inside the still-available graph) and
+re-verifies every surviving leaf, so both modes return the same optimum.
+The branch-and-bound does O(degree) work per node: it keeps the available
+edges (kept plus undecided) as one adjacency that the drop branch edits in
+place and restores on backtrack, and at a leaf, where that adjacency is the
+kept set, it checks only the dropped edges' stretch.  Ties break to the
+lexicographically smallest kept edge set, making results reproducible.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .graph_core import (
+    LENGTH_RTOL,
     Graph,
     degree_norm,
     layer_profile,
@@ -66,6 +71,19 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
     ``prune=True`` adds branch-and-bound and stretches to 40 edges.  Edges
     are ordered with the greedy spanner's complement first, which lets the
     norm bound bite early.
+
+    The branch-and-bound keeps one mutable adjacency ``avail`` of the kept
+    edges plus every undecided one: the drop branch takes its edge out of
+    two lists for its subtree and puts it back in the same slots, and the
+    spannability prune asks ``within_hops`` (or a Dijkstra cut at
+    ``t * length``) on it.  At a leaf ``avail`` is the kept set.  The leaf
+    norm is ``degree_norm`` of the running degrees, the same float
+    ``lp_norm`` gives, and the stretch check asks about the dropped edges
+    only (a kept edge spans itself), plus on weighted graphs any edge longer
+    than its own budget ``t * min(w, d_G(u, v))``.  A drop child skips the
+    norm bound test its parent just passed on the same degrees and
+    incumbent.  ``prune=False`` builds a graph and calls ``verify_stretch``
+    per subset, and stays the independent reference.
     """
     m = g.m
     if prune and m > PRUNED_EDGE_LIMIT:
@@ -85,21 +103,24 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
     explored = 0
     pruned = 0
 
-    def consider(kept: tuple) -> None:
+    def offer(norm: float, canon: tuple) -> None:
+        # ties break to the lexicographically smallest kept edge set
         nonlocal best_norm, best_edges
-        sub = g.subgraph(kept)
-        norm = lp_norm(sub, p)
-        if norm > best_norm:
-            return
-        if not verify_stretch(g, Spanner(g, tuple(sorted(kept)), t, "ORACLE"), t):
-            return
-        canon = tuple(sorted(kept))
         if norm < best_norm - 1e-15 or (
             math.isclose(norm, best_norm, rel_tol=1e-12)
             and (best_edges is None or canon < best_edges)
         ):
             best_norm = min(norm, best_norm)
             best_edges = canon
+
+    def consider(kept: tuple) -> None:
+        sub = g.subgraph(kept)
+        norm = lp_norm(sub, p)
+        if norm > best_norm:
+            return
+        if not verify_stretch(g, Spanner(g, tuple(sorted(kept)), t, "ORACLE"), t):
+            return
+        offer(norm, tuple(sorted(kept)))
 
     if not prune:
         for mask in range(1 << m):
@@ -112,49 +133,86 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         explored += 1
         degrees = [0] * g.n
         kept: list = []
+        dropped: list[int] = []
+        avail = [list(nbrs) for nbrs in g.adjacency()]
+        stamp = [0] * g.n
+        tick = 0
+        lengths = g.lengths
+        long_edges: list[int] = []
+        if lengths is None:
+            prune_budget = leaf_budget = None
+        else:
+            prune_budget = [t * lengths[e] for e in order]
+            # per-edge budgets t * min(w, d_G(u, v)), as verify_stretch has
+            # them.  A kept edge spans itself unless it is longer than its
+            # budget; such an edge is spanned once the dropped edges of a
+            # shortest path are, up to float rounding, so the leaf asks about
+            # it too and decides exactly as verify_stretch would
+            leaf_budget = []
+            for i, (u, v) in enumerate(order):
+                w = lengths[(u, v)]
+                d_g = min(w, weighted_distance_bounded(g.adjacency(), lengths, u, v, w))
+                leaf_budget.append(t * d_g)
+                if w > t * d_g * (1.0 + LENGTH_RTOL):
+                    long_edges.append(i)
 
-        def excluded_still_spannable(idx: int) -> bool:
-            # the edge order[idx] was dropped; it must be spannable using the
-            # kept edges plus every undecided one
-            u, v = order[idx]
-            adj: list[list[int]] = [[] for _ in range(g.n)]
-            for a, b in kept + order[idx + 1 :]:
-                adj[a].append(b)
-                adj[b].append(a)
-            if g.weighted:
-                budget = t * g.edge_length(u, v)
-                return (
-                    weighted_distance_bounded(adj, g.lengths, u, v, budget)
-                    <= budget * (1 + 1e-12)
-                )
-            return within_hops(adj, u, v, t)
+        def spanned(i: int, budget: list[float] | None) -> bool:
+            # order[i] is spanned within budget by the edges now in avail
+            nonlocal tick
+            u, v = order[i]
+            if budget is None:
+                tick += 1
+                return within_hops(avail, u, v, t, stamp, tick)
+            b = budget[i]
+            return weighted_distance_bounded(avail, lengths, u, v, b) <= b * (
+                1.0 + LENGTH_RTOL
+            )
 
-        def dfs(idx: int) -> None:
+        def leaf(norm: float) -> None:
+            if norm > best_norm:
+                return
+            if not all(spanned(i, leaf_budget) for i in dropped):
+                return
+            if not all(spanned(i, leaf_budget) for i in long_edges):
+                return
+            offer(norm, tuple(sorted(kept)))
+
+        def dfs(idx: int, norm: float | None) -> None:
+            # norm is None unless the parent already passed the bound test
+            # on the same degrees and incumbent (the drop child)
             nonlocal explored, pruned
             explored += 1
-            partial_norm = degree_norm(degrees, p)
-            if partial_norm > best_norm + 1e-12:
-                pruned += 1
-                return
+            if norm is None:
+                norm = degree_norm(degrees, p)
+                if norm > best_norm + 1e-12:
+                    pruned += 1
+                    return
             if idx == m:
-                consider(tuple(kept))
+                leaf(norm)
                 return
             u, v = order[idx]
             # branch 1: drop the edge (complement-first order favors drops)
-            if excluded_still_spannable(idx):
-                dfs(idx + 1)
+            nu, nv = avail[u], avail[v]
+            iu, iv = nu.index(v), nv.index(u)
+            del nu[iu], nv[iv]
+            if spanned(idx, prune_budget):
+                dropped.append(idx)
+                dfs(idx + 1, norm)
+                dropped.pop()
             else:
                 pruned += 1
+            nu.insert(iu, v)
+            nv.insert(iv, u)
             # branch 2: keep the edge
             kept.append(order[idx])
             degrees[u] += 1
             degrees[v] += 1
-            dfs(idx + 1)
+            dfs(idx + 1, None)
             degrees[u] -= 1
             degrees[v] -= 1
             kept.pop()
 
-        dfs(0)
+        dfs(0, None)
 
     assert best_edges is not None, "the full graph always spans itself"
     spanner = Spanner(base=g, kept_edges=best_edges, t=t, provenance="ORACLE")

@@ -177,6 +177,40 @@ def unit_graphs(draw, max_n: int = 12) -> Graph:
     return Graph(n, sorted(edges))
 
 
+@st.composite
+def small_connected_graphs(draw) -> Graph:
+    """Hypothesis strategy: connected graphs on 3..7 vertices with at most 12
+    edges, unit-length or with integer lengths 1..3 (the oracle's scale)."""
+    n = draw(st.integers(3, 7))
+    label = draw(st.permutations(range(n)))
+    tree = set()
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        u, v = label[i], label[j]
+        tree.add((min(u, v), max(u, v)))
+    rest = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    extra = draw(st.sets(st.sampled_from(rest), max_size=12 - len(tree))) if rest else set()
+    edges = sorted(tree | extra)
+    if not draw(st.booleans()):
+        return Graph(n, edges)
+    lengths = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+    return Graph(n, edges, dict(zip(edges, lengths)))
+
+
+def seeded_oracle_case(seed: int):
+    """``(g, t, p)`` for oracle regression pins: a connected graph on 4..8
+    vertices with at most 16 edges, weighted (lengths 1..5) for odd seeds."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    m = rng.randint(n - 1, min(n * (n - 1) // 2, 16))
+    g = random_connected_graph(rng, n, m)
+    if seed % 2:
+        g = Graph(n, g.edges, {e: rng.randint(1, 5) for e in g.edges})
+    t = rng.choice([2, 3, 5])
+    p = rng.choice([1, 2, Fraction(5, 2), INFINITY])
+    return g, t, p
+
+
 def fraction_gauss_jordan(mat, vec):
     """Plain ``Fraction`` Gauss-Jordan: the solution list, or None if singular."""
     n = len(vec)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,54 @@ class TestExperiment:
         assert run_experiment(spec) == 0
         resumed = csv_path.read_text()
         assert sorted(self._strip_timing(resumed)) == sorted(self._strip_timing(full))
+
+    @pytest.mark.parametrize("cut", ["family", "norm", "ok", "seconds", "newline"])
+    def test_resume_after_torn_row(self, tmp_path, cut):
+        spec = self._spec(tmp_path)
+        assert run_experiment(spec) == 0
+        csv_path = tmp_path / "out" / "demo.csv"
+        full = csv_path.read_text()
+        # cut inside the fourth data row, as a crash mid-write leaves it
+        start = sum(len(line) + 1 for line in full.splitlines()[:4])
+        row = full.splitlines()[4]
+        cols = row.split(",")
+        offset = {
+            "family": 3,
+            "norm": len(",".join(cols[:7])) + 3,
+            "ok": len(",".join(cols[:10])) + 1,
+            "seconds": len(row) - 1,
+            "newline": len(row),
+        }[cut]
+        csv_path.write_text(full[: start + offset])
+        assert run_experiment(spec) == 0
+        resumed = csv_path.read_text()
+        assert self._strip_timing(resumed) == self._strip_timing(full)
+        assert all(line.count(",") == 11 for line in resumed.splitlines())
+
+    def test_resume_drops_short_rows_and_rows_without_ok(self, tmp_path):
+        spec = self._spec(tmp_path)
+        assert run_experiment(spec) == 0
+        csv_path = tmp_path / "out" / "demo.csv"
+        full = csv_path.read_text()
+        lines = full.splitlines()
+        cols = lines[2].split(",")
+        cols[10] = ""
+        lines[2] = ",".join(cols)
+        lines[3] = ",".join(lines[3].split(",")[:8])
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert run_experiment(spec) == 0
+        resumed = csv_path.read_text()
+        assert sorted(self._strip_timing(resumed)) == sorted(self._strip_timing(full))
+
+    def test_threaded_run_matches_and_joins_pool(self, tmp_path):
+        spec = self._spec(tmp_path)
+        run_experiment(spec, resume=False)
+        sequential = (tmp_path / "out" / "demo.csv").read_text()
+        before = set(threading.enumerate())
+        run_experiment(dict(spec, threads=2), resume=False)
+        threaded = (tmp_path / "out" / "demo.csv").read_text()
+        assert self._strip_timing(threaded) == self._strip_timing(sequential)
+        assert set(threading.enumerate()) <= before
 
     def test_deterministic_rerun(self, tmp_path):
         spec = self._spec(tmp_path)

@@ -2,12 +2,15 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spanorm.oracle
 from spanorm.graph_core import Graph, INFINITY, girth_at_least, lp_norm
-from spanorm.greedy import Spanner, greedy_spanner
+from spanorm.greedy import Spanner, greedy_spanner, verify_stretch
 from spanorm.oracle import (
     OracleSizeError,
     ball_growth_check,
@@ -22,8 +25,35 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_connected_graph,
+    seeded_oracle_case,
+    small_connected_graphs,
     star_graph,
 )
+
+# (seed, kept_edges, optimum_norm, explored, pruned) of the pruned search on
+# seeded_oracle_case(seed); the counts pin the search tree, not just the answer
+SEARCH_PINS = [
+    (0, ((0, 1), (1, 3), (2, 4), (2, 5), (3, 5), (5, 6)), 4.172342132765461, 1369, 881),
+    (1, ((0, 1), (1, 2), (1, 3), (1, 4)), 8.0, 223, 118),
+    (2, ((0, 1), (1, 3), (2, 3)), 2.0, 5, 3),
+    (3, ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3)), 4.076840381471144, 47, 38),
+    (4, ((0, 3), (0, 4), (1, 2), (1, 4), (2, 3)), 3.8073078774317572, 18, 13),
+    (5, ((0, 2), (0, 7), (1, 2), (1, 4), (2, 3), (2, 5), (3, 6), (6, 7)), 5.220971890021551, 69, 60),
+    (6, ((0, 3), (1, 5), (1, 6), (2, 4), (2, 7), (3, 6), (4, 5)), 4.190218492454793, 25, 19),
+    (7, ((0, 5), (1, 3), (1, 5), (2, 3), (2, 4)), 3.602197708484683, 33, 25),
+    (8, ((0, 2), (0, 3), (0, 4), (1, 4)), 8.0, 52, 30),
+    (9, ((0, 4), (1, 2), (1, 6), (3, 4), (3, 5), (3, 6)), 12.0, 2952, 2090),
+    (10, ((0, 1), (1, 5), (2, 5), (2, 6), (3, 5), (4, 7), (5, 7)), 4.893435121819839, 9, 7),
+    (11, ((0, 2), (0, 3), (1, 3), (1, 4), (4, 5), (5, 6)), 3.9127928026215755, 4040, 2605),
+    (12, ((0, 1), (0, 3), (0, 5), (1, 2), (1, 6), (2, 4), (3, 5), (4, 5)), 3.0, 202, 139),
+    (13, ((0, 2), (0, 3), (1, 3), (1, 4), (4, 5)), 3.602197708484683, 120, 82),
+    (14, ((0, 1), (0, 2), (0, 3)), 6.0, 13, 6),
+    (15, ((0, 3), (1, 2), (1, 3), (2, 4)), 3.7416573867739413, 6, 4),
+    (16, ((0, 1), (0, 2), (0, 3), (0, 5), (1, 4)), 10.0, 2854, 1398),
+    (17, ((0, 3), (0, 4), (1, 4), (1, 5), (2, 4), (3, 7), (5, 6)), 5.291502622129181, 732, 555),
+    (18, ((0, 4), (1, 2), (1, 4), (2, 3)), 3.7416573867739413, 6, 4),
+    (19, ((0, 2), (0, 3), (1, 3)), 6.0, 5, 3),
+]
 
 
 class TestOptimalSpanner:
@@ -72,6 +102,60 @@ class TestOptimalSpanner:
         g = Graph(3, [(0, 1), (1, 2), (0, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0})
         res = optimal_spanner(g, 3, 2)
         assert res.optimum.kept_edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("pin", SEARCH_PINS, ids=lambda pin: f"seed{pin[0]}")
+    def test_search_tree_pinned(self, pin):
+        seed, kept, norm, explored, pruned = pin
+        g, t, p = seeded_oracle_case(seed)
+        res = optimal_spanner(g, t, p)
+        assert (res.optimum.kept_edges, res.optimum_norm, res.explored, res.pruned) == (
+            kept, norm, explored, pruned
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small_connected_graphs(),
+        st.sampled_from([2, 3, 5]),
+        st.sampled_from([1, 2, Fraction(5, 2), INFINITY]),
+    )
+    def test_pruned_matches_exhaustive_property(self, g, t, p):
+        fast = optimal_spanner(g, t, p, prune=True)
+        slow = optimal_spanner(g, t, p, prune=False)
+        assert fast.optimum.kept_edges == slow.optimum.kept_edges
+        assert fast.optimum_norm == slow.optimum_norm
+        assert fast.optimum_norm <= fast.greedy_norm
+        assert verify_stretch(g, fast.optimum, t)
+
+    def test_weighted_edge_longer_than_its_budget(self):
+        # edges of length 5 next to a 1-1 path are longer than their budget
+        # 2 * d_G = 4; the pruned leaves check them and agree with verify_stretch
+        rng = random.Random(89)
+        for _ in range(20):
+            n = rng.randint(3, 6)
+            base = random_connected_graph(rng, n, rng.randint(n - 1, min(n * (n - 1) // 2, 9)))
+            lengths = {e: rng.choice([1, 1, 5]) for e in base.edges}
+            g = Graph(base.n, base.edges, lengths)
+            for p in (1, 2, INFINITY):
+                fast = optimal_spanner(g, 2, p)
+                slow = optimal_spanner(g, 2, p, prune=False)
+                assert fast.optimum.kept_edges == slow.optimum.kept_edges
+                assert fast.optimum_norm == slow.optimum_norm
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)], {(0, 1): 1, (1, 2): 1, (0, 2): 5})
+        assert optimal_spanner(g, 2, 2).optimum.kept_edges == ((0, 1), (1, 2))
+
+    def test_pruned_leaves_skip_verify_stretch(self, monkeypatch):
+        # only the greedy incumbent goes through verify_stretch; the leaves
+        # of the pruned search check their dropped edges in place
+        calls = []
+
+        def counting_verify(g, h, t):
+            calls.append(t)
+            return verify_stretch(g, h, t)
+
+        monkeypatch.setattr(spanorm.oracle, "verify_stretch", counting_verify)
+        g, t, p = seeded_oracle_case(16)
+        res = optimal_spanner(g, t, p)
+        assert res.explored > 1000 and calls == [t]
 
     def test_petersen_forced_whole(self):
         # girth 5 means no 3-spanner may drop an edge
