@@ -413,15 +413,6 @@ class LayeredInstance:
     def n(self) -> int:
         return self.offsets[-1]
 
-    def layer_of(self, v: int) -> int:
-        for i, off in enumerate(self.offsets[1:]):
-            if v < off:
-                return i
-        raise IndexError(v)
-
-    def global_id(self, layer: int, local: int) -> int:
-        return self.offsets[layer] + local
-
     # -- spanner ----------------------------------------------------------
 
     def spanner_edge_count(self) -> int:

@@ -281,11 +281,6 @@ def layer_profile(g: Graph, v: int, r: int) -> LayerProfile:
     return LayerProfile(source=v, counts=tuple(counts))
 
 
-def layer_counts(g: Graph, v: int, r: int) -> tuple[int, ...]:
-    """Convenience: just the counts of ``layer_profile(g, v, r)``."""
-    return layer_profile(g, v, r).counts
-
-
 def shortest_paths(g: Graph, v: int, use_lengths: bool = True) -> list[float]:
     """Exact single-source distances from ``v``, ``math.inf`` if unreachable.
 

@@ -18,7 +18,9 @@ and right-skewed with L=0).  This module constructs those certificates by
 solving the corresponding linear systems with ``simplex._dense_solve`` and
 verifies them against the LP.  For rational p the solve is exact integer
 fraction-free elimination, with a ``Fraction`` formed only for each dual
-value; for float p it is float Gauss-Jordan.
+value; for float p it is float Gauss-Jordan.  A plain shape with no system
+on file (C = 0) or a singular one (odd t at p = 1) is certified by the LP's
+own optimal duals instead, which ``solve`` returns by row name.
 
 All functions accept ``p`` and ``lambda`` as int, float, or Fraction and
 preserve exact arithmetic when given exact inputs.
@@ -378,32 +380,36 @@ def build_model(t: int, p, lam, relaxed: bool = True) -> LbLpModel:
 class SolveResult:
     ell: object
     assignment: dict
+    duals: dict
 
 
 def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
-    """Optimal ell and a primal assignment for the model.
+    """Optimal ell, a primal assignment and the optimal duals for the model.
 
+    ``duals`` maps each row name to its multiplier u_r in the model's own
+    sign convention: u_r >= 0 on the ``>=`` rows, the column sums
+    ``sum_r A[r][j] * u_r`` stay at most c_j, and ``rhs . u`` equals ell.
     ``exact=True`` runs the simplex in rational arithmetic; pass p and
     lambda as Fractions (or ints) when building the model for this to be
     meaningful.  Infeasible/unbounded cannot occur for in-range parameters
     (the all-ones assignment spans, and ell >= 0), so those solver errors
     propagate as genuine bugs.
     """
-    c = model.objective_vector()
-    a_ub = []
-    b_ub = []
-    a_eq = []
-    b_eq = []
-    for i, (coeffs, r) in enumerate(zip(model.rows, model.rhs)):
-        if i in model.eq_rows:
-            a_eq.append(list(coeffs))
-            b_eq.append(r)
-        else:
-            a_ub.append([-v for v in coeffs])
-            b_ub.append(-r)
-    sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq, exact=exact)
+    ub = [i for i in range(len(model.rows)) if i not in model.eq_rows]
+    eq = sorted(model.eq_rows)
+    sol = solve_lp(
+        model.objective_vector(),
+        [[-v for v in model.rows[i]] for i in ub],
+        [-model.rhs[i] for i in ub],
+        [model.rows[i] for i in eq],
+        [model.rhs[i] for i in eq],
+        exact=exact,
+    )
+    # the >= rows went in negated: u_r = -y_r
+    duals = {model.row_names[i]: -y for i, y in zip(ub, sol.duals)}
+    duals.update((model.row_names[i], y) for i, y in zip(eq, sol.duals[len(ub) :]))
     assignment = dict(zip(model.var_names, sol.x))
-    return SolveResult(ell=sol.objective, assignment=assignment)
+    return SolveResult(ell=sol.objective, assignment=assignment, duals=duals)
 
 
 # -- (L,C,R) derivation ------------------------------------------------------
@@ -903,15 +909,21 @@ def construct_dual(params: LcrParams, p, t: int | None = None) -> DualCertificat
     Solves the complementary-slackness equations of the relaxed LP for the
     given shape; every component must come out non-negative and the leftover
     inequality constraints (dual rows for the degree-1 left section) must
-    hold, else :class:`DualConstructionError` names the violation.  C = 0 has
-    no closed-form system on file and is routed through the LP dual instead.
+    hold, else :class:`DualConstructionError` names the violation.
+
+    A plain shape with no closed-form system on file (C = 0), or whose
+    system is singular (odd t at p = 1), takes the LP's own optimal duals
+    at lambda = 1 instead (see ``_lp_dual``).  Skewed frames have no such
+    fallback: a singular frame system raises, which is what steers
+    ``_interpolation_walk`` to the other move.
     """
     if t is None:
         t = params.t
     if t != params.t:
         raise ParameterError(f"params {params} do not sum to t={t}")
-    if params.C == 0 and params.skew == SKEW_NONE:
-        return _dual_from_lp(params, p)
+    plain = params.skew == SKEW_NONE
+    if plain and params.C == 0:
+        return _lp_dual(params, p)
     exact = isinstance(p, (int, Fraction))
     model = build_model(t, p if not isinstance(p, int) else Fraction(p), 1, relaxed=True)
     rows, cols = _dual_support(params, t)
@@ -934,6 +946,8 @@ def construct_dual(params: LcrParams, p, t: int | None = None) -> DualCertificat
     try:
         sol = _dense_solve(mat, vec)
     except ZeroDivisionError:
+        if plain:
+            return _lp_dual(params, p)
         raise DualConstructionError("singular complementary-slackness system") from None
     values = dict(zip(row_order, sol))
     tol = 0 if exact else 1e-11
@@ -982,36 +996,18 @@ def _package_certificate(values: Mapping, params: LcrParams, p, t: int) -> DualC
     return DualCertificate(x=x, a=a, b=b, D=dd, y=y, w=w, s=s, eps=eps)
 
 
-def _dual_from_lp(params: LcrParams, p) -> DualCertificate:
-    """C = 0 route: solve the dual LP at a reference lambda and extract values.
+def _lp_dual(params: LcrParams, p) -> DualCertificate:
+    """The optimal duals of the relaxed LP at lambda = 1, for a plain shape.
 
-    The dual feasible region does not involve lambda (it only scales the
-    objective), so one dual vertex certifies the whole nice-range ray.
+    The dual feasible region does not involve lambda, which only scales the
+    objective.  The plain shape's primal scales with lambda, and every nice
+    range reaches past lambda = 1, so the cap row is slack there; by
+    complementary slackness one optimal dual at lambda = 1 certifies the
+    whole nice-range ray.
     """
-    t = params.t
-    lam_ref = 1
-    model = build_model(t, p if not isinstance(p, int) else Fraction(p), lam_ref, relaxed=True)
-    exact = isinstance(p, (int, Fraction))
-    nrow = len(model.rows)
-    # dual: max lam*y - s  s.t. for each var j: sum_r A[r][j] u_r <= c_j, u >= 0
-    c_dual = []
-    names = list(model.row_names)
-    for name in names:
-        if name == "density":
-            c_dual.append(-(lam_ref if not exact else Fraction(lam_ref)))
-        elif name == "cap":
-            c_dual.append(1 if not exact else Fraction(1))
-        else:
-            c_dual.append(0 if not exact else Fraction(0))
-    a_ub = []
-    b_ub = []
-    cvec = {v: (1 if v == "ell" else 0) for v in model.var_names}
-    for j, var in enumerate(model.var_names):
-        a_ub.append([model.rows[r][j] for r in range(nrow)])
-        b_ub.append(cvec[var])
-    sol = solve_lp(c_dual, a_ub, b_ub, exact=exact)
-    values = dict(zip(names, sol.x))
-    return _package_certificate(values, params, p, t)
+    p = _exactify(p)
+    duals = solve(build_model(params.t, p, 1), exact=isinstance(p, Fraction)).duals
+    return _package_certificate(duals, params, p, params.t)
 
 
 @dataclass(frozen=True)

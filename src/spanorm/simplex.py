@@ -7,14 +7,20 @@ that the same code runs either in floating point or in exact rational
 arithmetic over ``fractions.Fraction``.
 
 Float mode prices by the most negative reduced cost and switches to Bland's
-rule after a run of degenerate pivots (anti-cycling).  Because repeated
-pivots on ill-conditioned data can drift, the result of a float run is
-always re-derived from the final basis against the original data and
-verified (primal feasibility and non-negative reduced costs); failures fall
-back to exact arithmetic.  Exact mode uses the float run for basis
-discovery and certifies that basis exactly, resorting to fully exact
-pivoting only when the shortcut cannot be certified, so both modes return
-genuine optima for the data they were handed.
+rule after a run of degenerate pivots (anti-cycling).  Every answer leaves
+through one exit, a certificate of the final basis rebuilt against the
+original data: the basic values must be feasible and every reduced cost
+non-negative.  The ladder has two rungs.  A float run is certified within
+``VERIFY_TOL``.  Exact mode certifies the float run's basis exactly; if that
+basis is refused, it pivots fully in exact arithmetic and certifies the
+basis it ends in, and a refusal there is a ``SimplexError``, never a silent
+fallback.  A float run whose certificate fails climbs the exact rung on the
+rationals ``Fraction(float(v))`` of its own data and casts the answer back.
+
+The certificate returns the optimal duals with the primal: ``duals`` holds
+one multiplier ``y_i`` per input row, ``A_ub`` rows first, such that
+``A^T y <= c`` column by column, ``y_i <= 0`` on the ``A_ub`` rows, and
+``b.y = c.x`` (exactly in exact mode).
 
 Exact linear solves are integer fraction-free elimination: each rational
 row is scaled to integers by the lcm of its denominators, Gauss-Jordan runs
@@ -51,13 +57,16 @@ class Unbounded(SimplexError):
 
 
 class _NeedsExact(Exception):
-    """Internal: a float run could not be verified; redo exactly."""
+    """Internal: a basis certificate refused the basis; climb a rung."""
 
 
 @dataclass(frozen=True)
 class LpSolution:
+    """An optimum and its dual multipliers, one per input row (module doc)."""
+
     objective: object
     x: tuple
+    duals: tuple
 
 
 class _Program:
@@ -80,8 +89,10 @@ class _Program:
         for i in range(m_eq):
             rows.append([conv(v) for v in a_eq[i]] + [zero] * m_ub)
             rhs.append(conv(b_eq[i]))
+        # rows negated here get their multipliers negated back
+        self.flipped = [r < zero for r in rhs]
         for i in range(self.m):
-            if rhs[i] < zero:
+            if self.flipped[i]:
                 rows[i] = [-v for v in rows[i]]
                 rhs[i] = -rhs[i]
         self.start_basis = [-1] * self.m
@@ -102,15 +113,6 @@ class _Program:
         self.width = width
         self.full_c = self.c + [zero] * (width - n)
         self.zero, self.one = zero, one
-        self._cols = None
-
-    def column_nonzeros(self):
-        if self._cols is None:
-            self._cols = [
-                [(i, self.rows[i][j]) for i in range(self.m) if self.rows[i][j] != 0]
-                for j in range(self.width)
-            ]
-        return self._cols
 
 
 def solve_lp(
@@ -121,42 +123,46 @@ def solve_lp(
     b_eq: Sequence = (),
     exact: bool = False,
 ) -> LpSolution:
-    """Minimize ``c.x`` over ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``."""
+    """Minimize ``c.x`` over ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``.
+
+    Returns the optimum, a minimizer and the duals (see the module docstring).
+    """
+    data = (c, a_ub, b_ub, a_eq, b_eq)
     if exact:
-        rprog = _Program(c, a_ub, b_ub, a_eq, b_eq, _to_rational)
         try:
-            basis = _float_basis(_Program(c, a_ub, b_ub, a_eq, b_eq, _to_float))
-        except (SimplexError, ZeroDivisionError, OverflowError):
+            basis = _pivot_phases(_Program(*data, float), FLOAT_TOL)[0]
+        except (SimplexError, OverflowError):
             basis = None
-        if basis is not None:
-            try:
-                return _certified_exact(rprog, basis)
-            except _NeedsExact:
-                pass
-        prog = _Program(c, a_ub, b_ub, a_eq, b_eq, Fraction)
-        if basis is not None:
-            try:
-                # float basis is near-optimal: re-optimize exactly from it
-                return _exact_warm_start(prog, basis)
-            except (_NeedsExact, SimplexError, ZeroDivisionError):
-                pass
-        basis = _pivot_phases(prog, Fraction(0))
-        return _solution_from_tableau(prog, basis)
-    prog = _Program(c, a_ub, b_ub, a_eq, b_eq, _to_float)
+        return _exact_ladder(data, basis, _to_rational)
+    prog = _Program(*data, float)
+    basis = _pivot_phases(prog, FLOAT_TOL)[0]
     try:
-        basis = _float_basis(prog)
         return _certified_from_basis(prog, basis)
     except _NeedsExact:
-        eprog = _Program(c, a_ub, b_ub, a_eq, b_eq, _via_float_fraction)
-        basis = _pivot_phases(eprog, Fraction(0))
-        sol = _solution_from_tableau(eprog, basis)
-        return LpSolution(
-            objective=float(sol.objective), x=tuple(float(v) for v in sol.x)
-        )
+        sol = _exact_ladder(data, basis, _via_float_fraction)
+        x, duals = (tuple(map(float, v)) for v in (sol.x, sol.duals))
+        return LpSolution(float(sol.objective), x, duals)
 
 
-def _to_float(v):
-    return float(v)
+def _exact_ladder(data, basis, conv) -> LpSolution:
+    """Certify ``basis`` exactly, else pivot exactly and certify where that ends.
+
+    ``conv`` makes the data rational.  Pivoting divides, so it runs on a
+    copy whose every entry is a ``Fraction``.
+    """
+    if basis is not None:
+        try:
+            return _certified_exact(_Program(*data, conv), basis)
+        except _NeedsExact:
+            pass
+    prog = _Program(*data, lambda v: Fraction(conv(v)))
+    basis, _rhs = _pivot_phases(prog, Fraction(0))
+    try:
+        return _certified_exact(prog, basis)
+    except _NeedsExact:
+        raise SimplexError(
+            "exact pivoting ended in a basis its certificate refuses"
+        ) from None
 
 
 def _to_rational(v):
@@ -165,10 +171,6 @@ def _to_rational(v):
 
 def _via_float_fraction(v):
     return Fraction(float(v))
-
-
-def _float_basis(prog: _Program) -> list[int]:
-    return _pivot_phases(prog, FLOAT_TOL)
 
 
 def _certified_from_basis(prog: _Program, basis) -> LpSolution:
@@ -200,24 +202,25 @@ def _certified_from_basis(prog: _Program, basis) -> LpSolution:
         lhs = sum(prog.rows[i][j] * xfull[j] for j in range(width))
         if abs(lhs - prog.rhs[i]) > VERIFY_TOL * max(1.0, abs(prog.rhs[i])):
             raise _NeedsExact
-    cols = prog.column_nonzeros()
     for j in range(width):
-        if j in prog.art_cols:
-            continue
-        reduced = prog.full_c[j] - sum(v * yvec[i] for i, v in cols[j])
-        if reduced < -VERIFY_TOL:
-            raise _NeedsExact
+        if j not in prog.art_cols:
+            used = sum(row[j] * y for row, y in zip(prog.rows, yvec) if row[j])
+            if prog.full_c[j] - used < -VERIFY_TOL:
+                raise _NeedsExact
     x = xfull[:n]
     objective = sum(ci * xi for ci, xi in zip(prog.c, x))
-    return LpSolution(objective=objective, x=tuple(x))
+    duals = tuple(-y if flip else y for y, flip in zip(yvec, prog.flipped))
+    return LpSolution(objective=objective, x=tuple(x), duals=duals)
 
 
 def _certified_exact(prog: _Program, basis) -> LpSolution:
     """Exact twin of ``_certified_from_basis``, in integer arithmetic.
 
     Row i of the program, rhs included, becomes an integer row
-    ``I_i = s_i * A_i``.  The basic values solve the basis columns of I
-    against its rhs.  The duals are ``y_i = s_i * z_i``, where z solves
+    ``I_i = s_i * A_i``; its start-basis column holds a 1, so
+    ``s_i = I[i][start_basis[i]]``.  The basic values solve the basis columns
+    of I against its rhs.  The duals are ``y_i = s_i * z_i``, negated back
+    where the program negated the input row, and z solves
     ``sum_i I[i][basis[r]] * z_i = c[basis[r]]``, so the reduced cost of
     column j is ``c_j - sum_i I[i][j] * z_i``; each sign is read off integers.
     Raises ``_NeedsExact`` unless the basis is exactly optimal.
@@ -244,60 +247,16 @@ def _certified_exact(prog: _Program, basis) -> LpSolution:
         if cnum * zden < cden * sum(row[j] * z for row, z in zrows):
             raise _NeedsExact
     x = [Fraction(basic.get(j, 0), xden) for j in range(prog.n)]
-    objective = sum(ci * xi for ci, xi in zip(prog.c, x))
-    return LpSolution(objective=objective, x=tuple(x))
+    objective = sum((ci * xi for ci, xi in zip(prog.c, x) if ci), Fraction(0))
+    duals = tuple(
+        Fraction((-z if flip else z) * row[j], zden)
+        for z, row, j, flip in zip(znum, irows, prog.start_basis, prog.flipped)
+    )
+    return LpSolution(objective=objective, x=tuple(x), duals=duals)
 
 
-def _exact_warm_start(prog: _Program, start_basis) -> LpSolution:
-    """Exact re-optimization beginning at a basis found in float arithmetic.
-
-    Pivots the exact tableau into the given basis (bailing out if the basis
-    is singular or infeasible in exact arithmetic), then runs the ordinary
-    exact phase-2 pricing, which typically needs only a handful of pivots.
-    """
-    m, width = prog.m, prog.width
-    zero = prog.zero
-    tableau = [prog.rows[i][:] + [prog.rhs[i]] for i in range(m)]
-    basis = [-1] * m
-    remaining = set(range(m))
-    for col in start_basis:
-        row = None
-        for r in remaining:
-            if tableau[r][col] != 0:
-                row = r
-                break
-        if row is None:
-            raise _NeedsExact  # singular in exact arithmetic
-        _pivot(tableau, basis, row, col)
-        remaining.discard(row)
-    for i in range(m):
-        if tableau[i][-1] < zero:
-            raise _NeedsExact  # float basis not exactly feasible
-    obj = [zero] * (width + 1)
-    for j in range(prog.n):
-        obj[j] = prog.c[j]
-    for i in range(m):
-        bj = basis[i]
-        if bj < prog.n and prog.c[bj] != 0:
-            coef = prog.c[bj]
-            for j in range(width + 1):
-                obj[j] -= coef * tableau[i][j]
-    _run_phase(tableau, obj, basis, Fraction(0), blocked=frozenset(prog.art_cols))
-    prog._final_rhs = [tableau[i][-1] for i in range(m)]
-    return _solution_from_tableau(prog, basis)
-
-
-def _solution_from_tableau(prog: _Program, basis) -> LpSolution:
-    x = [prog.zero] * prog.n
-    for i, (b, tail) in enumerate(zip(basis, prog._final_rhs)):
-        if b < prog.n:
-            x[b] = tail
-    objective = sum(ci * xi for ci, xi in zip(prog.c, x))
-    return LpSolution(objective=objective, x=tuple(x))
-
-
-def _pivot_phases(prog: _Program, tol) -> list[int]:
-    """Run both simplex phases; returns the final basis (stores final rhs)."""
+def _pivot_phases(prog: _Program, tol) -> tuple[list[int], list]:
+    """Run both simplex phases; returns the final basis and its rhs column."""
     m, width = prog.m, prog.width
     zero, one = prog.zero, prog.one
     basis = list(prog.start_basis)
@@ -338,8 +297,7 @@ def _pivot_phases(prog: _Program, tol) -> list[int]:
             for j in range(width + 1):
                 obj[j] -= coef * tableau[i][j]
     _run_phase(tableau, obj, basis, tol, blocked=frozenset(prog.art_cols))
-    prog._final_rhs = [tableau[i][-1] for i in range(m)]
-    return basis
+    return basis, [row[-1] for row in tableau]
 
 
 def _nonzero(v, tol) -> bool:

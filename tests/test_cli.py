@@ -133,13 +133,27 @@ class TestSubcommands:
         assert main(["greedy", "--input", str(path), "--stretch", "3"]) == 3
         assert main(["norm", "--input", str(path)]) == 3
 
-    def test_unconstructible_dual_exit_3(self, capsys):
-        # at p = 1 the (L,C,R) case system for t = 3 is singular
+    def test_unconstructible_dual_exit_3(self, capsys, monkeypatch):
+        # no CLI input reaches a refused dual today, so the refusal is forced
+        def refuse(t, p, lam):
+            raise spanorm.lb_lp.DualConstructionError("singular complementary-slackness system")
+
+        monkeypatch.setattr(spanorm.lb_lp, "certificate_for", refuse)
         code = main(["lb", "--t", "3", "--p", "1", "--lambda", "1", "--certificate"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert "singular" in captured.err
+
+    def test_p1_odd_t_certificate_verifies(self, capsys):
+        # the singular (1,1,1) system at p = 1 falls back to the LP's duals
+        code, out = run_cli(
+            ["lb", "--t", 3, "--p", 1, "--lambda", 1, "--exact", "--certificate"], capsys
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["verified"] is True
+        assert report["ell"] == 0.5
 
     def test_lb_stdout_is_strict_json(self, capsys):
         # cond1's slack is infinite at p = 1
@@ -176,6 +190,34 @@ class TestSubcommands:
         assert (tmp_path / "a.meta.json").read_text() == (
             tmp_path / "b.meta.json"
         ).read_text()
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("named", {"name": "heawood"}),
+            ("lcr", {"L": 1, "C": 1, "R": 1, "p": 2.0, "center": 8}),
+            ("skewed", {"L": 1, "C": 1, "R": 1, "skew": "right", "p": 2.0,
+                        "center": 16, "skew_exponent": 0.25}),
+            ("tightness", {"k": 2, "p": 3.0, "n": 100, "Lambda": 50}),
+        ],
+    )
+    def test_gen_family_strict_and_deterministic(self, family, params, tmp_path, capsys):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        args = ["gen", "--family", family, "--params", json.dumps(params), "--seed", 3]
+        outputs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            code, out = run_cli(args + ["--out", tmp_path / run / "inst"], capsys)
+            assert code == 0
+            meta = (tmp_path / run / "inst.meta.json").read_text()
+            assert json.loads(meta, parse_constant=refuse)["family"] == family
+            assert json.loads(out, parse_constant=refuse) == json.loads(meta)
+            files = {f.name: f.read_bytes() for f in sorted((tmp_path / run).iterdir())}
+            outputs.append((out, files))
+        assert "inst.host.edges" in outputs[0][1]
+        assert outputs[0] == outputs[1]
 
     def test_lb_sweep(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -307,6 +307,33 @@ class TestDualCertificates:
         primal = minimal_spanner_primal(LcrParams(2, 0, 2), F(3, 2), lam)
         assert verify_certificate(model, primal, cert)
 
+    @pytest.mark.parametrize("relaxed", [True, False])
+    def test_solve_duals_certify_ell(self, relaxed):
+        # u >= 0 on the >= rows, A^T u <= c column by column, rhs . u = ell
+        model = build_model(4, F(13, 10), F(6, 5), relaxed=relaxed)
+        res = solve(model, exact=True)
+        assert set(res.duals) == set(model.row_names)
+        u = [res.duals[name] for name in model.row_names]
+        assert all(v >= 0 for i, v in enumerate(u) if i not in model.eq_rows)
+        for j, var in enumerate(model.var_names):
+            cost = 1 if var == "ell" else 0
+            assert sum(row[j] * v for row, v in zip(model.rows, u)) <= cost
+        assert sum(r * v for r, v in zip(model.rhs, u)) == res.ell
+
+    @pytest.mark.parametrize("t,p", [(3, F(2)), (6, F(5)), (8, F(9, 5)), (7, F(3)), (5, 2.5)])
+    def test_closed_form_and_lp_duals_both_verify(self, t, p):
+        base = derive_lcr(p, t)
+        assert base.C > 0
+        closed = construct_dual(base, p)
+        from_lp = lb_lp._lp_dual(base, p)
+        top = nice_range_max(base, p)
+        for k in range(1, 9):
+            lam = top * (F(k, 8) if isinstance(p, F) else k / 8)
+            model = build_model(t, p, lam)
+            primal = minimal_spanner_primal(base, p, lam)
+            assert verify_certificate(model, primal, closed)
+            assert verify_certificate(model, primal, from_lp)
+
 
 class TestCertificatePipeline:
     @pytest.mark.parametrize(
@@ -334,10 +361,24 @@ class TestCertificatePipeline:
             assert pred == lp.ell
 
     def test_singular_case_system_refused(self):
-        # at p = 1 the (1,1,1) complementary-slackness system is singular
+        # at p = 1 the right-skewed (1,1,1) frame's system is singular, and
+        # skewed frames have no LP fallback
         for p in (F(1), 1.0):
             with pytest.raises(DualConstructionError, match="singular"):
-                construct_dual(LcrParams(1, 1, 1), p)
+                construct_dual(LcrParams(1, 1, 1, skew=SKEW_RIGHT), p)
+
+    @pytest.mark.parametrize("p", [F(1), 1.0])
+    @pytest.mark.parametrize("t", [3, 5, 7, 9])
+    def test_p1_odd_t_certified_by_lp_duals(self, t, p):
+        # the plain (L,1,L) system is singular at p = 1; the LP duals stand in
+        assert derive_lcr(p, t) == LcrParams(t // 2, 1, t // 2)
+        for k in range(1, 21):
+            lam = 2 * F(k, 20) if isinstance(p, F) else k / 10
+            _params, primal, cert = certificate_for(t, p, lam)
+            model = build_model(t, p, lam)
+            assert verify_certificate(model, primal, cert), (t, p, lam)
+            if isinstance(p, F):
+                assert cert.objective(lam) == solve(model, exact=True).ell
 
     @pytest.mark.parametrize("p", [F(5), 5.0, 5])
     def test_prediction_and_certificate_share_a_segment(self, p):

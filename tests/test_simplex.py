@@ -1,5 +1,6 @@
 """Simplex solver: known LPs, exact mode, a vertex-enumeration cross-check,
-and the linear solver behind both."""
+every rung of the certification ladder, the returned duals, and the linear
+solver behind them all."""
 
 import itertools
 import random
@@ -9,15 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanorm import simplex
 from spanorm.simplex import (
+    VERIFY_TOL,
     Infeasible,
+    SimplexError,
     Unbounded,
     _certified_exact,
+    _certified_from_basis,
     _dense_solve,
     _NeedsExact,
     _pivot_phases,
     _Program,
-    _solution_from_tableau,
     solve_lp,
 )
 
@@ -234,8 +238,7 @@ class TestExactCertification:
         a_ub = [data.draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(m)]
         b_ub = data.draw(st.lists(RATIONALS, min_size=m, max_size=m))
         try:
-            prog = _Program(c, a_ub, b_ub, [], [], Fraction)
-            want = _solution_from_tableau(prog, _pivot_phases(prog, Fraction(0))).objective
+            want = _pivoting_optimum(c, a_ub, b_ub)
         except (Infeasible, Unbounded) as exc:
             with pytest.raises(type(exc)):
                 solve_lp(c, a_ub, b_ub, exact=True)
@@ -245,3 +248,209 @@ class TestExactCertification:
         assert all(type(v) is Fraction and v >= 0 for v in sol.x)
         for row, b in zip(a_ub, b_ub):
             assert sum(a * x for a, x in zip(row, sol.x)) <= b
+
+
+def _pivoting_optimum(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """The optimum fully exact pivoting reaches, read off its final tableau."""
+    prog = _Program(c, a_ub, b_ub, a_eq, b_eq, Fraction)
+    basis, rhs = _pivot_phases(prog, Fraction(0))
+    return sum(prog.c[j] * v for j, v in zip(basis, rhs) if j < prog.n)
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """Records, in order, each pivoting run and each basis certificate's verdict."""
+    seen = []
+
+    def pivot(prog, tol):
+        seen.append("pivot exact" if tol == 0 else "pivot float")
+        return _pivot_phases(prog, tol)
+
+    def certificate(name, fn):
+        def wrapped(prog, basis):
+            try:
+                out = fn(prog, basis)
+            except _NeedsExact:
+                seen.append(f"{name} refused")
+                raise
+            seen.append(f"{name} ok")
+            return out
+
+        return wrapped
+
+    float_cert = certificate("float cert", _certified_from_basis)
+    monkeypatch.setattr(simplex, "_pivot_phases", pivot)
+    monkeypatch.setattr(simplex, "_certified_from_basis", float_cert)
+    monkeypatch.setattr(simplex, "_certified_exact", certificate("exact cert", _certified_exact))
+    return seen
+
+
+class TestLadder:
+    """Pinned LPs that force each rung, each checked against exact pivoting."""
+
+    def test_float_certificate_refused_escalates_to_exact(self, rungs):
+        # the float ratio test skips the 1e-11 entry, so x = 1e6 leaves the
+        # second row at -1e-5; exactly, 1e-11 * x <= 0 pins x at 0
+        c, a_ub, b_ub = [-1], [[1], [1e-11]], [1e6, 0]
+        sol = solve_lp(c, a_ub, b_ub)
+        assert rungs == [
+            "pivot float", "float cert refused", "exact cert refused",
+            "pivot exact", "exact cert ok",
+        ]
+        # the referee pivots on the rationals the floats denote
+        assert sol.objective == float(_pivoting_optimum(c, a_ub, b_ub)) == 0.0
+        assert all(type(v) is float for v in (*sol.x, *sol.duals))
+
+    def test_float_noise_escalates_to_unbounded(self, rungs):
+        # a rate of -5e-8 with no pivot row reads as round-off to the float
+        # pivoting, but the certificate's tolerance is 1e-8, so exact decides
+        with pytest.raises(Unbounded):
+            _pivoting_optimum([-5e-8], [[-1]], [0])
+        with pytest.raises(Unbounded):
+            solve_lp([-5e-8], [[-1]], [0])
+        assert rungs == ["pivot float", "float cert refused", "exact cert refused", "pivot exact"]
+
+    def test_exact_certificate_refused_then_full_pivoting(self, rungs):
+        # the two costs differ below float resolution: float picks x, exactly y wins
+        eps = Fraction(1, 10**20)
+        c, a_ub, b_ub = [Fraction(-1), -1 - eps], [[1, 1]], [1]
+        sol = solve_lp(c, a_ub, b_ub, exact=True)
+        assert rungs == ["pivot float", "exact cert refused", "pivot exact", "exact cert ok"]
+        assert sol.objective == _pivoting_optimum(c, a_ub, b_ub) == -1 - eps
+        assert sol.x == (0, 1)
+        assert sol.duals == (-1 - eps,)
+
+    @pytest.mark.parametrize(
+        "c,a_ub,b_ub,ran",
+        [
+            # 1e-400 underflows to 0.0, so the float run finds the LP unbounded
+            ([-1], [[Fraction(1, 10**400)]], [1], ["pivot float"]),
+            # 1e400 has no float, so the float program cannot even be built
+            ([1], [[-(10**400)]], [-(10**400)], []),
+        ],
+        ids=["float-unbounded", "float-overflow"],
+    )
+    def test_float_basis_error_in_exact_mode(self, rungs, c, a_ub, b_ub, ran):
+        sol = solve_lp(c, a_ub, b_ub, exact=True)
+        # no float basis reaches a certificate
+        assert rungs == [*ran, "pivot exact", "exact cert ok"]
+        assert sol.objective == _pivoting_optimum(c, a_ub, b_ub)
+
+    @pytest.mark.parametrize(
+        "a_eq,b_eq,value",
+        [
+            # the second row repeats the first: its artificial stays basic at 0
+            ([[1, 1], [2, 2]], [2, 4], 2),
+            # rhs 0 ends phase 1 at once, so both artificials are driven out
+            ([[1, 1], [1, -1]], [0, 0], 0),
+        ],
+        ids=["redundant", "driven-out"],
+    )
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_artificials_left_after_phase_1(self, a_eq, b_eq, value, exact):
+        sol = solve_lp([1, 2], a_eq=a_eq, b_eq=b_eq, exact=exact)
+        assert sol.objective == _pivoting_optimum([1, 2], a_eq=a_eq, b_eq=b_eq) == value
+        assert sum(b * y for b, y in zip(b_eq, sol.duals)) == value
+
+    def test_refused_referee_basis_raises(self, monkeypatch):
+        def refuse(prog, basis):
+            raise _NeedsExact
+
+        monkeypatch.setattr(simplex, "_certified_exact", refuse)
+        with pytest.raises(SimplexError, match="certificate refuses"):
+            solve_lp([-1, -2], [[1, 1], [0, 1]], [4, 3], exact=True)
+
+    def test_pivot_limit_without_bland(self, monkeypatch):
+        # TestKnownPrograms' Beale program cycles under most-negative pricing
+        monkeypatch.setattr(simplex, "DEGENERATE_SWITCH", 10**9)
+        c = [-0.75, 150, -0.02, 6]
+        a = [[0.25, -60, -0.04, 9], [0.5, -90, -0.02, 3], [0, 0, 1, 0]]
+        with pytest.raises(SimplexError, match="pivot limit"):
+            solve_lp(c, a, [0, 0, 1])
+
+
+class TestFloatCertification:
+    """``_certified_from_basis`` refuses each way ``_certified_exact`` does,
+    plus a basis solve that does not satisfy its rows."""
+
+    def _program(self, c, a_ub, b_ub, a_eq=(), b_eq=(), conv=float):
+        return _Program(c, a_ub, b_ub, a_eq, b_eq, conv)
+
+    def test_optimal_basis_certified(self):
+        sol = _certified_from_basis(self._program([-1, -2], [[1, 1], [0, 1]], [4, 3]), [0, 1])
+        assert sol.x == (1.0, 3.0) and sol.objective == -7.0
+        assert sol.duals == (-1.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "program,basis",
+        [
+            (([-1, -2], [[1, 1], [0, 1]], [4, 3]), [2, 3]),  # suboptimal
+            (([-1, 0], [[1, 1], [1, 0]], [4, 1]), [0, 3]),  # infeasible
+            (([-1, -1], [[1, 1], [2, 2]], [1, 2]), [0, 1]),  # singular
+            (([1, 1], [], [], [[1, 1]], [2]), [2]),  # artificial at 2
+        ],
+        ids=["suboptimal", "infeasible", "singular", "artificial"],
+    )
+    def test_refused_like_the_exact_certificate(self, program, basis):
+        with pytest.raises(_NeedsExact):
+            _certified_from_basis(self._program(*program), basis)
+        with pytest.raises(_NeedsExact):
+            _certified_exact(self._program(*program, conv=Fraction), basis)
+
+    def test_rows_not_satisfied_refused(self):
+        # x0, x1 near 3e11 with a 1e-12 gap: the float solve leaves row 2
+        # off by about 1e-5, though both values are non-negative and c = 0
+        prog = self._program([0, 0], [[1, -1], [1, -1 + 1e-12]], [1, 1.3])
+        with pytest.raises(_NeedsExact):
+            _certified_from_basis(prog, [0, 1])
+
+
+def _lp_draw(data, values):
+    n = data.draw(st.integers(1, 3))
+    m_ub, m_eq = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    row = st.lists(values, min_size=n, max_size=n)
+    c = data.draw(row)
+    a_ub = [data.draw(row) for _ in range(m_ub)]
+    a_eq = [data.draw(row) for _ in range(m_eq)]
+    b_ub = data.draw(st.lists(values, min_size=m_ub, max_size=m_ub))
+    b_eq = data.draw(st.lists(values, min_size=m_eq, max_size=m_eq))
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+def _dual_gaps(lp, sol):
+    """(worst sign violation, worst column violation, |b.y - c.x|)."""
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    rows, rhs = [*a_ub, *a_eq], [*b_ub, *b_eq]
+    sign = max([0, *(y for y in sol.duals[: len(a_ub)])])
+    column = max(
+        [0, *(sum(row[j] * y for row, y in zip(rows, sol.duals)) - c[j] for j in range(len(c)))]
+    )
+    gap = abs(sum(b * y for b, y in zip(rhs, sol.duals)) - sol.objective)
+    return sign, column, gap
+
+
+class TestDuals:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exact_duals_certify_the_optimum(self, data):
+        """y <= 0 on the A_ub rows, A^T y <= c and b.y = c.x, all exactly."""
+        lp = _lp_draw(data, RATIONALS)
+        try:
+            sol = solve_lp(*lp, exact=True)
+        except (Infeasible, Unbounded):
+            return
+        c = lp[0]
+        assert len(sol.duals) == len(lp[1]) + len(lp[3])
+        assert sol.objective == sum(ci * xi for ci, xi in zip(c, sol.x))
+        assert _dual_gaps(lp, sol) == (0, 0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_float_duals_within_verify_tol(self, data):
+        lp = _lp_draw(data, st.integers(-40, 40).map(lambda k: k / 8))
+        try:
+            sol = solve_lp(*lp)
+        except (Infeasible, Unbounded):
+            return
+        assert len(sol.duals) == len(lp[1]) + len(lp[3])
+        assert all(g <= VERIFY_TOL for g in _dual_gaps(lp, sol))
