@@ -280,12 +280,12 @@ def _cmd_gen(args) -> int:
             primal = {key: float(v) for key, v in primal.items()}
             inst = build_from_lp(primal, params["n"], seed=args.seed, t=t,
                                  p=float(p))
-        verified = inst.verify(seed=args.seed)
+        verified = inst.verify()
         meta.update(
             {
                 "layer_sizes": list(inst.layer_sizes),
                 "n": inst.n,
-                "virtual": inst.virtual if hasattr(inst, "virtual") else False,
+                "virtual": inst.virtual,
                 "measured": inst.measured(),
                 "predicted": {
                     key: value

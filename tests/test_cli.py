@@ -219,6 +219,14 @@ class TestSubcommands:
         assert "inst.host.edges" in outputs[0][1]
         assert outputs[0] == outputs[1]
 
+    def test_gen_left_skew_without_center_verified(self, tmp_path, capsys):
+        params = {"L": 1, "C": 0, "R": 2, "skew": "left", "p": 2.0, "center": 48,
+                  "skew_exponent": 0.7}
+        code, out = run_cli(["gen", "--family", "skewed", "--params", json.dumps(params),
+                             "--out", tmp_path / "inst"], capsys)
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+
     def test_lb_sweep(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"t": [2, 3], "p": ["2"], "lambda_points": 3}))

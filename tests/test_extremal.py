@@ -1,5 +1,6 @@
 """Layered instance generators, named graphs, lifts, and tightness families."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from spanorm import extremal
 from spanorm.extremal import (
     LayeredInstance,
     build_from_lp,
@@ -21,6 +23,7 @@ from spanorm.greedy import greedy_spanner, verify_stretch
 from spanorm.lb_lp import (
     LcrParams,
     SKEW_LEFT,
+    SKEW_NONE,
     SKEW_RIGHT,
     build_model,
     derive_lcr,
@@ -133,16 +136,35 @@ class TestBuildLcr:
         lo, hi = min(contribs), max(contribs)
         assert hi <= lo * 2**p * (1 + 1e-9)
 
-    def test_sampled_check_matches_bfs_small(self):
-        inst = build_lcr(LcrParams(1, 1, 1), 2.0, 6)
-        spanner = inst.spanner()
-        from spanorm.graph_core import shortest_paths
-
-        base_t = inst.offsets[inst.t]
-        for u in range(inst.layer_sizes[0]):
-            dist = shortest_paths(spanner, u)
-            for w in range(inst.layer_sizes[-1]):
-                assert (dist[base_t + w] <= inst.t) == inst.spans_pair(u, w)
+    def test_rule_verdict_matches_stretch_fuzz(self):
+        # the rule-based verdict against the BFS check on the materialised
+        # host, over plain and skewed shapes with C = 0..2; skews with no room
+        # for their junction leave host pairs unspanned, so both verdicts occur
+        rng = random.Random(2024)
+        cases = [(LcrParams(1, 0, 2, skew=SKEW_LEFT), 2.0, 48, 0.7)]
+        for _ in range(150):
+            L, C, R = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
+            skew = rng.choice([SKEW_NONE, SKEW_LEFT, SKEW_RIGHT])
+            top = 1.0 / (C + 1) if C else 1.0
+            cases.append((LcrParams(L, C, R, skew=skew), rng.choice([1.3, 2.0, 3.0, 5.0]),
+                          rng.choice([2, 3, 4, 6, 9, 16]), rng.uniform(0.0, top)))
+        verdicts = []
+        for params, p, center, exponent in cases:
+            if params.t == 0:
+                continue
+            try:
+                inst = build_skewed(params, p, center, exponent)
+            except ValueError:
+                continue
+            n0, nt = inst.layer_sizes[0], inst.layer_sizes[-1]
+            if inst.virtual or n0 * nt + inst.spanner_edge_count() > 20_000:
+                continue
+            expected = verify_stretch(inst.host_graph(), inst.spanner(), inst.t)
+            assert inst.verify() == expected, (params, p, center, exponent)
+            verdicts.append((params.C, params.skew, expected))
+        assert len(verdicts) >= 80
+        assert {(0, SKEW_LEFT, True), (2, SKEW_RIGHT, True), (1, SKEW_NONE, True)} <= set(verdicts)
+        assert any(not ok for _, _, ok in verdicts)
 
     def test_measured_exponents_close_at_scale(self):
         params = derive_lcr(2.0, 3)
@@ -157,7 +179,26 @@ class TestBuildLcr:
         assert inst.n > 10**7
         with pytest.raises(ValueError):
             inst.spanner()
-        assert inst.verify(samples=500)
+        assert inst.verify()
+
+    def test_rule_verdict_reads_parameters_only(self, monkeypatch):
+        # no graph, no random pair, no loop over a layer: a bounded number
+        # of owner/block evaluations decides all n0*nt pairs
+        inst = build_lcr(LcrParams(2, 1, 2), 2.0, 512)
+        assert inst.virtual and inst.layer_sizes[0] * inst.layer_sizes[-1] > 10**12
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rule verdict must not build or sample")
+
+        calls = []
+        for name in ("_owner", "_block"):
+            original = getattr(extremal, name)
+            monkeypatch.setattr(extremal, name, lambda *a, f=original: calls.append(a) or f(*a))
+        monkeypatch.setattr(extremal, "Graph", refuse)
+        monkeypatch.setattr(extremal, "verify_stretch", refuse)
+        monkeypatch.setattr(random, "Random", refuse)
+        assert inst.verify(seed=5)
+        assert len(calls) <= 6 * inst.t
 
 
 class TestBuildSkewed:
@@ -193,6 +234,79 @@ class TestBuildSkewed:
         inst = build_skewed(LcrParams(0, 1, 2, skew=SKEW_RIGHT), 5.0, 25, 0.4)
         assert inst.verify()
         assert verify_stretch(inst.host_graph(), inst.spanner(), inst.t)
+
+    def test_left_skew_without_center_verifies(self):
+        # C = 0: the left junction fans out to every central vertex
+        inst = build_skewed(LcrParams(1, 0, 2, skew=SKEW_LEFT), 2.0, 48, 0.7)
+        assert [g.kind for g in inst.gaps] == ["junct_left", "expand", "expand"]
+        assert inst.verify()
+        assert verify_stretch(inst.host_graph(), inst.spanner(), inst.t)
+
+
+class TestRuleVerdictMutants:
+    """The rule-based verdict refuses broken rules, as the BFS check does."""
+
+    def _replace_gap(self, inst, index, **changes):
+        gaps = list(inst.gaps)
+        gaps[index] = dataclasses.replace(gaps[index], **changes)
+        return dataclasses.replace(inst, gaps=tuple(gaps), _spanner_cache=[])
+
+    @pytest.mark.parametrize("owner", ids=["shifted", "plus_one", "ceiling"], argvalues=[
+        lambda x, big, small: (x + 1) * small // big,
+        lambda x, big, small: x * small // big + 1,
+        lambda x, big, small: (x * small + small - 1) // big,
+    ])
+    def test_off_by_one_owner(self, monkeypatch, owner):
+        inst = build_lcr(LcrParams(2, 1, 2), 2.0, 8)
+        assert inst.verify()
+        monkeypatch.setattr(extremal, "_owner", owner)
+        assert not inst.verify()
+
+    def test_off_by_one_block(self, monkeypatch):
+        inst = build_lcr(LcrParams(1, 1, 2), 2.0, 8)
+        block = extremal._block
+        monkeypatch.setattr(extremal, "_block",
+                            lambda x, big, small: block(x, big, small)[1:])
+        assert not inst.verify()
+
+    def test_repeated_grid_digit(self):
+        inst = build_lcr(LcrParams(1, 2, 1), 2.0, 9)
+        grid = [i for i, g in enumerate(inst.gaps) if g.kind == "grid"]
+        assert len(grid) == 2
+        bad = self._replace_gap(inst, grid[1], digit=inst.gaps[grid[0]].digit)
+        assert not bad.verify()
+        assert not verify_stretch(bad.host_graph(), bad.spanner(), bad.t)
+
+    @pytest.mark.parametrize("params,exponent", [
+        (LcrParams(1, 1, 1, skew=SKEW_LEFT), 0.3),
+        (LcrParams(1, 1, 1, skew=SKEW_RIGHT), 0.3),
+        (LcrParams(1, 0, 2, skew=SKEW_LEFT), 0.5),
+    ])
+    def test_junction_drops_last_slice(self, monkeypatch, params, exponent):
+        inst = build_skewed(params, 2.0, 16, exponent)
+        (junction,) = [g for g in inst.gaps if g.kind.startswith("junct")]
+        assert junction.dtilde > 1 and inst.verify()
+        forward = extremal._gap_forward
+
+        def dropped(gap, x):
+            out = forward(gap, x)
+            if gap.kind == "junct_left":
+                return out[:-1]
+            if gap.kind == "junct_right" and x // gap.mprime == gap.dtilde - 1:
+                return range(0)
+            return out
+
+        monkeypatch.setattr(extremal, "_gap_forward", dropped)
+        assert not inst.verify()
+        fresh = dataclasses.replace(inst, _spanner_cache=[])
+        assert not verify_stretch(fresh.host_graph(), fresh.spanner(), fresh.t)
+
+    def test_gap_size_disagrees_with_layers(self):
+        inst = build_lcr(LcrParams(1, 1, 2), 2.0, 8)
+        for index in range(inst.t):
+            gap = inst.gaps[index]
+            assert not self._replace_gap(inst, index, b=gap.b + 1).verify()
+            assert not self._replace_gap(inst, index, a=gap.a - 1).verify()
 
 
 class TestBuildFromLp:
@@ -279,21 +393,23 @@ def test_fuzz_layered_instances_verify():
     import random as _random
 
     rng = _random.Random(99)
+    virtual = 0
     for _ in range(25):
         t = rng.randint(2, 6)
         p = rng.choice([1.3, 1.8, 2.0, 2.5, 3.0, 5.0, 10.0])
         params = derive_lcr(p, t)
         center = rng.choice([4, 6, 9])
         inst = build_lcr(params, p, center)
+        assert inst.verify(), (p, t, center)
+        big = build_lcr(params, p, 512)  # far above the materialisation budget
+        assert big.verify(), (p, t)
+        virtual += big.virtual
         if inst.n > 300_000:
             continue
-        small = inst.layer_sizes[0] * inst.layer_sizes[-1] <= 20_000
-        assert inst.spans_pair(0, inst.layer_sizes[-1] - 1)
-        if small and not inst.virtual:
-            assert inst.verify(samples=300, seed=rng.randrange(1 << 20)), (p, t, center)
         m = inst.measured()
         assert abs(m["ell_measured"] - inst.predicted["ell_predicted"]) <= 0.15
         assert abs(m["lambda_measured"] - inst.predicted["lambda_predicted"]) <= 0.15
+    assert virtual >= 10
 
 
 def test_fuzz_skewed_instances_verify():
@@ -310,9 +426,5 @@ def test_fuzz_skewed_instances_verify():
         params = LcrParams(L, C, R, skew=skew)
         exponent = rng.uniform(0.0, 1.0 / (C + 1))
         inst = build_skewed(params, 2.0, rng.choice([9, 16]), exponent)
-        if inst.n > 300_000 or inst.virtual:
-            continue
-        if inst.layer_sizes[0] * inst.layer_sizes[-1] <= 20_000:
-            assert inst.verify(), (params, exponent)
-        else:
-            assert inst.verify(samples=300), (params, exponent)
+        assert inst.verify(), (params, exponent)
+        assert build_skewed(params, 2.0, 512, exponent).verify(), (params, exponent)
