@@ -24,34 +24,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import lb_lp
-from .decomposition import (
-    GirthTooSmallError,
-    check_coverage,
-    class_contributions,
-    classify,
-    heavy_mass,
-    phi,
-)
-from .extremal import (
-    build_from_lp,
-    build_lcr,
-    build_skewed,
-    build_tightness,
-    named_girth_graph,
-)
-from .graph_core import (
-    INFINITY,
-    UNBOUNDED,
-    GraphError,
-    format_edge_list,
-    girth,
-    girth_at_least,
-    lp_norm,
-    parse_edge_list,
-)
-from .greedy import greedy_spanner, spanner_summary, verify_stretch
-from .oracle import greedy_ratio, optimal_spanner
+# Library modules are imported inside the handlers, so a subcommand loads
+# (and, without cached bytecode, compiles) only the layers it runs.
 
 __all__ = ["main"]
 
@@ -89,6 +63,8 @@ def _json_default(value):
 
 
 def _parse_p(text: str):
+    from .graph_core import INFINITY
+
     if text in ("inf", "infinity"):
         return INFINITY
     if os.environ.get("SPANORM_EXACT") == "1":
@@ -97,6 +73,8 @@ def _parse_p(text: str):
 
 
 def _read_graph(path: str):
+    from .graph_core import parse_edge_list
+
     return parse_edge_list(Path(path).read_text())
 
 
@@ -104,6 +82,9 @@ def _read_graph(path: str):
 
 
 def _cmd_greedy(args) -> int:
+    from .graph_core import INFINITY, format_edge_list
+    from .greedy import greedy_spanner, spanner_summary
+
     g = _read_graph(args.input)
     h = greedy_spanner(g, args.stretch)
     if args.output:
@@ -116,6 +97,8 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    from .graph_core import INFINITY, lp_norm
+
     g = _read_graph(args.input)
     out = {}
     for token in args.p.split(","):
@@ -127,6 +110,8 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decomposition import GirthTooSmallError, class_contributions, classify
+
     g = _read_graph(args.input)
     k = args.k
     classes = classify(g, k)
@@ -161,6 +146,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _lb_report(t: int, p, lam, exact: bool, want_certificate: bool) -> dict:
+    from . import lb_lp
+
     model = lb_lp.build_model(t, p, lam)
     ell = lb_lp.solve(model, exact=exact).ell
     params = lb_lp.derive_lcr(p, t)
@@ -207,6 +194,8 @@ def _cmd_lb(args) -> int:
 
 
 def _cmd_lb_sweep(args) -> int:
+    from . import lb_lp
+
     spec = json.loads(Path(args.grid).read_text())
     ts = spec.get("t", [2, 3, 4, 5])
     ps = spec.get("p", ["1.5", "2", "3"])
@@ -248,6 +237,11 @@ def _cmd_lb_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import lb_lp
+    from .extremal import (build_from_lp, build_lcr, build_skewed,
+                           build_tightness, named_girth_graph)
+    from .graph_core import format_edge_list, girth, lp_norm
+
     params = json.loads(args.params) if args.params else {}
     family = args.family
     meta: dict = {"family": family, "seed": args.seed, "params": params}
@@ -312,6 +306,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import optimal_spanner
+
     g = _read_graph(args.input)
     p = _parse_p(args.p)
     result = optimal_spanner(g, args.stretch, p)
@@ -329,6 +325,10 @@ def _cmd_oracle(args) -> int:
 
 def verify_all(g, t: int, p, spanner=None) -> dict:
     """Bundle of applicable checks for one input graph; pure, CLI-independent."""
+    from .decomposition import GirthTooSmallError, check_coverage, heavy_mass
+    from .graph_core import UNBOUNDED, girth, girth_at_least
+    from .greedy import greedy_spanner, verify_stretch
+
     checks: dict = {}
     h = greedy_spanner(g, t) if spanner is None else spanner
     hg = h.graph()
@@ -348,6 +348,8 @@ def verify_all(g, t: int, p, spanner=None) -> dict:
         again = greedy_spanner(hg, t)
         checks["greedy_idempotent"] = again.kept_edges == h.kept_edges
     if g.m <= 16:
+        from .oracle import greedy_ratio
+
         checks["greedy_ratio_at_least_1"] = greedy_ratio(g, t, p) >= 1 - 1e-12
     return checks
 
@@ -487,6 +489,10 @@ def _experiment_row(family: str, seed: int, n: int, t: int, p_text: str) -> dict
     import random
     import time
 
+    from . import lb_lp
+    from .graph_core import girth_at_least, lp_norm
+    from .greedy import greedy_spanner
+
     started = time.perf_counter()
     p = float(Fraction(p_text))
     row = {
@@ -615,17 +621,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (submodule, class) of the errors that exit 3; every one is a ValueError
+_DOMAIN_ERRORS = (
+    ("graph_core", "GraphError"),
+    ("lb_lp", "DualConstructionError"),
+    ("lb_lp", "DeriveDiagnostic"),
+)
+
+
+def _is_domain_error(exc: BaseException) -> bool:
+    """Whether ``exc`` is a domain failure.  Only modules already loaded are
+    asked: a module that was never imported cannot have raised."""
+    for module, name in _DOMAIN_ERRORS:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
+            return True
+    return False
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # seed is honored by subcommands that draw randomness
     try:
         return args.func(args)
-    except (GraphError, lb_lp.DualConstructionError, lb_lp.DeriveDiagnostic) as exc:
-        _log(f"error: {exc}")
-        return 3
     except (ValueError, OSError) as exc:
         _log(f"error: {exc}")
-        return 2
+        return 3 if _is_domain_error(exc) else 2
 
 
 if __name__ == "__main__":

@@ -687,6 +687,12 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
             )
         dt_real = float(center_size) ** float(skew_exponent)
     dtilde = max(1, round(dt_real))
+    if dtilde > 1 and ((skew == SKEW_LEFT and L == 0) or (skew == SKEW_RIGHT and R == 0)):
+        # no gap can hold the junction, so nothing would join the dtilde slices
+        raise ValueError(
+            f"a {skew} skew of degree {dtilde} has no {skew} junction: "
+            f"the {skew} section is empty"
+        )
     if C >= 1:
         if center_size < 2:
             raise ValueError("central layers need center_size >= 2")
@@ -761,7 +767,9 @@ def build_skewed(params: LcrParams, p, center_size: int, skew_exponent=None) -> 
 
     ``skew_exponent`` is log base center_size of the skew degree, ranging
     from 0 (exactly the plain (L,C,R) instance, edge for edge) to 1/(C+1)
-    (the adjacent shape with the center grown by one layer).
+    (the adjacent shape with the center grown by one layer).  A left (right)
+    skew whose degree rounds above 1 needs L >= 1 (R >= 1) for its junction;
+    without that section the shape is refused with ValueError.
     """
     if params.skew == SKEW_NONE:
         return _build_layered(params, p, center_size, 0.0)
@@ -912,7 +920,14 @@ def build_tightness(k: int, p, n: int, big_lambda: float, seed: int = 0) -> Grap
         while lp_norm(Graph(n, edges), pf) > big_lambda and edges:
             edges.pop()
         out = Graph(n, edges)
-        assert big_lambda / 2 <= lp_norm(out, pf) <= big_lambda * (1 + 1e-9)
+        norm = lp_norm(out, pf)
+        if norm < big_lambda / 2:
+            # pruning stops at norm <= Lambda, so a Lambda below one edge's
+            # norm empties the graph
+            raise ValueError(
+                f"Lambda {big_lambda} below the smallest pruned norm: the girth "
+                f"supply pruned to norm <= Lambda has norm {norm:.4g} < Lambda / 2"
+            )
         return out
     # Lambda too large for the high-girth graph alone: adjoin a clique sized
     # Lambda**(p/(1+p)) (consistent with ||clique||_p = Theta(Lambda); the

@@ -76,9 +76,11 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
     edges plus every undecided one: the drop branch takes its edge out of
     two lists for its subtree and puts it back in the same slots, and the
     spannability prune asks ``within_hops`` (or a Dijkstra cut at
-    ``t * length``) on it.  At a leaf ``avail`` is the kept set.  The leaf
-    norm is ``degree_norm`` of the running degrees, the same float
-    ``lp_norm`` gives, and the stretch check asks about the dropped edges
+    ``t * length``) on it, except inside the order's prefix of greedy-
+    complement edges, where every greedy edge is available and the test
+    would pass.  At a leaf ``avail`` is the kept set.  The leaf norm is
+    ``degree_norm`` of the running degrees, the same float ``lp_norm``
+    gives, and the stretch check asks about the dropped edges
     only (a kept edge spans itself), plus on weighted graphs any edge longer
     than its own budget ``t * min(w, d_G(u, v))``.  A drop child skips the
     norm bound test its parent just passed on the same degrees and
@@ -97,6 +99,8 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
     order = [e for e in g.edges if e not in greedy_edges] + [
         e for e in g.edges if e in greedy_edges
     ]
+    # order[:complement] are the edges the greedy dropped
+    complement = m - len(greedy_edges)
 
     best_norm = math.inf
     best_edges: tuple | None = None
@@ -195,7 +199,9 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
             nu, nv = avail[u], avail[v]
             iu, iv = nu.index(v), nv.index(u)
             del nu[iu], nv[iv]
-            if spanned(idx, prune_budget):
+            # in the complement prefix every greedy edge is still in avail,
+            # and the greedy spans its dropped edges within t * d_G
+            if idx < complement or spanned(idx, prune_budget):
                 dropped.append(idx)
                 dfs(idx + 1, norm)
                 dropped.pop()

@@ -14,7 +14,8 @@ import spanorm
 import spanorm.oracle
 from spanorm.cli import _dumps, main, run_experiment
 from spanorm.extremal import named_girth_graph
-from spanorm.graph_core import format_edge_list, parse_edge_list
+from spanorm.graph_core import Graph, format_edge_list, parse_edge_list
+from spanorm.greedy import greedy_spanner
 
 
 @pytest.fixture
@@ -227,6 +228,24 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
+    @pytest.mark.parametrize(
+        "family,params,reason",
+        [
+            ("tightness", {"k": 2, "p": 1.5, "n": 14, "Lambda": 1.5},
+             "smallest pruned norm"),
+            ("skewed", {"L": 0, "C": 1, "R": 1, "skew": "left", "p": 2.0, "center": 16,
+                        "skew_exponent": 0.4}, "junction"),
+        ],
+    )
+    def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):
+        code = main(["gen", "--family", family, "--params", json.dumps(params),
+                     "--out", str(tmp_path / "inst")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert reason in captured.err
+        assert not list(tmp_path.iterdir())
+
     def test_lb_sweep(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"t": [2, 3], "p": ["2"], "lambda_points": 3}))
@@ -326,17 +345,19 @@ class TestExperiment:
         assert self._strip_timing(second) == self._strip_timing(first)
 
 
-def test_module_entry_point():
-    # the child finds the package where this process found it, so the test
-    # also runs from a checkout without PYTHONPATH or an install
+def _child(argv, cwd=None):
+    # the child finds the package where this process found it, so the tests
+    # also run from a checkout without PYTHONPATH or an install
     src = str(Path(spanorm.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spanorm.cli", "lb", "--t", "2", "--p", "1.5",
-         "--lambda", "1", "--exact"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+
+
+def test_module_entry_point():
+    proc = _child(["-m", "spanorm.cli", "lb", "--t", "2", "--p", "1.5",
+                   "--lambda", "1", "--exact"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ell_exact"] == {"num": 3, "den": 5}
 
@@ -351,3 +372,100 @@ def test_verify_tree_input(tmp_path, capsys):
     assert checks["greedy_idempotent"] is True
     assert checks["greedy_ratio_at_least_1"] is True
     assert json.loads(out)["failed"] == []
+
+
+# Runs ``spanorm <args>`` the way ``python -m spanorm.cli`` does, then writes
+# the library modules the run loaded as the last line of stderr.
+_PROBE = """
+import runpy, sys
+code = 0
+try:
+    runpy.run_module("spanorm.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("spanorm."))), file=sys.stderr)
+sys.exit(code)
+"""
+
+HELP = """\
+usage: spanorm [-h] [--seed SEED] [--threads THREADS]
+               {greedy,norm,decompose,lb,lb-sweep,gen,oracle,verify,experiment}
+               ...
+
+Greedy lp-norm spanners, universal lower bounds, extremal generators
+
+positional arguments:
+  {greedy,norm,decompose,lb,lb-sweep,gen,oracle,verify,experiment}
+    greedy              construct the greedy t-spanner
+    norm                lp norms of a graph
+    decompose           vertex classes and bound slacks
+    lb                  lower-bound exponent for (t, p, lambda)
+    lb-sweep            LP vs closed-form agreement grid
+    gen                 generate an extremal instance
+    oracle              brute-force minimum-norm spanner
+    verify              run the applicable check suite
+    experiment          run a parameter-grid experiment
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --threads THREADS     accepted for compatibility; rows run sequentially
+"""
+
+
+class TestColdStart:
+    """Each subcommand imports only the library modules it runs."""
+
+    @staticmethod
+    def _run(args, cwd=None):
+        proc = _child(["-c", _PROBE, *map(str, args)], cwd)
+        loaded = {m.removeprefix("spanorm.") for m in proc.stderr.splitlines()[-1].split()}
+        return proc, loaded
+
+    def test_lb_loads_only_the_lp(self):
+        proc, loaded = self._run(["lb", "--t", 3, "--p", 2, "--lambda", 1, "--exact",
+                                  "--certificate"])
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verified"] is True
+        assert "lb_lp" in loaded
+        assert not loaded & {"graph_core", "greedy", "extremal", "decomposition", "oracle"}
+
+    @pytest.mark.parametrize("command", ["greedy", "verify"])
+    def test_graph_commands_skip_lp_and_oracle(self, command, tmp_path):
+        # more than 16 edges, so verify skips the oracle's greedy-ratio check
+        g = named_girth_graph("heawood")
+        assert g.m > 16
+        (tmp_path / "g.edges").write_text(format_edge_list(g))
+        proc, loaded = self._run([command, "--input", "g.edges", "--stretch", 3], tmp_path)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)
+        assert {"graph_core", "greedy"} <= loaded
+        assert not loaded & {"lb_lp", "simplex", "extremal", "oracle"}
+
+    def test_import_spanorm_loads_no_submodule(self):
+        proc = _child(["-c", "import spanorm, sys; "
+                       "print([m for m in sys.modules if m.startswith('spanorm.')])"])
+        assert proc.returncode == 0
+        assert proc.stdout == "[]\n"
+
+    def test_star_import_binds_every_public_name(self):
+        proc = _child(["-c", "from spanorm import *\n"
+                       "import spanorm, spanorm.graph_core as gc, spanorm.greedy as gr\n"
+                       "print([n for n in spanorm.__all__ if n not in globals() or "
+                       "globals()[n] is not getattr(gc, n, getattr(gr, n, None))])"])
+        assert proc.returncode == 0
+        assert proc.stdout == "[]\n"
+        assert spanorm.Graph is Graph and spanorm.greedy_spanner is greedy_spanner
+
+    def test_help_unchanged(self):
+        proc = _child(["-m", "spanorm.cli", "--help"])
+        assert proc.returncode == 0
+        assert proc.stdout == HELP
+
+    def test_bad_input_file_exit_3(self, tmp_path):
+        (tmp_path / "inf.edges").write_text("2 1\n0 1 inf\n")
+        proc, loaded = self._run(["greedy", "--input", "inf.edges", "--stretch", 3], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr
+        assert "lb_lp" not in loaded

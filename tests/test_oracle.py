@@ -157,6 +157,20 @@ class TestOptimalSpanner:
         res = optimal_spanner(g, t, p)
         assert res.explored > 1000 and calls == [t]
 
+    def test_complement_prefix_skips_prune_test(self, monkeypatch):
+        # while only greedy-complement edges are dropped the greedy spanner
+        # is still available and spans them, so the search skips their prune
+        # test: 3959 within_hops calls here against 4085 with the test, and
+        # the same search tree
+        calls = []
+        real = spanorm.oracle.within_hops
+        monkeypatch.setattr(spanorm.oracle, "within_hops",
+                            lambda *args: calls.append(args) or real(*args))
+        g, t, p = seeded_oracle_case(16)
+        res = optimal_spanner(g, t, p)
+        assert (res.explored, res.pruned) == SEARCH_PINS[16][3:]
+        assert len(calls) == 3959
+
     def test_petersen_forced_whole(self):
         # girth 5 means no 3-spanner may drop an edge
         g = petersen_graph()
