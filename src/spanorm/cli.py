@@ -83,10 +83,13 @@ def _read_graph(path: str):
 
 def _cmd_greedy(args) -> int:
     from .graph_core import INFINITY, format_edge_list
-    from .greedy import greedy_spanner, spanner_summary
+    from .greedy import greedy_spanner, spanner_summary, verify_stretch
 
     g = _read_graph(args.input)
     h = greedy_spanner(g, args.stretch)
+    if not verify_stretch(g, h, args.stretch):
+        _log(f"error: the greedy spanner fails stretch {args.stretch}")
+        return 1
     if args.output:
         Path(args.output).write_text(format_edge_list(h.graph()))
     ps = [1, 2, INFINITY]

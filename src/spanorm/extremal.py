@@ -882,7 +882,11 @@ def build_tightness(k: int, p, n: int, big_lambda: float, seed: int = 0) -> Grap
 
     Four cases split on p against k/(k-1) and Lambda against the n or
     n**((k+p)/(kp)) ceiling: trees (star plus path), clique plus star, a
-    pruned high-girth graph, and clique plus high-girth graph.
+    pruned high-girth graph, and clique plus high-girth graph.  The tree and
+    pruned cases have exactly n vertices.  The clique branches do not: with
+    a clique of c = int(Lambda**(p/(1+p))) vertices, clique plus star has
+    c + n + 1 (the star has n leaves), and clique plus high-girth has c plus
+    the vertex count of the girth supply built for max(n // 2, 14) vertices.
     """
     if k not in (2, 3):
         raise ValueError("tightness instances are implemented for k in {2, 3}")

@@ -495,7 +495,12 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    """Inverse of :func:`parse_edge_list`; deterministic edge order."""
+    """Inverse of :func:`parse_edge_list`; deterministic edge order.
+
+    Lengths are written with 12 significant digits (``%.12g``): the text
+    parses back to a graph that formats to the same text, and parses back
+    to ``g`` itself when every length has at most 12 significant digits.
+    """
     out = [f"{g.n} {g.m}"]
     lengths = g.lengths
     if lengths is None:

@@ -9,14 +9,19 @@ spanned by the rest of that cycle.
 Each greedy step and each edge of the stretch check asks: is d_H(u,v) within
 budget?  On unit-length graphs ``graph_core.within_hops`` answers with a
 bidirectional BFS, two balls of radius about t/2 instead of one of radius t;
-weighted graphs use a Dijkstra run cut at the budget.
+weighted graphs use a Dijkstra run cut at the budget.  The stretch check asks
+all its questions of one fixed H, so on unit graphs of at most
+``_BALL_MASK_MAX_N`` vertices it precomputes every ball as a bitmask and
+answers each edge with one AND (``_spans_by_balls``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import reduce
+from operator import or_
+from typing import Iterable, Sequence
 
 from .graph_core import (
     Graph,
@@ -32,6 +37,12 @@ __all__ = [
     "upper_bound_exponent",
     "verify_stretch",
 ]
+
+# The ball tables take about n*n/4 bytes and n*n time to build, while the
+# per-edge BFS stops at the first meeting.  On sparse graphs (m = 3n, t = 3)
+# the two break even near this size; at n = 8000 the masks took 0.055 s
+# against 0.019 s for the BFS (CPython 3.11).
+_BALL_MASK_MAX_N = 4096
 
 
 @dataclass(frozen=True)
@@ -112,11 +123,8 @@ def verify_stretch(g: Graph, h: Spanner | Graph, t: int) -> bool:
         hg = h
     adj = hg.adjacency()
     if not g.weighted:
-        stamp = [0] * hg.n
-        return all(
-            within_hops(adj, u, v, t, stamp, tick)
-            for tick, (u, v) in enumerate(g.edges, start=1)
-        )
+        spans = _spans_by_balls if hg.n <= _BALL_MASK_MAX_N else _spans_by_hops
+        return spans(adj, g.edges, t)
     lengths = g.lengths
     assert lengths is not None
     full_adj = g.adjacency()
@@ -130,6 +138,43 @@ def verify_stretch(g: Graph, h: Spanner | Graph, t: int) -> bool:
         ):
             return False
     return True
+
+
+def _spans_by_hops(adj: Sequence[Sequence[int]], edges, t: int) -> bool:
+    """True iff every edge (u, v) has d(u,v) <= t in ``adj``: one BFS per edge."""
+    stamp = [0] * len(adj)
+    return all(
+        within_hops(adj, u, v, t, stamp, tick)
+        for tick, (u, v) in enumerate(edges, start=1)
+    )
+
+
+def _spans_by_balls(adj: Sequence[Sequence[int]], edges, t: int) -> bool:
+    """``_spans_by_hops``'s verdict from precomputed balls, one AND per edge.
+
+    Bit w of ``ball_r[x]`` is set iff d(x,w) <= r: ``ball_0[x]`` is ``1 << x``
+    and ``ball_r[x]`` ORs ``ball_{r-1}`` over x and its neighbours (each
+    round builds a new list, so a round grows every ball by exactly one).
+    With ``big`` the round-ceil(t/2) masks and ``small`` the round-floor(t/2)
+    masks, d(u,v) <= t iff ``big[u] & small[v]`` is non-zero:
+
+    - if bit w is set in both, d(u,v) <= d(u,w) + d(w,v)
+      <= ceil(t/2) + floor(t/2) = t;
+    - if d(u,v) <= t, the vertex w at distance min(d(u,v), ceil(t/2)) from u
+      on a shortest u-v path has d(w,v) = d(u,v) - d(u,w) <= floor(t/2)
+      (it is v itself when d(u,v) <= ceil(t/2)).
+
+    For t <= 0 no round runs and both masks are ``1 << x``, so an edge
+    (u != v) is never spanned, as with ``within_hops``.
+    """
+    ball = [1 << x for x in range(len(adj))]
+    small = ball
+    half = t // 2
+    for r in range(1, t - half + 1):
+        ball = [reduce(or_, map(ball.__getitem__, nbrs), b) for b, nbrs in zip(ball, adj)]
+        if r == half:
+            small = ball
+    return all(ball[u] & small[v] for u, v in edges)
 
 
 def verify_stretch_all_pairs(g: Graph, h: Spanner | Graph, t: int) -> bool:

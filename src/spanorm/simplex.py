@@ -14,8 +14,10 @@ non-negative.  The ladder has two rungs.  A float run is certified within
 ``VERIFY_TOL``.  Exact mode certifies the float run's basis exactly; if that
 basis is refused, it pivots fully in exact arithmetic and certifies the
 basis it ends in, and a refusal there is a ``SimplexError``, never a silent
-fallback.  A float run whose certificate fails climbs the exact rung on the
-rationals ``Fraction(float(v))`` of its own data and casts the answer back.
+fallback.  A float run whose certificate fails, or that meets a column with a
+negative reduced cost and no pivot row (unbounded, or round-off), climbs the
+exact rung on the rationals ``Fraction(float(v))`` of its own data and casts
+the answer back; exact pivoting then raises ``Unbounded`` or finds an optimum.
 
 The certificate returns the optimal duals with the primal: ``duals`` holds
 one multiplier ``y_i`` per input row, ``A_ub`` rows first, such that
@@ -57,7 +59,7 @@ class Unbounded(SimplexError):
 
 
 class _NeedsExact(Exception):
-    """Internal: a basis certificate refused the basis; climb a rung."""
+    """Internal: a float result needs exact arithmetic; climb a rung."""
 
 
 @dataclass(frozen=True)
@@ -131,12 +133,13 @@ def solve_lp(
     if exact:
         try:
             basis = _pivot_phases(_Program(*data, float), FLOAT_TOL)[0]
-        except (SimplexError, OverflowError):
+        except (SimplexError, _NeedsExact, OverflowError):
             basis = None
         return _exact_ladder(data, basis, _to_rational)
     prog = _Program(*data, float)
-    basis = _pivot_phases(prog, FLOAT_TOL)[0]
+    basis = None
     try:
+        basis = _pivot_phases(prog, FLOAT_TOL)[0]
         return _certified_from_basis(prog, basis)
     except _NeedsExact:
         sol = _exact_ladder(data, basis, _via_float_fraction)
@@ -458,12 +461,10 @@ def _run_phase(tableau, obj, basis, tol, blocked) -> None:
                     best = ratio
                     leave = i
         if leave is None:
-            # A barely-negative reduced cost with no pivotable entry is
-            # round-off noise in float mode; true unboundedness shows a
-            # substantial rate.
-            if tol and obj[enter] > -1e-7:
-                obj[enter] = 0.0
-                continue
+            # In float mode the column may only look unbounded through
+            # round-off; exact pivoting decides.
+            if tol:
+                raise _NeedsExact
             raise Unbounded(f"column {enter} unbounded")
         if best == 0 or (tol and best < tol):
             degenerate_run += 1

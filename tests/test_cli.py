@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import spanorm
+import spanorm.greedy
 import spanorm.oracle
 from spanorm.cli import _dumps, main, run_experiment
 from spanorm.extremal import named_girth_graph
 from spanorm.graph_core import Graph, format_edge_list, parse_edge_list
-from spanorm.greedy import greedy_spanner
+from spanorm.greedy import Spanner, greedy_spanner
 
 
 @pytest.fixture
@@ -50,6 +51,26 @@ class TestSubcommands:
         assert summary["m_out"] == 15 and summary["girth"] == 5
         h = parse_edge_list(out_path.read_text())
         assert h == named_girth_graph("petersen")
+
+    def test_greedy_refuses_a_spanner_that_fails_stretch(
+        self, petersen_file, tmp_path, capsys, monkeypatch
+    ):
+        # Petersen has girth 5: without one kept edge its ends are 4 apart
+        real = spanorm.greedy.greedy_spanner
+
+        def drop_one(g, t):
+            h = real(g, t)
+            return Spanner(base=g, kept_edges=h.kept_edges[1:], t=t)
+
+        monkeypatch.setattr(spanorm.greedy, "greedy_spanner", drop_one)
+        out_path = tmp_path / "h.edges"
+        code = main(["greedy", "--input", str(petersen_file), "--stretch", "3",
+                     "--output", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "fails stretch 3" in captured.err
+        assert not out_path.exists()
 
     def test_norm(self, k4_file, capsys):
         code, out = run_cli(["norm", "--input", k4_file, "--p", "1,2,inf"], capsys)

@@ -337,6 +337,29 @@ class TestEdgeListFormat:
         for e in g.edges:
             assert g2.lengths[e] == pytest.approx(g.lengths[e])
 
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(), data=st.data())
+    def test_format_is_a_fixed_point_property(self, g, data):
+        # any finite positive lengths, subnormals included
+        lengths = data.draw(st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=g.m, max_size=g.m))
+        graphs = [g, Graph(g.n, g.edges, dict(zip(g.edges, lengths)))] if g.m else [g]
+        for h in graphs:
+            text = format_edge_list(h)
+            assert format_edge_list(parse_edge_list(text)) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(), data=st.data())
+    def test_twelve_digit_lengths_round_trip_property(self, g, data):
+        twelve_digits = st.builds(
+            lambda mantissa, exponent: float(f"{mantissa}e{exponent}"),
+            st.integers(1, 10**12 - 1), st.integers(-200, 200))
+        lengths = data.draw(st.lists(twelve_digits, min_size=g.m, max_size=g.m))
+        graphs = [g, Graph(g.n, g.edges, dict(zip(g.edges, lengths)))] if g.m else [g]
+        for h in graphs:
+            assert parse_edge_list(format_edge_list(h)) == h
+
     def test_comments_and_errors(self):
         g = parse_edge_list("# a comment\n2 1\n0 1\n")
         assert g.m == 1

@@ -15,8 +15,11 @@ from spanorm.graph_core import (
     girth_at_least,
     lp_norm,
 )
+import spanorm.greedy as greedy_module
 from spanorm.greedy import (
     Spanner,
+    _spans_by_balls,
+    _spans_by_hops,
     greedy_spanner,
     spanner_summary,
     upper_bound_exponent,
@@ -92,6 +95,16 @@ class TestGreedyWeighted:
         h = greedy_spanner(g, 2)
         assert (0, 2) in h.kept_edges
 
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(max_n=10), t=st.integers(1, 5), data=st.data())
+    def test_weighted_output_passes_all_pairs_property(self, g, t, data):
+        lengths = data.draw(st.lists(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.25)),
+                                     min_size=g.m, max_size=g.m))
+        wg = Graph(g.n, g.edges, dict(zip(g.edges, lengths)))
+        h = greedy_spanner(wg, t)
+        assert verify_stretch_all_pairs(wg, h, t)
+        assert verify_stretch(wg, h, t)
+
     def test_weighted_random_valid(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -149,6 +162,72 @@ class TestVerifyStretch:
             sub = g.subgraph(sorted(kept))
             assert verify_stretch(g, sub, t) == verify_stretch_all_pairs(g, sub, t)
         assert verify_stretch(g, g.subgraph(sorted(some | greedy)), t)
+
+
+class TestBallMasks:
+    """The unit stretch check by ball bitmasks against one BFS per edge."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=unit_graphs(max_n=20), t=st.integers(0, 8), data=st.data())
+    def test_mask_verdict_equals_per_edge_bfs(self, g, t, data):
+        # H is a random edge subset of G (often not a spanner) and G itself
+        # (a spanner for t >= 1), so both verdicts occur
+        some = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
+        for h in (g.subgraph(sorted(some)), g):
+            want = _spans_by_hops(h.adjacency(), g.edges, t)
+            assert _spans_by_balls(h.adjacency(), g.edges, t) == want
+            assert verify_stretch(g, h, t) == want
+
+    def test_multi_word_masks_seeded(self):
+        # masks of a few hundred bits span several machine words
+        rng = random.Random(59)
+        verdicts = set()
+        for _ in range(12):
+            n = rng.randint(100, 300)
+            g = random_connected_graph(rng, n, rng.randint(n, 3 * n))
+            sub = g.subgraph([e for e in g.edges if rng.random() < 0.85])
+            for t in range(9):
+                for h in (sub, greedy_spanner(g, max(t, 1)).graph()):
+                    want = _spans_by_hops(h.adjacency(), g.edges, t)
+                    assert _spans_by_balls(h.adjacency(), g.edges, t) == want
+                    verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_gate_picks_the_branch(self, monkeypatch):
+        # masks up to 4096 vertices (as the README states), one BFS per edge above
+        def refuse(*args):
+            raise AssertionError("wrong branch")
+
+        at_gate = Graph(4096, [(0, 1), (1, 2)])
+        above = Graph(4097, [(0, 1), (1, 2)])
+        monkeypatch.setattr(greedy_module, "_spans_by_hops", refuse)
+        assert verify_stretch(at_gate, at_gate, 3)
+        monkeypatch.undo()
+        monkeypatch.setattr(greedy_module, "_spans_by_balls", refuse)
+        assert verify_stretch(above, above, 3)
+        assert not verify_stretch(above, above.subgraph([(0, 1)]), 3)
+
+    def test_above_gate_agrees(self, monkeypatch):
+        # with the gate lowered to 0 every graph takes the per-edge branch
+        rng = random.Random(61)
+        cases = []
+        for _ in range(10):
+            n = rng.randint(4, 40)
+            g = random_connected_graph(rng, n, rng.randint(n, 2 * n))
+            h = g.subgraph([e for e in g.edges if rng.random() < 0.8])
+            for t in range(-1, 9):
+                cases.append((g, h, t, verify_stretch(g, h, t)))
+        assert {want for *_, want in cases} == {True, False}
+        monkeypatch.setattr(greedy_module, "_BALL_MASK_MAX_N", 0)
+        for g, h, t, want in cases:
+            assert verify_stretch(g, h, t) == want
+
+    @pytest.mark.parametrize("t", [0, -1, -4])
+    def test_nonpositive_stretch_fails_any_edge(self, t):
+        g = cycle_graph(5)
+        assert not verify_stretch(g, g, t)
+        assert not verify_stretch(Graph(2, [(0, 1)]), Graph(2, [(0, 1)]), t)
+        assert verify_stretch(Graph(3, []), Graph(3, []), t)
 
 
 class TestGreedyInvariants:

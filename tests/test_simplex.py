@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanorm import simplex
+from spanorm import lb_lp, simplex
 from spanorm.simplex import (
     VERIFY_TOL,
     Infeasible,
@@ -26,6 +26,7 @@ from spanorm.simplex import (
 )
 
 from helpers import float_dense_solve, fraction_gauss_jordan, square_systems
+from test_acceptance import GRID_LAMBDA_POINTS, GRID_PS, GRID_TS
 
 RATIONALS = st.one_of(st.integers(-4, 4), st.fractions(-6, 6, max_denominator=12))
 FLOATS = st.one_of(
@@ -302,13 +303,31 @@ class TestLadder:
         assert all(type(v) is float for v in (*sol.x, *sol.duals))
 
     def test_float_noise_escalates_to_unbounded(self, rungs):
-        # a rate of -5e-8 with no pivot row reads as round-off to the float
-        # pivoting, but the certificate's tolerance is 1e-8, so exact decides
+        # a column with a negative reduced cost and no pivot row sends the
+        # float run straight to exact pivoting, which decides
         with pytest.raises(Unbounded):
             _pivoting_optimum([-5e-8], [[-1]], [0])
         with pytest.raises(Unbounded):
             solve_lp([-5e-8], [[-1]], [0])
-        assert rungs == ["pivot float", "float cert refused", "exact cert refused", "pivot exact"]
+        assert rungs == ["pivot float", "pivot exact"]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_tiny_unbounded_rate_is_unbounded_in_both_modes(self, rungs, exact):
+        # a rate of -5e-9 is above any round-off threshold; float mode once
+        # zeroed it and answered objective 0.0 where exact mode raised
+        with pytest.raises(Unbounded):
+            solve_lp([-5e-9], [[-1]], [0], exact=exact)
+        assert rungs == ["pivot float", "pivot exact"]
+
+    def test_ray_closed_by_the_exact_data_is_bounded(self, rungs):
+        # in float pivoting x = 0.3y looks like an improving ray with no
+        # pivot row; on the rationals of the floats 0.1/(1/3) > 0.3, so
+        # only x = y = 0 is feasible and the exact rung finds the optimum
+        c, a_ub, b_ub = [-0.3, -0.7], [[1, -0.3], [-0.3, -1], [-1 / 3, 0.1]], [0, 0.3, 0]
+        sol = solve_lp(c, a_ub, b_ub)
+        assert rungs == ["pivot float", "pivot exact", "exact cert ok"]
+        assert sol.objective == float(_pivoting_optimum(c, a_ub, b_ub)) == 0.0
+        assert sol.x == (0.0, 0.0)
 
     def test_exact_certificate_refused_then_full_pivoting(self, rungs):
         # the two costs differ below float resolution: float picks x, exactly y wins
@@ -454,3 +473,35 @@ class TestDuals:
             return
         assert len(sol.duals) == len(lp[1]) + len(lp[3])
         assert all(g <= VERIFY_TOL for g in _dual_gaps(lp, sol))
+
+
+def test_lb_grid_never_meets_a_column_without_pivot_row(monkeypatch):
+    # the lb_certify grid (float and exact solves, closed-form certificates)
+    # never sends a float run to the exact rung for want of a pivot row
+    escalations = []
+
+    def pivot(prog, tol):
+        try:
+            return _pivot_phases(prog, tol)
+        except _NeedsExact:
+            escalations.append(tol)
+            raise
+
+    monkeypatch.setattr(simplex, "_pivot_phases", pivot)
+    solves = 0
+    for p in GRID_PS:
+        exact = isinstance(p, Fraction)
+        top = 1 + (1 / p if exact else 1.0 / p)
+        for t in GRID_TS:
+            certifiable = lb_lp.verify_lcr_conditions(lb_lp.derive_lcr(p, t), p).all_ok
+            for k in range(1, GRID_LAMBDA_POINTS + 1):
+                lam = top * (Fraction(k, 20) if exact else k / 20.0)
+                model = lb_lp.build_model(t, p, lam)
+                lb_lp.solve(model)
+                solves += 1
+                if exact:
+                    lb_lp.solve(model, exact=True)
+                if certifiable:
+                    lb_lp.certificate_for(t, p, lam)
+    assert solves == 1400
+    assert escalations == []
