@@ -428,11 +428,8 @@ class LayeredInstance:
 
     t: int
     p: float
-    params: object
     layer_sizes: tuple
     gaps: tuple = ()
-    provenance: str = "CONSTRUCTED"
-    seed: int | None = None
     predicted: dict = field(default_factory=dict)
     explicit_spanner: Graph | None = None
     explicit_host_pairs: tuple | None = None  # (u, w) global-id pairs
@@ -740,10 +737,8 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
     return LayeredInstance(
         t=t,
         p=pf,
-        params=params,
         layer_sizes=tuple(sizes),
         gaps=tuple(gaps),
-        provenance="CONSTRUCTED",
         predicted=ideal,
     )
 
@@ -841,11 +836,7 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int | None = None,
     return LayeredInstance(
         t=t,
         p=p,
-        params=None,
         layer_sizes=inst_sizes,
-        gaps=(),
-        provenance="LP_SAMPLED",
-        seed=seed,
         explicit_spanner=spanner,
         explicit_host_pairs=tuple(host_pairs),
     )

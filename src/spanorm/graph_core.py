@@ -7,8 +7,9 @@ even on weighted graphs; weighted shortest paths are a separate code path
 (``shortest_paths`` with ``use_lengths=True``).
 
 Shared kernels take plain adjacency lists or degree multisets:
-``within_hops`` (bounded hop distance), ``short_cycle`` (the one cycle
-search) and ``degree_norm`` (the one lp norm of degrees).
+``within_hops`` and ``within_length`` (bounded hop and weighted distance
+tests), ``short_cycle`` (the one cycle search) and ``degree_norm`` (the one
+lp norm of degrees).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ __all__ = [
     "short_cycle",
     "shortest_paths",
     "subset_norm",
-    "weighted_distance_bounded",
     "within_hops",
+    "within_length",
 ]
 
 # Relative tolerance for comparisons between weighted (float) distances.
@@ -363,30 +364,36 @@ def within_hops(
     return False
 
 
-def weighted_distance_bounded(
+def within_length(
     adj: Sequence[Sequence[int]],
-    length: Mapping[tuple[int, int], float],
+    lengths: Mapping[tuple[int, int], float],
     u: int,
     v: int,
     cap: float,
-) -> float:
-    """Dijkstra distance from ``u`` to ``v`` if <= cap (with tolerance), else inf."""
+) -> bool:
+    """True iff the distance from ``u`` to ``v`` in ``adj`` under ``lengths``
+    is <= ``cap``, up to the relative tolerance ``LENGTH_RTOL``.
+
+    The weighted twin of :func:`within_hops`: a Dijkstra run that never
+    reaches past the cap and stops at the first path to ``v`` within it.
+    """
     bound = cap * (1.0 + LENGTH_RTOL)
+    if u == v:
+        return bound >= 0
     dist = {u: 0.0}
     heap = [(0.0, u)]
     while heap:
         dx, x = heapq.heappop(heap)
-        if x == v:
-            return dx
-        if dx > dist.get(x, math.inf) or dx > bound:
+        if dx > dist[x]:
             continue
         for y in adj[x]:
-            e = (x, y) if x < y else (y, x)
-            nd = dx + length[e]
+            nd = dx + lengths[(x, y) if x < y else (y, x)]
             if nd <= bound and nd < dist.get(y, math.inf):
+                if y == v:
+                    return True
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))
-    return math.inf
+    return False
 
 
 # -- girth ----------------------------------------------------------------

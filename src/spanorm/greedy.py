@@ -1,17 +1,29 @@
 """The classical greedy t-spanner and the universal upper-bound exponent.
 
 The greedy algorithm scans edges in nondecreasing length order and keeps an
-edge exactly when the spanner built so far does not already span it within
-the stretch budget.  On unit-length inputs the output always has girth at
-least t+2: a kept edge closing a cycle of length <= t+1 would have been
-spanned by the rest of that cycle.
+edge (u, v) of length w exactly when the spanner H built so far has
+d_H(u,v) > t*w.  On unit-length inputs the output always has girth at least
+t+2: a kept edge closing a cycle of length <= t+1 would have been spanned by
+the rest of that cycle.
+
+Only edges are ever checked, each against its own budget t*w, never against
+d_G.  If d_H(u,v) <= t*w(u,v) for every edge of G, then d_H <= t*d_G for
+every pair: sum the edge bounds along a shortest G-path.  The greedy's
+output passes that check (t >= 1, so a kept edge spans itself), and the
+budget t*w keeps the same edges as t*min(w, d_G(u,v)) would.  Take an edge
+with d_G(u,v) < w: every edge e of a shortest u-v path is strictly shorter
+than w, so the nondecreasing order scanned it earlier, and H spans it within
+t*w_e, by itself if it was kept and by the check that dropped it otherwise.
+So d_H(u,v) <= t*d_G(u,v) < t*w, and both budgets drop the edge.  Float
+sums are compared with the relative tolerance ``LENGTH_RTOL``, inside
+``graph_core.within_length``.
 
 Each greedy step and each edge of the stretch check asks: is d_H(u,v) within
 budget?  On unit-length graphs ``graph_core.within_hops`` answers with a
 bidirectional BFS, two balls of radius about t/2 instead of one of radius t;
-weighted graphs use a Dijkstra run cut at the budget.  The stretch check asks
-all its questions of one fixed H, so on unit graphs of at most
-``_BALL_MASK_MAX_N`` vertices it precomputes every ball as a bitmask and
+weighted graphs use ``within_length``, a Dijkstra run cut at the budget.  The
+stretch check asks all its questions of one fixed H, so on unit graphs of at
+most ``_BALL_MASK_MAX_N`` vertices it precomputes every ball as a bitmask and
 answers each edge with one AND (``_spans_by_balls``).
 """
 
@@ -23,13 +35,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .graph_core import (
-    Graph,
-    INFINITY,
-    LENGTH_RTOL,
-    weighted_distance_bounded,
-    within_hops,
-)
+from .graph_core import Graph, INFINITY, LENGTH_RTOL, within_hops, within_length
 
 __all__ = [
     "Spanner",
@@ -47,12 +53,11 @@ _BALL_MASK_MAX_N = 4096
 
 @dataclass(frozen=True)
 class Spanner:
-    """A subgraph of ``base`` together with its stretch and provenance."""
+    """A subgraph of ``base`` together with its stretch."""
 
     base: Graph
     kept_edges: tuple[tuple[int, int], ...]
     t: int
-    provenance: str = "GREEDY"
     _graph: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def graph(self) -> Graph:
@@ -70,74 +75,55 @@ def greedy_spanner(g: Graph, t: int) -> Spanner:
     """Greedy t-spanner of ``g`` under the deterministic edge order.
 
     Ties between equal-length edges break by (min endpoint, max endpoint),
-    so reruns are reproducible.  A unit-length edge is kept iff the
-    bidirectional ``within_hops`` finds no path of at most t hops in the
-    partial spanner; for weighted graphs the true d_G(u,v) is computed (it
-    can be below the edge length) and a Dijkstra run cut at t*d_G(u,v) asks.
+    so reruns are reproducible.  An edge of length w is kept iff the partial
+    spanner has no path within t*w: ``within_hops`` with cap t on unit
+    lengths, ``within_length`` with cap t*w otherwise.
     """
     if t < 1:
         raise ValueError(f"stretch must be a positive integer, got {t}")
     order = sorted(g.edges, key=lambda e: (g.edge_length(*e), e[0], e[1]))
     adj: list[list[int]] = [[] for _ in range(g.n)]
     kept: list[tuple[int, int]] = []
-    if not g.weighted:
-        # Unit lengths: d_G(u,v) = 1 for every edge, the budget is just t.
+    lengths = g.lengths
+    if lengths is None:
         stamp = [0] * g.n
         for tick, (u, v) in enumerate(order, start=1):
             if not within_hops(adj, u, v, t, stamp, tick):
                 kept.append((u, v))
                 adj[u].append(v)
                 adj[v].append(u)
-        return Spanner(base=g, kept_edges=tuple(kept), t=t)
-    lengths = g.lengths
-    assert lengths is not None
-    full_adj = g.adjacency()
-    for u, v in order:
-        w = lengths[(u, v)]
-        d_g = weighted_distance_bounded(full_adj, lengths, u, v, w)
-        d_g = min(d_g, w)
-        budget = t * d_g
-        if weighted_distance_bounded(adj, lengths, u, v, budget) > budget * (
-            1.0 + LENGTH_RTOL
-        ):
-            kept.append((u, v))
-            adj[u].append(v)
-            adj[v].append(u)
+    else:
+        for u, v in order:
+            if not within_length(adj, lengths, u, v, t * lengths[(u, v)]):
+                kept.append((u, v))
+                adj[u].append(v)
+                adj[v].append(u)
     return Spanner(base=g, kept_edges=tuple(kept), t=t)
 
 
 def verify_stretch(g: Graph, h: Spanner | Graph, t: int) -> bool:
-    """True iff ``h`` spans every edge of ``g`` within stretch ``t``.
+    """True iff ``h`` spans every edge of ``g`` within ``t`` times its length,
+    which bounds the stretch of every pair by ``t`` (see the module
+    docstring; the test suite re-validates it against an all-pairs check).
 
-    Checking edges suffices: if d_H(u,v) <= t*d_G(u,v) for every edge, the
-    bound for an arbitrary pair follows by summing along a shortest G-path
-    (the test suite re-validates this against an all-pairs check on small
-    graphs).
+    ``h`` must be a subgraph of ``g``: the same vertex count, only edges of
+    ``g``, and ``g``'s lengths on them (none on a unit ``g``).  Anything else
+    raises ``ValueError``.
     """
-    if isinstance(h, Spanner):
-        base_edges = set(g.edges)
-        if any(e not in base_edges for e in h.kept_edges):
-            raise ValueError("spanner keeps an edge outside the base graph")
-        hg = h.graph()
+    hg = h.graph() if isinstance(h, Spanner) else h
+    lengths = g.lengths
+    if lengths is None:
+        ok = hg.lengths is None and set(g.edges).issuperset(hg.edges)
     else:
-        hg = h
+        ok = hg.lengths is not None and hg.lengths.items() <= lengths.items()
+    if hg.n != g.n or not ok:
+        raise ValueError("H is not a subgraph of G: it needs G's vertex count, "
+                         "edges of G only and G's lengths on them")
     adj = hg.adjacency()
-    if not g.weighted:
+    if lengths is None:
         spans = _spans_by_balls if hg.n <= _BALL_MASK_MAX_N else _spans_by_hops
         return spans(adj, g.edges, t)
-    lengths = g.lengths
-    assert lengths is not None
-    full_adj = g.adjacency()
-    h_lengths = hg.lengths if hg.weighted else {e: 1.0 for e in hg.edges}
-    for u, v in g.edges:
-        w = lengths[(u, v)]
-        d_g = min(w, weighted_distance_bounded(full_adj, lengths, u, v, w))
-        budget = t * d_g
-        if weighted_distance_bounded(adj, h_lengths, u, v, budget) > budget * (
-            1.0 + LENGTH_RTOL
-        ):
-            return False
-    return True
+    return all(within_length(adj, lengths, u, v, t * w) for (u, v), w in lengths.items())
 
 
 def _spans_by_hops(adj: Sequence[Sequence[int]], edges, t: int) -> bool:

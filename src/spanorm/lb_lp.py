@@ -903,7 +903,7 @@ def _dual_support(params: LcrParams, t: int) -> tuple[set, set]:
     return rows, cols
 
 
-def construct_dual(params: LcrParams, p, t: int | None = None) -> DualCertificate:
+def construct_dual(params: LcrParams, p) -> DualCertificate:
     """Closed-form dual for the case matching ``params`` (see the five systems).
 
     Solves the complementary-slackness equations of the relaxed LP for the
@@ -917,10 +917,7 @@ def construct_dual(params: LcrParams, p, t: int | None = None) -> DualCertificat
     fallback: a singular frame system raises, which is what steers
     ``_interpolation_walk`` to the other move.
     """
-    if t is None:
-        t = params.t
-    if t != params.t:
-        raise ParameterError(f"params {params} do not sum to t={t}")
+    t = params.t
     plain = params.skew == SKEW_NONE
     if plain and params.C == 0:
         return _lp_dual(params, p)
@@ -1089,12 +1086,12 @@ def certificate_for(t: int, p, lam):
     )
     if in_nice:
         primal = minimal_spanner_primal(base, p, lam)
-        cert = construct_dual(base, p, t)
+        cert = construct_dual(base, p)
         return base, primal, cert
     _shapes, frames, seg, _thresholds = _walk_segment(base, p, lam)
     frame = frames[seg - 1]
     primal = skewed_primal(frame, p, lam)
-    cert = construct_dual(frame, p, t)
+    cert = construct_dual(frame, p)
     return frame, primal, cert
 
 

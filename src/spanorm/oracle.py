@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass
 
 from .graph_core import (
-    LENGTH_RTOL,
     Graph,
     degree_norm,
     layer_profile,
     lp_norm,
-    weighted_distance_bounded,
     within_hops,
+    within_length,
 )
 from .greedy import Spanner, greedy_spanner, verify_stretch
 
@@ -75,17 +74,16 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
     The branch-and-bound keeps one mutable adjacency ``avail`` of the kept
     edges plus every undecided one: the drop branch takes its edge out of
     two lists for its subtree and puts it back in the same slots, and the
-    spannability prune asks ``within_hops`` (or a Dijkstra cut at
+    spannability prune asks ``within_hops`` (or ``within_length`` with cap
     ``t * length``) on it, except inside the order's prefix of greedy-
     complement edges, where every greedy edge is available and the test
     would pass.  At a leaf ``avail`` is the kept set.  The leaf norm is
     ``degree_norm`` of the running degrees, the same float ``lp_norm``
-    gives, and the stretch check asks about the dropped edges
-    only (a kept edge spans itself), plus on weighted graphs any edge longer
-    than its own budget ``t * min(w, d_G(u, v))``.  A drop child skips the
-    norm bound test its parent just passed on the same degrees and
-    incumbent.  ``prune=False`` builds a graph and calls ``verify_stretch``
-    per subset, and stays the independent reference.
+    gives, and the stretch check asks the same question about the dropped
+    edges only: a kept edge spans itself, as ``verify_stretch`` sees it.  A
+    drop child skips the norm bound test its parent just passed on the same
+    degrees and incumbent.  ``prune=False`` builds a graph and calls
+    ``verify_stretch`` per subset, and stays the independent reference.
     """
     m = g.m
     if prune and m > PRUNED_EDGE_LIMIT:
@@ -122,7 +120,7 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         norm = lp_norm(sub, p)
         if norm > best_norm:
             return
-        if not verify_stretch(g, Spanner(g, tuple(sorted(kept)), t, "ORACLE"), t):
+        if not verify_stretch(g, Spanner(g, tuple(sorted(kept)), t), t):
             return
         offer(norm, tuple(sorted(kept)))
 
@@ -142,42 +140,22 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         stamp = [0] * g.n
         tick = 0
         lengths = g.lengths
-        long_edges: list[int] = []
-        if lengths is None:
-            prune_budget = leaf_budget = None
-        else:
-            prune_budget = [t * lengths[e] for e in order]
-            # per-edge budgets t * min(w, d_G(u, v)), as verify_stretch has
-            # them.  A kept edge spans itself unless it is longer than its
-            # budget; such an edge is spanned once the dropped edges of a
-            # shortest path are, up to float rounding, so the leaf asks about
-            # it too and decides exactly as verify_stretch would
-            leaf_budget = []
-            for i, (u, v) in enumerate(order):
-                w = lengths[(u, v)]
-                d_g = min(w, weighted_distance_bounded(g.adjacency(), lengths, u, v, w))
-                leaf_budget.append(t * d_g)
-                if w > t * d_g * (1.0 + LENGTH_RTOL):
-                    long_edges.append(i)
+        if lengths is not None:
+            budget = [t * lengths[e] for e in order]
 
-        def spanned(i: int, budget: list[float] | None) -> bool:
-            # order[i] is spanned within budget by the edges now in avail
+        def spanned(i: int) -> bool:
+            # order[i] is spanned within its budget by the edges now in avail
             nonlocal tick
             u, v = order[i]
-            if budget is None:
+            if lengths is None:
                 tick += 1
                 return within_hops(avail, u, v, t, stamp, tick)
-            b = budget[i]
-            return weighted_distance_bounded(avail, lengths, u, v, b) <= b * (
-                1.0 + LENGTH_RTOL
-            )
+            return within_length(avail, lengths, u, v, budget[i])
 
         def leaf(norm: float) -> None:
             if norm > best_norm:
                 return
-            if not all(spanned(i, leaf_budget) for i in dropped):
-                return
-            if not all(spanned(i, leaf_budget) for i in long_edges):
+            if not all(map(spanned, dropped)):
                 return
             offer(norm, tuple(sorted(kept)))
 
@@ -200,8 +178,8 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
             iu, iv = nu.index(v), nv.index(u)
             del nu[iu], nv[iv]
             # in the complement prefix every greedy edge is still in avail,
-            # and the greedy spans its dropped edges within t * d_G
-            if idx < complement or spanned(idx, prune_budget):
+            # and the greedy spans its dropped edges within t * length
+            if idx < complement or spanned(idx):
                 dropped.append(idx)
                 dfs(idx + 1, norm)
                 dropped.pop()
@@ -221,7 +199,7 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         dfs(0, None)
 
     assert best_edges is not None, "the full graph always spans itself"
-    spanner = Spanner(base=g, kept_edges=best_edges, t=t, provenance="ORACLE")
+    spanner = Spanner(base=g, kept_edges=best_edges, t=t)
     return OracleResult(
         optimum=spanner,
         optimum_norm=best_norm,

@@ -7,6 +7,7 @@ simple-cycle search, and so on.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -150,6 +151,34 @@ def one_sided_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:
             kept.append((u, v))
             adj[u].append(v)
             adj[v].append(u)
+    return tuple(kept)
+
+
+def reference_weighted_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:
+    """Kept edges of the weighted greedy t-spanner, one full Dijkstra per edge.
+
+    Edges are scanned by (length, u, v); an edge of length w is kept iff the
+    distance from u to v over the kept edges exceeds t*w.  No tolerance: on
+    small integer lengths every sum is exact.
+    """
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    kept = []
+    for u, v in sorted(g.edges, key=lambda e: (g.edge_length(*e), e)):
+        w = g.edge_length(u, v)
+        dist = {u: 0.0}
+        heap = [(0.0, u)]
+        while heap:
+            dx, x = heapq.heappop(heap)
+            if dx > dist[x]:
+                continue
+            for y, wy in adj[x]:
+                if dx + wy < dist.get(y, math.inf):
+                    dist[y] = dx + wy
+                    heapq.heappush(heap, (dx + wy, y))
+        if dist.get(v, math.inf) > t * w:
+            kept.append((u, v))
+            adj[u].append((v, w))
+            adj[v].append((u, w))
     return tuple(kept)
 
 

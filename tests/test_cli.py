@@ -131,6 +131,18 @@ class TestSubcommands:
         assert code == 1
         assert "stretch" in json.loads(out)["failed"]
 
+    def test_verify_spanner_with_other_lengths(self, tmp_path, capsys):
+        # the spanner file's length 7 is not g's 1: not a subgraph of g
+        gpath = tmp_path / "g.edges"
+        gpath.write_text("3 3\n0 1 1\n1 2 1\n0 2 5\n")
+        hpath = tmp_path / "h.edges"
+        hpath.write_text("3 2\n0 1 7\n1 2 1\n")
+        code, out = run_cli(
+            ["verify", "--input", gpath, "--stretch", 3, "--spanner", hpath], capsys
+        )
+        assert code == 1
+        assert "not a subgraph" in json.loads(out)["checks"]["error"]
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["lb", "--t", "not_an_int"])

@@ -35,6 +35,7 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_connected_graph,
+    reference_weighted_greedy,
     star_graph,
     unit_graphs,
 )
@@ -105,6 +106,14 @@ class TestGreedyWeighted:
         assert verify_stretch_all_pairs(wg, h, t)
         assert verify_stretch(wg, h, t)
 
+    @settings(max_examples=200, deadline=None)
+    @given(g=unit_graphs(max_n=10), t=st.integers(1, 5), data=st.data())
+    def test_matches_reference_weighted_greedy(self, g, t, data):
+        # lengths 1..3 make edges longer than d_G common and every sum exact
+        lengths = data.draw(st.lists(st.integers(1, 3), min_size=g.m, max_size=g.m))
+        wg = Graph(g.n, g.edges, dict(zip(g.edges, lengths)))
+        assert greedy_spanner(wg, t).kept_edges == reference_weighted_greedy(wg, t)
+
     def test_weighted_random_valid(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -120,12 +129,12 @@ class TestGreedyWeighted:
 class TestVerifyStretch:
     def test_identity_spanner(self):
         g = petersen_graph()
-        h = Spanner(base=g, kept_edges=g.edges, t=3, provenance="ORACLE")
+        h = Spanner(base=g, kept_edges=g.edges, t=3)
         assert verify_stretch(g, h, 3)
 
     def test_c5_minus_edge_fails(self):
         g = cycle_graph(5)
-        h = Spanner(base=g, kept_edges=g.edges[:-1], t=3, provenance="ORACLE")
+        h = Spanner(base=g, kept_edges=g.edges[:-1], t=3)
         assert not verify_stretch(g, h, 3)
 
     def test_k4_star_ok(self):
@@ -140,6 +149,32 @@ class TestVerifyStretch:
         with pytest.raises(ValueError):
             verify_stretch(g, h, 3)
 
+    @pytest.mark.parametrize("g, h", [
+        # H's length 5 is not G's unit length
+        (Graph(2, [(0, 1)]), Graph(2, [(0, 1)], {(0, 1): 5.0})),
+        (Graph(3, [(1, 2), (0, 2)]), Graph(3, [(0, 1)])),
+        (Graph(3, [(0, 1)]), Graph(2, [(0, 1)])),
+        (Graph(3, [(0, 1), (1, 2)], {(0, 1): 1.0, (1, 2): 2.0}), Graph(3, [(0, 1), (1, 2)])),
+        (Graph(3, [(0, 1), (1, 2)], {(0, 1): 1.0, (1, 2): 2.0}),
+         Graph(3, [(0, 1)], {(0, 1): 0.5})),
+        (Graph(3, [(0, 1), (1, 2)], {(0, 1): 1.0, (1, 2): 2.0}),
+         Graph(3, [(0, 1), (0, 2)], {(0, 1): 1.0, (0, 2): 1.0})),
+    ], ids=["weighted-h", "foreign-edge", "other-n", "unit-h", "other-length", "foreign-weighted"])
+    def test_non_subgraph_rejected(self, g, h):
+        with pytest.raises(ValueError, match="not a subgraph"):
+            verify_stretch(g, h, 3)
+
+    def test_spanner_of_another_base_rejected(self):
+        # a Spanner gets the same check as a Graph: its base is not G
+        g = Graph(3, [(1, 2), (0, 2)])
+        other = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="not a subgraph"):
+            verify_stretch(g, Spanner(base=other, kept_edges=((0, 1),), t=3), 3)
+        wg = Graph(3, [(1, 2), (0, 2)], {(1, 2): 1.0, (0, 2): 1.0})
+        with pytest.raises(ValueError, match="not a subgraph"):
+            verify_stretch(wg, Spanner(base=g, kept_edges=g.edges, t=3), 3)
+        assert verify_stretch(wg, Spanner(base=wg, kept_edges=wg.edges, t=3), 3)
+
     def test_edge_check_equals_all_pairs(self):
         # the per-edge criterion must agree with the all-pairs one
         rng = random.Random(37)
@@ -151,11 +186,16 @@ class TestVerifyStretch:
             for t in (2, 3):
                 assert verify_stretch(g, sub, t) == is_t_spanner_all_pairs(g, sub, t)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(g=unit_graphs(), t=st.integers(1, 7), data=st.data())
     def test_edge_check_equals_all_pairs_property(self, g, t, data):
         # a random subgraph (often not a spanner), and the same subgraph
-        # plus the greedy spanner's edges (always a spanner)
+        # plus the greedy spanner's edges (always a spanner); unit lengths,
+        # or dyadic ones, which keep every sum exact
+        if data.draw(st.booleans()):
+            lengths = data.draw(st.lists(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.25)),
+                                         min_size=g.m, max_size=g.m))
+            g = Graph(g.n, g.edges, dict(zip(g.edges, lengths)))
         some = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
         greedy = set(greedy_spanner(g, t).kept_edges)
         for kept in (some, some | greedy):

@@ -127,8 +127,9 @@ class TestOptimalSpanner:
         assert verify_stretch(g, fast.optimum, t)
 
     def test_weighted_edge_longer_than_its_budget(self):
-        # edges of length 5 next to a 1-1 path are longer than their budget
-        # 2 * d_G = 4; the pruned leaves check them and agree with verify_stretch
+        # edges of length 5 next to a 1-1 path are longer than d_G = 2; the
+        # pruned leaves check only dropped edges against 2 * w and agree
+        # with verify_stretch
         rng = random.Random(89)
         for _ in range(20):
             n = rng.randint(3, 6)
