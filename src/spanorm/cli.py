@@ -241,8 +241,8 @@ def _cmd_lb_sweep(args) -> int:
 
 def _cmd_gen(args) -> int:
     from . import lb_lp
-    from .extremal import (build_from_lp, build_lcr, build_skewed,
-                           build_tightness, named_girth_graph)
+    from .extremal import (HOST_EDGE_BUDGET, build_from_lp, build_lcr,
+                           build_skewed, build_tightness, named_girth_graph)
     from .graph_core import format_edge_list, girth, lp_norm
 
     params = json.loads(args.params) if args.params else {}
@@ -297,7 +297,7 @@ def _cmd_gen(args) -> int:
                 format_edge_list(inst.spanner())
             )
             n0, nt = inst.layer_sizes[0], inst.layer_sizes[-1]
-            if n0 * nt + inst.spanner_edge_count() <= 2_000_000:
+            if n0 * nt + inst.spanner_edge_count() <= HOST_EDGE_BUDGET:
                 Path(f"{args.out}.host.edges").write_text(
                     format_edge_list(inst.host_graph())
                 )

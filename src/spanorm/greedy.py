@@ -35,7 +35,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .graph_core import Graph, INFINITY, LENGTH_RTOL, within_hops, within_length
+from .graph_core import Graph, INFINITY, within_hops, within_length
 
 __all__ = [
     "Spanner",
@@ -161,24 +161,6 @@ def _spans_by_balls(adj: Sequence[Sequence[int]], edges, t: int) -> bool:
         if r == half:
             small = ball
     return all(ball[u] & small[v] for u, v in edges)
-
-
-def verify_stretch_all_pairs(g: Graph, h: Spanner | Graph, t: int) -> bool:
-    """All-pairs form of the stretch check, for cross-validation at desk scale."""
-    from .graph_core import shortest_paths
-
-    hg = h.graph() if isinstance(h, Spanner) else h
-    for v in range(g.n):
-        dg = shortest_paths(g, v)
-        dh = shortest_paths(hg, v)
-        for u in range(g.n):
-            if dg[u] == math.inf:
-                if dh[u] != math.inf:
-                    return False
-                continue
-            if dh[u] > t * dg[u] * (1.0 + LENGTH_RTOL):
-                return False
-    return True
 
 
 def upper_bound_exponent(k: int, p) -> float:

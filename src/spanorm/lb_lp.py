@@ -22,8 +22,14 @@ value; for float p it is float Gauss-Jordan.  A plain shape with no system
 on file (C = 0) or a singular one (odd t at p = 1) is certified by the LP's
 own optimal duals instead, which ``solve`` returns by row name.
 
-All functions accept ``p`` and ``lambda`` as int, float, or Fraction and
-preserve exact arithmetic when given exact inputs.
+Numeric policy: ``p`` and ``lambda`` may be int, float or Fraction.  Each
+public entry point turns an int into a Fraction once (``_exactify``), and
+the arithmetic below it follows the type it is given, so exact input gives
+exact output and float input float output.  Every test of lambda against a
+range cap goes through ``_at_most``: exact when both sides are Fractions,
+and with a 1e-12 relative slack otherwise.  ``verify_certificate`` still
+checks in float, at an absolute ``tol``, even for exact certificates; an
+exact referee for it is an open item in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -97,26 +103,25 @@ def _exactify(v):
     return Fraction(v) if isinstance(v, int) and not isinstance(v, bool) else v
 
 
+def _at_most(lam, bound) -> bool:
+    """lam <= bound: exact on two Fractions, else with a 1e-12 relative slack."""
+    if isinstance(lam, Fraction) and isinstance(bound, Fraction):
+        return lam <= bound
+    return float(lam) <= float(bound) * (1 + 1e-12)
+
+
 def _q(p):
-    """(p-1)/p, kept exact for Fraction/int inputs."""
-    if isinstance(p, (int, Fraction)):
-        return Fraction(p - 1, 1) / Fraction(p)
-    return (p - 1.0) / p
+    """(p-1)/p."""
+    return (p - 1) / p
 
 
 def _ratio(p):
     """p/(p-1); math.inf at p = 1 (the limit used by the conditions)."""
-    if p == 1:
-        return math.inf
-    if isinstance(p, (int, Fraction)):
-        return Fraction(p) / Fraction(p - 1)
-    return p / (p - 1.0)
+    return math.inf if p == 1 else p / (p - 1)
 
 
 def _qpow(p, j: int):
     """((p-1)/p)**j with the 0**0 = 1 convention at p = 1."""
-    if j == 0:
-        return Fraction(1) if isinstance(p, (int, Fraction)) else 1.0
     return _q(p) ** j
 
 
@@ -137,9 +142,8 @@ def e_coeff(i: int, j: int, p):
     """
     if i < 1 or j < 0:
         raise ParameterError(f"e_coeff needs i >= 1 and j >= 0, got ({i},{j})")
-    if isinstance(p, (int, Fraction)):
-        return 1 + Fraction(p) / i * (1 - _qpow(p, j))
-    return 1.0 + p / i * (1.0 - _qpow(p, j))
+    p = _exactify(p)
+    return 1 + p / i * (1 - _qpow(p, j))
 
 
 def _growth(p, j: int):
@@ -278,11 +282,13 @@ def build_model(t: int, p, lam, relaxed: bool = True) -> LbLpModel:
     ``relaxed=True`` builds the reduced program actually solved by default
     (one aggregated spanning row, one Delta variable); ``relaxed=False``
     keeps the full constraint list, including the per-layer expansion
-    variables, for the equal-optimum verification mode.
+    variables, for the equal-optimum verification mode.  The model keeps
+    ``p`` and ``lam`` as given.
     """
     _check_tp(t, p)
-    one_over_p = Fraction(1, 1) / Fraction(p) if isinstance(p, (int, Fraction)) else 1.0 / p
-    q = _q(p)
+    exact_p = _exactify(p)
+    one_over_p = 1 / exact_p
+    q = _q(exact_p)
     if not 0 < lam <= 1 + one_over_p:
         raise ParameterError(f"lambda must lie in (0, 1 + 1/p], got {lam}")
 
@@ -379,12 +385,11 @@ def build_model(t: int, p, lam, relaxed: bool = True) -> LbLpModel:
 @dataclass(frozen=True)
 class SolveResult:
     ell: object
-    assignment: dict
     duals: dict
 
 
 def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
-    """Optimal ell, a primal assignment and the optimal duals for the model.
+    """Optimal ell and the optimal duals for the model.
 
     ``duals`` maps each row name to its multiplier u_r in the model's own
     sign convention: u_r >= 0 on the ``>=`` rows, the column sums
@@ -408,8 +413,7 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
     # the >= rows went in negated: u_r = -y_r
     duals = {model.row_names[i]: -y for i, y in zip(ub, sol.duals)}
     duals.update((model.row_names[i], y) for i, y in zip(eq, sol.duals[len(ub) :]))
-    assignment = dict(zip(model.var_names, sol.x))
-    return SolveResult(ell=sol.objective, assignment=assignment, duals=duals)
+    return SolveResult(ell=sol.objective, duals=duals)
 
 
 # -- (L,C,R) derivation ------------------------------------------------------
@@ -428,6 +432,7 @@ def derive_lcr(p, t: int) -> LcrParams:
     branch with L = 0 chosen by an interval test.  The low-p branch is
     preferred whenever it verifies with L > 0.
     """
+    p = _exactify(p)
     _check_tp(t, p)
     if t < 2:
         raise ParameterError("derive_lcr needs t >= 2")
@@ -451,8 +456,8 @@ def derive_lcr(p, t: int) -> LcrParams:
 def _low_p_candidate(p, t: int) -> LcrParams | None:
     floor_p = math.floor(p)
     # Delta_0 = log(p^2/floor(p)) / log(p/(p-1)); Delta_1 with p*floor(p)/(p-1).
-    v0 = p * p / floor_p if not isinstance(p, (int, Fraction)) else Fraction(p) ** 2 / floor_p
-    v1 = p * floor_p / (p - 1) if not isinstance(p, (int, Fraction)) else Fraction(p) * floor_p / (Fraction(p) - 1)
+    v0 = p * p / floor_p
+    v1 = p * floor_p / (p - 1)
     if v0 < 1 or v1 < 1:
         return None
     f0 = _floor_log_ratio(p, v0)
@@ -530,6 +535,7 @@ def verify_lcr_conditions(params: LcrParams, p) -> ConditionReport:
     C = 0 has no condition system (the lowest-p closed form handles it), so
     the report comes back inapplicable.
     """
+    p = _exactify(p)
     L, C, R = params.L, params.C, params.R
     conds: list[Condition] = []
     if C == 0:
@@ -583,10 +589,7 @@ def closed_form_exponent(params: LcrParams, p, lam):
         raise ParameterError("closed form applies to plain shapes only")
     p, lam = _exactify(p), _exactify(lam)
     bound = nice_range_max(params, p)
-    if isinstance(lam, Fraction) and isinstance(bound, Fraction):
-        if lam > bound:
-            raise NiceRangeExceeded(f"lambda {lam} above nice range {bound}")
-    elif float(lam) > float(bound) * (1 + 1e-12):
+    if not _at_most(lam, bound):
         raise NiceRangeExceeded(f"lambda {lam} above nice range {bound}")
     L, C, R = params.L, params.C, params.R
     if C > 0:
@@ -610,7 +613,7 @@ def low_p_exponent(t: int, p, lam, nu=1):
         if p > 2:
             raise ParameterError(f"odd t requires p <= 2, got p={p}")
         alpha_den = 1 + p * (1 - _qpow(p, (t - 1) // 2))
-    alpha = (Fraction(1) if isinstance(p, Fraction) else 1.0) / alpha_den
+    alpha = 1 / alpha_den
     return max(nu / p, alpha * lam)
 
 
@@ -633,10 +636,7 @@ def _interpolation_walk(base: LcrParams, p):
     # keyed on the type of p too: 2.0 == Fraction(2), but float walks decide
     # with a tolerance and exact walks without one
     key = (base, type(p), p)
-    try:
-        cached = _WALK_CACHE.get(key)
-    except TypeError:
-        cached = None
+    cached = _WALK_CACHE.get(key)
     if cached is not None:
         return cached
     shapes = [base]
@@ -663,30 +663,28 @@ def _interpolation_walk(base: LcrParams, p):
         shapes.append(move[1])
         current = move[1]
     result = (shapes, frames)
-    try:
-        _WALK_CACHE[key] = result
-    except TypeError:
-        pass
+    _WALK_CACHE[key] = result
     return result
 
 
-def _walk_segment(base: LcrParams, p, lam):
-    """The walk from ``base`` and the segment of it that holds lambda.
+def _locate(t: int, p, lam):
+    """The base shape for (t, p) and the segment of its walk that holds lambda.
 
-    Returns ``(shapes, frames, seg, thresholds)``: ``thresholds[i]`` is the
-    lambda cap of ``shapes[i]``, and lambda lies in
-    ``(thresholds[seg - 1], thresholds[seg]]``, the range bridged by
-    ``frames[seg - 1]``.
+    Returns ``(base, seg, shapes, frames, caps)``.  Segment 0 is the base
+    shape's nice range; there the walk is not taken and the last three are
+    None.  Otherwise ``caps[i]`` is the lambda cap of ``shapes[i]``, and
+    lambda lies in ``(caps[seg - 1], caps[seg]]``, the range bridged by
+    ``frames[seg - 1]``.  ``p`` and ``lam`` come in exactified.
     """
-    p = _exactify(p)
+    base = derive_lcr(p, t)
+    if _at_most(lam, nice_range_max(base, p)):
+        return base, 0, None, None, None
     shapes, frames = _interpolation_walk(base, p)
-    # lambda thresholds of the walk shapes increase and end at 1 + 1/p
-    thresholds = [min(nice_range_max(s, p), 1 + 1 / p) for s in shapes]
+    # the caps of the walk shapes increase and end at 1 + 1/p
+    caps = [min(nice_range_max(s, p), 1 + 1 / p) for s in shapes]
     for seg in range(1, len(shapes)):
-        if lam <= thresholds[seg] or math.isclose(
-            float(lam), float(thresholds[seg]), rel_tol=1e-12
-        ):
-            return shapes, frames, seg, thresholds
+        if _at_most(lam, caps[seg]):
+            return base, seg, shapes, frames, caps
     raise ParameterError(f"lambda {lam} above 1 + 1/p")
 
 
@@ -699,30 +697,38 @@ def predicted_exponent(t: int, p, lam):
     skewed spanner family and is confirmed against the LP by the test suite.
     """
     p, lam = _exactify(p), _exactify(lam)
-    base = derive_lcr(p, t)
-    bound = nice_range_max(base, p)
-    if lam <= bound or (isinstance(lam, float) and float(lam) <= float(bound) * (1 + 1e-12)):
+    base, seg, shapes, _frames, caps = _locate(t, p, lam)
+    if seg == 0:
         return closed_form_exponent(base, p, lam), {
             "branch": "closed_form",
             "params": base,
             "segment": None,
         }
-    shapes, _frames, seg, thresholds = _walk_segment(base, p, lam)
-    lo, hi = thresholds[seg - 1], thresholds[seg]
+    lo, hi = caps[seg - 1], caps[seg]
     theta = (hi - lam) / (hi - lo)
-    top = 1 + 1 / p
-
-    def seg_ell(s: LcrParams):
-        # value of the shape's own line at its lambda cap; equals
-        # (1/p + 1/C) / E(C, R) when C > 0
-        return closed_form_exponent(s, p, min(nice_range_max(s, p), top))
-
-    ell = theta * seg_ell(shapes[seg - 1]) + (1 - theta) * seg_ell(shapes[seg])
+    # each shape's own line at its lambda cap; equals (1/p + 1/C) / E(C, R)
+    # when C > 0
+    ell_lo = closed_form_exponent(shapes[seg - 1], p, lo)
+    ell_hi = closed_form_exponent(shapes[seg], p, hi)
+    ell = theta * ell_lo + (1 - theta) * ell_hi
     branch = "closed_form" if base.L > 0 else "lp_derived"
     return ell, {"branch": branch, "params": base, "segment": seg, "theta": theta}
 
 
 # -- primal constructions ----------------------------------------------------
+
+
+def _pack_primal(ell, nu: list, delta: list) -> dict:
+    """The LP assignment of layer exponents nu[0..t] and degrees delta[1..t].
+
+    Delta, the reach of the final layer, coincides with nu[t].
+    """
+    t = len(nu) - 1
+    assign = {"ell": ell}
+    assign.update((f"nu{i}", nu[i]) for i in range(t + 1))
+    assign.update((f"delta{i}", delta[i]) for i in range(1, t + 1))
+    assign["Delta"] = nu[t]
+    return assign
 
 
 def minimal_spanner_primal(params: LcrParams, p, lam) -> dict:
@@ -737,7 +743,6 @@ def minimal_spanner_primal(params: LcrParams, p, lam) -> dict:
     L, C, R = params.L, params.C, params.R
     t = params.t
     one = Fraction(1) if isinstance(p, Fraction) else 1.0
-    assign: dict = {}
     if C > 0:
         mu = lam / (e_coeff(C, L, p) / p + e_coeff(C, R, p))
         ell = mu * (one / p + one / C)
@@ -770,13 +775,7 @@ def minimal_spanner_primal(params: LcrParams, p, lam) -> dict:
             delta[i] = 0 * eta
         for j in range(1, R + 1):
             delta[L + j] = eta * _qpow(p, j - 1)
-    assign["ell"] = ell
-    for i in range(t + 1):
-        assign[f"nu{i}"] = nu[i]
-    for i in range(1, t + 1):
-        assign[f"delta{i}"] = delta[i]
-    assign["Delta"] = nu[t]
-    return assign
+    return _pack_primal(ell, nu, delta)
 
 
 def skewed_primal(params: LcrParams, p, lam) -> dict:
@@ -854,11 +853,7 @@ def skewed_primal(params: LcrParams, p, lam) -> dict:
             f"skew degree exponent {float(tau):.6g} outside [0, mu/(C+1)] "
             f"for {params} at lambda={float(lam):.6g}"
         )
-    assign = {"ell": ell, "Delta": nu[t]}
-    for i in range(t + 1):
-        assign[f"nu{i}"] = nu[i]
-    for i in range(1, t + 1):
-        assign[f"delta{i}"] = delta[i]
+    assign = _pack_primal(ell, nu, delta)
     assign["_tau"] = tau
     return assign
 
@@ -876,30 +871,19 @@ def _dual_support(params: LcrParams, t: int) -> tuple[set, set]:
     the primal variables strictly above their bound, whose dual constraints
     must hold with equality.
     """
-    L, C, R = params.L, params.C, params.R
+    L, C = params.L, params.C
+    # both skews pin n_t = n, so the size cap joins the support; a right skew
+    # drops layer L+C+1's expansion row, a left skew makes delta_L tight
+    first_grow = L + C + (2 if params.skew == SKEW_RIGHT else 1)
+    first_delta = L if params.skew == SKEW_LEFT else L + 1
     rows = {"span", "density", "final"}
     rows |= {f"left{i}" for i in range(L + 1, t + 1)}
     rows |= {f"right{i}" for i in range(1, L + C + 1)}
+    rows |= {f"grow{i}" for i in range(first_grow, t + 1)}
+    if params.skew != SKEW_NONE:
+        rows.add("cap")
     cols = {"ell", "Delta"} | {f"nu{i}" for i in range(t + 1)}
-    if params.skew == SKEW_NONE:
-        rows |= {f"grow{i}" for i in range(L + C + 1, t + 1)}
-        if L > 0:
-            cols |= {f"delta{i}" for i in range(L + 1, t + 1)}
-        else:
-            rows |= {f"left{i}" for i in range(1, t + 1)}
-            cols |= {f"delta{i}" for i in range(1, t + 1)}
-    elif params.skew == SKEW_LEFT:
-        rows |= {f"grow{i}" for i in range(L + C + 1, t + 1)}
-        rows.add("cap")
-        cols |= {f"delta{i}" for i in range(L, t + 1)}
-    else:  # right skew
-        rows |= {f"grow{i}" for i in range(L + C + 2, t + 1)}
-        rows.add("cap")
-        if L > 0:
-            cols |= {f"delta{i}" for i in range(L + 1, t + 1)}
-        else:
-            rows |= {f"left{i}" for i in range(1, t + 1)}
-            cols |= {f"delta{i}" for i in range(1, t + 1)}
+    cols |= {f"delta{i}" for i in range(first_delta, t + 1)}
     return rows, cols
 
 
@@ -917,12 +901,13 @@ def construct_dual(params: LcrParams, p) -> DualCertificate:
     fallback: a singular frame system raises, which is what steers
     ``_interpolation_walk`` to the other move.
     """
+    p = _exactify(p)
     t = params.t
     plain = params.skew == SKEW_NONE
     if plain and params.C == 0:
         return _lp_dual(params, p)
-    exact = isinstance(p, (int, Fraction))
-    model = build_model(t, p if not isinstance(p, int) else Fraction(p), 1, relaxed=True)
+    exact = isinstance(p, Fraction)
+    model = build_model(t, p, 1, relaxed=True)
     rows, cols = _dual_support(params, t)
     row_order = [name for name in model.row_names if name in rows]
     col_order = [name for name in model.var_names if name in cols]
@@ -1002,7 +987,6 @@ def _lp_dual(params: LcrParams, p) -> DualCertificate:
     complementary slackness one optimal dual at lambda = 1 certifies the
     whole nice-range ray.
     """
-    p = _exactify(p)
     duals = solve(build_model(params.t, p, 1), exact=isinstance(p, Fraction)).duals
     return _package_certificate(duals, params, p, params.t)
 
@@ -1079,16 +1063,12 @@ def certificate_for(t: int, p, lam):
     above it.  Returns ``(params, primal, certificate)`` where ``params``
     carries the skew tag of the frame actually used.
     """
-    base = derive_lcr(p, t)
-    bound = nice_range_max(base, p)
-    in_nice = lam <= bound or (
-        isinstance(lam, float) and float(lam) <= float(bound) * (1 + 1e-12)
-    )
-    if in_nice:
+    p, lam = _exactify(p), _exactify(lam)
+    base, seg, _shapes, frames, _caps = _locate(t, p, lam)
+    if seg == 0:
         primal = minimal_spanner_primal(base, p, lam)
         cert = construct_dual(base, p)
         return base, primal, cert
-    _shapes, frames, seg, _thresholds = _walk_segment(base, p, lam)
     frame = frames[seg - 1]
     primal = skewed_primal(frame, p, lam)
     cert = construct_dual(frame, p)

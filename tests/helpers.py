@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from spanorm.graph_core import INFINITY, Graph
+from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, shortest_paths
+from spanorm.greedy import Spanner
 
 
 def path_graph(k: int) -> Graph:
@@ -180,6 +181,22 @@ def reference_weighted_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:
             adj[u].append((v, w))
             adj[v].append((u, w))
     return tuple(kept)
+
+
+def verify_stretch_all_pairs(g: Graph, h: Spanner | Graph, t: int) -> bool:
+    """All-pairs form of the stretch check, for cross-validation at desk scale."""
+    hg = h.graph() if isinstance(h, Spanner) else h
+    for v in range(g.n):
+        dg = shortest_paths(g, v)
+        dh = shortest_paths(hg, v)
+        for u in range(g.n):
+            if dg[u] == math.inf:
+                if dh[u] != math.inf:
+                    return False
+                continue
+            if dh[u] > t * dg[u] * (1.0 + LENGTH_RTOL):
+                return False
+    return True
 
 
 def is_t_spanner_all_pairs(g: Graph, h: Graph, t: float) -> bool:

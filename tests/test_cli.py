@@ -89,6 +89,17 @@ class TestSubcommands:
         assert report["verified"] is True
         assert report["lcr"] == {"L": 1, "C": 1, "R": 1, "skew": "none"}
 
+    def test_lb_exact_lambda_just_above_a_walk_cap(self, capsys):
+        # 11/9 + 1e-14 lies just above the cap of the first walk shape at
+        # (t, p) = (3, 3); its certificate is the next segment's frame
+        code, out = run_cli(
+            ["lb", "--t", 3, "--p", 3, "--lambda", "1100000000000009/900000000000000",
+             "--exact", "--certificate"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+
     def test_decompose(self, petersen_file, capsys):
         code, out = run_cli(["decompose", "--input", petersen_file, "--k", 3], capsys)
         assert code == 0

@@ -24,7 +24,6 @@ from spanorm.greedy import (
     spanner_summary,
     upper_bound_exponent,
     verify_stretch,
-    verify_stretch_all_pairs,
 )
 
 from helpers import (
@@ -38,6 +37,7 @@ from helpers import (
     reference_weighted_greedy,
     star_graph,
     unit_graphs,
+    verify_stretch_all_pairs,
 )
 
 

@@ -31,6 +31,8 @@ from spanorm.lb_lp import (
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+# the rational p of the lb_certify benchmark grid
+GRID_RATIONAL_PS = [F(101, 100), F(11, 10), F(13, 10), F(9, 5), F(2), F(5, 2), F(3), F(5), F(10)]
 
 
 class TestECoeff:
@@ -396,6 +398,30 @@ class TestCertificatePipeline:
             assert frame == frames[info["segment"] - 1]
             seen.add(info["segment"])
         assert len(seen) >= 3
+
+    def test_exact_lambda_just_above_a_walk_cap(self):
+        # an exact lambda 1e-14 above a cap lies in the next segment; no
+        # float tolerance may pull it back into the one below
+        checked = 0
+        for p in GRID_RATIONAL_PS:
+            for t in range(2, 9):
+                shapes, _frames = lb_lp._interpolation_walk(derive_lcr(p, t), p)
+                for s in shapes[:-1]:
+                    lam = min(nice_range_max(s, p), 1 + 1 / p) + F(1, 10**14)
+                    model = build_model(t, p, lam)
+                    pred, info = predicted_exponent(t, p, lam)
+                    assert pred == solve(model, exact=True).ell, (t, p, lam, info)
+                    _params, primal, cert = certificate_for(t, p, lam)
+                    assert verify_certificate(model, primal, cert), (t, p, lam)
+                    checked += 1
+        assert checked == 88  # the walk caps below 1 + 1/p on this grid
+
+    @pytest.mark.parametrize("t,p", [(2, F(2)), (3, F(3)), (4, F(9, 5)), (5, F(10)), (4, 2)])
+    def test_exact_lambda_above_top_refused(self, t, p):
+        lam = 1 + F(1) / p + F(1, 10**14)
+        for call in (build_model, predicted_exponent, certificate_for):
+            with pytest.raises(ParameterError):
+                call(t, p, lam)
 
     def test_walk_cache_keyed_on_type_of_p(self, monkeypatch):
         cache = {}
