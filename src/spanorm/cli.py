@@ -241,9 +241,9 @@ def _cmd_lb_sweep(args) -> int:
 
 def _cmd_gen(args) -> int:
     from . import lb_lp
-    from .extremal import (HOST_EDGE_BUDGET, build_from_lp, build_lcr,
-                           build_skewed, build_tightness, named_girth_graph)
-    from .graph_core import format_edge_list, girth, lp_norm
+    from .extremal import (build_from_lp, build_lcr, build_skewed,
+                           build_tightness, named_girth_graph)
+    from .graph_core import format_edge_list, girth, lp_norm, write_edge_list
 
     params = json.loads(args.params) if args.params else {}
     family = args.family
@@ -274,7 +274,6 @@ def _cmd_gen(args) -> int:
             p = Fraction(str(params["p"]))
             lam = Fraction(str(params["lambda"]))
             primal = lb_lp.minimal_spanner_primal(lb_lp.derive_lcr(p, t), p, lam)
-            primal = {key: float(v) for key, v in primal.items()}
             inst = build_from_lp(primal, params["n"], seed=args.seed, t=t,
                                  p=float(p))
         verified = inst.verify()
@@ -293,14 +292,11 @@ def _cmd_gen(args) -> int:
             }
         )
         if not inst.virtual:
-            Path(f"{args.out}.spanner.edges").write_text(
-                format_edge_list(inst.spanner())
-            )
-            n0, nt = inst.layer_sizes[0], inst.layer_sizes[-1]
-            if n0 * nt + inst.spanner_edge_count() <= HOST_EDGE_BUDGET:
-                Path(f"{args.out}.host.edges").write_text(
-                    format_edge_list(inst.host_graph())
-                )
+            write_edge_list(f"{args.out}.spanner.edges", inst.n,
+                            inst.spanner_edge_count(), inst.edges())
+            if not inst.host_virtual:
+                write_edge_list(f"{args.out}.host.edges", inst.n,
+                                inst.host_edge_count(), inst.edges(host=True))
     else:
         raise ValueError(f"unknown family {family}")
     Path(f"{args.out}.meta.json").write_text(_dumps(meta) + "\n")

@@ -12,7 +12,11 @@ Instances above a materialization budget stay *virtual*: layer sizes plus
 the deterministic edge rules.  Degree multisets (hence norms) are computed
 exactly from the rules, and the stretch verdict is decided for every host
 pair from the rule parameters alone, so the measured exponents and the
-verification of a 10^7-vertex instance cost no memory.
+verification of a 10^7-vertex instance cost no memory.  Edges are listed by
+one stream, ``LayeredInstance.edges``, walked from the rules in sorted
+order: it feeds ``spanner()``, ``host_graph()`` and the files of
+``spanorm gen``, which stores none of them.  The host is built or written
+iff it has at most ``HOST_EDGE_BUDGET`` (2,000,000) edges.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .graph_core import (Graph, degree_norm, girth, girth_at_least, lp_norm,
                          short_cycle, within_hops)
@@ -432,14 +437,10 @@ class LayeredInstance:
     gaps: tuple = ()
     predicted: dict = field(default_factory=dict)
     explicit_spanner: Graph | None = None
-    explicit_host_pairs: tuple | None = None  # (u, w) global-id pairs
-    _spanner_cache: list = field(default_factory=list, repr=False)
+    explicit_host_pairs: tuple | None = None  # (u, w) global ids, u in V_0, w in V_t
 
     def __post_init__(self):
-        offs = [0]
-        for s in self.layer_sizes:
-            offs.append(offs[-1] + s)
-        self.offsets = tuple(offs)
+        self.offsets = (0, *accumulate(self.layer_sizes))
 
     # -- layout ----------------------------------------------------------
 
@@ -458,31 +459,47 @@ class LayeredInstance:
 
     @property
     def virtual(self) -> bool:
-        return (
-            self.explicit_spanner is None
-            and self.spanner_edge_count() > SPANNER_EDGE_BUDGET
-        )
+        return self.explicit_spanner is None and self.spanner_edge_count() > SPANNER_EDGE_BUDGET
+
+    def host_edge_count(self) -> int:
+        """Biclique (or explicit host pair) count, plus the spanner's edges
+        when t >= 2; at t = 1 the spanner lies inside the biclique."""
+        pairs = (len(self.explicit_host_pairs) if self.explicit_host_pairs is not None
+                 else self.layer_sizes[0] * self.layer_sizes[-1])
+        return pairs if self.t == 1 else pairs + self.spanner_edge_count()
+
+    @property
+    def host_virtual(self) -> bool:
+        return self.host_edge_count() > HOST_EDGE_BUDGET
+
+    def edges(self, host: bool = False):
+        """The spanner's (or host's) edges (u, v), u < v, in sorted order.
+
+        Rule-based instances walk the gaps, each layer's vertices and each
+        ``_gap_forward`` range in ascending order, and store nothing.  The
+        host follows each layer-0 row with its biclique tail V_t; at t = 1
+        that tail alone is the row, since it holds the gap's edges.
+        """
+        if self.explicit_spanner is not None:
+            pairs = self.explicit_host_pairs if host else ()
+            yield from sorted(set(self.explicit_spanner.edges).union(pairs))
+            return
+        tail = range(self.offsets[self.t], self.n) if host else range(0)
+        for i, gap in enumerate(self.gaps):
+            left, right = self.offsets[i], self.offsets[i + 1]
+            for u in range(left, left + gap.a):
+                if not (host and self.t == 1):
+                    yield from zip(repeat(u), map(right.__add__, _gap_forward(gap, u - left)))
+                if i == 0:
+                    yield from zip(repeat(u), tail)
 
     def spanner(self) -> Graph:
         if self.explicit_spanner is not None:
             return self.explicit_spanner
-        if self._spanner_cache:
-            return self._spanner_cache[0]
         if self.virtual:
-            raise ValueError(
-                f"spanner has {self.spanner_edge_count()} edges, above the "
-                f"materialization budget {SPANNER_EDGE_BUDGET}"
-            )
-        edges = []
-        for i, gap in enumerate(self.gaps, start=1):
-            base_left = self.offsets[i - 1]
-            base_right = self.offsets[i]
-            for x in range(gap.a):
-                for y in _gap_forward(gap, x):
-                    edges.append((base_left + x, base_right + y))
-        g = Graph(self.n, edges)
-        self._spanner_cache.append(g)
-        return g
+            raise ValueError(f"spanner has {self.spanner_edge_count()} edges, above the "
+                             f"materialization budget {SPANNER_EDGE_BUDGET}")
+        return Graph(self.n, self.edges())
 
     # -- degree multisets and norms ----------------------------------------
 
@@ -499,44 +516,23 @@ class LayeredInstance:
     def spanner_degree_counts(self) -> Counter:
         if self.explicit_spanner is not None:
             return Counter(self.explicit_spanner.degrees())
-        total = Counter()
-        for counter in self._per_layer_counts():
-            total.update(counter)
-        return total
+        return sum(self._per_layer_counts(), Counter())
 
     def host_degree_counts(self) -> Counter:
         if self.explicit_host_pairs is not None:
-            return Counter(self._explicit_host_graph().degrees())
+            return Counter(self.host_graph().degrees())
         n0, nt = self.layer_sizes[0], self.layer_sizes[-1]
         per_layer = self._per_layer_counts()
         per_layer[0] = Counter({deg + nt: cnt for deg, cnt in per_layer[0].items()})
         per_layer[-1] = Counter({deg + n0: cnt for deg, cnt in per_layer[-1].items()})
-        counts = Counter()
-        for counter in per_layer:
-            counts.update(counter)
-        return counts
-
-    def _explicit_host_graph(self) -> Graph:
-        base = self.explicit_spanner
-        edges = list(base.edges) + [
-            (min(u, w), max(u, w)) for u, w in self.explicit_host_pairs
-        ]
-        return Graph(self.n, sorted(set(edges)))
+        return sum(per_layer, Counter())
 
     def host_graph(self) -> Graph:
-        """Materialized host; only for desk-scale bicliques."""
-        if self.explicit_host_pairs is not None:
-            return self._explicit_host_graph()
-        n0, nt = self.layer_sizes[0], self.layer_sizes[-1]
-        if n0 * nt > HOST_EDGE_BUDGET:
-            raise ValueError(f"biclique of {n0 * nt} edges above budget")
-        spanner = self.spanner()
-        base_t = self.offsets[self.t]
-        edges = list(spanner.edges)
-        for u in range(n0):
-            for w in range(nt):
-                edges.append((u, base_t + w))
-        return Graph(self.n, sorted(set(edges)))
+        """Materialized host; only within ``HOST_EDGE_BUDGET`` edges."""
+        if self.host_virtual:
+            raise ValueError(f"host has {self.host_edge_count()} edges, above the "
+                             f"materialization budget {HOST_EDGE_BUDGET}")
+        return Graph(self.n, self.edges(host=True))
 
     def spanner_norm(self, p=None) -> float:
         p = self.p if p is None else p
@@ -703,10 +699,7 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
         center_actual = dtilde
         d_real = float(center_size)
 
-    ideal = _ideal_exponents(
-        L, C, R, skew, pf, float(center_size), dt_real,
-        d_real if C >= 1 else float(center_size), t,
-    )
+    ideal = _ideal_exponents(L, C, R, skew, pf, float(center_size), dt_real, d_real, t)
     real = _real_layer_sizes(
         L, C, R, skew, pf, float(center_actual) if C >= 1 else float(center_size),
         float(dtilde), float(d_c) if C >= 1 else float(center_size),
@@ -752,8 +745,6 @@ def build_lcr(params: LcrParams, p, center_size: int) -> LayeredInstance:
     """
     if params.skew != SKEW_NONE:
         raise ValueError("build_lcr builds plain shapes; use build_skewed")
-    if params.C >= 1 and center_size < 2:
-        raise ValueError("need center_size >= 2 for a central section")
     return _build_layered(params, p, center_size, None)
 
 
@@ -766,8 +757,6 @@ def build_skewed(params: LcrParams, p, center_size: int, skew_exponent=None) -> 
     skew whose degree rounds above 1 needs L >= 1 (R >= 1) for its junction;
     without that section the shape is refused with ValueError.
     """
-    if params.skew == SKEW_NONE:
-        return _build_layered(params, p, center_size, 0.0)
     return _build_layered(params, p, center_size, skew_exponent)
 
 
@@ -796,29 +785,25 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int | None = None,
                 raise ValueError(f"layer {i} size {size} exceeds the n cap")
             size = n
         sizes.append(size)
-    inst_sizes = tuple(sizes)
-    offsets = [0]
-    for s in inst_sizes:
-        offsets.append(offsets[-1] + s)
+    offsets = (0, *accumulate(sizes))
     edges = []
     neighbors_fwd: list[list[list[int]]] = []
     for i in range(1, t + 1):
         d_i = n ** float(solution[f"delta{i}"])
-        want = min(int(math.ceil(d_i * math.log(n))), inst_sizes[i])
+        want = min(int(math.ceil(d_i * math.log(n))), sizes[i])
         layer_fwd = []
-        for v in range(inst_sizes[i - 1]):
+        for v in range(sizes[i - 1]):
             rng = random.Random(((seed * 1_000_003 + i) * 1_000_003 + v) & 0x7FFFFFFF)
-            targets = rng.sample(range(inst_sizes[i]), want)
+            targets = rng.sample(range(sizes[i]), want)
             layer_fwd.append(targets)
             for w in targets:
                 edges.append((offsets[i - 1] + v, offsets[i] + w))
         neighbors_fwd.append(layer_fwd)
-    total = offsets[-1]
-    spanner = Graph(total, sorted(set(edges)))
+    spanner = Graph(offsets[-1], edges)
     # forward reachability per source in V_0
     delta_t = n ** float(solution.get("Delta", solution.get(f"Delta{t}", 0)))
     host_pairs = []
-    for u in range(inst_sizes[0]):
+    for u in range(sizes[0]):
         frontier = {u}
         for i in range(1, t + 1):
             nxt = set()
@@ -830,13 +815,11 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int | None = None,
                 f"source {u} reaches {len(frontier)} layer-t vertices, below "
                 f"Delta_t/2^t = {delta_t / 2**t:.3g}"
             )
-        base_t = offsets[t]
-        for w in sorted(frontier):
-            host_pairs.append((u, base_t + w))
+        host_pairs += [(u, offsets[t] + w) for w in sorted(frontier)]
     return LayeredInstance(
         t=t,
         p=p,
-        layer_sizes=inst_sizes,
+        layer_sizes=tuple(sizes),
         explicit_spanner=spanner,
         explicit_host_pairs=tuple(host_pairs),
     )

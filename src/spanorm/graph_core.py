@@ -18,7 +18,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -35,6 +35,7 @@ __all__ = [
     "lp_norm",
     "parse_edge_list",
     "format_edge_list",
+    "write_edge_list",
     "short_cycle",
     "shortest_paths",
     "subset_norm",
@@ -501,6 +502,13 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def _edge_lines(edges, lengths=None) -> list[str]:
+    """The interchange format's ``u v [w]`` lines, without newlines."""
+    if lengths is None:
+        return [f"{u} {v}" for u, v in edges]
+    return [f"{u} {v} {lengths[(u, v)]:.12g}" for u, v in edges]
+
+
 def format_edge_list(g: Graph) -> str:
     """Inverse of :func:`parse_edge_list`; deterministic edge order.
 
@@ -508,10 +516,15 @@ def format_edge_list(g: Graph) -> str:
     parses back to a graph that formats to the same text, and parses back
     to ``g`` itself when every length has at most 12 significant digits.
     """
-    out = [f"{g.n} {g.m}"]
-    lengths = g.lengths
-    if lengths is None:
-        out += [f"{u} {v}" for u, v in g.edges]
-    else:
-        out += [f"{u} {v} {lengths[(u, v)]:.12g}" for u, v in g.edges]
-    return "\n".join(out) + "\n"
+    return "\n".join([f"{g.n} {g.m}", *_edge_lines(g.edges, g.lengths)]) + "\n"
+
+
+def write_edge_list(path, n: int, m: int, edges: Iterable[tuple[int, int]]) -> None:
+    """Stream :func:`format_edge_list`'s text of a unit graph to ``path``, a
+    chunk at a time.  Unchecked: ``edges`` must be the graph's ``m`` edges,
+    each (u, v) with u < v, in sorted order."""
+    edges = iter(edges)
+    with open(path, "w") as out:
+        out.write(f"{n} {m}\n")
+        while chunk := _edge_lines(islice(edges, 1 << 16)):
+            out.write("\n".join(chunk) + "\n")

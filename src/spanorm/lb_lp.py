@@ -25,11 +25,13 @@ own optimal duals instead, which ``solve`` returns by row name.
 Numeric policy: ``p`` and ``lambda`` may be int, float or Fraction.  Each
 public entry point turns an int into a Fraction once (``_exactify``), and
 the arithmetic below it follows the type it is given, so exact input gives
-exact output and float input float output.  Every test of lambda against a
-range cap goes through ``_at_most``: exact when both sides are Fractions,
-and with a 1e-12 relative slack otherwise.  ``verify_certificate`` still
-checks in float, at an absolute ``tol``, even for exact certificates; an
-exact referee for it is an open item in ROADMAP.md.
+exact output and float input float output.  Lambda must lie in the LP's
+own range (0, 1 + 1/p], tested with no slack (``_check_lambda``); every
+test against an interior range cap goes through ``_at_most``: exact when
+both sides are Fractions, and with a 1e-12 relative slack otherwise.
+``verify_certificate`` still checks in float, at an absolute ``tol``, even
+for exact certificates; an exact referee for it is an open item in
+ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -108,6 +110,12 @@ def _at_most(lam, bound) -> bool:
     if isinstance(lam, Fraction) and isinstance(bound, Fraction):
         return lam <= bound
     return float(lam) <= float(bound) * (1 + 1e-12)
+
+
+def _check_lambda(p, lam) -> None:
+    """The LP's own range, lambda in (0, 1 + 1/p], with no slack."""
+    if not 0 < lam <= 1 + 1 / p:
+        raise ParameterError(f"lambda must lie in (0, 1 + 1/p], got {lam}")
 
 
 def _q(p):
@@ -289,8 +297,7 @@ def build_model(t: int, p, lam, relaxed: bool = True) -> LbLpModel:
     exact_p = _exactify(p)
     one_over_p = 1 / exact_p
     q = _q(exact_p)
-    if not 0 < lam <= 1 + one_over_p:
-        raise ParameterError(f"lambda must lie in (0, 1 + 1/p], got {lam}")
+    _check_lambda(exact_p, lam)
 
     nus = [f"nu{i}" for i in range(t + 1)]
     deltas = [f"delta{i}" for i in range(1, t + 1)]
@@ -676,16 +683,16 @@ def _locate(t: int, p, lam):
     lambda lies in ``(caps[seg - 1], caps[seg]]``, the range bridged by
     ``frames[seg - 1]``.  ``p`` and ``lam`` come in exactified.
     """
+    _check_lambda(p, lam)
     base = derive_lcr(p, t)
     if _at_most(lam, nice_range_max(base, p)):
         return base, 0, None, None, None
     shapes, frames = _interpolation_walk(base, p)
-    # the caps of the walk shapes increase and end at 1 + 1/p
+    # the caps of the walk shapes increase and end at 1 + 1/p, tested above
     caps = [min(nice_range_max(s, p), 1 + 1 / p) for s in shapes]
-    for seg in range(1, len(shapes)):
-        if _at_most(lam, caps[seg]):
-            return base, seg, shapes, frames, caps
-    raise ParameterError(f"lambda {lam} above 1 + 1/p")
+    last = len(shapes) - 1
+    seg = next((s for s in range(1, last) if _at_most(lam, caps[s])), last)
+    return base, seg, shapes, frames, caps
 
 
 def predicted_exponent(t: int, p, lam):

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from spanorm.extremal import _gap_forward
 from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, shortest_paths
 from spanorm.greedy import Spanner
 
@@ -60,6 +61,21 @@ def random_connected_graph(rng: random.Random, n: int, m: int) -> Graph:
             break
         edges.add((u, v))
     return Graph(n, sorted(edges))
+
+
+def reference_layered_text(inst, host: bool = False) -> str:
+    """Edge-list text of a rule-based layered instance's spanner or host,
+    collected gap by gap (plus the biclique V_0 x V_t for the host) and then
+    deduplicated and sorted, with no reliance on the instance's edge order."""
+    edges = []
+    for i, gap in enumerate(inst.gaps):
+        left, right = inst.offsets[i], inst.offsets[i + 1]
+        edges += [(left + x, right + y) for x in range(gap.a) for y in _gap_forward(gap, x)]
+    if host:
+        edges += [(u, w) for u in range(inst.layer_sizes[0])
+                  for w in range(inst.offsets[inst.t], inst.n)]
+    edges = sorted(set(edges))
+    return "".join([f"{inst.n} {len(edges)}\n", *(f"{u} {v}\n" for u, v in edges)])
 
 
 def floyd_warshall(g: Graph) -> list[list[float]]:

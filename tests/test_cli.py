@@ -1,5 +1,6 @@
 """CLI subcommands: round trips, determinism, exit codes, resume."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import spanorm
+import spanorm.extremal
 import spanorm.greedy
 import spanorm.oracle
 from spanorm.cli import _dumps, main, run_experiment
@@ -31,6 +33,45 @@ def k4_file(tmp_path):
     path = tmp_path / "k4.edges"
     path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     return path
+
+
+# sha256 of the .spanner.edges and .host.edges files `gen` writes (None: no
+# file), recorded before the files were streamed from the instance rules:
+# the four desk_suite shapes at center 32, one skewed shape and one LP sample
+GEN_PINS = {
+    "lcr111": ("lcr", {"L": 1, "C": 1, "R": 1, "p": 2.0, "center": 32}, 0,
+               "d1fe50ee16df11bdaab4c1bb8dcbdb9414b565540c03ab05bfd7176073a39002",
+               "bf297a3d1f6434ff9850a2d36bfb1d307680dd6ebf1919010f4dfcfeb1a1b3ee"),
+    "lcr212": ("lcr", {"L": 2, "C": 1, "R": 2, "p": 2.0, "center": 32}, 0,
+               "170d684ab3d3af234a70123e5d7da80422d4909623146464df4c6c422fda2a10",
+               None),
+    "lcr202": ("lcr", {"L": 2, "C": 0, "R": 2, "p": 1.3, "center": 32}, 0,
+               "e825104e43e0aede7e5ca16be46e194b04099dc61f81c221c11dd70e9a1cea1f",
+               "1747286765c61e729fdb980f20b92fb2d68be1b66e2726aa1f24e18b1bb3fe96"),
+    "lcr012": ("lcr", {"L": 0, "C": 1, "R": 2, "p": 10.0, "center": 32}, 0,
+               "dbc2cafe240699fe730fc7126faaf3fd1592e783a69d0aae15c09b9316546caa",
+               "79892a3ea053e43b3b97ddbe4a2da165958c29a978b532ca5474a0488eb724a1"),
+    "skewed": ("skewed", {"L": 1, "C": 1, "R": 1, "skew": "right", "p": 2.0, "center": 16,
+                          "skew_exponent": 0.25}, 0,
+               "e9b8c553b5ae5fc413d272fc656a4fbe433344483c9d8ca2b10cb1905f787ce3",
+               "cf674b2c64f476d8cfe2e7acbe18e981a7d6a435f641d5be04decbf222d08c93"),
+    "lp": ("lp", {"t": 3, "p": "2", "lambda": "1", "n": 256}, 5,
+           "262d9b8967de5ce51c0d951f84c4f9f86609ca8394764fe1a637a4705ffa2bc2",
+           "9e1c65d3a85d69a33c5503fc378845a60b1851985ba5ac64ae4bb8a5cd86e136"),
+}
+
+
+def gen_pinned(name, tmp_path):
+    """Run `gen` on a pinned case; return its exit code and whether both files match."""
+    family, params, seed, *digests = GEN_PINS[name]
+    out = tmp_path / name
+    code = main(["gen", "--family", family, "--params", json.dumps(params),
+                 "--seed", str(seed), "--out", str(out)])
+    found = []
+    for suffix in ("spanner", "host"):
+        path = out.with_name(f"{name}.{suffix}.edges")
+        found.append(hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None)
+    return code, found == digests
 
 
 def run_cli(args, capsys):
@@ -271,6 +312,19 @@ class TestSubcommands:
                              "--out", tmp_path / "inst"], capsys)
         assert code == 0
         assert json.loads(out)["verified"] is True
+
+    @pytest.mark.parametrize("name", sorted(GEN_PINS))
+    def test_gen_files_pinned(self, name, tmp_path, capsys):
+        assert gen_pinned(name, tmp_path) == (0, True)
+
+    def test_gen_rule_files_build_no_graph(self, monkeypatch, tmp_path, capsys):
+        # both layered files are streamed from the rules: no Graph of the
+        # 1.05M-edge host, nor of the spanner
+        def refuse(*args, **kwargs):
+            raise AssertionError("gen must not build a Graph of a rule-based instance")
+
+        monkeypatch.setattr(spanorm.extremal, "Graph", refuse)
+        assert gen_pinned("lcr111", tmp_path) == (0, True)
 
     @pytest.mark.parametrize(
         "family,params,reason",

@@ -31,6 +31,8 @@ from spanorm.lb_lp import (
     solve,
 )
 
+from helpers import reference_layered_text
+
 
 class TestNamedGraphs:
     @pytest.mark.parametrize(
@@ -150,6 +152,8 @@ class TestBuildLcr:
             top = 1.0 / (C + 1) if C else 1.0
             cases.append((LcrParams(L, C, R, skew=skew), rng.choice([1.3, 2.0, 3.0, 5.0]),
                           rng.choice([2, 3, 4, 6, 9, 16]), rng.uniform(0.0, top)))
+        # t = 1: the biclique is the whole host and contains the spanner
+        cases += [(LcrParams(*shape), 2.0, 9, 0.0) for shape in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         verdicts = []
         refused = []
         for params, p, center, exponent in cases:
@@ -164,7 +168,11 @@ class TestBuildLcr:
             n0, nt = inst.layer_sizes[0], inst.layer_sizes[-1]
             if inst.virtual or n0 * nt + inst.spanner_edge_count() > 20_000:
                 continue
-            expected = verify_stretch(inst.host_graph(), inst.spanner(), inst.t)
+            spanner, host = inst.spanner(), inst.host_graph()
+            # the edge stream against the same edges collected and sorted
+            assert format_edge_list(spanner) == reference_layered_text(inst)
+            assert format_edge_list(host) == reference_layered_text(inst, host=True)
+            expected = verify_stretch(host, spanner, inst.t)
             assert inst.verify() == expected, (params, p, center, exponent)
             verdicts.append((params.C, params.skew, expected))
         assert len(verdicts) >= 80
@@ -260,7 +268,7 @@ class TestRuleVerdictMutants:
     def _replace_gap(self, inst, index, **changes):
         gaps = list(inst.gaps)
         gaps[index] = dataclasses.replace(gaps[index], **changes)
-        return dataclasses.replace(inst, gaps=tuple(gaps), _spanner_cache=[])
+        return dataclasses.replace(inst, gaps=tuple(gaps))
 
     @pytest.mark.parametrize("owner", ids=["shifted", "plus_one", "ceiling"], argvalues=[
         lambda x, big, small: (x + 1) * small // big,
@@ -309,8 +317,7 @@ class TestRuleVerdictMutants:
 
         monkeypatch.setattr(extremal, "_gap_forward", dropped)
         assert not inst.verify()
-        fresh = dataclasses.replace(inst, _spanner_cache=[])
-        assert not verify_stretch(fresh.host_graph(), fresh.spanner(), fresh.t)
+        assert not verify_stretch(inst.host_graph(), inst.spanner(), inst.t)
 
     def test_gap_size_disagrees_with_layers(self):
         inst = build_lcr(LcrParams(1, 1, 2), 2.0, 8)

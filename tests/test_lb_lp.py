@@ -423,6 +423,16 @@ class TestCertificatePipeline:
             with pytest.raises(ParameterError):
                 call(t, p, lam)
 
+    @pytest.mark.parametrize("t,p,lam", [(3, 2.0, -1.0), (3, F(2), F(0)),
+                                         (2, 2.0, 1.50000000000001),
+                                         (5, 3.0, 1 + 1 / 3.0 + 1e-14)])
+    def test_lambda_outside_the_lp_range_refused(self, t, p, lam):
+        # one range test for all three: a prediction or certificate exists
+        # only where build_model has an LP to check it against
+        for call in (build_model, predicted_exponent, certificate_for):
+            with pytest.raises(ParameterError):
+                call(t, p, lam)
+
     def test_walk_cache_keyed_on_type_of_p(self, monkeypatch):
         cache = {}
         monkeypatch.setattr(lb_lp, "_WALK_CACHE", cache)
