@@ -63,13 +63,16 @@ def _json_default(value):
 
 
 def _parse_p(text: str):
+    """A norm parameter: a finite real >= 1, or ``inf``/``infinity`` for the
+    max-degree norm.  Anything else is a usage error (ValueError, exit 2)."""
     from .graph_core import INFINITY
 
     if text in ("inf", "infinity"):
         return INFINITY
-    if os.environ.get("SPANORM_EXACT") == "1":
-        return Fraction(text)
-    return float(text)
+    p = float(text)
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite real >= 1 or inf, got {text}")
+    return p
 
 
 def _read_graph(path: str):
@@ -85,6 +88,9 @@ def _cmd_greedy(args) -> int:
     from .graph_core import INFINITY, format_edge_list
     from .greedy import greedy_spanner, spanner_summary, verify_stretch
 
+    ps = [1, 2, INFINITY]
+    if args.p is not None:
+        ps = [_parse_p(args.p)] + ps
     g = _read_graph(args.input)
     h = greedy_spanner(g, args.stretch)
     if not verify_stretch(g, h, args.stretch):
@@ -92,9 +98,6 @@ def _cmd_greedy(args) -> int:
         return 1
     if args.output:
         Path(args.output).write_text(format_edge_list(h.graph()))
-    ps = [1, 2, INFINITY]
-    if args.p is not None:
-        ps = [_parse_p(args.p)] + ps
     _emit(spanner_summary(g, h, ps))
     return 0
 
@@ -246,59 +249,69 @@ def _cmd_gen(args) -> int:
     from .graph_core import format_edge_list, girth, lp_norm, write_edge_list
 
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ValueError(f"--params must be a JSON object, got {args.params}")
     family = args.family
     meta: dict = {"family": family, "seed": args.seed, "params": params}
-    if family == "named":
-        g = named_girth_graph(params["name"])
-        Path(f"{args.out}.host.edges").write_text(format_edge_list(g))
-        meta.update({"n": g.n, "m": g.m, "girth": float(girth(g))})
-    elif family == "tightness":
-        g = build_tightness(
-            params["k"], params["p"], params["n"], params["Lambda"], seed=args.seed
-        )
-        Path(f"{args.out}.host.edges").write_text(format_edge_list(g))
-        meta.update({"n": g.n, "m": g.m, "norm": lp_norm(g, params["p"])})
-    elif family in ("lcr", "skewed", "lp"):
-        if family == "lcr":
-            shape = lb_lp.LcrParams(params["L"], params["C"], params["R"])
-            inst = build_lcr(shape, params["p"], params["center"])
-        elif family == "skewed":
-            shape = lb_lp.LcrParams(
-                params["L"], params["C"], params["R"], skew=params["skew"]
+    # every parameter is read before any file is written, so a missing or
+    # mistyped one is a usage error that leaves nothing behind
+    g = inst = None
+    try:
+        if family == "named":
+            g = named_girth_graph(params["name"])
+            meta.update({"n": g.n, "m": g.m, "girth": float(girth(g))})
+        elif family == "tightness":
+            g = build_tightness(
+                params["k"], params["p"], params["n"], params["Lambda"], seed=args.seed
             )
-            inst = build_skewed(
-                shape, params["p"], params["center"], params["skew_exponent"]
+            meta.update({"n": g.n, "m": g.m, "norm": lp_norm(g, params["p"])})
+        elif family in ("lcr", "skewed", "lp"):
+            if family == "lcr":
+                shape = lb_lp.LcrParams(params["L"], params["C"], params["R"])
+                inst = build_lcr(shape, params["p"], params["center"])
+            elif family == "skewed":
+                shape = lb_lp.LcrParams(
+                    params["L"], params["C"], params["R"], skew=params["skew"]
+                )
+                inst = build_skewed(
+                    shape, params["p"], params["center"], params["skew_exponent"]
+                )
+            else:
+                t = params["t"]
+                p = Fraction(str(params["p"]))
+                lam = Fraction(str(params["lambda"]))
+                primal = lb_lp.minimal_spanner_primal(lb_lp.derive_lcr(p, t), p, lam)
+                inst = build_from_lp(primal, params["n"], seed=args.seed, t=t,
+                                     p=float(p))
+            verified = inst.verify()
+            meta.update(
+                {
+                    "layer_sizes": list(inst.layer_sizes),
+                    "n": inst.n,
+                    "virtual": inst.virtual,
+                    "measured": inst.measured(),
+                    "predicted": {
+                        key: value
+                        for key, value in inst.predicted.items()
+                        if key != "ideal_sizes"
+                    },
+                    "verified": verified,
+                }
             )
         else:
-            t = params["t"]
-            p = Fraction(str(params["p"]))
-            lam = Fraction(str(params["lambda"]))
-            primal = lb_lp.minimal_spanner_primal(lb_lp.derive_lcr(p, t), p, lam)
-            inst = build_from_lp(primal, params["n"], seed=args.seed, t=t,
-                                 p=float(p))
-        verified = inst.verify()
-        meta.update(
-            {
-                "layer_sizes": list(inst.layer_sizes),
-                "n": inst.n,
-                "virtual": inst.virtual,
-                "measured": inst.measured(),
-                "predicted": {
-                    key: value
-                    for key, value in inst.predicted.items()
-                    if key != "ideal_sizes"
-                },
-                "verified": verified,
-            }
-        )
-        if not inst.virtual:
-            write_edge_list(f"{args.out}.spanner.edges", inst.n,
-                            inst.spanner_edge_count(), inst.edges())
-            if not inst.host_virtual:
-                write_edge_list(f"{args.out}.host.edges", inst.n,
-                                inst.host_edge_count(), inst.edges(host=True))
-    else:
-        raise ValueError(f"unknown family {family}")
+            raise ValueError(f"unknown family {family}")
+    except KeyError as exc:
+        raise ValueError(f"--params for family {family} lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"--params for family {family}: mistyped value, {exc}") from None
+    if g is not None:
+        Path(f"{args.out}.host.edges").write_text(format_edge_list(g))
+    elif not inst.virtual:
+        write_edge_list(f"{args.out}.spanner.edges", inst.n,
+                        inst.spanner_edge_count(), inst.edges())
+        if not inst.host_virtual:
+            write_edge_list(f"{args.out}.host.edges", inst.n,
+                            inst.host_edge_count(), inst.edges(host=True))
     Path(f"{args.out}.meta.json").write_text(_dumps(meta) + "\n")
     _emit(meta)
     return 0 if meta.get("verified", True) else 1

@@ -662,6 +662,8 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
     L, C, R = params.L, params.C, params.R
     t = params.t
     pf = float(p)
+    if not math.isfinite(pf):
+        raise ValueError(f"layered builders need a finite p, got {p}")
     if pf <= 1 and C >= 1:
         raise ValueError("layered builders need p > 1 for the decay recurrences")
     skew = params.skew
@@ -769,8 +771,11 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int | None = None,
     layer i, with a counter-keyed RNG so regeneration is reproducible and
     layers are independent.  The host connects u in V_0 to w in V_t exactly
     when the spanner has a forward path of length t, and construction
-    asserts the reach lower bound Delta_t / 2**t for every source.
+    asserts the reach lower bound Delta_t / 2**t for every source.  An
+    ``n`` below 2 is refused with ValueError.
     """
+    if n < 2:
+        raise ValueError(f"build_from_lp needs n >= 2, got {n}")
     if t is None:
         t = max(
             int(name[2:]) for name in solution if name.startswith("nu")

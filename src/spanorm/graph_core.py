@@ -207,8 +207,8 @@ class LayerProfile:
 def _check_p(p) -> None:
     if p is INFINITY:
         return
-    if not p >= 1:
-        raise GraphError(f"norm parameter must satisfy p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise GraphError(f"norm parameter must be a finite p >= 1 or INFINITY, got {p}")
 
 
 def degree_norm(degrees: Iterable[int], p, counts: Iterable[int] | None = None) -> float:

@@ -81,19 +81,19 @@ def greedy_spanner(g: Graph, t: int) -> Spanner:
     """
     if t < 1:
         raise ValueError(f"stretch must be a positive integer, got {t}")
-    order = sorted(g.edges, key=lambda e: (g.edge_length(*e), e[0], e[1]))
     adj: list[list[int]] = [[] for _ in range(g.n)]
     kept: list[tuple[int, int]] = []
     lengths = g.lengths
     if lengths is None:
+        # a Graph keeps its edges sorted by (u, v), the unit-length order
         stamp = [0] * g.n
-        for tick, (u, v) in enumerate(order, start=1):
+        for tick, (u, v) in enumerate(g.edges, start=1):
             if not within_hops(adj, u, v, t, stamp, tick):
                 kept.append((u, v))
                 adj[u].append(v)
                 adj[v].append(u)
     else:
-        for u, v in order:
+        for u, v in sorted(g.edges, key=lambda e: (lengths[e], e)):
             if not within_length(adj, lengths, u, v, t * lengths[(u, v)]):
                 kept.append((u, v))
                 adj[u].append(v)

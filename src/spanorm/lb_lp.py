@@ -178,6 +178,8 @@ def _floor_log_ratio(p, value) -> int:
     r = _ratio(p)
     if not value >= 1:
         raise ParameterError(f"floor-log argument must be >= 1, got {value}")
+    if float(r) == 1:
+        raise ParameterError(f"p = {p} is too large: p/(p-1) rounds to 1")
     k = int(math.log(float(value)) / math.log(float(r))) if value > 1 else 0
     k = max(k, 0)
     while r**k > value:
@@ -267,12 +269,6 @@ class LbLpModel:
     rhs: tuple
     eq_rows: frozenset = field(default_factory=frozenset)
 
-    def var_index(self, name: str) -> int:
-        return self.var_names.index(name)
-
-    def row_index(self, name: str) -> int:
-        return self.row_names.index(name)
-
     def objective_vector(self):
         return tuple(1 if v == "ell" else 0 for v in self.var_names)
 
@@ -280,7 +276,7 @@ class LbLpModel:
 def _check_tp(t: int, p) -> None:
     if not (isinstance(t, int) and t >= 1):
         raise ParameterError(f"stretch t must be a positive integer, got {t}")
-    if p is None or isinstance(p, bool) or not p >= 1:
+    if p is None or isinstance(p, bool) or not 1 <= p < math.inf:
         raise ParameterError(f"p must be a finite real >= 1, got {p}")
 
 
@@ -323,22 +319,24 @@ def build_model(t: int, p, lam, relaxed: bool = True) -> LbLpModel:
         rows.append(tuple(vec))
         rhs.append(r)
 
+    def norm_rows() -> None:
+        for i in range(1, t + 1):
+            # (12), (1) left degree-norm: ell - nu_{i-1}/p - delta_i >= 0
+            add(f"left{i}", {"ell": 1, f"nu{i - 1}": -one_over_p, f"delta{i}": -1}, 0)
+        for i in range(1, t + 1):
+            # (13), (2) right degree-norm: ell + q*nu_i - nu_{i-1} - delta_i >= 0
+            add(f"right{i}", {"ell": 1, f"nu{i}": q, f"nu{i - 1}": -1, f"delta{i}": -1}, 0)
+
+    def grow_rows() -> None:
+        for i in range(1, t + 1):
+            # (14), (4) expansion: nu_{i-1} + delta_i - nu_i >= 0
+            add(f"grow{i}", {f"nu{i - 1}": 1, f"delta{i}": 1, f"nu{i}": -1}, 0)
+
     if relaxed:
         # (11) spanning: sum delta_i - Delta >= 0
         add("span", {**{d: 1 for d in deltas}, "Delta": -1}, 0)
-        for i in range(1, t + 1):
-            # (12) left degree-norm: ell - nu_{i-1}/p - delta_i >= 0
-            add(f"left{i}", {"ell": 1, f"nu{i - 1}": -one_over_p, f"delta{i}": -1}, 0)
-        for i in range(1, t + 1):
-            # (13) right degree-norm: ell + q*nu_i - nu_{i-1} - delta_i >= 0
-            add(
-                f"right{i}",
-                {"ell": 1, f"nu{i}": q, f"nu{i - 1}": -1, f"delta{i}": -1},
-                0,
-            )
-        for i in range(1, t + 1):
-            # (14) expansion: nu_{i-1} + delta_i - nu_i >= 0
-            add(f"grow{i}", {f"nu{i - 1}": 1, f"delta{i}": 1, f"nu{i}": -1}, 0)
+        norm_rows()
+        grow_rows()
         # (15) density: nu_0/p + Delta >= lambda
         add("density", {"nu0": one_over_p, "Delta": 1}, lam)
         # (16) final layer: nu_t - Delta >= 0
@@ -346,22 +344,11 @@ def build_model(t: int, p, lam, relaxed: bool = True) -> LbLpModel:
         # (17) size cap: -nu_t >= -1
         add("cap", {f"nu{t}": -1}, -1)
     else:
-        for i in range(1, t + 1):
-            # (1) left norm rows
-            add(f"left{i}", {"ell": 1, f"nu{i - 1}": -one_over_p, f"delta{i}": -1}, 0)
-        for i in range(1, t + 1):
-            # (2) right norm rows
-            add(
-                f"right{i}",
-                {"ell": 1, f"nu{i}": q, f"nu{i - 1}": -1, f"delta{i}": -1},
-                0,
-            )
+        norm_rows()
         for i in range(1, t + 1):
             # (3) degree at most layer size
             add(f"degsize{i}", {f"nu{i}": 1, f"delta{i}": -1}, 0)
-        for i in range(1, t + 1):
-            # (4) expansion
-            add(f"grow{i}", {f"nu{i - 1}": 1, f"delta{i}": 1, f"nu{i}": -1}, 0)
+        grow_rows()
         # (5) Delta_1 = d_1
         add("ddef", {"Delta1": 1, "delta1": -1}, 0, eq=True)
         for i in range(2, t + 1):
@@ -544,35 +531,24 @@ def verify_lcr_conditions(params: LcrParams, p) -> ConditionReport:
     """
     p = _exactify(p)
     L, C, R = params.L, params.C, params.R
-    conds: list[Condition] = []
     if C == 0:
         return ConditionReport(params, applicable=False, conditions=())
-    if params.skew == SKEW_LEFT:
-        conds.append(_cond("C >= p-2", C, p - 2, ">="))
-        conds.append(
-            _cond("left-skew s", (C + 1) * _ratio_pow(p, R - L - 1), p * p, "<=")
-        )
-    elif params.skew == SKEW_RIGHT:
-        conds.append(_cond("C >= p-2", C, p - 2, ">="))
-        if L > 0:
-            conds.append(
-                _cond("right-skew s", _ratio_pow(p, R - L - 1), C + 1, "<=")
-            )
-        else:
-            conds.append(_cond("right-skew s", _ratio_pow(p, R - 1), C + 1, "<="))
-    elif L > 0:
-        conds.append(
-            _cond("cond1", (C + 1) * _ratio_pow(p, R - L + 1), p * p, ">=")
-        )
-        conds.append(_cond("cond2", C * _ratio_pow(p, R - L), p * p, "<="))
-        conds.append(_cond("cond3", _ratio_pow(p, R - L), C, ">="))
-        conds.append(_cond("cond4", _ratio_pow(p, R - L - 1), C + 1, "<="))
-        conds.append(_cond("cond5-lo", C, p - 2, ">="))
-        conds.append(_cond("cond5-hi", C, p, "<="))
+    if params.skew != SKEW_NONE:
+        # left skew: (C+1) r**(R-L-1) <= p**2; right skew: r**(R-L-1) <= C+1
+        s = _ratio_pow(p, R - L - 1)
+        lhs, rhs = ((C + 1) * s, p * p) if params.skew == SKEW_LEFT else (s, C + 1)
+        conds = [_cond("C >= p-2", C, p - 2, ">="),
+                 _cond(f"{params.skew}-skew s", lhs, rhs, "<=")]
     else:
-        conds.append(_cond("cond2", C * _ratio_pow(p, R), p * p, "<="))
-        conds.append(_cond("cond3", _ratio_pow(p, R), C, ">="))
-        conds.append(_cond("cond4", _ratio_pow(p, R - 1), C + 1, "<="))
+        # the L = 0 system is cond2-cond4 of the L > 0 one at L = 0
+        conds = [_cond("cond2", C * _ratio_pow(p, R - L), p * p, "<="),
+                 _cond("cond3", _ratio_pow(p, R - L), C, ">="),
+                 _cond("cond4", _ratio_pow(p, R - L - 1), C + 1, "<=")]
+        if L > 0:
+            conds = [_cond("cond1", (C + 1) * _ratio_pow(p, R - L + 1), p * p, ">="),
+                     *conds,
+                     _cond("cond5-lo", C, p - 2, ">="),
+                     _cond("cond5-hi", C, p, "<=")]
     return ConditionReport(params, applicable=True, conditions=tuple(conds))
 
 
@@ -637,8 +613,9 @@ def _interpolation_walk(base: LcrParams, p):
     has a non-negative solution, which is exactly LP optimality of the frame
     family; the walk ends once the shape covers lambda up to 1 + 1/p.
 
-    Returns ``(shapes, frames)`` with ``frames[i]`` bridging ``shapes[i]`` to
-    ``shapes[i+1]``.
+    Returns ``(shapes, frames, caps)``: ``frames[i]`` is the pair (frame,
+    certificate) that chose the move from ``shapes[i]`` to ``shapes[i+1]``,
+    and ``caps[i]`` is the lambda cap of ``shapes[i]``, at most 1 + 1/p.
     """
     # keyed on the type of p too: 2.0 == Fraction(2), but float walks decide
     # with a tolerance and exact walks without one
@@ -647,29 +624,24 @@ def _interpolation_walk(base: LcrParams, p):
     if cached is not None:
         return cached
     shapes = [base]
-    frames: list[LcrParams] = []
-    current = base
+    frames: list[tuple[LcrParams, DualCertificate]] = []
     for _ in range(base.t + 1):
-        if current.L >= current.R or current.R == 0:
+        L, C, R = shapes[-1].L, shapes[-1].C, shapes[-1].R
+        if L >= R or R == 0:
             break
-        move = None
-        if current.C >= 1:
-            right_frame = LcrParams(current.L, current.C, current.R, skew=SKEW_RIGHT)
-            try:
-                construct_dual(right_frame, p)
-                move = (right_frame, LcrParams(current.L, current.C + 1, current.R - 1))
-            except DualConstructionError:
-                move = None
-        if move is None and current.C >= 1:
-            left_frame = LcrParams(current.L + 1, current.C - 1, current.R, skew=SKEW_LEFT)
-            construct_dual(left_frame, p)
-            move = (left_frame, LcrParams(current.L + 1, current.C - 1, current.R))
-        if move is None:
-            raise DualConstructionError(f"no verified move from shape {current}")
-        frames.append(move[0])
-        shapes.append(move[1])
-        current = move[1]
-    result = (shapes, frames)
+        if C < 1:
+            raise DualConstructionError(f"no verified move from shape {shapes[-1]}")
+        frame = LcrParams(L, C, R, skew=SKEW_RIGHT)
+        try:
+            frames.append((frame, construct_dual(frame, p)))
+            shapes.append(LcrParams(L, C + 1, R - 1))
+        except DualConstructionError:
+            frame = LcrParams(L + 1, C - 1, R, skew=SKEW_LEFT)
+            frames.append((frame, construct_dual(frame, p)))
+            shapes.append(LcrParams(L + 1, C - 1, R))
+    # the caps of the walk shapes increase and end at 1 + 1/p
+    caps = [min(nice_range_max(s, p), 1 + 1 / p) for s in shapes]
+    result = (shapes, frames, caps)
     _WALK_CACHE[key] = result
     return result
 
@@ -679,7 +651,7 @@ def _locate(t: int, p, lam):
 
     Returns ``(base, seg, shapes, frames, caps)``.  Segment 0 is the base
     shape's nice range; there the walk is not taken and the last three are
-    None.  Otherwise ``caps[i]`` is the lambda cap of ``shapes[i]``, and
+    None.  Otherwise they are the walk's (see ``_interpolation_walk``), and
     lambda lies in ``(caps[seg - 1], caps[seg]]``, the range bridged by
     ``frames[seg - 1]``.  ``p`` and ``lam`` come in exactified.
     """
@@ -687,9 +659,8 @@ def _locate(t: int, p, lam):
     base = derive_lcr(p, t)
     if _at_most(lam, nice_range_max(base, p)):
         return base, 0, None, None, None
-    shapes, frames = _interpolation_walk(base, p)
-    # the caps of the walk shapes increase and end at 1 + 1/p, tested above
-    caps = [min(nice_range_max(s, p), 1 + 1 / p) for s in shapes]
+    shapes, frames, caps = _interpolation_walk(base, p)
+    # lambda <= 1 + 1/p = caps[last] was tested above
     last = len(shapes) - 1
     seg = next((s for s in range(1, last) if _at_most(lam, caps[s])), last)
     return base, seg, shapes, frames, caps
@@ -867,9 +838,6 @@ def skewed_primal(params: LcrParams, p, lam) -> dict:
 
 # -- dual certificates -------------------------------------------------------
 
-_ROW_TO_DUAL = ("span", "left", "right", "grow", "density", "final", "cap")
-
-
 def _dual_support(params: LcrParams, t: int) -> tuple[set, set]:
     """(support rows, tight columns) for the case's complementary-slackness system.
 
@@ -916,45 +884,37 @@ def construct_dual(params: LcrParams, p) -> DualCertificate:
     exact = isinstance(p, Fraction)
     model = build_model(t, p, 1, relaxed=True)
     rows, cols = _dual_support(params, t)
-    row_order = [name for name in model.row_names if name in rows]
-    col_order = [name for name in model.var_names if name in cols]
-    if len(row_order) != len(col_order):
+    support = [(r, row) for r, row in zip(model.row_names, model.rows) if r in rows]
+    tight = [j for j, name in enumerate(model.var_names) if name in cols]
+    if len(support) != len(tight):
         raise DualConstructionError(
             f"case system is not square for {params}: "
-            f"{len(row_order)} unknowns vs {len(col_order)} equations"
+            f"{len(support)} unknowns vs {len(tight)} equations"
         )
     # Equations: for each tight column j, sum over support rows of A[r][j] * u_r = c_j
-    cvec = {v: (1 if v == "ell" else 0) for v in model.var_names}
-    mat = []
-    vec = []
+    c = model.objective_vector()
     cast = Fraction if exact else float
-    for colname in col_order:
-        j = model.var_index(colname)
-        mat.append([cast(model.rows[model.row_index(r)][j]) for r in row_order])
-        vec.append(cast(cvec[colname]))
+    mat = [[cast(row[j]) for _name, row in support] for j in tight]
+    vec = [cast(c[j]) for j in tight]
     try:
         sol = _dense_solve(mat, vec)
     except ZeroDivisionError:
         if plain:
             return _lp_dual(params, p)
         raise DualConstructionError("singular complementary-slackness system") from None
-    values = dict(zip(row_order, sol))
+    values = {name: val for (name, _row), val in zip(support, sol)}
     tol = 0 if exact else 1e-11
     for name, val in values.items():
         if val < -tol:
             raise DualConstructionError(f"NEGATIVE_COMPONENT {name} = {float(val)}")
     # Remaining dual constraints (columns outside the tight set) must hold.
-    for colname in model.var_names:
+    for j, colname in enumerate(model.var_names):
         if colname in cols:
             continue
-        j = model.var_index(colname)
-        lhs = sum(
-            model.rows[model.row_index(r)][j] * values[r] for r in row_order
-        )
-        bound = cvec[colname]
-        if lhs > bound + (0 if exact else 1e-11):
+        lhs = sum(row[j] * values[name] for name, row in support)
+        if lhs > c[j] + tol:
             raise DualConstructionError(
-                f"dual constraint for {colname} violated: {float(lhs)} > {bound}"
+                f"dual constraint for {colname} violated: {float(lhs)} > {c[j]}"
             )
     return _package_certificate(values, params, p, t)
 
@@ -1073,13 +1033,10 @@ def certificate_for(t: int, p, lam):
     p, lam = _exactify(p), _exactify(lam)
     base, seg, _shapes, frames, _caps = _locate(t, p, lam)
     if seg == 0:
-        primal = minimal_spanner_primal(base, p, lam)
-        cert = construct_dual(base, p)
-        return base, primal, cert
-    frame = frames[seg - 1]
-    primal = skewed_primal(frame, p, lam)
-    cert = construct_dual(frame, p)
-    return frame, primal, cert
+        return base, minimal_spanner_primal(base, p, lam), construct_dual(base, p)
+    # the walk proved this frame's certificate when it chose the move
+    frame, cert = frames[seg - 1]
+    return frame, skewed_primal(frame, p, lam), cert
 
 
 # -- the headline quantity ---------------------------------------------------

@@ -115,23 +115,18 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
             best_norm = min(norm, best_norm)
             best_edges = canon
 
-    def consider(kept: tuple) -> None:
-        sub = g.subgraph(kept)
-        norm = lp_norm(sub, p)
-        if norm > best_norm:
-            return
-        if not verify_stretch(g, Spanner(g, tuple(sorted(kept)), t), t):
-            return
-        offer(norm, tuple(sorted(kept)))
-
+    greedy_norm = lp_norm(greedy.graph(), p)
     if not prune:
         for mask in range(1 << m):
             explored += 1
-            kept = tuple(order[i] for i in range(m) if mask >> i & 1)
-            consider(kept)
+            sub = g.subgraph(order[i] for i in range(m) if mask >> i & 1)
+            norm = lp_norm(sub, p)
+            if norm <= best_norm and verify_stretch(g, sub, t):
+                offer(norm, sub.edges)
     else:
         # start from the greedy solution as the incumbent
-        consider(tuple(greedy_edges))
+        if verify_stretch(g, greedy.graph(), t):
+            offer(greedy_norm, tuple(sorted(greedy.kept_edges)))
         explored += 1
         degrees = [0] * g.n
         kept: list = []
@@ -205,7 +200,7 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         optimum_norm=best_norm,
         explored=explored,
         pruned=pruned,
-        greedy_norm=lp_norm(greedy.graph(), p),
+        greedy_norm=greedy_norm,
     )
 
 

@@ -209,9 +209,37 @@ class TestSubcommands:
         assert captured.out == ""
         assert "inf" in captured.err
 
-    def test_bad_p_exit_2(self, capsys):
+    def test_bad_p_exit_2(self, k4_file, tmp_path, monkeypatch, capsys):
         assert main(["lb", "--t", "3", "--p", "0.5", "--lambda", "1"]) == 2
         assert "p must be" in capsys.readouterr().err
+        # p is a finite real >= 1 (or inf where a degree norm is taken); any
+        # other value is a usage error with one error line and no output
+        lb = ["lb", "--t", "3", "--lambda", "1"]
+        calls = [lb + ["--p", p] + exact for p in ("inf", "1e300") for exact in ([], ["--exact"])]
+        spanner = tmp_path / "h.edges"
+        for p in ("0.5", "0", "nan", "1e400"):
+            calls += [
+                ["norm", "--input", str(k4_file), "--p", p],
+                ["greedy", "--input", str(k4_file), "--stretch", "3", "--p", p,
+                 "--output", str(spanner)],
+                ["oracle", "--input", str(k4_file), "--stretch", "3", "--p", p],
+                ["verify", "--input", str(k4_file), "--p", p],
+            ]
+        for argv in calls:
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert not spanner.exists()
+        # SPANORM_EXACT reaches lb only: the other subcommands take float p
+        monkeypatch.setenv("SPANORM_EXACT", "1")
+        assert main(["norm", "--input", str(k4_file), "--p", "3/2"]) == 2
+        assert "could not convert" in capsys.readouterr().err
+        assert main(["norm", "--input", str(k4_file), "--p", "2,inf"]) == 0
+        exact_env = capsys.readouterr().out
+        monkeypatch.delenv("SPANORM_EXACT")
+        assert main(["norm", "--input", str(k4_file), "--p", "2,inf"]) == 0
+        assert capsys.readouterr().out == exact_env
 
     def test_invalid_graph_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "inf.edges"
@@ -333,6 +361,11 @@ class TestSubcommands:
              "smallest pruned norm"),
             ("skewed", {"L": 0, "C": 1, "R": 1, "skew": "left", "p": 2.0, "center": 16,
                         "skew_exponent": 0.4}, "junction"),
+            ("lcr", [1], "JSON object"),
+            ("lcr", {"L": 1, "C": 1, "R": 1, "p": 2.0}, "lacks the key 'center'"),
+            ("lcr", {"L": 1, "C": 1, "R": 1, "p": 2.0, "center": "x"}, "mistyped"),
+            ("lcr", {"L": 1, "C": 1, "R": 1, "p": "inf", "center": 16}, "finite p"),
+            ("lp", {"t": 3, "p": "2", "lambda": "1", "n": 1}, "n >= 2"),
         ],
     )
     def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):

@@ -132,6 +132,15 @@ class TestNorms:
     def test_p_below_one_rejected(self):
         with pytest.raises(GraphError):
             lp_norm(cycle_graph(4), 0.5)
+        # p is a finite real >= 1 or INFINITY: a float infinity is refused,
+        # since its power sum is not the max-degree norm
+        path = Graph(3, [(0, 1), (1, 2)])
+        assert lp_norm(path, INFINITY) == 2.0
+        for p in (math.inf, float("nan")):
+            with pytest.raises(GraphError):
+                lp_norm(path, p)
+            with pytest.raises(GraphError):
+                subset_norm(path, range(3), p)
 
 
 class TestDegreeNorm:

@@ -1,5 +1,6 @@
 """Lower-bound LP: model, solver, closed forms, shape derivation, certificates."""
 
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -33,6 +34,14 @@ from spanorm.lb_lp import (
 GOLDEN = (1 + math.sqrt(5)) / 2
 # the rational p of the lb_certify benchmark grid
 GRID_RATIONAL_PS = [F(101, 100), F(11, 10), F(13, 10), F(9, 5), F(2), F(5, 2), F(3), F(5), F(10)]
+# sha256 of repr((row_names, rows, rhs)) of build_model(t, p, 1, relaxed): the
+# row order, every coefficient and its type, all of which steer the simplex
+MODEL_ROW_PINS = {
+    (3, F(2), True): "1151415396c8a24b2d22bd19a6b16cde838bc1e57d09e25aee400edefab3aaf9",
+    (3, F(2), False): "34d58639708221c1ef141caa63c57c5098e2590159abc17956bb1f223cc85afd",
+    (5, 2.5, True): "fa994cf7e199fbe40518034dc2335a82de5b88679b456f9196a33fa6f73e1a1d",
+    (5, 2.5, False): "966646b7fadaff55e90fde8eba95a79901859a0f07f34139421964bc2e20c797",
+}
 
 
 class TestECoeff:
@@ -79,6 +88,24 @@ class TestModel:
             build_model(3, F(2), F(8, 5))  # above 1 + 1/p = 3/2
         with pytest.raises(ParameterError):
             build_model(3, F(2), 0)
+
+    @pytest.mark.parametrize("t,p,relaxed", sorted(MODEL_ROW_PINS, key=repr))
+    def test_rows_pinned(self, t, p, relaxed):
+        m = build_model(t, p, 1, relaxed=relaxed)
+        text = repr((m.row_names, m.rows, m.rhs))
+        assert hashlib.sha256(text.encode()).hexdigest() == MODEL_ROW_PINS[(t, p, relaxed)]
+
+    @pytest.mark.parametrize("p", [math.inf, float("nan"), 0.5])
+    def test_p_outside_range_refused(self, p):
+        # p is a finite real >= 1; the max-degree norm has its own closed form
+        with pytest.raises(ParameterError, match="finite real"):
+            build_model(3, p, 1.0)
+
+    @pytest.mark.parametrize("p", [1e300, F(10**300)])
+    def test_p_too_large_for_the_floor_log_refused(self, p):
+        # p/(p-1) rounds to 1.0, so the float seed of the floor-log has no scale
+        with pytest.raises(ParameterError, match="rounds to 1"):
+            derive_lcr(p, 3)
 
     def test_scale_free(self):
         # the model never sees n: identical builds for identical (t, p, lambda)
@@ -394,8 +421,8 @@ class TestCertificatePipeline:
             if info["segment"] is None:
                 assert frame == base
                 continue
-            _shapes, frames = lb_lp._interpolation_walk(base, lb_lp._exactify(p))
-            assert frame == frames[info["segment"] - 1]
+            _shapes, frames, _caps = lb_lp._interpolation_walk(base, lb_lp._exactify(p))
+            assert frame == frames[info["segment"] - 1][0]
             seen.add(info["segment"])
         assert len(seen) >= 3
 
@@ -405,7 +432,7 @@ class TestCertificatePipeline:
         checked = 0
         for p in GRID_RATIONAL_PS:
             for t in range(2, 9):
-                shapes, _frames = lb_lp._interpolation_walk(derive_lcr(p, t), p)
+                shapes, _frames, _caps = lb_lp._interpolation_walk(derive_lcr(p, t), p)
                 for s in shapes[:-1]:
                     lam = min(nice_range_max(s, p), 1 + 1 / p) + F(1, 10**14)
                     model = build_model(t, p, lam)
@@ -433,6 +460,29 @@ class TestCertificatePipeline:
             with pytest.raises(ParameterError):
                 call(t, p, lam)
 
+    def test_walk_certificate_reused(self, monkeypatch):
+        # the walk keeps the certificate that chose each move, so a second
+        # lambda in the same segment proves no dual again
+        monkeypatch.setattr(lb_lp, "_WALK_CACHE", {})
+        t, p = 5, F(5)
+        _shapes, frames, caps = lb_lp._interpolation_walk(derive_lcr(p, t), p)
+        lams = [caps[0] + (caps[1] - caps[0]) * F(k, 3) for k in (1, 2)]
+        assert [predicted_exponent(t, p, lam)[1]["segment"] for lam in lams] == [1, 1]
+        certificate_for(t, p, lams[0])
+        calls = []
+        real = lb_lp.construct_dual
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lb_lp, "construct_dual", counted)
+        frame, primal, cert = certificate_for(t, p, lams[1])
+        assert calls == []
+        assert (frame, cert) == frames[0]
+        assert cert == real(frame, p)
+        assert verify_certificate(build_model(t, p, lams[1]), primal, cert)
+
     def test_walk_cache_keyed_on_type_of_p(self, monkeypatch):
         cache = {}
         monkeypatch.setattr(lb_lp, "_WALK_CACHE", cache)
@@ -443,7 +493,9 @@ class TestCertificatePipeline:
         approx = lb_lp._interpolation_walk(base, 5.0)
         assert len(cache) == 2
         assert approx is not exact
-        assert approx == exact
+        # the same shapes and frames; the caps and certificates follow the type of p
+        assert approx[0] == exact[0]
+        assert [frame for frame, _cert in approx[1]] == [frame for frame, _cert in exact[1]]
 
     def test_skewed_primal_endpoints(self):
         # tau = 0 at the nice boundary reproduces the plain shape
