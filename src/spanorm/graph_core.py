@@ -220,6 +220,9 @@ def degree_norm(degrees: Iterable[int], p, counts: Iterable[int] | None = None) 
     ``INFINITY``: the largest degree with a non-zero count.  The sum is
     ``math.fsum`` of ``count * float(d) ** float(p)``; for an integer ``p``
     and ``d**p`` above 2**53 a term is rounded by ``pow``, not exactly.
+    Only when that sum leaves the float range is it taken scaled by the
+    largest degree, ``dmax * (sum count * (d/dmax)**p) ** (1/p)``, which
+    reads ``degrees`` and ``counts`` a second time.
     """
     if p is INFINITY:
         if counts is not None:
@@ -227,8 +230,16 @@ def degree_norm(degrees: Iterable[int], p, counts: Iterable[int] | None = None) 
         return float(max(degrees, default=0))
     fp = float(p)
     powers = map(pow, map(float, degrees), repeat(fp))
-    total = math.fsum(powers if counts is None else map(mul, counts, powers))
-    return total ** (1.0 / fp) if total else 0.0
+    try:
+        total = math.fsum(powers if counts is None else map(mul, counts, powers))
+    except OverflowError:
+        total = math.inf
+    if total < math.inf:
+        return total ** (1.0 / fp) if total else 0.0
+    dmax = degree_norm(degrees, INFINITY, counts)
+    pairs = zip(degrees, repeat(1) if counts is None else counts)
+    total = math.fsum(c * (float(d) / dmax) ** fp for d, c in pairs if c)
+    return dmax * total ** (1.0 / fp)
 
 
 def lp_norm(g: Graph, p) -> float:

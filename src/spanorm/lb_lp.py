@@ -32,14 +32,21 @@ both sides are Fractions, and with a 1e-12 relative slack otherwise.
 ``verify_certificate`` still checks in float, at an absolute ``tol``, even
 for exact certificates; an exact referee for it is an open item in
 ROADMAP.md.
+
+What depends on (t, p) alone is derived once per (t, p), in the record
+``_facts`` keeps under the key ``(t, type(p), p)``: the base shape
+(``derive_lcr``), its nice-range cap, its dual (on first certificate in the
+nice range) and the interpolation walk (on first lambda above that cap).
+The cache holds values only, never exceptions, and is unbounded: one small
+record per (t, p) a process asks about.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .simplex import _dense_solve, solve_lp
 
@@ -169,11 +176,12 @@ def _floor_sqrt(value) -> int:
     return k
 
 
-def _floor_log_ratio(p, value) -> int:
-    """Largest integer k with (p/(p-1))**k <= value, computed exactly.
+def _floor_log_ratio(p, value, cap: int) -> int:
+    """The largest integer k <= cap with (p/(p-1))**k <= value, computed exactly.
 
     ``value`` must be >= 1.  A float estimate seeds the search and exact
-    power comparisons settle ties, so Fraction inputs never misround.
+    power comparisons settle ties, so Fraction inputs never misround; the
+    cap keeps those exact powers small when p is large.
     """
     r = _ratio(p)
     if not value >= 1:
@@ -181,10 +189,10 @@ def _floor_log_ratio(p, value) -> int:
     if float(r) == 1:
         raise ParameterError(f"p = {p} is too large: p/(p-1) rounds to 1")
     k = int(math.log(float(value)) / math.log(float(r))) if value > 1 else 0
-    k = max(k, 0)
+    k = min(max(k, 0), cap)
     while r**k > value:
         k -= 1
-    while r ** (k + 1) <= value:
+    while k < cap and r ** (k + 1) <= value:
         k += 1
     return k
 
@@ -239,16 +247,8 @@ class DualCertificate:
         return lam * self.y - self.s
 
     def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "a": list(self.a),
-            "b": list(self.b),
-            "D": list(self.D),
-            "y": self.y,
-            "w": self.w,
-            "s": self.s,
-            "eps": self.eps,
-        }
+        """The fields in order, with a, b and D as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -424,25 +424,23 @@ def derive_lcr(p, t: int) -> LcrParams:
     Three branches: the lowest range (C=0 or C=1, symmetric), the low-p
     branch with L > 0 driven by the floor of a log ratio, and the high-p
     branch with L = 0 chosen by an interval test.  The low-p branch is
-    preferred whenever it verifies with L > 0.
+    preferred whenever it verifies with L > 0.  Derived once per (t, p),
+    see ``_facts``.
     """
-    p = _exactify(p)
-    _check_tp(t, p)
-    if t < 2:
-        raise ParameterError("derive_lcr needs t >= 2")
+    return _facts(t, _exactify(p)).base
+
+
+def _derive_shape(p, t: int) -> LcrParams:
+    """``derive_lcr`` uncached: p exactified, (t, p) checked by ``_facts``."""
     if t % 2 == 0 and _is_at_most_golden(p):
         return LcrParams(t // 2, 0, t // 2)
     if t % 2 == 1 and p <= 2:
         return LcrParams(t // 2, 1, t // 2)
-
     low = _low_p_candidate(p, t)
-    if low is not None and low.L > 0:
-        report = verify_lcr_conditions(low, p)
-        if report.all_ok:
-            return low
+    if low is not None and low.L > 0 and verify_lcr_conditions(low, p).all_ok:
+        return low
     high = _high_p_candidate(p, t)
-    report = verify_lcr_conditions(high, p)
-    if report.all_ok:
+    if verify_lcr_conditions(high, p).all_ok:
         return high
     raise DeriveDiagnostic(low, high)
 
@@ -454,8 +452,9 @@ def _low_p_candidate(p, t: int) -> LcrParams | None:
     v1 = p * floor_p / (p - 1)
     if v0 < 1 or v1 < 1:
         return None
-    f0 = _floor_log_ratio(p, v0)
-    f1 = _floor_log_ratio(p, v1)
+    # any f_minus >= t + 1 gives L < 0 below, so the search stops there
+    f0 = _floor_log_ratio(p, v0, t + 1)
+    f1 = _floor_log_ratio(p, v1, t + 1)
     f_minus, f_plus = min(f0, f1), max(f0, f1)
     if f_plus > f_minus:
         c_val = _floor_sqrt(p * (p - 1))
@@ -512,15 +511,12 @@ def _cond(name: str, lhs, rhs, sense: str) -> Condition:
     """Closed inequality with ties counted as satisfied (1e-12 relative guard)."""
     if math.isinf(float(lhs)) or math.isinf(float(rhs)):
         ok = (float(lhs) >= float(rhs)) if sense == ">=" else (float(lhs) <= float(rhs))
-        slack = math.inf if ok else -math.inf
-        return Condition(name, ok, slack)
+        return Condition(name, ok, math.inf if ok else -math.inf)
     diff = lhs - rhs if sense == ">=" else rhs - lhs
-    guard = 1e-12 * max(abs(float(lhs)), abs(float(rhs)), 1.0)
-    if isinstance(diff, Fraction):
-        ok = diff >= 0
-    else:
-        ok = diff >= -guard
-    return Condition(name, ok, float(diff))
+    # an exact difference needs no guard
+    scale = max(abs(float(lhs)), abs(float(rhs)), 1.0)
+    guard = 0 if isinstance(diff, Fraction) else 1e-12 * scale
+    return Condition(name, diff >= -guard, float(diff))
 
 
 def verify_lcr_conditions(params: LcrParams, p) -> ConditionReport:
@@ -600,7 +596,38 @@ def low_p_exponent(t: int, p, lam, nu=1):
     return max(nu / p, alpha * lam)
 
 
-_WALK_CACHE: dict = {}
+@dataclass(frozen=True)
+class _TpFacts:
+    """The lambda-independent facts of one (t, p), see ``_facts``."""
+
+    base: LcrParams
+    cap: object  # nice_range_max(base, p)
+    dual: DualCertificate | None = None  # construct_dual(base, p)
+    walk: tuple | None = None  # _interpolation_walk(base, p)
+
+
+_TP_FACTS: dict = {}
+
+
+def _facts(t: int, p, dual: bool = False, walk: bool = False) -> _TpFacts:
+    """The record of (t, p), its dual or walk filled on first need (see above).
+
+    ``p`` comes in exactified; the key holds its type, since 2.0 == Fraction(2)
+    but float shapes, caps and duals decide with a tolerance.
+    """
+    _check_tp(t, p)
+    if t < 2:
+        raise ParameterError("derive_lcr needs t >= 2")
+    key = (t, type(p), p)
+    facts = _TP_FACTS.get(key)
+    if facts is None:
+        base = _derive_shape(p, t)
+        facts = _TP_FACTS[key] = _TpFacts(base, nice_range_max(base, p))
+    if dual and facts.dual is None:
+        facts = _TP_FACTS[key] = replace(facts, dual=construct_dual(facts.base, p))
+    if walk and facts.walk is None:
+        facts = _TP_FACTS[key] = replace(facts, walk=_interpolation_walk(facts.base, p))
+    return facts
 
 
 def _interpolation_walk(base: LcrParams, p):
@@ -613,16 +640,11 @@ def _interpolation_walk(base: LcrParams, p):
     has a non-negative solution, which is exactly LP optimality of the frame
     family; the walk ends once the shape covers lambda up to 1 + 1/p.
 
-    Returns ``(shapes, frames, caps)``: ``frames[i]`` is the pair (frame,
-    certificate) that chose the move from ``shapes[i]`` to ``shapes[i+1]``,
-    and ``caps[i]`` is the lambda cap of ``shapes[i]``, at most 1 + 1/p.
+    Returns the tuples ``(shapes, frames, caps)``: ``frames[i]`` is the pair
+    (frame, certificate) that chose the move from ``shapes[i]`` to
+    ``shapes[i+1]``, and ``caps[i]`` is the lambda cap of ``shapes[i]``, at
+    most 1 + 1/p.
     """
-    # keyed on the type of p too: 2.0 == Fraction(2), but float walks decide
-    # with a tolerance and exact walks without one
-    key = (base, type(p), p)
-    cached = _WALK_CACHE.get(key)
-    if cached is not None:
-        return cached
     shapes = [base]
     frames: list[tuple[LcrParams, DualCertificate]] = []
     for _ in range(base.t + 1):
@@ -640,30 +662,27 @@ def _interpolation_walk(base: LcrParams, p):
             frames.append((frame, construct_dual(frame, p)))
             shapes.append(LcrParams(L + 1, C - 1, R))
     # the caps of the walk shapes increase and end at 1 + 1/p
-    caps = [min(nice_range_max(s, p), 1 + 1 / p) for s in shapes]
-    result = (shapes, frames, caps)
-    _WALK_CACHE[key] = result
-    return result
+    caps = tuple(min(nice_range_max(s, p), 1 + 1 / p) for s in shapes)
+    return tuple(shapes), tuple(frames), caps
 
 
-def _locate(t: int, p, lam):
-    """The base shape for (t, p) and the segment of its walk that holds lambda.
+def _locate(t: int, p, lam) -> tuple[_TpFacts, int]:
+    """The record of (t, p) and the segment of its walk that holds lambda.
 
-    Returns ``(base, seg, shapes, frames, caps)``.  Segment 0 is the base
-    shape's nice range; there the walk is not taken and the last three are
-    None.  Otherwise they are the walk's (see ``_interpolation_walk``), and
-    lambda lies in ``(caps[seg - 1], caps[seg]]``, the range bridged by
+    Segment 0 is the base shape's nice range, where the walk is not taken.
+    Otherwise lambda lies in ``(caps[seg - 1], caps[seg]]`` of the record's
+    walk (see ``_interpolation_walk``), the range bridged by
     ``frames[seg - 1]``.  ``p`` and ``lam`` come in exactified.
     """
     _check_lambda(p, lam)
-    base = derive_lcr(p, t)
-    if _at_most(lam, nice_range_max(base, p)):
-        return base, 0, None, None, None
-    shapes, frames, caps = _interpolation_walk(base, p)
+    facts = _facts(t, p)
+    if _at_most(lam, facts.cap):
+        return facts, 0
+    facts = _facts(t, p, walk=True)
+    caps = facts.walk[2]
     # lambda <= 1 + 1/p = caps[last] was tested above
-    last = len(shapes) - 1
-    seg = next((s for s in range(1, last) if _at_most(lam, caps[s])), last)
-    return base, seg, shapes, frames, caps
+    last = len(caps) - 1
+    return facts, next((s for s in range(1, last) if _at_most(lam, caps[s])), last)
 
 
 def predicted_exponent(t: int, p, lam):
@@ -675,13 +694,12 @@ def predicted_exponent(t: int, p, lam):
     skewed spanner family and is confirmed against the LP by the test suite.
     """
     p, lam = _exactify(p), _exactify(lam)
-    base, seg, shapes, _frames, caps = _locate(t, p, lam)
+    facts, seg = _locate(t, p, lam)
+    base = facts.base
     if seg == 0:
-        return closed_form_exponent(base, p, lam), {
-            "branch": "closed_form",
-            "params": base,
-            "segment": None,
-        }
+        info = {"branch": "closed_form", "params": base, "segment": None}
+        return closed_form_exponent(base, p, lam), info
+    shapes, _frames, caps = facts.walk
     lo, hi = caps[seg - 1], caps[seg]
     theta = (hi - lam) / (hi - lo)
     # each shape's own line at its lambda cap; equals (1/p + 1/C) / E(C, R)
@@ -721,21 +739,17 @@ def minimal_spanner_primal(params: LcrParams, p, lam) -> dict:
     L, C, R = params.L, params.C, params.R
     t = params.t
     one = Fraction(1) if isinstance(p, Fraction) else 1.0
+    nu = [None] * (t + 1)
+    delta = [None] * (t + 1)
     if C > 0:
         mu = lam / (e_coeff(C, L, p) / p + e_coeff(C, R, p))
         ell = mu * (one / p + one / C)
-        nu = [None] * (t + 1)
         for j in range(L + 1):
             nu[L - j] = mu * e_coeff(C, j, p)
-        for i in range(L, L + C + 1):
-            nu[i] = mu
+        nu[L : L + C + 1] = [mu] * (C + 1)
         for j in range(R + 1):
             nu[L + C + j] = mu * e_coeff(C, j, p)
-        delta = [None] * (t + 1)
-        for i in range(1, L + 1):
-            delta[i] = 0 * mu
-        for i in range(L + 1, L + C + 1):
-            delta[i] = mu / C
+        delta[1 : L + C + 1] = [0 * mu] * L + [mu / C] * C
         for j in range(1, R + 1):
             delta[L + C + j] = mu / C * _qpow(p, j - 1)
     else:
@@ -743,14 +757,11 @@ def minimal_spanner_primal(params: LcrParams, p, lam) -> dict:
             raise ParameterError("C = 0 needs L, R >= 1")
         eta = lam / (_growth(p, L) / p + _growth(p, R))
         ell = eta
-        nu = [None] * (t + 1)
         for j in range(L + 1):
             nu[L - j] = eta * _growth(p, j)
         for j in range(R + 1):
             nu[L + j] = eta * _growth(p, j)
-        delta = [None] * (t + 1)
-        for i in range(1, L + 1):
-            delta[i] = 0 * eta
+        delta[1 : L + 1] = [0 * eta] * L
         for j in range(1, R + 1):
             delta[L + j] = eta * _qpow(p, j - 1)
     return _pack_primal(ell, nu, delta)
@@ -774,23 +785,18 @@ def skewed_primal(params: LcrParams, p, lam) -> dict:
     q = _q(p)
     gL, gR = _growth(p, L), _growth(p, R)
     one = Fraction(1) if isinstance(q, Fraction) else 1.0
-    # unknown order: (ell, mu, tau)
+    # unknown order: (ell, mu, tau); the skew sets tau's coefficient in the
+    # final-layer row (right) or the density row (left)
+    mat = [[-C * one, (p + C) / p * one, -one],
+           [gR, _qpow(p, R), 0 * one],
+           [gL / p, _qpow(p, L) / p, 0 * one]]
     if params.skew == SKEW_RIGHT:
-        mat = [
-            [-C * one, (p + C) / p * one, -one],
-            [gR, _qpow(p, R), -_qpow(p, R - 1)],
-            [gL / p, _qpow(p, L) / p, 0 * one],
-        ]
-        vec = [0 * one, one, lam - 1]
+        mat[1][2] = -_qpow(p, R - 1)
     elif params.skew == SKEW_LEFT:
-        mat = [
-            [-C * one, (p + C) / p * one, -one],
-            [gR, _qpow(p, R), 0 * one],
-            [gL / p, _qpow(p, L) / p, -_qpow(p, L - 1) / p],
-        ]
-        vec = [0 * one, one, lam - 1]
+        mat[2][2] = -_qpow(p, L - 1) / p
     else:
         raise ParameterError("skewed_primal needs a left or right skew")
+    vec = [0 * one, one, lam - 1]
     try:
         ell, mu, tau = _dense_solve(mat, vec)
     except ZeroDivisionError:
@@ -925,24 +931,17 @@ def _package_certificate(values: Mapping, params: LcrParams, p, t: int) -> DualC
     def get(name):
         return values.get(name, zero)
 
-    x = get("span")
-    a = tuple(get(f"left{i}") for i in range(1, t + 1))
-    b = tuple(get(f"right{i}") for i in range(1, t + 1))
-    dd = tuple(get(f"grow{i}") for i in range(1, t + 1))
-    y = get("density")
-    w = get("final")
-    s = get("cap")
-    L, C, R = params.L, params.C, params.R
-    if params.skew == SKEW_NONE and C > 0:
+    x = eps = get("span")
+    L, R = params.L, params.R
+    if params.skew == SKEW_NONE and params.C > 0:
         # the plain systems carry a conventional scale eps; invert the x formula
-        if L > 0:
-            denom = 1 + p * _qpow(p, R - L)
-        else:
-            denom = (p - 1) + _ratio_pow(p, R - 1)
+        denom = 1 + p * _qpow(p, R - L) if L > 0 else (p - 1) + _ratio_pow(p, R - 1)
         eps = x / denom if denom else None
-    else:
-        eps = x
-    return DualCertificate(x=x, a=a, b=b, D=dd, y=y, w=w, s=s, eps=eps)
+    layers = range(1, t + 1)
+    return DualCertificate(x=x, a=tuple(get(f"left{i}") for i in layers),
+                           b=tuple(get(f"right{i}") for i in layers),
+                           D=tuple(get(f"grow{i}") for i in layers),
+                           y=get("density"), w=get("final"), s=get("cap"), eps=eps)
 
 
 def _lp_dual(params: LcrParams, p) -> DualCertificate:
@@ -1031,11 +1030,12 @@ def certificate_for(t: int, p, lam):
     carries the skew tag of the frame actually used.
     """
     p, lam = _exactify(p), _exactify(lam)
-    base, seg, _shapes, frames, _caps = _locate(t, p, lam)
+    facts, seg = _locate(t, p, lam)
     if seg == 0:
-        return base, minimal_spanner_primal(base, p, lam), construct_dual(base, p)
+        base = facts.base
+        return base, minimal_spanner_primal(base, p, lam), _facts(t, p, dual=True).dual
     # the walk proved this frame's certificate when it chose the move
-    frame, cert = frames[seg - 1]
+    frame, cert = facts.walk[1][seg - 1]
     return frame, skewed_primal(frame, p, lam), cert
 
 

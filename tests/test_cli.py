@@ -74,6 +74,22 @@ def gen_pinned(name, tmp_path):
     return code, found == digests
 
 
+# sha256 of the stdout of `lb --exact --certificate` (a plain dual, an LP
+# dual at C = 0, a walk frame) and of one `lb-sweep`, recorded before the
+# (t, p) facts were cached
+LB_STDOUT_PINS = {
+    (3, "2", "1"): "88520f2dc1be7389246f1f0d02dee0c3045805257a8f99d440b7673bc307ad98",
+    (4, "13/10", "1"): "7a79dc8016d6f8a811d64a34cf750b274b5fd184b5c8308b564637bafbf762cc",
+    (5, "5", "6/5"): "cb8c36fa4b347269d500232b75c4b710e55874111f09a60b77b834d1217eb248",
+}
+LB_SWEEP_GRID = {"t": [2, 3, 5, 8], "p": ["1.3", "2", "5/2", "10"], "lambda_points": 6}
+LB_SWEEP_PIN = "f25c5e08190c54237367f348e8b5eb373c2f0651c9e32c4376dc6518fd19d96c"
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_cli(args, capsys):
     code = main([str(a) for a in args])
     out = capsys.readouterr().out
@@ -118,6 +134,33 @@ class TestSubcommands:
         assert code == 0
         norms = json.loads(out)["norms"]
         assert norms["1"] == 12.0 and norms["2"] == 6.0 and norms["inf"] == 3.0
+
+    def test_norm_huge_p(self, tmp_path, capsys):
+        # 2.0 ** p overflows a float; the norm is taken scaled by the max degree
+        path = tmp_path / "path.edges"
+        path.write_text("3 2\n0 1\n1 2\n")
+        code, out = run_cli(["norm", "--input", path, "--p", "1e300,2000,1e308"], capsys)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        norms = json.loads(out, parse_constant=refuse)["norms"]
+        assert norms == {"1e300": 2.0, "2000": pytest.approx(2.0), "1e308": 2.0}
+
+    @pytest.mark.parametrize("t,p,lam", sorted(LB_STDOUT_PINS))
+    def test_lb_exact_certificate_stdout_pinned(self, t, p, lam, capsys):
+        code, out = run_cli(["lb", "--t", t, "--p", p, "--lambda", lam, "--exact",
+                             "--certificate"], capsys)
+        assert code == 0
+        assert sha256_text(out) == LB_STDOUT_PINS[(t, p, lam)]
+
+    def test_lb_sweep_stdout_pinned(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(LB_SWEEP_GRID))
+        code, out = run_cli(["lb-sweep", "--grid", grid], capsys)
+        assert code == 0
+        assert sha256_text(out) == LB_SWEEP_PIN
 
     def test_lb_exact_certificate(self, capsys):
         code, out = run_cli(
@@ -476,14 +519,14 @@ class TestExperiment:
         assert self._strip_timing(second) == self._strip_timing(first)
 
 
-def _child(argv, cwd=None):
+def _child(argv, cwd=None, timeout=None):
     # the child finds the package where this process found it, so the tests
     # also run from a checkout without PYTHONPATH or an install
     src = str(Path(spanorm.__file__).resolve().parents[1])
     env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=env, cwd=cwd)
+                          env=env, cwd=cwd, timeout=timeout)
 
 
 def test_module_entry_point():
@@ -491,6 +534,17 @@ def test_module_entry_point():
                    "--lambda", "1", "--exact"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ell_exact"] == {"num": 3, "den": 5}
+
+
+def test_lb_exact_large_p_finishes():
+    # at p = 100000 the exact floor-log searched k near 10**6, each step an
+    # exact power of p/(p-1); the search now stops at t + 1
+    proc = _child(["-m", "spanorm.cli", "lb", "--t", "3", "--p", "100000", "--lambda", "1",
+                   "--exact"], timeout=10)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["lcr"] == {"L": 0, "C": 1, "R": 2, "skew": "none"}
+    assert report["ell_exact"] == {"num": 100001, "den": 300000}
 
 
 def test_verify_tree_input(tmp_path, capsys):

@@ -173,6 +173,26 @@ class TestDegreeNorm:
         assert degree_norm([5, 2], INFINITY, [0, 3]) == 2.0
         assert degree_norm([5, 2], 2, [0, 3]) == math.sqrt(12)
 
+    @pytest.mark.parametrize("p", [1100, 2000.5, 1e300, Fraction(10**300)])
+    def test_huge_p_scaled_not_overflowed(self, p):
+        # 2.0 ** p leaves the float range; the degree-1 terms vanish next to
+        # 2 ** p, so the norm is 2 * (count of degree 2) ** (1/p)
+        g = path_graph(3)
+        root3 = 2 * 3 ** (1 / float(p))
+        assert degree_norm([1, 2, 1], p) == pytest.approx(2.0, rel=1e-12)
+        assert lp_norm(g, p) == pytest.approx(2.0, rel=1e-12)
+        assert subset_norm(g, [0, 1], p) == pytest.approx(2.0, rel=1e-12)
+        assert subset_norm(g, [0, 2], p) == 2 ** (1 / float(p))  # no overflow here
+        assert degree_norm([2, 1], p, [3, 5]) == pytest.approx(root3, rel=1e-12)
+        # a zero count takes no part in the scale
+        assert degree_norm([9, 2, 1], p, [0, 3, 5]) == pytest.approx(root3, rel=1e-12)
+
+    def test_scaled_form_near_the_overflow_edge(self):
+        # 2**1024 overflows: the scaled sum is 2 * (2 + 2**-1024)**(1/1024)
+        assert degree_norm([2, 2, 1], 1024) == pytest.approx(2 * 2 ** (1 / 1024), rel=1e-12)
+        # one step below, the plain sum is taken and stays bit for bit
+        assert degree_norm([2, 2, 1], 1000) == reference_lp_norm([2, 2, 1], 1000)
+
 
 class TestLayerProfile:
     def test_petersen_layers(self):

@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from spanorm import lb_lp
 from spanorm.lb_lp import (
+    ConditionReport,
+    DeriveDiagnostic,
     DualConstructionError,
     LcrParams,
     NiceRangeExceeded,
@@ -30,6 +33,7 @@ from spanorm.lb_lp import (
     verify_certificate,
     verify_lcr_conditions,
 )
+from test_acceptance import GRID_LAMBDA_POINTS, GRID_PS, GRID_TS
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # the rational p of the lb_certify benchmark grid
@@ -42,6 +46,25 @@ MODEL_ROW_PINS = {
     (5, 2.5, True): "fa994cf7e199fbe40518034dc2335a82de5b88679b456f9196a33fa6f73e1a1d",
     (5, 2.5, False): "966646b7fadaff55e90fde8eba95a79901859a0f07f34139421964bc2e20c797",
 }
+# sha256 of the repr of every predicted_exponent and certificate_for outcome
+# (the exception name where one raises) over t 2-9, GRID_PS and six lambdas,
+# recorded before the (t, p) facts were cached
+LP_OUTPUT_PIN = "5555e3b0d2d40571b86935fbd2f103d431ee4749fa9e33f8e335fc71a5fa8aa3"
+
+
+def lp_outputs_digest() -> str:
+    lines = []
+    for t in range(2, 10):
+        for p in GRID_PS:
+            top = 1 + 1 / p
+            for k in range(1, 7):
+                lam = top * (F(k, 6) if isinstance(p, F) else k / 6)
+                for call in (predicted_exponent, certificate_for):
+                    try:
+                        lines.append(repr(call(t, p, lam)))
+                    except Exception as exc:  # noqa: BLE001 - the name is pinned too
+                        lines.append(type(exc).__name__)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestECoeff:
@@ -172,6 +195,16 @@ class TestDeriveLcr:
     def test_high_p_interval(self):
         # (10/9)^3 lands in [1*(10/9), 2*(10/9)^2)
         assert derive_lcr(F(10), 3) == LcrParams(0, 1, 2)
+
+    def test_floor_log_stops_at_the_cap(self):
+        # the largest k <= cap with (p/(p-1))**k <= value, by a plain count
+        for p in (F(11, 10), F(5, 2), F(10), F(100000)):
+            r = p / (p - 1)
+            for value in (F(1), F(3, 2), r**4, r**4 * F(999999, 1000000), F(100)):
+                k = 0
+                while k < 8 and r ** (k + 1) <= value:
+                    k += 1
+                assert lb_lp._floor_log_ratio(p, value, 8) == k, (p, value)
 
     def test_t_must_be_at_least_2(self):
         with pytest.raises(ParameterError):
@@ -463,9 +496,9 @@ class TestCertificatePipeline:
     def test_walk_certificate_reused(self, monkeypatch):
         # the walk keeps the certificate that chose each move, so a second
         # lambda in the same segment proves no dual again
-        monkeypatch.setattr(lb_lp, "_WALK_CACHE", {})
+        monkeypatch.setattr(lb_lp, "_TP_FACTS", {})
         t, p = 5, F(5)
-        _shapes, frames, caps = lb_lp._interpolation_walk(derive_lcr(p, t), p)
+        _shapes, frames, caps = lb_lp._facts(t, p, walk=True).walk
         lams = [caps[0] + (caps[1] - caps[0]) * F(k, 3) for k in (1, 2)]
         assert [predicted_exponent(t, p, lam)[1]["segment"] for lam in lams] == [1, 1]
         certificate_for(t, p, lams[0])
@@ -485,12 +518,13 @@ class TestCertificatePipeline:
 
     def test_walk_cache_keyed_on_type_of_p(self, monkeypatch):
         cache = {}
-        monkeypatch.setattr(lb_lp, "_WALK_CACHE", cache)
+        monkeypatch.setattr(lb_lp, "_TP_FACTS", cache)
         base = derive_lcr(F(5), 5)
-        exact = lb_lp._interpolation_walk(base, F(5))
+        exact = lb_lp._facts(5, F(5), walk=True).walk
         assert len(cache) == 1
-        assert lb_lp._interpolation_walk(base, F(5)) is exact
-        approx = lb_lp._interpolation_walk(base, 5.0)
+        assert exact[0][0] == base
+        assert lb_lp._facts(5, F(5), walk=True).walk is exact
+        approx = lb_lp._facts(5, 5.0, walk=True).walk
         assert len(cache) == 2
         assert approx is not exact
         # the same shapes and frames; the caps and certificates follow the type of p
@@ -508,6 +542,84 @@ class TestCertificatePipeline:
         assert skew["_tau"] == 0
         for key in plain:
             assert math.isclose(float(skew[key]), float(plain[key]), abs_tol=1e-12)
+
+
+class TestFactsCache:
+    def test_lp_outputs_pinned(self, monkeypatch):
+        # from an empty cache and again from the full one
+        monkeypatch.setattr(lb_lp, "_TP_FACTS", {})
+        assert lp_outputs_digest() == LP_OUTPUT_PIN
+        assert lp_outputs_digest() == LP_OUTPUT_PIN
+
+    def test_keyed_on_type_of_p(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(lb_lp, "_TP_FACTS", cache)
+        assert derive_lcr(2.0, 3) == derive_lcr(F(2), 3) == derive_lcr(2, 3)
+        assert set(cache) == {(3, F, F(2)), (3, float, 2.0)}
+        assert type(cache[(3, float, 2.0)].cap) is float
+        assert type(cache[(3, F, F(2))].cap) is F
+
+    def test_exceptions_not_cached(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(lb_lp, "_TP_FACTS", cache)
+        calls = []
+        real = lb_lp._derive_shape
+
+        def counted(p, t):
+            calls.append((p, t))
+            return real(p, t)
+
+        monkeypatch.setattr(lb_lp, "_derive_shape", counted)
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="rounds to 1"):
+                derive_lcr(1e300, 3)
+            with pytest.raises(ParameterError):
+                derive_lcr(F(2), 1)
+        assert calls == [(1e300, 3)] * 2
+        # no branch verifies: both candidates fail their (stubbed) conditions
+        real_verify = lb_lp.verify_lcr_conditions
+        monkeypatch.setattr(lb_lp, "verify_lcr_conditions",
+                            lambda params, p: ConditionReport(params, False, ()))
+        for _ in range(2):
+            with pytest.raises(DeriveDiagnostic):
+                derive_lcr(F(10), 3)
+        assert cache == {}
+        monkeypatch.setattr(lb_lp, "verify_lcr_conditions", real_verify)
+        assert derive_lcr(F(10), 3) == LcrParams(0, 1, 2)
+        assert list(cache) == [(3, F, F(10))]
+
+    def test_grid_pass_derives_once_per_key(self, monkeypatch):
+        # the lb_certify calls over the acceptance grid: each (t, p) runs the
+        # uncached shape derivation and the base shape's dual at most once
+        monkeypatch.setattr(lb_lp, "_TP_FACTS", {})
+        shapes, duals = Counter(), Counter()
+        real_shape, real_dual = lb_lp._derive_shape, lb_lp.construct_dual
+
+        def counted_shape(p, t):
+            shapes[t, type(p), p] += 1
+            return real_shape(p, t)
+
+        def counted_dual(params, p):
+            if params.skew == lb_lp.SKEW_NONE:
+                duals[params.t, type(p), p] += 1
+            return real_dual(params, p)
+
+        monkeypatch.setattr(lb_lp, "_derive_shape", counted_shape)
+        monkeypatch.setattr(lb_lp, "construct_dual", counted_dual)
+        for p in GRID_PS:
+            for t in GRID_TS:
+                certifiable = verify_lcr_conditions(derive_lcr(p, t), p).all_ok
+                top = 1 + 1 / p
+                for k in range(1, GRID_LAMBDA_POINTS + 1):
+                    lam = top * (F(k, GRID_LAMBDA_POINTS) if isinstance(p, F)
+                                 else k / GRID_LAMBDA_POINTS)
+                    predicted_exponent(t, p, lam)
+                    if certifiable:
+                        certificate_for(t, p, lam)
+        assert len(shapes) == len(GRID_PS) * len(GRID_TS)
+        assert set(shapes.values()) == {1}
+        assert duals and set(duals) <= set(shapes)
+        assert set(duals.values()) == {1}
 
 
 class TestLbValue:
