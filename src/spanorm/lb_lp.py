@@ -35,8 +35,10 @@ ROADMAP.md.
 
 What depends on (t, p) alone is derived once per (t, p), in the record
 ``_facts`` keeps under the key ``(t, type(p), p)``: the base shape
-(``derive_lcr``), its nice-range cap, its dual (on first certificate in the
-nice range) and the interpolation walk (on first lambda above that cap).
+(``derive_lcr``), its nice-range cap and closed-form slope ell / lambda, its
+dual (on first certificate in the nice range) and the interpolation walk
+with each walk shape's exponent at its cap (on first lambda above the base
+cap).
 The cache holds values only, never exceptions, and is unbounded: one small
 record per (t, p) a process asks about.
 """
@@ -570,10 +572,15 @@ def closed_form_exponent(params: LcrParams, p, lam):
     bound = nice_range_max(params, p)
     if not _at_most(lam, bound):
         raise NiceRangeExceeded(f"lambda {lam} above nice range {bound}")
+    return _slope(params, p) * lam
+
+
+def _slope(params: LcrParams, p):
+    """ell / lambda of a plain shape in its nice range (L, R >= 1 when C = 0)."""
     L, C, R = params.L, params.C, params.R
     if C > 0:
-        return (1 + p / C) / (e_coeff(C, L, p) + p * e_coeff(C, R, p)) * lam
-    return p / ((e_coeff(1, L, p) - 1) + p * (e_coeff(1, R, p) - 1)) * lam
+        return (1 + p / C) / (e_coeff(C, L, p) + p * e_coeff(C, R, p))
+    return p / ((e_coeff(1, L, p) - 1) + p * (e_coeff(1, R, p) - 1))
 
 
 def low_p_exponent(t: int, p, lam, nu=1):
@@ -602,8 +609,11 @@ class _TpFacts:
 
     base: LcrParams
     cap: object  # nice_range_max(base, p)
+    slope: object  # _slope(base, p)
     dual: DualCertificate | None = None  # construct_dual(base, p)
     walk: tuple | None = None  # _interpolation_walk(base, p)
+    # each walk shape's closed-form exponent at its own cap
+    ends: tuple | None = None
 
 
 _TP_FACTS: dict = {}
@@ -622,11 +632,13 @@ def _facts(t: int, p, dual: bool = False, walk: bool = False) -> _TpFacts:
     facts = _TP_FACTS.get(key)
     if facts is None:
         base = _derive_shape(p, t)
-        facts = _TP_FACTS[key] = _TpFacts(base, nice_range_max(base, p))
+        facts = _TP_FACTS[key] = _TpFacts(base, nice_range_max(base, p), _slope(base, p))
     if dual and facts.dual is None:
         facts = _TP_FACTS[key] = replace(facts, dual=construct_dual(facts.base, p))
     if walk and facts.walk is None:
-        facts = _TP_FACTS[key] = replace(facts, walk=_interpolation_walk(facts.base, p))
+        shapes, frames, caps = _interpolation_walk(facts.base, p)
+        ends = tuple(_slope(s, p) * cap for s, cap in zip(shapes, caps))
+        facts = _TP_FACTS[key] = replace(facts, walk=(shapes, frames, caps), ends=ends)
     return facts
 
 
@@ -697,16 +709,15 @@ def predicted_exponent(t: int, p, lam):
     facts, seg = _locate(t, p, lam)
     base = facts.base
     if seg == 0:
+        # _locate has tested lambda against the cap
         info = {"branch": "closed_form", "params": base, "segment": None}
-        return closed_form_exponent(base, p, lam), info
-    shapes, _frames, caps = facts.walk
+        return facts.slope * lam, info
+    caps = facts.walk[2]
     lo, hi = caps[seg - 1], caps[seg]
     theta = (hi - lam) / (hi - lo)
     # each shape's own line at its lambda cap; equals (1/p + 1/C) / E(C, R)
     # when C > 0
-    ell_lo = closed_form_exponent(shapes[seg - 1], p, lo)
-    ell_hi = closed_form_exponent(shapes[seg], p, hi)
-    ell = theta * ell_lo + (1 - theta) * ell_hi
+    ell = theta * facts.ends[seg - 1] + (1 - theta) * facts.ends[seg]
     branch = "closed_form" if base.L > 0 else "lp_derived"
     return ell, {"branch": branch, "params": base, "segment": seg, "theta": theta}
 

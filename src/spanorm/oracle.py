@@ -63,13 +63,16 @@ class OracleResult:
         return self.greedy_norm / self.optimum_norm
 
 
-def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
+def optimal_spanner(
+    g: Graph, t: int, p, prune: bool = True, greedy: Spanner | None = None
+) -> OracleResult:
     """Globally minimum-norm t-spanner by exhaustive search.
 
     ``prune=False`` forces plain subset enumeration (only up to 24 edges);
     ``prune=True`` adds branch-and-bound and stretches to 40 edges.  Edges
     are ordered with the greedy spanner's complement first, which lets the
-    norm bound bite early.
+    norm bound bite early.  A caller that holds ``greedy_spanner(g, t)``
+    passes it as ``greedy`` to save building it again.
 
     The branch-and-bound keeps one mutable adjacency ``avail`` of the kept
     edges plus every undecided one: the drop branch takes its edge out of
@@ -92,7 +95,8 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
         raise OracleSizeError(
             f"{m} edges exceeds the exhaustive limit {EXHAUSTIVE_EDGE_LIMIT}"
         )
-    greedy = greedy_spanner(g, t)
+    if greedy is None:
+        greedy = greedy_spanner(g, t)
     greedy_edges = set(greedy.kept_edges)
     order = [e for e in g.edges if e not in greedy_edges] + [
         e for e in g.edges if e in greedy_edges
@@ -204,9 +208,10 @@ def optimal_spanner(g: Graph, t: int, p, prune: bool = True) -> OracleResult:
     )
 
 
-def greedy_ratio(g: Graph, t: int, p) -> float:
-    """Norm ratio of the greedy spanner to the oracle optimum (>= 1)."""
-    return optimal_spanner(g, t, p).greedy_ratio
+def greedy_ratio(g: Graph, t: int, p, greedy: Spanner | None = None) -> float:
+    """Norm ratio of the greedy spanner to the oracle optimum (>= 1); pass
+    ``greedy_spanner(g, t)`` as ``greedy`` if it is at hand."""
+    return optimal_spanner(g, t, p, greedy=greedy).greedy_ratio
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,12 @@ one multiplier ``y_i`` per input row, ``A_ub`` rows first, such that
 Exact linear solves are integer fraction-free elimination: each rational
 row is scaled to integers by the lcm of its denominators, Gauss-Jordan runs
 on Python ints, and a ``Fraction`` is built only for each answer.  The
-basis certificate reads every sign it needs (basic values, reduced costs)
-off those integers.  ``_dense_solve`` is the package's one linear solver;
-the closed-form certificates in ``lb_lp`` use it too.
+exact basis certificate eliminates only the basis's core: a basic slack or
+artificial column is a unit column, so its row gives its value directly and
+its multiplier is 0, and only the tight rows by the basic structural columns
+are solved (see ``_certified_exact``).  It reads every sign it needs (basic
+values, reduced costs) off integers.  ``_dense_solve`` is the package's one
+linear solver; the closed-form certificates in ``lb_lp`` use it too.
 """
 
 from __future__ import annotations
@@ -98,7 +101,9 @@ class _Program:
                 rows[i] = [-v for v in rows[i]]
                 rhs[i] = -rhs[i]
         self.start_basis = [-1] * self.m
-        self.art_cols: list[int] = []
+        # column n + k is a unit column (a slack or an artificial) whose one
+        # non-zero entry sits in row unit_rows[k]
+        self.unit_rows = list(range(m_ub))
         width = n + m_ub
         for i in range(m_ub):
             if rows[i][n + i] == one:
@@ -108,8 +113,9 @@ class _Program:
                 for r in range(self.m):
                     rows[r].append(one if r == i else zero)
                 self.start_basis[i] = width
-                self.art_cols.append(width)
+                self.unit_rows.append(i)
                 width += 1
+        self.art_cols = frozenset(range(n + m_ub, width))
         self.rows = rows
         self.rhs = rhs
         self.width = width
@@ -201,9 +207,11 @@ def _certified_from_basis(prog: _Program, basis) -> LpSolution:
     for j in prog.art_cols:
         if xfull[j] > VERIFY_TOL:
             raise _NeedsExact
-    for i in range(m):
-        lhs = sum(prog.rows[i][j] * xfull[j] for j in range(width))
-        if abs(lhs - prog.rhs[i]) > VERIFY_TOL * max(1.0, abs(prog.rhs[i])):
+    # the non-basic terms are zeros, which leave these sums as they are
+    cols = sorted(basis)
+    for row, rhs in zip(prog.rows, prog.rhs):
+        lhs = sum(row[j] * xfull[j] for j in cols)
+        if abs(lhs - rhs) > VERIFY_TOL * max(1.0, abs(rhs)):
             raise _NeedsExact
     for j in range(width):
         if j not in prog.art_cols:
@@ -211,7 +219,7 @@ def _certified_from_basis(prog: _Program, basis) -> LpSolution:
             if prog.full_c[j] - used < -VERIFY_TOL:
                 raise _NeedsExact
     x = xfull[:n]
-    objective = sum(ci * xi for ci, xi in zip(prog.c, x))
+    objective = sum((ci * xi for ci, xi in zip(prog.c, x)), prog.zero)
     duals = tuple(-y if flip else y for y, flip in zip(yvec, prog.flipped))
     return LpSolution(objective=objective, x=tuple(x), duals=duals)
 
@@ -219,26 +227,48 @@ def _certified_from_basis(prog: _Program, basis) -> LpSolution:
 def _certified_exact(prog: _Program, basis) -> LpSolution:
     """Exact twin of ``_certified_from_basis``, in integer arithmetic.
 
+    A basic unit column u (a slack or an artificial) has one non-zero entry,
+    in its row i, so the basis splits into a core and the rest.  The core is
+    the tight rows T (those with no basic unit column) by the basic
+    structural columns K; it decides x_K from ``A_TK x_K = b_T`` and the
+    multipliers z_T from ``A_TK^T z_T = c_K``.  Each unit row then gives its
+    own value, ``x_u = (b_i - A_iK x_K) / A_iu``, and a zero multiplier, as
+    the unit column's cost is 0.  Two basic unit columns on one row, or a
+    core that is not square, make the basis singular.
+
     Row i of the program, rhs included, becomes an integer row
     ``I_i = s_i * A_i``; its start-basis column holds a 1, so
-    ``s_i = I[i][start_basis[i]]``.  The basic values solve the basis columns
-    of I against its rhs.  The duals are ``y_i = s_i * z_i``, negated back
-    where the program negated the input row, and z solves
-    ``sum_i I[i][basis[r]] * z_i = c[basis[r]]``, so the reduced cost of
-    column j is ``c_j - sum_i I[i][j] * z_i``; each sign is read off integers.
+    ``s_i = I[i][start_basis[i]]`` and the dual is ``y_i = s_i * z_i``,
+    negated back where the program negated the input row.  The core solves
+    run on these integers, and the reduced cost of column j is
+    ``c_j - sum_T I[i][j] * z_i``; each sign is read off integers.
     Raises ``_NeedsExact`` unless the basis is exactly optimal.
     """
-    irows = _integer_rows([*row, rhs] for row, rhs in zip(prog.rows, prog.rhs))
+    n = prog.n
+    unit = {prog.unit_rows[j - n]: j for j in basis if j >= n}  # row -> column
+    core = [j for j in basis if j < n]
+    tight = [i for i in range(prog.m) if i not in unit]
+    # two basic unit columns on one row leave one more tight row than core
+    # columns: the basis is singular
+    if len(core) != len(tight):
+        raise _NeedsExact
+    irows = _integer_rows([*prog.rows[i], prog.rhs[i]] for i in tight)
     try:
-        xnum, xden = _integer_solve([[row[j] for j in basis] + [row[-1]] for row in irows])
+        xnum, xden = _integer_solve([[row[j] for j in core] + [row[-1]] for row in irows])
         znum, zden = _integer_solve(
-            _integer_rows([row[j] for row in irows] + [prog.full_c[j]] for j in basis)
+            _integer_rows([row[j] for row in irows] + [prog.full_c[j]] for j in core)
         )
     except ZeroDivisionError:
         raise _NeedsExact
-    basic = dict(zip(basis, xnum))
-    if any(v < 0 for v in xnum) or any(basic.get(j, 0) > 0 for j in prog.art_cols):
+    if any(v < 0 for v in xnum):
         raise _NeedsExact
+    urows = _integer_rows([prog.rows[i][j] for j in core] + [prog.rhs[i]] for i in unit)
+    for (i, u), row in zip(unit.items(), urows):
+        # s * (b_i - A_iK x_K) * xden, with s > 0: the sign of x_u * A_iu
+        # (zip stops at the rhs)
+        rest = row[-1] * xden - sum(a * v for a, v in zip(row, xnum))
+        if rest and (u in prog.art_cols or (rest > 0) != (prog.rows[i][u] > 0)):
+            raise _NeedsExact
     # basic columns have reduced cost 0 by construction
     skip = set(basis).union(prog.art_cols)
     zrows = [(row, z) for row, z in zip(irows, znum) if z]
@@ -249,12 +279,13 @@ def _certified_exact(prog: _Program, basis) -> LpSolution:
         # the reduced cost times zden * cden, both positive
         if cnum * zden < cden * sum(row[j] * z for row, z in zrows):
             raise _NeedsExact
-    x = [Fraction(basic.get(j, 0), xden) for j in range(prog.n)]
+    basic = dict(zip(core, xnum))
+    x = [Fraction(basic.get(j, 0), xden) for j in range(n)]
     objective = sum((ci * xi for ci, xi in zip(prog.c, x) if ci), Fraction(0))
-    duals = tuple(
-        Fraction((-z if flip else z) * row[j], zden)
-        for z, row, j, flip in zip(znum, irows, prog.start_basis, prog.flipped)
-    )
+    y = [0] * prog.m
+    for i, row, z in zip(tight, irows, znum):
+        y[i] = (-z if prog.flipped[i] else z) * row[prog.start_basis[i]]
+    duals = tuple(Fraction(v, zden) for v in y)
     return LpSolution(objective=objective, x=tuple(x), duals=duals)
 
 
@@ -299,7 +330,7 @@ def _pivot_phases(prog: _Program, tol) -> tuple[list[int], list]:
             coef = prog.c[bj]
             for j in range(width + 1):
                 obj[j] -= coef * tableau[i][j]
-    _run_phase(tableau, obj, basis, tol, blocked=frozenset(prog.art_cols))
+    _run_phase(tableau, obj, basis, tol, blocked=prog.art_cols)
     return basis, [row[-1] for row in tableau]
 
 
@@ -323,7 +354,12 @@ def _dense_solve(mat, vec):
     n = len(vec)
     m = [list(row) + [v] for row, v in zip(mat, vec)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        # partial pivot: the first row with the largest |entry|
+        piv, size = col, abs(m[col][col])
+        for r in range(col + 1, n):
+            a = abs(m[r][col])
+            if a > size:
+                piv, size = r, a
         if m[piv][col] == 0:
             raise ZeroDivisionError("singular basis matrix")
         m[col], m[piv] = m[piv], m[col]
@@ -348,9 +384,9 @@ def _integer_rows(rows) -> list[list[int]]:
     """Each rational row times the lcm of its denominators, in lowest terms."""
     out = []
     for row in rows:
-        ratios = [x.as_integer_ratio() for x in row]
+        ratios = [x.as_integer_ratio() if x else (0, 1) for x in row]
         scale = math.lcm(*[d for _, d in ratios])
-        ints = [a * (scale // d) for a, d in ratios]
+        ints = [a * (scale // d) if a else 0 for a, d in ratios]
         g = math.gcd(*ints)
         out.append([x // g for x in ints] if g > 1 else ints)
     return out
@@ -408,7 +444,7 @@ def _pivot(tableau, basis, row: int, col: int) -> None:
     piv = prow[col]
     if piv != 1:
         tableau[row] = prow = [v / piv for v in prow]
-    nonzero = [j for j, v in enumerate(prow) if v != 0]
+    nonzero = [(j, v) for j, v in enumerate(prow) if v != 0]
     for r in range(len(tableau)):
         if r == row:
             continue
@@ -416,8 +452,8 @@ def _pivot(tableau, basis, row: int, col: int) -> None:
         factor = trow[col]
         if factor == 0:
             continue
-        for j in nonzero:
-            trow[j] -= factor * prow[j]
+        for j, v in nonzero:
+            trow[j] -= factor * v
     basis[row] = col
 
 
@@ -429,20 +465,21 @@ def _run_phase(tableau, obj, basis, tol, blocked) -> None:
     limit = 10000 + 300 * (m + width)
     degenerate_run = 0
     bland = False
+    free = [j for j in range(width) if j not in blocked]
     while True:
         guard += 1
         if guard > limit:
             raise SimplexError("pivot limit exceeded")
         enter = None
         if bland:
-            for j in range(width):
-                if j not in blocked and obj[j] < -tol:
+            for j in free:
+                if obj[j] < -tol:
                     enter = j
                     break
         else:
             best_rc = -tol
-            for j in range(width):
-                if j not in blocked and obj[j] < best_rc:
+            for j in free:
+                if obj[j] < best_rc:
                     best_rc = obj[j]
                     enter = j
         if enter is None:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from spanorm.extremal import _gap_forward
 from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, shortest_paths
 from spanorm.greedy import Spanner
+from spanorm.simplex import LpSolution, _integer_rows, _integer_solve, _NeedsExact
 
 
 def path_graph(k: int) -> Graph:
@@ -316,6 +317,37 @@ def float_dense_solve(mat, vec):
             for j in nonzero:
                 row_r[j] -= factor * prow[j]
     return [m[r][n] for r in range(n)]
+
+
+def dense_certified_exact(prog, basis) -> LpSolution:
+    """``simplex._certified_exact`` as it stood before it solved on the
+    tight-row core: both integer solves run on the whole m x m basis."""
+    irows = _integer_rows([*row, rhs] for row, rhs in zip(prog.rows, prog.rhs))
+    try:
+        xnum, xden = _integer_solve([[row[j] for j in basis] + [row[-1]] for row in irows])
+        znum, zden = _integer_solve(
+            _integer_rows([row[j] for row in irows] + [prog.full_c[j]] for j in basis)
+        )
+    except ZeroDivisionError:
+        raise _NeedsExact
+    basic = dict(zip(basis, xnum))
+    if any(v < 0 for v in xnum) or any(basic.get(j, 0) > 0 for j in prog.art_cols):
+        raise _NeedsExact
+    skip = set(basis).union(prog.art_cols)
+    zrows = [(row, z) for row, z in zip(irows, znum) if z]
+    for j in range(prog.width):
+        if j in skip:
+            continue
+        cnum, cden = prog.full_c[j].as_integer_ratio()
+        if cnum * zden < cden * sum(row[j] * z for row, z in zrows):
+            raise _NeedsExact
+    x = [Fraction(basic.get(j, 0), xden) for j in range(prog.n)]
+    objective = sum((ci * xi for ci, xi in zip(prog.c, x) if ci), Fraction(0))
+    duals = tuple(
+        Fraction((-z if flip else z) * row[j], zden)
+        for z, row, j, flip in zip(znum, irows, prog.start_basis, prog.flipped)
+    )
+    return LpSolution(objective=objective, x=tuple(x), duals=duals)
 
 
 @st.composite

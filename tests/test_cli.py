@@ -559,6 +559,38 @@ def test_verify_tree_input(tmp_path, capsys):
     assert json.loads(out)["failed"] == []
 
 
+@pytest.mark.parametrize("given", [False, True], ids=["greedy", "given-spanner"])
+def test_verify_runs_the_greedy_once_per_graph(k4_file, tmp_path, capsys, monkeypatch, given):
+    # with m <= 16 the oracle's ratio check reuses h when h is the greedy;
+    # the idempotency check still reruns the greedy on h (3 edges of K4).
+    # The stdout lines were recorded when the ratio check built its own.
+    calls = []
+    real = spanorm.greedy.greedy_spanner
+
+    def counted(g, t):
+        calls.append(g.m)
+        return real(g, t)
+
+    args = ["verify", "--input", k4_file, "--stretch", 3]
+    if given:
+        h_path = tmp_path / "h.edges"
+        h_path.write_text("4 3\n0 1\n0 2\n0 3\n")
+        args += ["--spanner", h_path]
+    monkeypatch.setattr(spanorm.greedy, "greedy_spanner", counted)
+    monkeypatch.setattr(spanorm.oracle, "greedy_spanner", counted)
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    if given:
+        assert out == ('{"checks": {"greedy_girth": null, "greedy_ratio_at_least_1": true, '
+                       '"stretch": true}, "failed": []}\n')
+        # the given spanner is not the greedy: the oracle builds that itself
+        assert calls == [6]
+    else:
+        assert out == ('{"checks": {"greedy_girth": true, "greedy_idempotent": true, '
+                       '"greedy_ratio_at_least_1": true, "stretch": true}, "failed": []}\n')
+        assert calls == [6, 3]
+
+
 # Runs ``spanorm <args>`` the way ``python -m spanorm.cli`` does, then writes
 # the library modules the run loaded as the last line of stderr.
 _PROBE = """

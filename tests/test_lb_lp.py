@@ -50,6 +50,11 @@ MODEL_ROW_PINS = {
 # (the exception name where one raises) over t 2-9, GRID_PS and six lambdas,
 # recorded before the (t, p) facts were cached
 LP_OUTPUT_PIN = "5555e3b0d2d40571b86935fbd2f103d431ee4749fa9e33f8e335fc71a5fa8aa3"
+# sha256 of repr((ell, sorted(duals.items()))) of every solve outcome (the
+# exception name where one raises), float and exact, relaxed and full models,
+# over t 1-9, eight p and four lambdas; recorded before the exact certificate
+# solved on the tight-row core of the basis
+SOLVE_PIN = "4ab5481361db046ac8728b2c8e3a66a0736983373c24306f4da6504829dbaebb"
 
 
 def lp_outputs_digest() -> str:
@@ -64,6 +69,24 @@ def lp_outputs_digest() -> str:
                         lines.append(repr(call(t, p, lam)))
                     except Exception as exc:  # noqa: BLE001 - the name is pinned too
                         lines.append(type(exc).__name__)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def solve_outcomes_digest() -> str:
+    lines = []
+    for t in range(1, 10):
+        for p in (F(1), F(11, 10), F(3, 2), F(2), F(5, 2), F(10), 1.5, GOLDEN):
+            rational = isinstance(p, F)
+            for k in (1, 4, 7, 10):
+                lam = (1 + 1 / p) * (F(k, 10) if rational else k / 10)
+                for relaxed in (True, False):
+                    model = build_model(t, p, lam, relaxed=relaxed)
+                    for exact in (False, True) if rational else (False,):
+                        try:
+                            res = solve(model, exact=exact)
+                            lines.append(repr((res.ell, sorted(res.duals.items()))))
+                        except Exception as exc:  # noqa: BLE001 - the name is pinned too
+                            lines.append(type(exc).__name__)
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -138,6 +161,9 @@ class TestModel:
 
 
 class TestSolveSpotValues:
+    def test_outcomes_pinned(self):
+        assert solve_outcomes_digest() == SOLVE_PIN
+
     def test_t3_p2(self):
         assert solve(build_model(3, F(2), F(1)), exact=True).ell == F(1, 2)
 
@@ -620,6 +646,26 @@ class TestFactsCache:
         assert set(shapes.values()) == {1}
         assert duals and set(duals) <= set(shapes)
         assert set(duals.values()) == {1}
+
+    def test_warm_predictions_evaluate_no_closed_form(self, monkeypatch):
+        # the slope of the base shape and the walk's end values are facts of
+        # (t, p): once filled, a prediction is a product or an interpolation
+        calls = []
+        real = lb_lp.e_coeff
+
+        def counted(i, j, p):
+            calls.append((i, j, p))
+            return real(i, j, p)
+
+        grid = [(t, p, (1 + 1 / p) * (F(k, 20) if isinstance(p, F) else k / 20))
+                for p in GRID_PS for t in GRID_TS for k in range(1, 21)]
+        monkeypatch.setattr(lb_lp, "_TP_FACTS", {})
+        monkeypatch.setattr(lb_lp, "e_coeff", counted)
+        cold = [predicted_exponent(*point) for point in grid]
+        assert calls
+        calls.clear()
+        assert [predicted_exponent(*point) for point in grid] == cold
+        assert calls == []
 
 
 class TestLbValue:

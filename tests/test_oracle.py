@@ -112,6 +112,13 @@ class TestOptimalSpanner:
             kept, norm, explored, pruned
         )
 
+    @pytest.mark.parametrize("pin", SEARCH_PINS, ids=lambda pin: f"seed{pin[0]}")
+    def test_given_greedy_searches_the_same_tree(self, pin):
+        g, t, p = seeded_oracle_case(pin[0])
+        res = optimal_spanner(g, t, p, greedy=greedy_spanner(g, t))
+        assert res == optimal_spanner(g, t, p)
+        assert (res.optimum.kept_edges, res.optimum_norm, res.explored, res.pruned) == pin[1:]
+
     @settings(max_examples=200, deadline=None)
     @given(
         small_connected_graphs(),

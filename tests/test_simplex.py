@@ -14,6 +14,7 @@ from spanorm import lb_lp, simplex
 from spanorm.simplex import (
     VERIFY_TOL,
     Infeasible,
+    LpSolution,
     SimplexError,
     Unbounded,
     _certified_exact,
@@ -25,7 +26,12 @@ from spanorm.simplex import (
     solve_lp,
 )
 
-from helpers import float_dense_solve, fraction_gauss_jordan, square_systems
+from helpers import (
+    dense_certified_exact,
+    float_dense_solve,
+    fraction_gauss_jordan,
+    square_systems,
+)
 from test_acceptance import GRID_LAMBDA_POINTS, GRID_PS, GRID_TS
 
 RATIONALS = st.one_of(st.integers(-4, 4), st.fractions(-6, 6, max_denominator=12))
@@ -88,6 +94,13 @@ class TestKnownPrograms:
         assert isinstance(sol.objective, Fraction)
         # optimum at intersection: x = 6/5, y = 7/5
         assert sol.objective == Fraction(-13, 5)
+
+    @pytest.mark.parametrize("exact,kind", [(False, float), (True, Fraction)])
+    def test_empty_program_objective_type(self, exact, kind):
+        # the objective sum starts at the program's own zero, not at int 0
+        sol = solve_lp([], exact=exact)
+        assert sol == LpSolution(objective=0, x=(), duals=())
+        assert type(sol.objective) is kind
 
     def test_exact_equality_mode(self):
         sol = solve_lp(
@@ -249,6 +262,89 @@ class TestExactCertification:
         assert all(type(v) is Fraction and v >= 0 for v in sol.x)
         for row, b in zip(a_ub, b_ub):
             assert sum(a * x for a, x in zip(row, sol.x)) <= b
+
+
+def _same_certificate(prog, basis) -> bool:
+    """The core certificate gives the dense reference's answer, types
+    included, or refuses as it does; True when the basis is certified."""
+    try:
+        want = dense_certified_exact(prog, basis)
+    except _NeedsExact:
+        with pytest.raises(_NeedsExact):
+            _certified_exact(prog, basis)
+        return False
+    got = _certified_exact(prog, basis)
+    assert got == want
+    assert repr(got) == repr(want)
+    return True
+
+
+class TestCoreCertificate:
+    """``_certified_exact`` solves only the tight-row core of a basis; the
+    dense reference in ``helpers`` solves all of it."""
+
+    @pytest.mark.parametrize("relaxed", [True, False], ids=["relaxed", "full"])
+    def test_grid_bases_match_the_dense_reference(self, monkeypatch, relaxed):
+        # every basis an exact lb_lp.solve certifies over t 1-9, the rational
+        # grid p and lambda = k/20 of the LP's range
+        seen = []
+        real = simplex._certified_exact
+
+        def recorded(prog, basis):
+            seen.append((prog, list(basis)))
+            return real(prog, basis)
+
+        monkeypatch.setattr(simplex, "_certified_exact", recorded)
+        for p in (p for p in GRID_PS if isinstance(p, Fraction)):
+            for t in range(1, 10):
+                for k in range(1, 21):
+                    lb_lp.solve(lb_lp.build_model(t, p, (1 + 1 / p) * Fraction(k, 20), relaxed),
+                                exact=True)
+        # each solve ends in one certified basis, after any refused ones
+        assert sum(_same_certificate(prog, basis) for prog, basis in seen) == 9 * 9 * 20
+
+    @pytest.mark.parametrize(
+        "program,basis,certified",
+        [
+            # x = 1, y = 3 with both rows tight: an all-core basis
+            (([-1, -2], [[1, 1], [0, 1]], [4, 3]), [0, 1], True),
+            # x + 2y = 1 and 2x + y = 5 give y = -1 in the core
+            (([0, 0], [[1, 2], [2, 1]], [1, 5]), [0, 1], False),
+            # x = 4 leaves the second row's slack at -3
+            (([-1, 0], [[1, 1], [1, 0]], [4, 1]), [0, 3], False),
+            # the slack basis: feasible, with negative reduced costs
+            (([-1, -2], [[1, 1], [0, 1]], [4, 3]), [2, 3], False),
+            # x = 3 on the tight row x <= 3, whose slack has reduced cost -1
+            (([1], [[-1], [1]], [-1, 3]), [1, 0], False),
+            # proportional rows
+            (([-1, -1], [[1, 1], [2, 2]], [1, 2]), [0, 1], False),
+            # x >= 2 keeps a slack (-1) and an artificial on row 0
+            (([1], [[-1], [1]], [-2, 5]), [1, 3], False),
+            # x = 2 in the core, and the slack of x <= 2 at 0
+            (([1], [[-1], [1]], [-2, 2]), [0, 2], True),
+            # an artificial at 2
+            (([1, 1], [], [], [[1, 1]], [2]), [2], False),
+            # redundant equality rows: the second artificial stays at 0
+            (([1, 2], [], [], [[1, 1], [2, 2]], [2, 4]), [0, 3], True),
+            (([1, 2], [], [], [[1, 1], [2, 2]], [2, 4]), [0, 1], False),
+            # a basis that names one column twice
+            (([1, 2], [], [], [[1, 1], [2, 2]], [2, 4]), [0, 0], False),
+        ],
+        ids=["optimal", "negative-core", "negative-unit", "suboptimal", "slack-suboptimal",
+             "singular", "two-units-on-a-row", "unit-at-zero", "artificial", "redundant",
+             "redundant-singular", "repeated-column"],
+    )
+    def test_hand_built_bases(self, program, basis, certified):
+        program = (*program, [], [])[:5]
+        prog = _Program(*program, Fraction)
+        assert _same_certificate(prog, basis) is certified
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_basis_matches_the_dense_reference(self, data):
+        prog = _Program(*_lp_draw(data, RATIONALS), Fraction)
+        basis = data.draw(st.permutations(range(prog.width)))[: prog.m]
+        _same_certificate(prog, basis)
 
 
 def _pivoting_optimum(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
