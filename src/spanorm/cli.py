@@ -4,10 +4,12 @@ Machine-readable results go to stdout (JSON by default, CSV for sweeps);
 logging goes to stderr.  JSON documents are strict (RFC 8259): a float
 infinity is written as the string ``"inf"`` or ``"-inf"``, and NaN is
 refused.  Exit codes: 0 all checks pass, 1 check failures,
-2 usage errors (bad options or out-of-range parameters), 3 domain failures
-(an ``--input`` or ``--spanner`` file that is not a valid graph, or an
-(L,C,R) shape or closed-form dual that cannot be constructed).
-``SPANORM_EXACT=1`` forces rational arithmetic in the ``lb`` subcommand.
+2 usage errors (bad options or out-of-range parameters, such as a ``gen``
+shape the generators refuse: t = 0, a skew with no section for its
+junction, or a right skew with C = 0), 3 domain failures (an ``--input`` or
+``--spanner`` file that is not a valid graph, or an (L,C,R) shape or
+closed-form dual that cannot be constructed).  ``lb --exact`` computes in
+rational arithmetic.
 Every seeded command is deterministic: rerunning produces byte-identical
 output.
 """
@@ -19,7 +21,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -191,10 +192,8 @@ def _lb_report(t: int, p, lam, exact: bool, want_certificate: bool) -> dict:
 
 
 def _cmd_lb(args) -> int:
-    exact = args.exact or os.environ.get("SPANORM_EXACT") == "1"
-    p = Fraction(args.p) if exact else float(args.p)
-    lam = Fraction(args.lam) if exact else float(args.lam)
-    report = _lb_report(args.t, p, lam, exact, args.certificate)
+    number = Fraction if args.exact else float
+    report = _lb_report(args.t, number(args.p), number(args.lam), args.exact, args.certificate)
     _emit(report)
     return 0 if report.get("verified", True) else 1
 
@@ -338,7 +337,7 @@ def _cmd_oracle(args) -> int:
 def verify_all(g, t: int, p, spanner=None) -> dict:
     """Bundle of applicable checks for one input graph; pure, CLI-independent."""
     from .decomposition import GirthTooSmallError, check_coverage, heavy_mass
-    from .graph_core import UNBOUNDED, girth, girth_at_least
+    from .graph_core import girth_at_least
     from .greedy import greedy_spanner, verify_stretch
 
     checks: dict = {}
@@ -347,8 +346,7 @@ def verify_all(g, t: int, p, spanner=None) -> dict:
     checks["stretch"] = verify_stretch(g, h, t)
     if not g.weighted:
         checks["greedy_girth"] = girth_at_least(hg, t + 2) if spanner is None else None
-    gv = girth(g)
-    if gv >= 5 or gv == UNBOUNDED:
+    if girth_at_least(g, 5):
         checks["heavy_mass"] = heavy_mass(g) <= 2 * g.n
     k = (t + 1) // 2
     if k >= 3 and not g.weighted:

@@ -211,11 +211,6 @@ class PeelResult:
     core: frozenset
     removed: tuple[int, ...]
 
-    def core_min_degree(self) -> int:
-        if not self.core:
-            return 0
-        return min(self.graph.degree(v) for v in self.core)
-
 
 def peel_low_degree(g: Graph) -> PeelResult:
     """Repeatedly delete a vertex of degree <= 3 (lowest id first).

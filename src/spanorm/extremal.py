@@ -46,6 +46,7 @@ __all__ = [
 
 SPANNER_EDGE_BUDGET = 300_000
 HOST_EDGE_BUDGET = 2_000_000
+_LIFT_REPAIR_ROUNDS = 30_000
 
 
 # -- named graphs ------------------------------------------------------------
@@ -164,15 +165,14 @@ def named_girth_graph(name: str) -> Graph:
 # -- random regular bipartite graphs with a girth floor ----------------------
 
 
-def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int,
-                          max_rounds: int = 30000) -> Graph:
+def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> Graph:
     """d-regular bipartite graph on 2*side vertices with girth >= min_girth.
 
     Union of ``degree`` random perfect matchings, then local surgery: while a
     short cycle survives, swap one of its matching edges with another edge of
     the same matching, preferring swap partners that do not create new short
     cycles through the rewired edges.  Deterministic for a fixed seed; raises
-    when the repair budget runs out (retry with another seed).
+    after ``_LIFT_REPAIR_ROUNDS`` repair rounds (retry with another seed).
     """
     if min_girth % 2 == 1:
         min_girth += 1  # bipartite girth is even
@@ -231,7 +231,7 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int,
                 return left, k
         return left, 0
 
-    for _ in range(max_rounds):
+    for _ in range(_LIFT_REPAIR_ROUNDS):
         bad = find_short_cycle()
         if bad is None:
             break
@@ -589,39 +589,42 @@ def _combine_layer_counters(
 # -- builders ------------------------------------------------------------------
 
 
+def _gap_kind(i: int, L: int, C: int, skew: str) -> str:
+    """Kind of the gap between layers i-1 and i of an (L, C, R) shape."""
+    if L < i <= L + C:
+        return "grid"
+    if i == L and skew == SKEW_LEFT:
+        return "junct_left"
+    if i == L + C + 1 and skew == SKEW_RIGHT:
+        return "junct_right"
+    return "contract" if i <= L else "expand"
+
+
 def _real_layer_sizes(L: int, C: int, R: int, skew: str, p: float,
                       center: float, dtilde: float, d_c: float) -> list[float]:
-    """Real-valued sizes from the equal-contribution recurrences."""
+    """Real-valued sizes from the equal-contribution recurrences.
+
+    When C >= 1 the central layers have ``center`` vertices and ``d_c`` is
+    the grid degree.  At C = 0 the middle layer is a stack of ``dtilde``
+    slices under a left skew and one vertex otherwise, and ``d_c`` is the
+    size of the layers beside it.
+    """
     t = L + C + R
+    middle = center if C >= 1 else (dtilde if skew == SKEW_LEFT else 1.0)
     real = [0.0] * (t + 1)
-    if C >= 1:
-        for i in range(L, L + C + 1):
-            real[i] = center
-        K = center * d_c**p
-        if R >= 1:
-            real[L + C + 1] = center * d_c / (dtilde if skew == SKEW_RIGHT else 1.0)
-            for i in range(L + C + 2, t + 1):
-                grow = (K / real[i - 1]) ** (1.0 / p)
-                real[i] = real[i - 1] * grow
-        if L >= 1:
-            real[L - 1] = center * d_c / (dtilde if skew == SKEW_LEFT else 1.0)
-            for i in range(L - 2, -1, -1):
-                grow = (K / real[i + 1]) ** (1.0 / p)
-                real[i] = real[i + 1] * grow
-    else:
-        # C = 0: unit middle layer (plain) or a [dtilde] slice stack (left skew)
-        mid = dtilde if skew == SKEW_LEFT else 1.0
-        real[L] = mid
-        side = center
-        K = mid * side**p
-        if R >= 1:
-            real[L + 1] = side * mid
-            for i in range(L + 2, t + 1):
-                real[i] = real[i - 1] * (K / real[i - 1]) ** (1.0 / p)
-        if L >= 1:
-            real[L - 1] = side * mid / (dtilde if skew == SKEW_LEFT else 1.0)
-            for i in range(L - 2, -1, -1):
-                real[i] = real[i + 1] * (K / real[i + 1]) ** (1.0 / p)
+    for i in range(L, L + C + 1):
+        real[i] = middle
+    K = middle * d_c**p
+    if R >= 1:
+        real[L + C + 1] = middle * d_c / (dtilde if skew == SKEW_RIGHT else 1.0)
+        for i in range(L + C + 2, t + 1):
+            grow = (K / real[i - 1]) ** (1.0 / p)
+            real[i] = real[i - 1] * grow
+    if L >= 1:
+        real[L - 1] = middle * d_c / (dtilde if skew == SKEW_LEFT else 1.0)
+        for i in range(L - 2, -1, -1):
+            grow = (K / real[i + 1]) ** (1.0 / p)
+            real[i] = real[i + 1] * grow
     return real
 
 
@@ -631,14 +634,14 @@ def _ideal_exponents(L, C, R, skew, p, center, dtilde, d_c, t) -> dict:
     degs = [0.0] * (t + 1)
     for i in range(1, t + 1):
         a, b = real[i - 1], real[i]
-        in_left = L + 1 <= i <= L + C
-        if in_left:
+        kind = _gap_kind(i, L, C, skew)
+        if kind == "grid":
             ldeg = rdeg = d_c
-        elif i == L and skew == SKEW_LEFT:
+        elif kind == "junct_left":
             ldeg, rdeg = dtilde, a * dtilde / b
-        elif i == L + C + 1 and skew == SKEW_RIGHT and C >= 1:
+        elif kind == "junct_right":
             ldeg, rdeg = b * dtilde / a, dtilde
-        elif i <= L:
+        elif kind == "contract":
             ldeg, rdeg = 1.0, a / b
         else:
             ldeg, rdeg = b / a, 1.0
@@ -662,6 +665,8 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
     L, C, R = params.L, params.C, params.R
     t = params.t
     pf = float(p)
+    if t == 0:
+        raise ValueError("layered builders need t = L + C + R >= 1")
     if not math.isfinite(pf):
         raise ValueError(f"layered builders need a finite p, got {p}")
     if pf <= 1 and C >= 1:
@@ -670,8 +675,6 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
     if skew == SKEW_NONE:
         dt_real = 1.0
     else:
-        if skew_exponent is None:
-            skew_exponent = params.skew_exponent
         if skew_exponent is None:
             raise ValueError("skewed shapes need a skew degree exponent")
         top = 1.0 / (C + 1) if C >= 1 else 1.0
@@ -693,19 +696,15 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
             raise ValueError("central layers need center_size >= 2")
         d_c = max(1, round((center_size / dtilde) ** (1.0 / C)))
         mprime = d_c**C
-        center_actual = dtilde * mprime
         d_real = (center_size / dt_real) ** (1.0 / C)
     else:
-        d_c = 1
+        # no grid: center_size is the size of the layers beside the middle
+        d_c = d_real = float(center_size)
         mprime = 1
-        center_actual = dtilde
-        d_real = float(center_size)
+    center_actual = dtilde * mprime
 
     ideal = _ideal_exponents(L, C, R, skew, pf, float(center_size), dt_real, d_real, t)
-    real = _real_layer_sizes(
-        L, C, R, skew, pf, float(center_actual) if C >= 1 else float(center_size),
-        float(dtilde), float(d_c) if C >= 1 else float(center_size),
-    )
+    real = _real_layer_sizes(L, C, R, skew, pf, float(center_actual), float(dtilde), float(d_c))
     sizes = [max(1, math.floor(s + 1e-9)) for s in real]
     for i in range(L, L + C + 1):
         sizes[i] = center_actual
@@ -713,21 +712,17 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
     gaps = []
     for i in range(1, t + 1):
         a, b = sizes[i - 1], sizes[i]
-        if L + 1 <= i <= L + C:
-            gaps.append(_Gap("grid", a, b, d=d_c, digit=i - L - 1,
-                             dtilde=dtilde, mprime=mprime))
-        elif i == L and skew == SKEW_LEFT:
-            gaps.append(_Gap("junct_left", a, b, dtilde=dtilde, mprime=mprime))
-        elif i == L + C + 1 and skew == SKEW_RIGHT:
-            gaps.append(_Gap("junct_right", a, b, dtilde=dtilde, mprime=mprime))
-        elif i <= L:
-            if a < b:
-                raise ValueError(f"left section must shrink, sizes {a} -> {b}")
-            gaps.append(_Gap("contract", a, b))
+        kind = _gap_kind(i, L, C, skew)
+        if kind == "contract" and a < b:
+            raise ValueError(f"left section must shrink, sizes {a} -> {b}")
+        if kind == "expand" and a > b:
+            raise ValueError(f"right section must grow, sizes {a} -> {b}")
+        if kind == "grid":
+            gaps.append(_Gap(kind, a, b, d=d_c, digit=i - L - 1, dtilde=dtilde, mprime=mprime))
+        elif kind.startswith("junct"):
+            gaps.append(_Gap(kind, a, b, dtilde=dtilde, mprime=mprime))
         else:
-            if a > b:
-                raise ValueError(f"right section must grow, sizes {a} -> {b}")
-            gaps.append(_Gap("expand", a, b))
+            gaps.append(_Gap(kind, a, b))
 
     return LayeredInstance(
         t=t,
@@ -757,12 +752,13 @@ def build_skewed(params: LcrParams, p, center_size: int, skew_exponent=None) -> 
     from 0 (exactly the plain (L,C,R) instance, edge for edge) to 1/(C+1)
     (the adjacent shape with the center grown by one layer).  A left (right)
     skew whose degree rounds above 1 needs L >= 1 (R >= 1) for its junction;
-    without that section the shape is refused with ValueError.
+    without that section the shape is refused with ValueError.  A right
+    skew needs C >= 1, which ``LcrParams`` enforces.
     """
     return _build_layered(params, p, center_size, skew_exponent)
 
 
-def build_from_lp(solution: dict, n: int, seed: int, t: int | None = None,
+def build_from_lp(solution: dict, n: int, seed: int, t: int,
                   p: float = 2.0) -> LayeredInstance:
     """Randomized layered instance realizing a feasible LP assignment.
 
@@ -771,16 +767,12 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int | None = None,
     layer i, with a counter-keyed RNG so regeneration is reproducible and
     layers are independent.  The host connects u in V_0 to w in V_t exactly
     when the spanner has a forward path of length t, and construction
-    asserts the reach lower bound Delta_t / 2**t for every source.  An
-    ``n`` below 2 is refused with ValueError.
+    asserts the reach lower bound Delta_t / 2**t for every source, with
+    Delta_t = n**solution["Delta"].  An ``n`` below 2 is refused with
+    ValueError.
     """
     if n < 2:
         raise ValueError(f"build_from_lp needs n >= 2, got {n}")
-    if t is None:
-        t = max(
-            int(name[2:]) for name in solution if name.startswith("nu")
-        )
-    log_n = math.log(n)
     sizes = []
     for i in range(t + 1):
         nu = float(solution[f"nu{i}"])
@@ -806,7 +798,7 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int | None = None,
         neighbors_fwd.append(layer_fwd)
     spanner = Graph(offsets[-1], edges)
     # forward reachability per source in V_0
-    delta_t = n ** float(solution.get("Delta", solution.get(f"Delta{t}", 0)))
+    delta_t = n ** float(solution["Delta"])
     host_pairs = []
     for u in range(sizes[0]):
         frontier = {u}
@@ -840,7 +832,7 @@ def _girth_supply(k: int, n: int, seed: int) -> Graph:
         for name, size in named:
             if size <= n:
                 return named_girth_graph(name)
-        return named_girth_graph("pg2_2") if n >= 14 else named_girth_graph("petersen")
+        return named_girth_graph("petersen")
     if k == 3:
         if n >= 400:
             return random_bipartite_lift(n // 2, 3, 8, seed=seed)
@@ -894,16 +886,18 @@ def build_tightness(k: int, p, n: int, big_lambda: float, seed: int = 0) -> Grap
     if big_lambda <= ceiling * 2:
         supply = _girth_supply(k, n, seed)
         g = _pad_to(supply, n)
-        if lp_norm(g, pf) < big_lambda / 2:
+        norm = lp_norm(g, pf)
+        if norm < big_lambda / 2:
             raise ValueError(
-                f"Lambda {big_lambda} above the girth supply's norm "
-                f"{lp_norm(g, pf):.4g}"
+                f"Lambda {big_lambda} above the girth supply's norm {norm:.4g}"
             )
         edges = list(g.edges)
-        while lp_norm(Graph(n, edges), pf) > big_lambda and edges:
-            edges.pop()
-        out = Graph(n, edges)
-        norm = lp_norm(out, pf)
+        degrees = list(g.degrees())
+        while norm > big_lambda and edges:
+            u, v = edges.pop()
+            degrees[u] -= 1
+            degrees[v] -= 1
+            norm = degree_norm(degrees, pf)
         if norm < big_lambda / 2:
             # pruning stops at norm <= Lambda, so a Lambda below one edge's
             # norm empties the graph
@@ -911,7 +905,7 @@ def build_tightness(k: int, p, n: int, big_lambda: float, seed: int = 0) -> Grap
                 f"Lambda {big_lambda} below the smallest pruned norm: the girth "
                 f"supply pruned to norm <= Lambda has norm {norm:.4g} < Lambda / 2"
             )
-        return out
+        return Graph(n, edges)
     # Lambda too large for the high-girth graph alone: adjoin a clique sized
     # Lambda**(p/(1+p)) (consistent with ||clique||_p = Theta(Lambda); the
     # alternative exponent reading makes the norm overshoot)

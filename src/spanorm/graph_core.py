@@ -149,9 +149,6 @@ class Graph:
             return 1.0
         return self.lengths[e]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
-
     def subgraph(self, keep_edges: Iterable[tuple[int, int]]) -> "Graph":
         """Graph on the same vertex set containing only ``keep_edges``."""
         kept = [(u, v) if u < v else (v, u) for u, v in keep_edges]
@@ -194,11 +191,6 @@ class LayerProfile:
     def d(self, i: int) -> int:
         """Number of vertices exactly ``i`` hops away (0 beyond the radius)."""
         return self.counts[i] if i < len(self.counts) else 0
-
-    def ball_size(self, r: int | None = None) -> int:
-        if r is None:
-            return sum(self.counts)
-        return sum(self.counts[: r + 1])
 
 
 # -- norms --------------------------------------------------------------

@@ -210,9 +210,10 @@ SKEW_RIGHT = "right"
 class LcrParams:
     """Shape of an extremal layered spanner: L + C + R = t layers past V_0.
 
-    ``skew`` marks the variants used above the nice lambda range; the skew
-    degree exponent (log base n_L of the skew degree) rides along for the
-    generators and stays None for plain shapes.
+    ``skew`` marks the variants used above the nice lambda range.  A right
+    skew needs C >= 1 (else ``ParameterError``); the interpolation walk
+    never makes one with C = 0.  ``skew_exponent`` is read by nothing: the
+    generators take the skew exponent as an argument.
     """
 
     L: int
@@ -226,6 +227,8 @@ class LcrParams:
             raise ParameterError(f"negative section length in {self}")
         if self.skew not in (SKEW_NONE, SKEW_LEFT, SKEW_RIGHT):
             raise ParameterError(f"unknown skew {self.skew!r}")
+        if self.skew == SKEW_RIGHT and self.C < 1:
+            raise ParameterError("right skew needs C >= 1")
 
     @property
     def t(self) -> int:
@@ -788,8 +791,6 @@ def skewed_primal(params: LcrParams, p, lam) -> dict:
     L, C, R = params.L, params.C, params.R
     if R < 1 or C < 0:
         raise ParameterError("skewed shapes need R >= 1")
-    if params.skew == SKEW_RIGHT and C < 1:
-        raise ParameterError("right skew needs C >= 1")
     if params.skew == SKEW_LEFT and L < 1:
         raise ParameterError("left skew needs L >= 1")
     p, lam = _exactify(p), _exactify(lam)

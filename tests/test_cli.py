@@ -252,7 +252,7 @@ class TestSubcommands:
         assert captured.out == ""
         assert "inf" in captured.err
 
-    def test_bad_p_exit_2(self, k4_file, tmp_path, monkeypatch, capsys):
+    def test_bad_p_exit_2(self, k4_file, tmp_path, capsys):
         assert main(["lb", "--t", "3", "--p", "0.5", "--lambda", "1"]) == 2
         assert "p must be" in capsys.readouterr().err
         # p is a finite real >= 1 (or inf where a degree norm is taken); any
@@ -274,15 +274,9 @@ class TestSubcommands:
             assert captured.out == "", argv
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
         assert not spanner.exists()
-        # SPANORM_EXACT reaches lb only: the other subcommands take float p
-        monkeypatch.setenv("SPANORM_EXACT", "1")
+        # only lb reads a rational p: the other subcommands take float p
         assert main(["norm", "--input", str(k4_file), "--p", "3/2"]) == 2
         assert "could not convert" in capsys.readouterr().err
-        assert main(["norm", "--input", str(k4_file), "--p", "2,inf"]) == 0
-        exact_env = capsys.readouterr().out
-        monkeypatch.delenv("SPANORM_EXACT")
-        assert main(["norm", "--input", str(k4_file), "--p", "2,inf"]) == 0
-        assert capsys.readouterr().out == exact_env
 
     def test_invalid_graph_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "inf.edges"
@@ -409,6 +403,9 @@ class TestSubcommands:
             ("lcr", {"L": 1, "C": 1, "R": 1, "p": 2.0, "center": "x"}, "mistyped"),
             ("lcr", {"L": 1, "C": 1, "R": 1, "p": "inf", "center": 16}, "finite p"),
             ("lp", {"t": 3, "p": "2", "lambda": "1", "n": 1}, "n >= 2"),
+            ("skewed", {"L": 1, "C": 0, "R": 2, "skew": "right", "p": 2.0, "center": 64,
+                        "skew_exponent": 0.5}, "right skew needs C >= 1"),
+            ("lcr", {"L": 0, "C": 0, "R": 0, "p": 2.0, "center": 8}, "t = L + C + R >= 1"),
         ],
     )
     def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):
@@ -417,6 +414,7 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert reason in captured.err
         assert not list(tmp_path.iterdir())
 

@@ -226,7 +226,7 @@ class TestPeel:
             g = random_connected_graph(rng, 30, rng.randint(60, 120))
             result = peel_low_degree(g)
             if result.core:
-                assert result.core_min_degree() >= 4
+                assert min(result.graph.degree(v) for v in result.core) >= 4
             for v in result.removed:
                 assert result.graph.degree(v) == 0
 

@@ -32,6 +32,7 @@ from spanorm.lb_lp import (
 )
 
 from helpers import reference_layered_text
+from test_acceptance import GRID_PS
 
 
 class TestNamedGraphs:
@@ -140,30 +141,40 @@ class TestBuildLcr:
 
     def test_rule_verdict_matches_stretch_fuzz(self):
         # the rule-based verdict against the BFS check on the materialised
-        # host, over plain and skewed shapes with C = 0..2; a skew of degree
-        # > 1 with no section for its junction is refused, and those are the
-        # only shapes the fuzz draws that fail to span (the mutant tests
-        # below cover agreement on False verdicts)
+        # host, over plain and skewed shapes with C = 0..2; a right skew with
+        # C = 0, and a skew of degree > 1 with no section for its junction,
+        # are refused, and those are the only shapes the fuzz draws that fail
+        # to span (the mutant tests below cover agreement on False verdicts)
         rng = random.Random(2024)
-        cases = [(LcrParams(1, 0, 2, skew=SKEW_LEFT), 2.0, 48, 0.7)]
+        cases = [((1, 0, 2, SKEW_LEFT), 2.0, 48, 0.7)]
         for _ in range(150):
             L, C, R = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
             skew = rng.choice([SKEW_NONE, SKEW_LEFT, SKEW_RIGHT])
             top = 1.0 / (C + 1) if C else 1.0
-            cases.append((LcrParams(L, C, R, skew=skew), rng.choice([1.3, 2.0, 3.0, 5.0]),
+            cases.append(((L, C, R, skew), rng.choice([1.3, 2.0, 3.0, 5.0]),
                           rng.choice([2, 3, 4, 6, 9, 16]), rng.uniform(0.0, top)))
         # t = 1: the biclique is the whole host and contains the spanner
-        cases += [(LcrParams(*shape), 2.0, 9, 0.0) for shape in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        cases += [((*shape, SKEW_NONE), 2.0, 9, 0.0)
+                  for shape in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        cases = [case for case in cases if sum(case[0][:3])]
+
+        def refusal(case):
+            (L, C, R, skew), p, center, exponent = case
+            if skew == SKEW_RIGHT and C == 0:
+                return "right skew needs C >= 1"
+            if round(center**exponent) > 1 and (skew, 0) in ((SKEW_LEFT, L), (SKEW_RIGHT, R)):
+                return "junction"
+            return None
+
         verdicts = []
         refused = []
-        for params, p, center, exponent in cases:
-            if params.t == 0:
-                continue
+        for case in cases:
+            (L, C, R, skew), p, center, exponent = case
             try:
-                inst = build_skewed(params, p, center, exponent)
+                inst = build_skewed(LcrParams(L, C, R, skew=skew), p, center, exponent)
             except ValueError as exc:
-                if "junction" in str(exc):
-                    refused.append((params, p, center, exponent))
+                refused.append(case)
+                assert refusal(case) is not None and refusal(case) in str(exc), (case, exc)
                 continue
             n0, nt = inst.layer_sizes[0], inst.layer_sizes[-1]
             if inst.virtual or n0 * nt + inst.spanner_edge_count() > 20_000:
@@ -173,17 +184,12 @@ class TestBuildLcr:
             assert format_edge_list(spanner) == reference_layered_text(inst)
             assert format_edge_list(host) == reference_layered_text(inst, host=True)
             expected = verify_stretch(host, spanner, inst.t)
-            assert inst.verify() == expected, (params, p, center, exponent)
-            verdicts.append((params.C, params.skew, expected))
+            assert inst.verify() == expected, case
+            verdicts.append((C, skew, expected))
         assert len(verdicts) >= 80
         assert {(0, SKEW_LEFT, True), (2, SKEW_RIGHT, True), (1, SKEW_NONE, True)} <= set(verdicts)
-        junctionless = [
-            (params, p, center, exponent)
-            for params, p, center, exponent in cases
-            if params.t and round(center**exponent) > 1
-            and (params.skew, 0) in ((SKEW_LEFT, params.L), (SKEW_RIGHT, params.R))
-        ]
-        assert refused and refused == junctionless
+        assert refused == [case for case in cases if refusal(case)]
+        assert {refusal(case) for case in refused} == {"junction", "right skew needs C >= 1"}
 
     def test_measured_exponents_close_at_scale(self):
         params = derive_lcr(2.0, 3)
@@ -253,6 +259,36 @@ class TestBuildSkewed:
         inst = build_skewed(LcrParams(0, 1, 2, skew=SKEW_RIGHT), 5.0, 25, 0.4)
         assert inst.verify()
         assert verify_stretch(inst.host_graph(), inst.spanner(), inst.t)
+
+    def test_builds_pinned(self):
+        # repr of every build (layer sizes, gap rules, predicted exponents,
+        # virtual flag) or refusal, over random shapes with L, C, R <= 3 and
+        # the derived shapes of the acceptance grid; recorded before the gap
+        # kinds and the C = 0 size recurrence were shared, with the right
+        # skews at C = 0 left out (they are refused now)
+        rng = random.Random(16)
+        cases = []
+        for _ in range(3000):
+            L, C, R = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+            skew = rng.choice([SKEW_NONE, SKEW_LEFT, SKEW_RIGHT])
+            p = rng.choice([1.0, 1.3, 2.0, 3.0, 10.0])
+            center = rng.choice([2, 3, 4, 6, 9, 16, 32, 64, 512])
+            exponent = rng.uniform(0.0, 1.0 / (C + 1) if C else 1.0)
+            if L + C + R and (skew, C) != (SKEW_RIGHT, 0):
+                cases.append((LcrParams(L, C, R, skew=skew), p, center, exponent))
+        cases += [(derive_lcr(p, t), p, center, None)
+                  for p in GRID_PS for t in range(2, 10) for center in (32, 512)]
+        lines = []
+        for params, p, center, exponent in cases:
+            try:
+                inst = (build_lcr(params, p, center) if params.skew == SKEW_NONE
+                        else build_skewed(params, p, center, exponent))
+                lines.append(repr((inst.layer_sizes, inst.gaps, inst.predicted, inst.virtual)))
+            except ValueError as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+        assert len(lines) == 2893
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "e7ad64a2d9c7ccc6d35c07ce36946ceafd6c0f483f1cb5d20d30fa89d4383f7c")
 
     def test_left_skew_without_center_verifies(self):
         # C = 0: the left junction fans out to every central vertex
@@ -394,6 +430,19 @@ class TestTightness:
         g = build_tightness(2, 1.2, 60, 700)
         norm = lp_norm(g, 1.2)
         assert 350 <= norm <= 1400
+
+    @pytest.mark.parametrize("k, p, n, lam, digest", ids=["pg2_4", "pg2_5", "lift"], argvalues=[
+        (2, 1.3, 42, 0.6 * lp_norm(named_girth_graph("pg2_4"), 1.3),
+         "c040e16ba8789778b38469ae382dbe8a406e964414d915088a3d4c87beb1ce3e"),
+        (2, 1.8, 62, 0.5 * lp_norm(named_girth_graph("pg2_5"), 1.8),
+         "156327611f7551b2ddea31fc92eb1999fc2da88acfc3568466788c0a896daf03"),
+        (3, 1.4, 400, 150.0,
+         "e8f56e39eeef5849bc73bb291da537a1364a703a4a46e07fa333f53c4529eeb1"),
+    ])
+    def test_pruned_edges_pinned(self, k, p, n, lam, digest):
+        # recorded when each pruning step rebuilt the graph to take its norm
+        g = build_tightness(k, p, n, lam)
+        assert hashlib.sha256(format_edge_list(g).encode()).hexdigest() == digest
 
     def test_k3_supply(self):
         g = build_tightness(3, 1.0, 30, lp_norm(named_girth_graph("tutte_coxeter"), 1.0))
