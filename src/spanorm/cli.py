@@ -198,9 +198,19 @@ def _cmd_lb(args) -> int:
     return 0 if report.get("verified", True) else 1
 
 
-def _cmd_lb_sweep(args) -> int:
+def _lp_agreement(t: int, p, lam) -> tuple:
+    """``(ell, pred, branch, agree)``: the float LP optimum, the piecewise
+    closed-form prediction (both as floats), the prediction's branch, and
+    whether the two agree within 1e-7."""
     from . import lb_lp
 
+    ell = float(lb_lp.solve(lb_lp.build_model(t, p, lam)).ell)
+    pred, info = lb_lp.predicted_exponent(t, p, lam)
+    pred = float(pred)
+    return ell, pred, info["branch"], abs(ell - pred) <= 1e-7
+
+
+def _cmd_lb_sweep(args) -> int:
     spec = json.loads(Path(args.grid).read_text())
     ts = spec.get("t", [2, 3, 4, 5])
     ps = spec.get("p", ["1.5", "2", "3"])
@@ -212,18 +222,16 @@ def _cmd_lb_sweep(args) -> int:
         for t in ts:
             for k in range(1, lam_points + 1):
                 lam = top * Fraction(k, lam_points)
-                model = lb_lp.build_model(t, p, lam)
-                ell = lb_lp.solve(model).ell
-                pred, info = lb_lp.predicted_exponent(t, p, lam)
+                ell, pred, branch, agree = _lp_agreement(t, p, lam)
                 rows.append(
                     {
                         "t": t,
                         "p": str(p_text),
                         "lambda": f"{float(lam):.12g}",
-                        "ell_lp": f"{float(ell):.12g}",
-                        "ell_closed_form": f"{float(pred):.12g}",
-                        "branch": info["branch"],
-                        "agree": abs(float(ell) - float(pred)) <= 1e-7,
+                        "ell_lp": f"{ell:.12g}",
+                        "ell_closed_form": f"{pred:.12g}",
+                        "branch": branch,
+                        "agree": agree,
                     }
                 )
     out = io.StringIO()
@@ -491,9 +499,8 @@ def _experiment_row(family: str, seed: int, n: int, t: int, p_text: str) -> dict
     import random
     import time
 
-    from . import lb_lp
     from .graph_core import girth_at_least, lp_norm
-    from .greedy import greedy_spanner
+    from .greedy import greedy_spanner, upper_bound_exponent
 
     started = time.perf_counter()
     p = float(Fraction(p_text))
@@ -509,22 +516,17 @@ def _experiment_row(family: str, seed: int, n: int, t: int, p_text: str) -> dict
             g = _random_graph(rng, n, m)
             h = greedy_spanner(g, t)
             norm = lp_norm(h.graph(), p)
-            k = (t + 1) // 2
-            bound = 8 * max(n, n ** ((k + p) / (k * p)))
+            bound = 8 * n ** upper_bound_exponent((t + 1) // 2, p)
             row.update(
                 m_in=str(g.m), m_out=str(h.m), norm=f"{norm:.10g}",
                 bound=f"{bound:.10g}", ratio=f"{norm / bound:.10g}",
                 ok="1" if norm <= bound and girth_at_least(h.graph(), t + 2) else "0",
             )
         elif family == "lb_agreement":
-            pf = Fraction(p_text)
-            lam = Fraction(1)
-            ell = lb_lp.solve(lb_lp.build_model(t, pf, lam)).ell
-            pred, _ = lb_lp.predicted_exponent(t, pf, lam)
+            ell, pred, _branch, agree = _lp_agreement(t, Fraction(p_text), Fraction(1))
             row.update(
-                norm=f"{float(ell):.12g}", bound=f"{float(pred):.12g}",
-                ratio=f"{abs(float(ell) - float(pred)):.3g}",
-                ok="1" if abs(float(ell) - float(pred)) <= 1e-7 else "0",
+                norm=f"{ell:.12g}", bound=f"{pred:.12g}", ratio=f"{abs(ell - pred):.3g}",
+                ok="1" if agree else "0",
             )
         else:
             raise ValueError(f"unknown family {family}")

@@ -139,6 +139,8 @@ _NAMED_SPECS = {
 
 def named_girth_graph(name: str) -> Graph:
     """One of the documented small high-girth graphs, verified on build."""
+    if name not in _NAMED_SPECS:
+        raise ValueError(f"unknown named graph {name!r}")
     if name == "petersen":
         outer = [(i, (i + 1) % 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -151,10 +153,8 @@ def named_girth_graph(name: str) -> Graph:
         g = _lcf_graph(30, [-13, -9, 7, -7, 9, 13], 5)
     elif name == "robertson":
         g = Graph(19, _ROBERTSON_EDGES)
-    elif name.startswith("pg2_"):
-        g = projective_plane_incidence(int(name.split("_")[1]))
     else:
-        raise ValueError(f"unknown named graph {name!r}")
+        g = projective_plane_incidence(int(name.split("_")[1]))
     n, degree, girth_value = _NAMED_SPECS[name]
     assert g.n == n, name
     assert all(d == degree for d in g.degrees()), name

@@ -480,9 +480,10 @@ def parse_edge_list(text: str) -> Graph:
     if not lines:
         raise GraphError("empty edge-list input")
     head = lines[0].split()
-    if len(head) != 2:
-        raise GraphError(f"expected header 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    try:
+        n, m = map(int, head)
+    except ValueError:
+        raise GraphError(f"expected header 'n m' of two integers, got {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
@@ -492,12 +493,16 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) not in (2, 3):
             raise GraphError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else None
+        except ValueError:
+            raise GraphError(f"bad edge line {ln!r}: 'u v [w]' must be numbers") from None
         e = (u, v) if u < v else (v, u)
         edges.append(e)
-        if len(parts) == 3:
+        if w is not None:
             any_weight = True
-            lengths[e] = float(parts[2])
+            lengths[e] = w
     if any_weight:
         if len(lengths) != len(edges):
             raise GraphError("mixed weighted and unweighted edge lines")

@@ -33,20 +33,23 @@ both sides are Fractions, and with a 1e-12 relative slack otherwise.
 for exact certificates; an exact referee for it is an open item in
 ROADMAP.md.
 
-What depends on (t, p) alone is derived once per (t, p), in the record
-``_facts`` keeps under the key ``(t, type(p), p)``: the base shape
-(``derive_lcr``), its nice-range cap and closed-form slope ell / lambda, its
-dual (on first certificate in the nice range) and the interpolation walk
-with each walk shape's exponent at its cap (on first lambda above the base
-cap).
-The cache holds values only, never exceptions, and is unbounded: one small
-record per (t, p) a process asks about.
+What depends on (t, p) alone is derived once per (t, p), by three functions
+under ``functools.lru_cache(maxsize=None, typed=True)``: ``_base`` (the base
+shape of ``derive_lcr``, its nice-range cap and closed-form slope
+ell / lambda), ``_base_dual`` (its dual, on first certificate in the nice
+range) and ``_walk`` (the interpolation walk with each walk shape's
+exponent at its cap, on first lambda above the base cap).  ``typed=True``
+keeps 2.0 and Fraction(2) apart, since float shapes, caps and duals decide
+with a tolerance.  The caches hold values only, never exceptions, and are
+unbounded: a few small tuples per (t, p) a process asks about;
+``cache_info()`` reports their hits and fills.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -166,16 +169,6 @@ def e_coeff(i: int, j: int, p):
 def _growth(p, j: int):
     """g(j) = p(1 - q**j) = sum of q**0..q**(j-1); equals E(1,j) - 1."""
     return p * (1 - _qpow(p, j))
-
-
-def _floor_sqrt(value) -> int:
-    """floor of sqrt(value), exact for Fraction inputs (float-seeded)."""
-    k = math.floor(math.sqrt(float(value)))
-    while k * k > value:
-        k -= 1
-    while (k + 1) * (k + 1) <= value:
-        k += 1
-    return k
 
 
 def _floor_log_ratio(p, value, cap: int) -> int:
@@ -430,13 +423,13 @@ def derive_lcr(p, t: int) -> LcrParams:
     branch with L > 0 driven by the floor of a log ratio, and the high-p
     branch with L = 0 chosen by an interval test.  The low-p branch is
     preferred whenever it verifies with L > 0.  Derived once per (t, p),
-    see ``_facts``.
+    see ``_base``.
     """
-    return _facts(t, _exactify(p)).base
+    return _base(t, _exactify(p))[0]
 
 
 def _derive_shape(p, t: int) -> LcrParams:
-    """``derive_lcr`` uncached: p exactified, (t, p) checked by ``_facts``."""
+    """``derive_lcr`` uncached: p exactified, (t, p) checked by ``_base``."""
     if t % 2 == 0 and _is_at_most_golden(p):
         return LcrParams(t // 2, 0, t // 2)
     if t % 2 == 1 and p <= 2:
@@ -462,7 +455,8 @@ def _low_p_candidate(p, t: int) -> LcrParams | None:
     f1 = _floor_log_ratio(p, v1, t + 1)
     f_minus, f_plus = min(f0, f1), max(f0, f1)
     if f_plus > f_minus:
-        c_val = _floor_sqrt(p * (p - 1))
+        # floor(sqrt(x)) = isqrt(floor(x)) for x >= 0, exact for any p
+        c_val = math.isqrt(math.floor(p * (p - 1)))
         L = (t - c_val - f_minus) // 2
         R = -((-(t - c_val + f_minus)) // 2)  # ceil
         C = c_val
@@ -606,47 +600,26 @@ def low_p_exponent(t: int, p, lam, nu=1):
     return max(nu / p, alpha * lam)
 
 
-@dataclass(frozen=True)
-class _TpFacts:
-    """The lambda-independent facts of one (t, p), see ``_facts``."""
-
-    base: LcrParams
-    cap: object  # nice_range_max(base, p)
-    slope: object  # _slope(base, p)
-    dual: DualCertificate | None = None  # construct_dual(base, p)
-    walk: tuple | None = None  # _interpolation_walk(base, p)
-    # each walk shape's closed-form exponent at its own cap
-    ends: tuple | None = None
-
-
-_TP_FACTS: dict = {}
-
-
-def _facts(t: int, p, dual: bool = False, walk: bool = False) -> _TpFacts:
-    """The record of (t, p), its dual or walk filled on first need (see above).
-
-    ``p`` comes in exactified; the key holds its type, since 2.0 == Fraction(2)
-    but float shapes, caps and duals decide with a tolerance.
-    """
+@functools.lru_cache(maxsize=None, typed=True)
+def _base(t: int, p):
+    """``(shape, cap, slope)`` of (t, p): ``derive_lcr``'s shape, its nice cap
+    and its closed-form slope ell / lambda.  ``p`` comes in exactified."""
     _check_tp(t, p)
     if t < 2:
         raise ParameterError("derive_lcr needs t >= 2")
-    key = (t, type(p), p)
-    facts = _TP_FACTS.get(key)
-    if facts is None:
-        base = _derive_shape(p, t)
-        facts = _TP_FACTS[key] = _TpFacts(base, nice_range_max(base, p), _slope(base, p))
-    if dual and facts.dual is None:
-        facts = _TP_FACTS[key] = replace(facts, dual=construct_dual(facts.base, p))
-    if walk and facts.walk is None:
-        shapes, frames, caps = _interpolation_walk(facts.base, p)
-        ends = tuple(_slope(s, p) * cap for s, cap in zip(shapes, caps))
-        facts = _TP_FACTS[key] = replace(facts, walk=(shapes, frames, caps), ends=ends)
-    return facts
+    base = _derive_shape(p, t)
+    return base, nice_range_max(base, p), _slope(base, p)
 
 
-def _interpolation_walk(base: LcrParams, p):
-    """Shapes and skewed frames covering lambda above the nice range.
+@functools.lru_cache(maxsize=None, typed=True)
+def _base_dual(t: int, p) -> DualCertificate:
+    """The dual certificate of the base shape of (t, p)."""
+    return construct_dual(_base(t, p)[0], p)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _walk(t: int, p):
+    """Shapes and skewed frames covering lambda above the base shape's nice range.
 
     From each shape the walk either absorbs a right layer into the center,
     (L,C,R) -> (L,C+1,R-1) through a right-skewed (L,C,R) frame, or grows the
@@ -655,11 +628,12 @@ def _interpolation_walk(base: LcrParams, p):
     has a non-negative solution, which is exactly LP optimality of the frame
     family; the walk ends once the shape covers lambda up to 1 + 1/p.
 
-    Returns the tuples ``(shapes, frames, caps)``: ``frames[i]`` is the pair
-    (frame, certificate) that chose the move from ``shapes[i]`` to
-    ``shapes[i+1]``, and ``caps[i]`` is the lambda cap of ``shapes[i]``, at
-    most 1 + 1/p.
+    Returns the tuples ``(shapes, frames, caps, ends)``: ``frames[i]`` is the
+    pair (frame, certificate) that chose the move from ``shapes[i]`` to
+    ``shapes[i+1]``, ``caps[i]`` is the lambda cap of ``shapes[i]``, at most
+    1 + 1/p, and ``ends[i]`` the closed-form exponent of ``shapes[i]`` there.
     """
+    base = _base(t, p)[0]
     shapes = [base]
     frames: list[tuple[LcrParams, DualCertificate]] = []
     for _ in range(base.t + 1):
@@ -678,26 +652,25 @@ def _interpolation_walk(base: LcrParams, p):
             shapes.append(LcrParams(L + 1, C - 1, R))
     # the caps of the walk shapes increase and end at 1 + 1/p
     caps = tuple(min(nice_range_max(s, p), 1 + 1 / p) for s in shapes)
-    return tuple(shapes), tuple(frames), caps
+    ends = tuple(_slope(s, p) * cap for s, cap in zip(shapes, caps))
+    return tuple(shapes), tuple(frames), caps, ends
 
 
-def _locate(t: int, p, lam) -> tuple[_TpFacts, int]:
-    """The record of (t, p) and the segment of its walk that holds lambda.
+def _locate(t: int, p, lam) -> int:
+    """The segment of the walk of (t, p) that holds lambda.
 
     Segment 0 is the base shape's nice range, where the walk is not taken.
-    Otherwise lambda lies in ``(caps[seg - 1], caps[seg]]`` of the record's
-    walk (see ``_interpolation_walk``), the range bridged by
-    ``frames[seg - 1]``.  ``p`` and ``lam`` come in exactified.
+    Otherwise lambda lies in ``(caps[seg - 1], caps[seg]]`` of ``_walk(t, p)``,
+    the range bridged by ``frames[seg - 1]``.  ``p`` and ``lam`` come in
+    exactified.
     """
     _check_lambda(p, lam)
-    facts = _facts(t, p)
-    if _at_most(lam, facts.cap):
-        return facts, 0
-    facts = _facts(t, p, walk=True)
-    caps = facts.walk[2]
+    if _at_most(lam, _base(t, p)[1]):
+        return 0
+    caps = _walk(t, p)[2]
     # lambda <= 1 + 1/p = caps[last] was tested above
     last = len(caps) - 1
-    return facts, next((s for s in range(1, last) if _at_most(lam, caps[s])), last)
+    return next((s for s in range(1, last) if _at_most(lam, caps[s])), last)
 
 
 def predicted_exponent(t: int, p, lam):
@@ -709,18 +682,18 @@ def predicted_exponent(t: int, p, lam):
     skewed spanner family and is confirmed against the LP by the test suite.
     """
     p, lam = _exactify(p), _exactify(lam)
-    facts, seg = _locate(t, p, lam)
-    base = facts.base
+    seg = _locate(t, p, lam)
+    base, _cap, slope = _base(t, p)
     if seg == 0:
         # _locate has tested lambda against the cap
         info = {"branch": "closed_form", "params": base, "segment": None}
-        return facts.slope * lam, info
-    caps = facts.walk[2]
+        return slope * lam, info
+    _shapes, _frames, caps, ends = _walk(t, p)
     lo, hi = caps[seg - 1], caps[seg]
     theta = (hi - lam) / (hi - lo)
     # each shape's own line at its lambda cap; equals (1/p + 1/C) / E(C, R)
     # when C > 0
-    ell = theta * facts.ends[seg - 1] + (1 - theta) * facts.ends[seg]
+    ell = theta * ends[seg - 1] + (1 - theta) * ends[seg]
     branch = "closed_form" if base.L > 0 else "lp_derived"
     return ell, {"branch": branch, "params": base, "segment": seg, "theta": theta}
 
@@ -892,7 +865,7 @@ def construct_dual(params: LcrParams, p) -> DualCertificate:
     system is singular (odd t at p = 1), takes the LP's own optimal duals
     at lambda = 1 instead (see ``_lp_dual``).  Skewed frames have no such
     fallback: a singular frame system raises, which is what steers
-    ``_interpolation_walk`` to the other move.
+    ``_walk`` to the other move.
     """
     p = _exactify(p)
     t = params.t
@@ -1042,12 +1015,12 @@ def certificate_for(t: int, p, lam):
     carries the skew tag of the frame actually used.
     """
     p, lam = _exactify(p), _exactify(lam)
-    facts, seg = _locate(t, p, lam)
+    seg = _locate(t, p, lam)
     if seg == 0:
-        base = facts.base
-        return base, minimal_spanner_primal(base, p, lam), _facts(t, p, dual=True).dual
+        base = _base(t, p)[0]
+        return base, minimal_spanner_primal(base, p, lam), _base_dual(t, p)
     # the walk proved this frame's certificate when it chose the move
-    frame, cert = facts.walk[1][seg - 1]
+    frame, cert = _walk(t, p)[1][seg - 1]
     return frame, skewed_primal(frame, p, lam), cert
 
 

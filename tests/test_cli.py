@@ -283,6 +283,16 @@ class TestSubcommands:
         path.write_text("2 1\n0 1 inf\n")
         assert main(["greedy", "--input", str(path), "--stretch", "3"]) == 3
         assert main(["norm", "--input", str(path)]) == 3
+        # tokens that are not numbers: one error line naming the bad line
+        for text, bad_line in [("a b\n", "'a b'"), ("3.5 0\n", "'3.5 0'"),
+                               ("2 1\n0 x\n", "'0 x'"), ("2 1\n0 1 abc\n", "'0 1 abc'")]:
+            capsys.readouterr()
+            path.write_text(text)
+            assert main(["norm", "--input", str(path)]) == 3, text
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert bad_line in captured.err
 
     def test_unconstructible_dual_exit_3(self, capsys, monkeypatch):
         # no CLI input reaches a refused dual today, so the refusal is forced
@@ -406,6 +416,8 @@ class TestSubcommands:
             ("skewed", {"L": 1, "C": 0, "R": 2, "skew": "right", "p": 2.0, "center": 64,
                         "skew_exponent": 0.5}, "right skew needs C >= 1"),
             ("lcr", {"L": 0, "C": 0, "R": 0, "p": 2.0, "center": 8}, "t = L + C + R >= 1"),
+            ("named", {"name": 5}, "unknown named graph 5"),
+            ("named", {"name": None}, "unknown named graph None"),
         ],
     )
     def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):

@@ -397,6 +397,14 @@ class TestEdgeListFormat:
         with pytest.raises(GraphError):
             parse_edge_list("")
 
+    @pytest.mark.parametrize("text,bad_line", [
+        ("a b\n", "a b"), ("3.5 0\n", "3.5 0"), ("2\n", "2"), ("2 1 0\n0 1\n", "2 1 0"),
+        ("2 1\n0 x\n", "0 x"), ("2 1\n0 1 abc\n", "0 1 abc"), ("2 1\n0\n", "0"),
+    ])
+    def test_malformed_line_named(self, text, bad_line):
+        with pytest.raises(GraphError, match=repr(bad_line)):
+            parse_edge_list(text)
+
     @pytest.mark.parametrize("w", ["inf", "-inf", "nan"])
     def test_rejects_non_finite_weight(self, w):
         with pytest.raises(GraphError):

@@ -72,6 +72,18 @@ def lp_outputs_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+@pytest.fixture
+def empty_caches():
+    """Empty the per-(t, p) caches before and after the test, so a test
+    starts cold and no value computed under a patched internal outlives it."""
+    caches = (lb_lp._base, lb_lp._base_dual, lb_lp._walk)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 def solve_outcomes_digest() -> str:
     lines = []
     for t in range(1, 10):
@@ -480,7 +492,7 @@ class TestCertificatePipeline:
             if info["segment"] is None:
                 assert frame == base
                 continue
-            _shapes, frames, _caps = lb_lp._interpolation_walk(base, lb_lp._exactify(p))
+            frames = lb_lp._walk(5, lb_lp._exactify(p))[1]
             assert frame == frames[info["segment"] - 1][0]
             seen.add(info["segment"])
         assert len(seen) >= 3
@@ -491,7 +503,7 @@ class TestCertificatePipeline:
         checked = 0
         for p in GRID_RATIONAL_PS:
             for t in range(2, 9):
-                shapes, _frames, _caps = lb_lp._interpolation_walk(derive_lcr(p, t), p)
+                shapes = lb_lp._walk(t, p)[0]
                 for s in shapes[:-1]:
                     lam = min(nice_range_max(s, p), 1 + 1 / p) + F(1, 10**14)
                     model = build_model(t, p, lam)
@@ -519,12 +531,11 @@ class TestCertificatePipeline:
             with pytest.raises(ParameterError):
                 call(t, p, lam)
 
-    def test_walk_certificate_reused(self, monkeypatch):
+    def test_walk_certificate_reused(self, monkeypatch, empty_caches):
         # the walk keeps the certificate that chose each move, so a second
         # lambda in the same segment proves no dual again
-        monkeypatch.setattr(lb_lp, "_TP_FACTS", {})
         t, p = 5, F(5)
-        _shapes, frames, caps = lb_lp._facts(t, p, walk=True).walk
+        _shapes, frames, caps, _ends = lb_lp._walk(t, p)
         lams = [caps[0] + (caps[1] - caps[0]) * F(k, 3) for k in (1, 2)]
         assert [predicted_exponent(t, p, lam)[1]["segment"] for lam in lams] == [1, 1]
         certificate_for(t, p, lams[0])
@@ -542,16 +553,14 @@ class TestCertificatePipeline:
         assert cert == real(frame, p)
         assert verify_certificate(build_model(t, p, lams[1]), primal, cert)
 
-    def test_walk_cache_keyed_on_type_of_p(self, monkeypatch):
-        cache = {}
-        monkeypatch.setattr(lb_lp, "_TP_FACTS", cache)
+    def test_walk_cache_keyed_on_type_of_p(self, empty_caches):
         base = derive_lcr(F(5), 5)
-        exact = lb_lp._facts(5, F(5), walk=True).walk
-        assert len(cache) == 1
+        exact = lb_lp._walk(5, F(5))
+        assert lb_lp._walk.cache_info().currsize == 1
         assert exact[0][0] == base
-        assert lb_lp._facts(5, F(5), walk=True).walk is exact
-        approx = lb_lp._facts(5, 5.0, walk=True).walk
-        assert len(cache) == 2
+        assert lb_lp._walk(5, F(5)) is exact
+        approx = lb_lp._walk(5, 5.0)
+        assert lb_lp._walk.cache_info().currsize == 2
         assert approx is not exact
         # the same shapes and frames; the caps and certificates follow the type of p
         assert approx[0] == exact[0]
@@ -571,23 +580,21 @@ class TestCertificatePipeline:
 
 
 class TestFactsCache:
-    def test_lp_outputs_pinned(self, monkeypatch):
+    def test_lp_outputs_pinned(self, empty_caches):
         # from an empty cache and again from the full one
-        monkeypatch.setattr(lb_lp, "_TP_FACTS", {})
         assert lp_outputs_digest() == LP_OUTPUT_PIN
         assert lp_outputs_digest() == LP_OUTPUT_PIN
 
-    def test_keyed_on_type_of_p(self, monkeypatch):
-        cache = {}
-        monkeypatch.setattr(lb_lp, "_TP_FACTS", cache)
+    def test_keyed_on_type_of_p(self, empty_caches):
+        # one entry per (t, type(p)): the int 2 is exactified to Fraction(2)
         assert derive_lcr(2.0, 3) == derive_lcr(F(2), 3) == derive_lcr(2, 3)
-        assert set(cache) == {(3, F, F(2)), (3, float, 2.0)}
-        assert type(cache[(3, float, 2.0)].cap) is float
-        assert type(cache[(3, F, F(2))].cap) is F
+        info = lb_lp._base.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
+        assert type(lb_lp._base(3, 2.0)[1]) is float
+        assert type(lb_lp._base(3, F(2))[1]) is F
+        assert lb_lp._base.cache_info().currsize == 2
 
-    def test_exceptions_not_cached(self, monkeypatch):
-        cache = {}
-        monkeypatch.setattr(lb_lp, "_TP_FACTS", cache)
+    def test_exceptions_not_cached(self, monkeypatch, empty_caches):
         calls = []
         real = lb_lp._derive_shape
 
@@ -609,15 +616,16 @@ class TestFactsCache:
         for _ in range(2):
             with pytest.raises(DeriveDiagnostic):
                 derive_lcr(F(10), 3)
-        assert cache == {}
+        assert lb_lp._base.cache_info().currsize == 0
         monkeypatch.setattr(lb_lp, "verify_lcr_conditions", real_verify)
         assert derive_lcr(F(10), 3) == LcrParams(0, 1, 2)
-        assert list(cache) == [(3, F, F(10))]
+        assert lb_lp._base.cache_info().currsize == 1
+        assert lb_lp._base(3, F(10))[0] == LcrParams(0, 1, 2)
+        assert lb_lp._base.cache_info().hits == 1
 
-    def test_grid_pass_derives_once_per_key(self, monkeypatch):
+    def test_grid_pass_derives_once_per_key(self, monkeypatch, empty_caches):
         # the lb_certify calls over the acceptance grid: each (t, p) runs the
         # uncached shape derivation and the base shape's dual at most once
-        monkeypatch.setattr(lb_lp, "_TP_FACTS", {})
         shapes, duals = Counter(), Counter()
         real_shape, real_dual = lb_lp._derive_shape, lb_lp.construct_dual
 
@@ -646,8 +654,10 @@ class TestFactsCache:
         assert set(shapes.values()) == {1}
         assert duals and set(duals) <= set(shapes)
         assert set(duals.values()) == {1}
+        assert lb_lp._base.cache_info().currsize == len(shapes)
+        assert lb_lp._base_dual.cache_info().currsize == len(duals)
 
-    def test_warm_predictions_evaluate_no_closed_form(self, monkeypatch):
+    def test_warm_predictions_evaluate_no_closed_form(self, monkeypatch, empty_caches):
         # the slope of the base shape and the walk's end values are facts of
         # (t, p): once filled, a prediction is a product or an interpolation
         calls = []
@@ -659,7 +669,6 @@ class TestFactsCache:
 
         grid = [(t, p, (1 + 1 / p) * (F(k, 20) if isinstance(p, F) else k / 20))
                 for p in GRID_PS for t in GRID_TS for k in range(1, 21)]
-        monkeypatch.setattr(lb_lp, "_TP_FACTS", {})
         monkeypatch.setattr(lb_lp, "e_coeff", counted)
         cold = [predicted_exponent(*point) for point in grid]
         assert calls
