@@ -173,6 +173,16 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
     the same matching, preferring swap partners that do not create new short
     cycles through the rewired edges.  Deterministic for a fixed seed; raises
     after ``_LIFT_REPAIR_ROUNDS`` repair rounds (retry with another seed).
+
+    Each round repairs the cycle a full ``short_cycle`` scan from root 0 would
+    return first, without rescanning every root.  The first scan is full.
+    After a scan hit at root h, the roots below h were clean, and by the
+    locality rule in ``short_cycle`` one stays clean unless it lies within
+    ``(limit-1)//2`` hops of an endpoint of a net swap made since (the placed
+    swap or the random kick; a failed attempt and its undo reorder lists but
+    leave the edge set as it was).  So the next scan visits those near roots
+    below h in id order, then h, h+1, ..., in the current adjacency order,
+    and meets the same first hit.  The final girth check is a full scan.
     """
     if min_girth % 2 == 1:
         min_girth += 1  # bipartite girth is even
@@ -196,6 +206,23 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
 
     stamp = [0] * (2 * side)
     queries = 0
+    deepest = (limit - 1) // 2  # short_cycle's search radius
+    hit_root = None  # root of the last scan's hit; None before the first scan
+    touched: set[int] = set()  # endpoints of the net swaps since that scan
+
+    def dirty_roots_below(h: int) -> list[int]:
+        """Roots below h within ``deepest`` hops of a touched vertex."""
+        seen = set(touched)
+        frontier = list(touched)
+        for _ in range(deepest):
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return sorted(v for v in seen if v < h)
 
     def edge_clean(left: int, right_vertex: int) -> bool:
         """No parallel edge and no alternative left->right path < min_girth-1."""
@@ -214,6 +241,7 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
 
     def find_short_cycle():
         """(left, matching) of a matching edge on a short cycle, or None."""
+        nonlocal hit_root
         # parallel matchings first (short_cycle does not see 2-cycles)
         for i in range(side):
             seen = {}
@@ -221,10 +249,13 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
                 if perms[k][i] in seen:
                     return i, k
                 seen[perms[k][i]] = k
-        hit = short_cycle(adj, limit)
+        roots = None if hit_root is None else [*dirty_roots_below(hit_root),
+                                               *range(hit_root, 2 * side)]
+        touched.clear()
+        hit = short_cycle(adj, limit, roots)
         if hit is None:
             return None
-        _, x, y = hit
+        _, x, y, hit_root = hit
         left, right = (x, y - side) if x < side else (y, x - side)
         for k in range(degree):
             if perms[k][left] == right:
@@ -248,8 +279,10 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
             swap(k, i, j)  # undo
         if not placed:
             j = rng.randrange(side)
-            if j != i:
-                swap(k, i, j)  # random kick to escape a local minimum
+            if j == i:
+                continue
+            swap(k, i, j)  # random kick to escape a local minimum
+        touched.update((i, j, side + perms[k][i], side + perms[k][j]))
     else:
         raise RuntimeError(
             f"girth repair did not converge (side={side}, degree={degree}, "

@@ -403,25 +403,41 @@ def within_length(
 # -- girth ----------------------------------------------------------------
 
 
-def short_cycle(adj: Sequence[Sequence[int]], limit: int) -> tuple[int, int, int] | None:
-    """``(length, x, y)``: the first non-tree edge closing a walk of at most
-    ``limit`` edges, or None.
+def short_cycle(adj: Sequence[Sequence[int]], limit: int,
+                roots: Iterable[int] | None = None) -> tuple[int, int, int, int] | None:
+    """``(length, x, y, root)``: the first non-tree edge closing a walk of at
+    most ``limit`` edges, and the root whose search met it; or None.
 
-    Truncated BFS from every root in id order, one level at a time.  A
-    non-tree edge (x,y) closes the walk root->x, x-y, y->root of
-    dist[x]+dist[y]+1 edges, which contains a cycle no longer than itself.
-    For a root on a shortest cycle of length L the BFS meets that cycle's
-    far edge with a walk of exactly L edges, while scanning only levels d
-    with 2d+1 <= L.  So a hit proves a cycle of at most ``length`` edges,
-    and None at ``limit`` proves there is no cycle of length <= ``limit``.
-    ``adj`` must be simple: a parallel edge (a 2-cycle) is not seen.
+    Truncated BFS from every root in id order (or from ``roots``, which must
+    be increasing), one level at a time.  A non-tree edge (x,y) closes the
+    walk root->x, x-y, y->root of dist[x]+dist[y]+1 edges, which contains a
+    cycle no longer than itself.  For a root on a shortest cycle of length L
+    the BFS meets that cycle's far edge with a walk of exactly L edges, while
+    scanning only levels d with 2d+1 <= L.  So a hit proves a cycle of at
+    most ``length`` edges, and None at ``limit`` proves there is no cycle of
+    length <= ``limit``.  ``adj`` must be simple: a parallel edge (a 2-cycle)
+    is not seen.
+
+    Locality: whether the search from root s hits depends only on the edges
+    with an endpoint within ``deepest = (limit-1)//2`` hops of s, not on the
+    order of the adjacency lists.  Levels are hop distances.  The search
+    scans every edge at a vertex of level d <= deepest; an edge inside level
+    d closes 2d+1 <= limit edges and is never a tree edge.  A vertex at level
+    d+1 has exactly one tree edge, whichever parent it gets, so it offers a
+    non-tree edge of length 2(d+1) iff it has two or more neighbours at level
+    d.  So s hits iff its ball holds an edge inside a level d <= deepest, or
+    a vertex at a level d+1 with 2(d+1) <= limit and two neighbours one level
+    down; only which hit ``(length, x, y)`` comes first depends on the order.
+    A caller that edits the graph may therefore skip a root that was clean
+    and lies farther than ``deepest`` hops, in the edited graph, from every
+    endpoint of an edited edge: no edge at its ball changed.
     """
     n = len(adj)
     dist = [0] * n
     parent = [-1] * n
     stamp = [0] * n
     deepest = (limit - 1) // 2  # deepest level whose edges are scanned
-    for s in range(n):
+    for s in range(n) if roots is None else roots:
         tick = s + 1
         stamp[s] = tick
         dist[s] = 0
@@ -441,7 +457,7 @@ def short_cycle(adj: Sequence[Sequence[int]], limit: int) -> tuple[int, int, int
                     elif parent[x] != y and parent[y] != x:
                         length = dist[x] + dist[y] + 1
                         if length <= limit:
-                            return length, x, y
+                            return length, x, y, s
             frontier = nxt
     return None
 

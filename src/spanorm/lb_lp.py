@@ -38,7 +38,9 @@ under ``functools.lru_cache(maxsize=None, typed=True)``: ``_base`` (the base
 shape of ``derive_lcr``, its nice-range cap and closed-form slope
 ell / lambda), ``_base_dual`` (its dual, on first certificate in the nice
 range) and ``_walk`` (the interpolation walk with each walk shape's
-exponent at its cap, on first lambda above the base cap).  ``typed=True``
+exponent at its cap, on first lambda above the base cap).  A fourth,
+``_primal_terms``, holds the lambda-independent terms of the nice-range
+primal per (shape, p).  ``typed=True``
 keeps 2.0 and Fraction(2) apart, since float shapes, caps and duals decide
 with a tolerance.  The caches hold values only, never exceptions, and are
 unbounded: a few small tuples per (t, p) a process asks about;
@@ -662,10 +664,11 @@ def _locate(t: int, p, lam) -> int:
     Segment 0 is the base shape's nice range, where the walk is not taken.
     Otherwise lambda lies in ``(caps[seg - 1], caps[seg]]`` of ``_walk(t, p)``,
     the range bridged by ``frames[seg - 1]``.  ``p`` and ``lam`` come in
-    exactified.
+    exactified; a bad (t, p) is refused by ``_base`` before lambda is read.
     """
+    cap = _base(t, p)[1]
     _check_lambda(p, lam)
-    if _at_most(lam, _base(t, p)[1]):
+    if _at_most(lam, cap):
         return 0
     caps = _walk(t, p)[2]
     # lambda <= 1 + 1/p = caps[last] was tested above
@@ -714,43 +717,63 @@ def _pack_primal(ell, nu: list, delta: list) -> dict:
     return assign
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _primal_terms(params: LcrParams, p):
+    """The lambda-independent terms of ``minimal_spanner_primal``: the
+    denominator of mu (or eta), ell / mu, the layer coefficients E(C, j) (or
+    g(j)) for j <= max(L, R), and q**(j-1) for 1 <= j <= R.  ``p`` comes in
+    exactified."""
+    L, C, R = params.L, params.C, params.R
+    if C == 0 and (L == 0 or R == 0):
+        raise ParameterError("C = 0 needs L, R >= 1")
+    if C > 0:
+        one = Fraction(1) if isinstance(p, Fraction) else 1.0
+        coeffs = tuple(e_coeff(C, j, p) for j in range(max(L, R) + 1))
+        ell_per_mu = one / p + one / C
+    else:
+        coeffs = tuple(_growth(p, j) for j in range(max(L, R) + 1))
+        ell_per_mu = None  # ell is eta itself
+    qpows = tuple(_qpow(p, j - 1) for j in range(1, R + 1))
+    return coeffs[L] / p + coeffs[R], ell_per_mu, coeffs, qpows
+
+
 def minimal_spanner_primal(params: LcrParams, p, lam) -> dict:
     """Log-space primal assignment of a plain (L,C,R)-minimal spanner.
 
     Valid (and LP-optimal) for lambda in the nice range.  Layer exponents
     follow the equal-contribution recurrences; Delta coincides with nu_t.
+    The lambda-independent terms come from ``_primal_terms``, once per
+    (shape, p).
     """
     if params.skew != SKEW_NONE:
         raise ParameterError("use skewed_primal for skewed shapes")
     p, lam = _exactify(p), _exactify(lam)
     L, C, R = params.L, params.C, params.R
     t = params.t
-    one = Fraction(1) if isinstance(p, Fraction) else 1.0
+    denom, ell_per_mu, coeffs, qpows = _primal_terms(params, p)
     nu = [None] * (t + 1)
     delta = [None] * (t + 1)
     if C > 0:
-        mu = lam / (e_coeff(C, L, p) / p + e_coeff(C, R, p))
-        ell = mu * (one / p + one / C)
+        mu = lam / denom
+        ell = mu * ell_per_mu
         for j in range(L + 1):
-            nu[L - j] = mu * e_coeff(C, j, p)
+            nu[L - j] = mu * coeffs[j]
         nu[L : L + C + 1] = [mu] * (C + 1)
         for j in range(R + 1):
-            nu[L + C + j] = mu * e_coeff(C, j, p)
+            nu[L + C + j] = mu * coeffs[j]
         delta[1 : L + C + 1] = [0 * mu] * L + [mu / C] * C
         for j in range(1, R + 1):
-            delta[L + C + j] = mu / C * _qpow(p, j - 1)
+            delta[L + C + j] = mu / C * qpows[j - 1]
     else:
-        if L == 0 or R == 0:
-            raise ParameterError("C = 0 needs L, R >= 1")
-        eta = lam / (_growth(p, L) / p + _growth(p, R))
+        eta = lam / denom
         ell = eta
         for j in range(L + 1):
-            nu[L - j] = eta * _growth(p, j)
+            nu[L - j] = eta * coeffs[j]
         for j in range(R + 1):
-            nu[L + j] = eta * _growth(p, j)
+            nu[L + j] = eta * coeffs[j]
         delta[1 : L + 1] = [0 * eta] * L
         for j in range(1, R + 1):
-            delta[L + j] = eta * _qpow(p, j - 1)
+            delta[L + j] = eta * qpows[j - 1]
     return _pack_primal(ell, nu, delta)
 
 

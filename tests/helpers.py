@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from spanorm.extremal import _gap_forward
-from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, shortest_paths
+from spanorm.extremal import _LIFT_REPAIR_ROUNDS, _gap_forward
+from spanorm.graph_core import (INFINITY, LENGTH_RTOL, Graph, short_cycle,
+                                shortest_paths, within_hops)
 from spanorm.greedy import Spanner
 from spanorm.simplex import LpSolution, _integer_rows, _integer_solve, _NeedsExact
 
@@ -348,6 +349,87 @@ def dense_certified_exact(prog, basis) -> LpSolution:
         for z, row, j, flip in zip(znum, irows, prog.start_basis, prog.flipped)
     )
     return LpSolution(objective=objective, x=tuple(x), duals=duals)
+
+
+def reference_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> Graph:
+    """``extremal.random_bipartite_lift`` as it stood before its repair rounds
+    rescanned only the roots an edit can reach: every round restarts the
+    cycle search at root 0."""
+    if min_girth % 2 == 1:
+        min_girth += 1
+    rng = random.Random(seed)
+    perms = [rng.sample(range(side), side) for _ in range(degree)]
+    adj: list[list[int]] = [[] for _ in range(2 * side)]
+    for perm in perms:
+        for i, j in enumerate(perm):
+            adj[i].append(side + j)
+            adj[side + j].append(i)
+    limit = min_girth - 1
+
+    def swap(k: int, i: int, j: int) -> None:
+        pi, pj = perms[k][i], perms[k][j]
+        for left, old, new in ((i, pi, pj), (j, pj, pi)):
+            adj[left].remove(side + old)
+            adj[side + old].remove(left)
+            adj[left].append(side + new)
+            adj[side + new].append(left)
+        perms[k][i], perms[k][j] = pj, pi
+
+    stamp = [0] * (2 * side)
+    queries = 0
+
+    def edge_clean(left: int, right_vertex: int) -> bool:
+        nonlocal queries
+        target = side + right_vertex
+        if adj[left].count(target) > 1:
+            return False
+        i, j = adj[left].index(target), adj[target].index(left)
+        del adj[left][i], adj[target][j]
+        queries += 1
+        clean = not within_hops(adj, left, target, limit - 1, stamp, queries)
+        adj[left].insert(i, target)
+        adj[target].insert(j, left)
+        return clean
+
+    def find_short_cycle():
+        for i in range(side):
+            seen = {}
+            for k in range(degree):
+                if perms[k][i] in seen:
+                    return i, k
+                seen[perms[k][i]] = k
+        hit = short_cycle(adj, limit)
+        if hit is None:
+            return None
+        x, y = hit[1], hit[2]
+        left, right = (x, y - side) if x < side else (y, x - side)
+        for k in range(degree):
+            if perms[k][left] == right:
+                return left, k
+        return left, 0
+
+    for _ in range(_LIFT_REPAIR_ROUNDS):
+        bad = find_short_cycle()
+        if bad is None:
+            break
+        i, k = bad
+        placed = False
+        for _attempt in range(80):
+            j = rng.randrange(side)
+            if j == i:
+                continue
+            swap(k, i, j)
+            if edge_clean(i, perms[k][i]) and edge_clean(j, perms[k][j]):
+                placed = True
+                break
+            swap(k, i, j)
+        if not placed:
+            j = rng.randrange(side)
+            if j != i:
+                swap(k, i, j)
+    else:
+        raise RuntimeError("girth repair did not converge")
+    return Graph(2 * side, [(i, side + j) for perm in perms for i, j in enumerate(perm)])
 
 
 @st.composite

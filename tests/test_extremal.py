@@ -18,7 +18,8 @@ from spanorm.extremal import (
     named_girth_graph,
     random_bipartite_lift,
 )
-from spanorm.graph_core import Graph, format_edge_list, girth, girth_at_least, lp_norm
+from spanorm.graph_core import (Graph, format_edge_list, girth, girth_at_least, lp_norm,
+                                short_cycle)
 from spanorm.greedy import greedy_spanner, verify_stretch
 from spanorm.lb_lp import (
     LcrParams,
@@ -31,7 +32,7 @@ from spanorm.lb_lp import (
     solve,
 )
 
-from helpers import reference_layered_text
+from helpers import reference_bipartite_lift, reference_layered_text
 from test_acceptance import GRID_PS
 
 
@@ -84,6 +85,50 @@ class TestLifts:
         a = random_bipartite_lift(80, 3, 8, seed=17)
         b = random_bipartite_lift(80, 3, 8, seed=17)
         assert a.edges == b.edges
+
+    @pytest.mark.parametrize("side, degree, min_girth", [
+        (20, 3, 6), (20, 4, 6), (30, 4, 6), (40, 3, 8), (50, 4, 6), (60, 3, 8),
+        (90, 3, 9), (100, 3, 10), (120, 4, 6), (130, 3, 10), (150, 3, 8),
+        (150, 4, 8), (150, 3, 10), (150, 3, 7),
+    ])
+    def test_matches_restart_from_root_zero(self, side, degree, min_girth):
+        # the partial rescan repairs the same cycle, round by round, as a
+        # search restarted at root 0
+        for seed in range(3):
+            assert (random_bipartite_lift(side, degree, min_girth, seed).edges
+                    == reference_bipartite_lift(side, degree, min_girth, seed).edges)
+
+    @pytest.mark.parametrize("side, degree, min_girth, seed, digest", [
+        (300, 4, 8, 11, "247053daddfcd7389bef96f91893acb90147e6afde6ceba3ab9e0219e06f25e6"),
+        (350, 3, 10, 5, "eadba84dd62f8765bde0adf9d5f87ac8de30768d38c7027eef860a13621de41a"),
+    ])
+    def test_acceptance_lifts_pinned(self, side, degree, min_girth, seed, digest):
+        # the lifts of the acceptance suite, as the restart-from-root-0 search built them
+        g = random_bipartite_lift(side, degree, min_girth, seed=seed)
+        assert hashlib.sha256(format_edge_list(g).encode()).hexdigest() == digest
+
+    def test_later_rounds_search_fewer_roots(self, monkeypatch):
+        # after a hit at root h, a round scans only the roots below h near
+        # the last swap, then h, h+1, ...
+        scans = []
+
+        def recorded(adj, limit, roots=None):
+            roots = range(len(adj)) if roots is None else list(roots)
+            hit = short_cycle(adj, limit, roots)
+            scans.append((list(roots), hit))
+            return hit
+
+        monkeypatch.setattr(extremal, "short_cycle", recorded)
+        g = random_bipartite_lift(300, 4, 8, seed=11)
+        assert scans[0][0] == list(range(g.n)) and scans[-1][1] is None
+        searched = restarted = 0
+        for (_, (_, _, _, h)), (roots, _) in zip(scans, scans[1:]):
+            below = [r for r in roots if r < h]
+            assert below == sorted(set(below))
+            assert roots[len(below):] == list(range(h, g.n))
+            searched += len(below)
+            restarted += h
+        assert searched < restarted / 2
 
 
 class TestBuildLcr:

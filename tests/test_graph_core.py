@@ -269,8 +269,9 @@ class TestGirth:
     @settings(max_examples=150, deadline=None)
     @given(g=unit_graphs())
     def test_short_cycle_sound_and_complete(self, g):
-        # a hit names an edge and a length between the girth and the limit;
-        # None means no cycle of length <= limit
+        # a hit names an edge and a length between the girth and the limit,
+        # and the first root whose own search hits; None means no cycle of
+        # length <= limit
         adj = g.adjacency()
         best = brute_force_girth(g)
         for limit in range(g.n + 2):
@@ -278,9 +279,59 @@ class TestGirth:
             if hit is None:
                 assert best > limit
             else:
-                length, x, y = hit
+                length, x, y, root = hit
                 assert y in g.neighbors(x)
                 assert best <= length <= limit
+                first = next(s for s in range(g.n) if short_cycle(adj, limit, [s]))
+                assert root == first
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_short_cycle_hit_roots_ignore_adjacency_order(self, g, seed):
+        # whether a root's own search hits depends on the edge set near it,
+        # not on the order of the adjacency lists
+        adj = [list(nbrs) for nbrs in g.adjacency()]
+        shuffled = [list(nbrs) for nbrs in adj]
+        rng = random.Random(seed)
+        for nbrs in shuffled:
+            rng.shuffle(nbrs)
+        best = brute_force_girth(g)
+        for limit in range(g.n + 2):
+            hits = [short_cycle(adj, limit, [s]) for s in range(g.n)]
+            shuffled_hits = [short_cycle(shuffled, limit, [s]) for s in range(g.n)]
+            assert [h is None for h in hits] == [h is None for h in shuffled_hits]
+            for hit in hits + shuffled_hits:
+                if hit is not None:
+                    assert best <= hit[0] <= limit
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(), edits=st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                           max_size=3))
+    def test_short_cycle_hit_roots_far_from_an_edit_unchanged(self, g, edits):
+        # toggling edges changes no root's hit status farther than
+        # (limit-1)//2 hops from every endpoint of a toggled edge
+        toggled = {(min(u, v), max(u, v)) for u, v in edits if u != v and max(u, v) < g.n}
+        h = Graph(g.n, sorted(set(g.edges) ^ toggled))
+        ends = {x for edge in toggled for x in edge}
+        hops_to_edit = [min((shortest_paths(h, x)[s] for x in ends), default=math.inf)
+                        for s in range(g.n)]
+        before, after = g.adjacency(), h.adjacency()
+        for limit in range(g.n + 2):
+            for s in range(g.n):
+                if hops_to_edit[s] > (limit - 1) // 2:
+                    assert ((short_cycle(before, limit, [s]) is None)
+                            == (short_cycle(after, limit, [s]) is None))
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs())
+    def test_short_cycle_resumes_past_clean_roots(self, g):
+        # skipping roots known to be clean leaves the first hit as it was
+        adj = g.adjacency()
+        for limit in range(g.n + 2):
+            full = short_cycle(adj, limit)
+            clean_below = g.n if full is None else full[3]
+            for r in range(clean_below + 1):
+                assert short_cycle(adj, limit, range(r, g.n)) == full
 
     def test_unique_short_paths_in_high_girth(self):
         # girth >= 2k+1 forces a unique i-hop path to each vertex of N_i(v), i <= k

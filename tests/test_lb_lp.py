@@ -76,7 +76,7 @@ def lp_outputs_digest() -> str:
 def empty_caches():
     """Empty the per-(t, p) caches before and after the test, so a test
     starts cold and no value computed under a patched internal outlives it."""
-    caches = (lb_lp._base, lb_lp._base_dual, lb_lp._walk)
+    caches = (lb_lp._base, lb_lp._base_dual, lb_lp._walk, lb_lp._primal_terms)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -531,6 +531,13 @@ class TestCertificatePipeline:
             with pytest.raises(ParameterError):
                 call(t, p, lam)
 
+    @pytest.mark.parametrize("p", [0, None, 0.5])
+    def test_p_outside_range_refused_before_lambda(self, p):
+        # p is checked before the lambda range, which divides by p
+        for call in (build_model, predicted_exponent, certificate_for):
+            with pytest.raises(ParameterError, match="finite real"):
+                call(3, p, 1)
+
     def test_walk_certificate_reused(self, monkeypatch, empty_caches):
         # the walk keeps the certificate that chose each move, so a second
         # lambda in the same segment proves no dual again
@@ -675,6 +682,26 @@ class TestFactsCache:
         calls.clear()
         assert [predicted_exponent(*point) for point in grid] == cold
         assert calls == []
+
+    def test_warm_primals_evaluate_no_layer_term(self, monkeypatch, empty_caches):
+        # E(C, j), g(j) and q**j are facts of (shape, p): once filled, a
+        # nice-range primal is lambda times fixed terms (LP_OUTPUT_PIN pins
+        # their bits through certificate_for)
+        calls = []
+        for name in ("e_coeff", "_growth", "_qpow"):
+            real = getattr(lb_lp, name)
+            monkeypatch.setattr(lb_lp, name, lambda *a, real=real: calls.append(a) or real(*a))
+        cases = [(LcrParams(1, 1, 1), F(2)), (LcrParams(2, 0, 2), F(3, 2)),
+                 (LcrParams(1, 2, 3), 2.5), (LcrParams(3, 0, 1), GOLDEN)]
+        grid = [(shape, p, nice_range_max(shape, p) * k / 5) for shape, p in cases
+                for k in range(1, 6)]
+        calls.clear()
+        cold = [repr(minimal_spanner_primal(*point)) for point in grid]
+        assert calls
+        calls.clear()
+        assert [repr(minimal_spanner_primal(*point)) for point in grid] == cold
+        assert calls == []
+        assert lb_lp._primal_terms.cache_info().currsize == len(cases)
 
 
 class TestLbValue:
