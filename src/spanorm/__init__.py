@@ -34,7 +34,6 @@ _OWNERS = {
     "lp_norm": "graph_core",
     "parse_edge_list": "graph_core",
     "format_edge_list": "graph_core",
-    "shortest_paths": "graph_core",
     "subset_norm": "graph_core",
     "upper_bound_exponent": "greedy",
     "verify_stretch": "greedy",

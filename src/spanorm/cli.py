@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 # Library modules are imported inside the handlers, so a subcommand loads
@@ -41,8 +42,7 @@ def _emit(obj) -> None:
 
 def _dumps(obj) -> str:
     """Strict JSON text of ``obj``; raises ValueError on NaN."""
-    return json.dumps(_encode_infinities(obj), sort_keys=True,
-                      default=_json_default, allow_nan=False)
+    return json.dumps(_encode_infinities(obj), sort_keys=True, allow_nan=False)
 
 
 def _encode_infinities(value):
@@ -53,14 +53,6 @@ def _encode_infinities(value):
     if isinstance(value, (list, tuple)):
         return [_encode_infinities(v) for v in value]
     return value
-
-
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, frozenset):
-        return sorted(value)
-    raise TypeError(f"not JSON-serializable: {type(value)}")
 
 
 def _parse_p(text: str):
@@ -210,11 +202,30 @@ def _lp_agreement(t: int, p, lam) -> tuple:
     return ell, pred, info["branch"], abs(ell - pred) <= 1e-7
 
 
+def _read_spec(path, option: str) -> dict:
+    """The JSON object in the file ``path``; ValueError (exit 2) otherwise."""
+    spec = json.loads(Path(path).read_text())
+    if not isinstance(spec, dict):
+        raise ValueError(f"{option} must hold a JSON object, got a {type(spec).__name__}")
+    return spec
+
+
+def _nonempty_list(doc: dict, key: str, default, where: str) -> list:
+    """``doc[key]`` (``default`` when absent), refused unless a non-empty list."""
+    value = doc.get(key, default)
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{where}: {key!r} must be a non-empty list, got {value!r}")
+    return value
+
+
 def _cmd_lb_sweep(args) -> int:
-    spec = json.loads(Path(args.grid).read_text())
-    ts = spec.get("t", [2, 3, 4, 5])
-    ps = spec.get("p", ["1.5", "2", "3"])
+    spec = _read_spec(args.grid, "--grid")
+    ts = _nonempty_list(spec, "t", [2, 3, 4, 5], "--grid")
+    ps = _nonempty_list(spec, "p", ["1.5", "2", "3"], "--grid")
     lam_points = spec.get("lambda_points", 10)
+    if type(lam_points) is not int or lam_points < 1:
+        raise ValueError(
+            f"--grid: 'lambda_points' must be a positive integer, got {lam_points!r}")
     rows = []
     for p_text in ps:
         p = Fraction(p_text)
@@ -397,7 +408,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    spec = json.loads(Path(args.spec).read_text())
+    spec = _read_spec(args.spec, "--spec")
     if args.threads and "threads" not in spec:
         spec["threads"] = args.threads
     return run_experiment(spec, resume=not args.fresh)
@@ -412,9 +423,12 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
     to them before new rows are appended.  Failures are recorded as rows,
     never abort the sweep.
     """
-    grid = spec.get("grid") or {}
-    if not grid or not spec.get("families"):
-        raise ValueError("REJECTED_SPEC: empty grid or families")
+    grid = spec.get("grid")
+    if not isinstance(grid, dict) or not grid:
+        raise ValueError(f"REJECTED_SPEC: 'grid' must be a non-empty JSON object, got {grid!r}")
+    families = _nonempty_list(spec, "families", None, "REJECTED_SPEC")
+    axes = [_nonempty_list(grid, key, default, "REJECTED_SPEC: grid")
+            for key, default in (("seeds", [0]), ("n", [100]), ("t", [3]), ("p", ["2"]))]
     outdir = Path(spec.get("output", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{spec.get('name', 'experiment')}.csv"
@@ -432,14 +446,10 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
     }
     failures = 0
     jobs = []
-    for family in spec["families"]:
-        for seed in grid.get("seeds", [0]):
-            for n in grid.get("n", [100]):
-                for t in grid.get("t", [3]):
-                    for p_text in grid.get("p", ["2"]):
-                        key = (family, str(seed), str(n), str(t), str(p_text))
-                        if key not in done:
-                            jobs.append((family, seed, n, t, p_text))
+    for family, seed, n, t, p_text in product(families, *axes):
+        key = (family, str(seed), str(n), str(t), str(p_text))
+        if key not in done:
+            jobs.append((family, seed, n, t, p_text))
     with csv_path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()

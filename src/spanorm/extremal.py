@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 
-from .graph_core import (Graph, degree_norm, girth, girth_at_least, lp_norm,
-                         short_cycle, within_hops)
+from .graph_core import (Graph, degree_norm, girth, girth_at_least, hop_layers,
+                         lp_norm, short_cycle, within_hops)
 from .greedy import verify_stretch
 from .lb_lp import LcrParams, SKEW_LEFT, SKEW_NONE, SKEW_RIGHT
 
@@ -173,6 +173,11 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
     the same matching, preferring swap partners that do not create new short
     cycles through the rewired edges.  Deterministic for a fixed seed; raises
     after ``_LIFT_REPAIR_ROUNDS`` repair rounds (retry with another seed).
+    Sizes no such graph has are refused at once with ``ValueError``:
+    ``degree > side``, or ``side`` below the bipartite Moore bound
+    ``sum((degree-1)**i for i < g/2)``, g being ``min_girth`` rounded up to
+    even: the vertices within g/2 - 1 hops of an edge span a tree, which has
+    that many on each side.
 
     Each round repairs the cycle a full ``short_cycle`` scan from root 0 would
     return first, without rescanning every root.  The first scan is full.
@@ -186,6 +191,11 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
     """
     if min_girth % 2 == 1:
         min_girth += 1  # bipartite girth is even
+    if degree > side or side < sum((degree - 1) ** i for i in range(min_girth // 2)):
+        raise ValueError(
+            f"no {degree}-regular bipartite graph of girth >= {min_girth} "
+            f"has {side} vertices a side"
+        )
     rng = random.Random(seed)
     perms = [rng.sample(range(side), side) for _ in range(degree)]
     adj: list[list[int]] = [[] for _ in range(2 * side)]
@@ -212,17 +222,7 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
 
     def dirty_roots_below(h: int) -> list[int]:
         """Roots below h within ``deepest`` hops of a touched vertex."""
-        seen = set(touched)
-        frontier = list(touched)
-        for _ in range(deepest):
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(v for v in seen if v < h)
+        return sorted(v for layer in hop_layers(adj, touched, deepest) for v in layer if v < h)
 
     def edge_clean(left: int, right_vertex: int) -> bool:
         """No parallel edge and no alternative left->right path < min_girth-1."""
@@ -257,10 +257,7 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
             return None
         _, x, y, hit_root = hit
         left, right = (x, y - side) if x < side else (y, x - side)
-        for k in range(degree):
-            if perms[k][left] == right:
-                return left, k
-        return left, 0
+        return left, next(k for k in range(degree) if perms[k][left] == right)
 
     for _ in range(_LIFT_REPAIR_ROUNDS):
         bad = find_short_cycle()

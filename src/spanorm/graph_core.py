@@ -2,21 +2,20 @@
 
 Vertices are dense integer ids ``0..n-1``.  Edges are unordered pairs with
 optional finite, strictly positive lengths; a graph without lengths is
-treated as unit-length.  Hop layers (``layer_profile``) always ignore edge lengths,
-even on weighted graphs; weighted shortest paths are a separate code path
-(``shortest_paths`` with ``use_lengths=True``).
+treated as unit-length.  Hop layers always ignore edge lengths, even on
+weighted graphs; only ``within_length`` reads them.
 
 Shared kernels take plain adjacency lists or degree multisets:
-``within_hops`` and ``within_length`` (bounded hop and weighted distance
-tests), ``short_cycle`` (the one cycle search) and ``degree_norm`` (the one
-lp norm of degrees).
+``hop_layers`` (the one truncated multi-source BFS, read by
+``layer_profile``), ``within_hops`` and ``within_length`` (bounded hop and
+weighted distance tests), ``short_cycle`` (the one cycle search) and
+``degree_norm`` (the one lp norm of degrees).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import mul
@@ -31,13 +30,13 @@ __all__ = [
     "degree_norm",
     "girth",
     "girth_at_least",
+    "hop_layers",
     "layer_profile",
     "lp_norm",
     "parse_edge_list",
     "format_edge_list",
     "write_edge_list",
     "short_cycle",
-    "shortest_paths",
     "subset_norm",
     "within_hops",
     "within_length",
@@ -260,6 +259,32 @@ def subset_norm(g: Graph, s: Iterable[int], p) -> float:
 # -- hop layers and distances --------------------------------------------
 
 
+def hop_layers(adj: Sequence[Sequence[int]], sources: Iterable[int], r: int) -> list[list[int]]:
+    """The hop layers 0..r around ``sources`` in ``adj``: exactly ``r + 1`` lists.
+
+    Layer 0 holds the distinct sources, layer d the vertices first met at d
+    hops from the nearest source; layers past the sources' components are
+    empty.  Callers check that ``r >= 0`` and that the sources are vertex ids.
+    """
+    seen = bytearray(len(adj))
+    frontier = []
+    for s in sources:
+        if not seen[s]:
+            seen[s] = 1
+            frontier.append(s)
+    layers = [frontier]
+    for _ in range(r):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    nxt.append(y)
+        layers.append(nxt)
+        frontier = nxt
+    return layers
+
+
 def layer_profile(g: Graph, v: int, r: int) -> LayerProfile:
     """BFS layer sizes around ``v`` by hop count, truncated at radius ``r``.
 
@@ -269,58 +294,8 @@ def layer_profile(g: Graph, v: int, r: int) -> LayerProfile:
         raise GraphError(f"vertex {v} out of range for n={g.n}")
     if r < 0:
         raise GraphError(f"radius must be non-negative, got {r}")
-    counts = [1]
-    seen = bytearray(g.n)
-    seen[v] = 1
-    frontier = [v]
-    adj = g.adjacency()
-    for _ in range(r):
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    nxt.append(y)
-        counts.append(len(nxt))
-        frontier = nxt
-    return LayerProfile(source=v, counts=tuple(counts))
-
-
-def shortest_paths(g: Graph, v: int, use_lengths: bool = True) -> list[float]:
-    """Exact single-source distances from ``v``, ``math.inf`` if unreachable.
-
-    With ``use_lengths=False`` (or on unit graphs) this is plain BFS hop
-    distance; otherwise Dijkstra over the positive edge lengths.
-    """
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range for n={g.n}")
-    adj = g.adjacency()
-    if not (use_lengths and g.weighted):
-        # hop distances are exact integers; only "unreachable" is a float
-        dist: list = [math.inf] * g.n
-        dist[v] = 0
-        q = deque([v])
-        while q:
-            x = q.popleft()
-            dx = dist[x] + 1
-            for y in adj[x]:
-                if dist[y] == math.inf:
-                    dist[y] = dx
-                    q.append(y)
-        return dist
-    dist = [math.inf] * g.n
-    dist[v] = 0.0
-    heap = [(0.0, v)]
-    while heap:
-        dx, x = heapq.heappop(heap)
-        if dx > dist[x]:
-            continue
-        for y in adj[x]:
-            nd = dx + g.edge_length(x, y)
-            if nd < dist[y]:
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
-    return dist
+    counts = tuple(map(len, hop_layers(g.adjacency(), (v,), r)))
+    return LayerProfile(source=v, counts=counts)
 
 
 def within_hops(

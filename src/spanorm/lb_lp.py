@@ -450,8 +450,8 @@ def _low_p_candidate(p, t: int) -> LcrParams | None:
     # Delta_0 = log(p^2/floor(p)) / log(p/(p-1)); Delta_1 with p*floor(p)/(p-1).
     v0 = p * p / floor_p
     v1 = p * floor_p / (p - 1)
-    if v0 < 1 or v1 < 1:
-        return None
+    # p > 1 here (the lowest range returned above), so v0 >= p > 1 and
+    # v1 > floor(p) >= 1: both logs below are defined
     # any f_minus >= t + 1 gives L < 0 below, so the search stops there
     f0 = _floor_log_ratio(p, v0, t + 1)
     f1 = _floor_log_ratio(p, v1, t + 1)
@@ -521,31 +521,26 @@ def _cond(name: str, lhs, rhs, sense: str) -> Condition:
 
 
 def verify_lcr_conditions(params: LcrParams, p) -> ConditionReport:
-    """Per-condition report for the case matching ``params`` (L>0, L=0, skew).
+    """Per-condition report for a plain shape with C >= 1 (L > 0 or L = 0).
 
-    C = 0 has no condition system (the lowest-p closed form handles it), so
-    the report comes back inapplicable.
+    The other shapes have no condition system here, so their report comes
+    back inapplicable: C = 0 (the lowest-p closed form handles it) and the
+    skewed frames, whose optimality ``construct_dual`` and
+    ``verify_certificate`` decide.
     """
     p = _exactify(p)
     L, C, R = params.L, params.C, params.R
-    if C == 0:
+    if C == 0 or params.skew != SKEW_NONE:
         return ConditionReport(params, applicable=False, conditions=())
-    if params.skew != SKEW_NONE:
-        # left skew: (C+1) r**(R-L-1) <= p**2; right skew: r**(R-L-1) <= C+1
-        s = _ratio_pow(p, R - L - 1)
-        lhs, rhs = ((C + 1) * s, p * p) if params.skew == SKEW_LEFT else (s, C + 1)
-        conds = [_cond("C >= p-2", C, p - 2, ">="),
-                 _cond(f"{params.skew}-skew s", lhs, rhs, "<=")]
-    else:
-        # the L = 0 system is cond2-cond4 of the L > 0 one at L = 0
-        conds = [_cond("cond2", C * _ratio_pow(p, R - L), p * p, "<="),
-                 _cond("cond3", _ratio_pow(p, R - L), C, ">="),
-                 _cond("cond4", _ratio_pow(p, R - L - 1), C + 1, "<=")]
-        if L > 0:
-            conds = [_cond("cond1", (C + 1) * _ratio_pow(p, R - L + 1), p * p, ">="),
-                     *conds,
-                     _cond("cond5-lo", C, p - 2, ">="),
-                     _cond("cond5-hi", C, p, "<=")]
+    # the L = 0 system is cond2-cond4 of the L > 0 one at L = 0
+    conds = [_cond("cond2", C * _ratio_pow(p, R - L), p * p, "<="),
+             _cond("cond3", _ratio_pow(p, R - L), C, ">="),
+             _cond("cond4", _ratio_pow(p, R - L - 1), C + 1, "<=")]
+    if L > 0:
+        conds = [_cond("cond1", (C + 1) * _ratio_pow(p, R - L + 1), p * p, ">="),
+                 *conds,
+                 _cond("cond5-lo", C, p - 2, ">="),
+                 _cond("cond5-hi", C, p, "<=")]
     return ConditionReport(params, applicable=True, conditions=tuple(conds))
 
 

@@ -17,8 +17,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from spanorm.extremal import _LIFT_REPAIR_ROUNDS, _gap_forward
-from spanorm.graph_core import (INFINITY, LENGTH_RTOL, Graph, short_cycle,
-                                shortest_paths, within_hops)
+from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, short_cycle, within_hops
 from spanorm.greedy import Spanner
 from spanorm.simplex import LpSolution, _integer_rows, _integer_solve, _NeedsExact
 
@@ -201,32 +200,19 @@ def reference_weighted_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:
     return tuple(kept)
 
 
-def verify_stretch_all_pairs(g: Graph, h: Spanner | Graph, t: int) -> bool:
-    """All-pairs form of the stretch check, for cross-validation at desk scale."""
-    hg = h.graph() if isinstance(h, Spanner) else h
-    for v in range(g.n):
-        dg = shortest_paths(g, v)
-        dh = shortest_paths(hg, v)
-        for u in range(g.n):
-            if dg[u] == math.inf:
-                if dh[u] != math.inf:
-                    return False
-                continue
-            if dh[u] > t * dg[u] * (1.0 + LENGTH_RTOL):
-                return False
-    return True
-
-
-def is_t_spanner_all_pairs(g: Graph, h: Graph, t: float) -> bool:
-    """All-pairs stretch check via Floyd-Warshall on both graphs."""
+def verify_stretch_all_pairs(g: Graph, h: Spanner | Graph, t: float) -> bool:
+    """All-pairs stretch check via Floyd-Warshall on both graphs, with the
+    library's relative tolerance ``LENGTH_RTOL``: every pair of ``g`` is
+    within ``t`` times its distance in ``h``, and unreachable in ``g`` iff in
+    ``h``.  Exact on integer and dyadic lengths, whose sums do not round."""
     dg = floyd_warshall(g)
-    dh = floyd_warshall(h)
+    dh = floyd_warshall(h.graph() if isinstance(h, Spanner) else h)
     for u in range(g.n):
         for v in range(g.n):
             if dg[u][v] == math.inf:
                 if dh[u][v] != math.inf:
                     return False
-            elif dh[u][v] > t * dg[u][v] * (1 + 1e-9):
+            elif dh[u][v] > t * dg[u][v] * (1.0 + LENGTH_RTOL):
                 return False
     return True
 

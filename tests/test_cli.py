@@ -430,6 +430,38 @@ class TestSubcommands:
         assert reason in captured.err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, doc, reason", [
+        ("lb-sweep", {"t": []}, "'t' must be a non-empty list"),
+        ("lb-sweep", {"p": "2"}, "'p' must be a non-empty list"),
+        ("lb-sweep", {"lambda_points": 0}, "'lambda_points' must be a positive integer"),
+        ("lb-sweep", {"lambda_points": -1}, "'lambda_points' must be a positive integer"),
+        ("lb-sweep", {"lambda_points": "5"}, "'lambda_points' must be a positive integer"),
+        ("lb-sweep", {"lambda_points": True}, "'lambda_points' must be a positive integer"),
+        ("lb-sweep", [1, 2], "--grid must hold a JSON object"),
+        ("experiment", [1], "--spec must hold a JSON object"),
+        ("experiment", {"grid": {"n": [40]}, "families": "greedy_bound"},
+         "'families' must be a non-empty list"),
+        ("experiment", {"grid": [1], "families": ["greedy_bound"]},
+         "'grid' must be a non-empty JSON object"),
+        ("experiment", {"grid": {"seeds": []}, "families": ["greedy_bound"]},
+         "'seeds' must be a non-empty list"),
+        ("experiment", {"grid": {"n": 40}, "families": ["greedy_bound"]},
+         "'n' must be a non-empty list"),
+    ])
+    def test_malformed_document_exit_2(self, command, doc, reason, tmp_path, monkeypatch,
+                                       capsys):
+        # refused before any row runs: no traceback, no CSV, no summary
+        monkeypatch.chdir(tmp_path)
+        Path("doc.json").write_text(json.dumps(doc))
+        option = "--grid" if command == "lb-sweep" else "--spec"
+        code = main([command, option, "doc.json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
     def test_lb_sweep(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"t": [2, 3], "p": ["2"], "lambda_points": 3}))

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -106,6 +107,23 @@ class TestLifts:
         # the lifts of the acceptance suite, as the restart-from-root-0 search built them
         g = random_bipartite_lift(side, degree, min_girth, seed=seed)
         assert hashlib.sha256(format_edge_list(g).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("side, degree, min_girth", [
+        (20, 3, 10), (20, 3, 9), (30, 3, 10), (2, 3, 2), (30, 4, 8), (12, 4, 6),
+    ])
+    def test_sizes_below_moore_bound_refused(self, side, degree, min_girth):
+        # a side of a d-regular bipartite graph of girth >= 2k holds at least
+        # sum((d-1)**i for i < k) vertices, and d of them; no repair round runs
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="no .*-regular bipartite graph"):
+            random_bipartite_lift(side, degree, min_girth, seed=0)
+        assert time.perf_counter() - started < 0.1
+
+    def test_sizes_at_moore_bound_built(self):
+        # the bound itself is not refused: the Heawood graph, K_{3,3}, C_10
+        for side, degree, min_girth in ((7, 3, 6), (3, 3, 4), (5, 2, 10)):
+            g = random_bipartite_lift(side, degree, min_girth, seed=0)
+            assert set(g.degrees()) == {degree} and girth_at_least(g, min_girth)
 
     def test_later_rounds_search_fewer_roots(self, monkeypatch):
         # after a hit at root h, a round scans only the roots below h near

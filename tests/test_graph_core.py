@@ -18,13 +18,14 @@ from spanorm.graph_core import (
     format_edge_list,
     girth,
     girth_at_least,
+    hop_layers,
     layer_profile,
     lp_norm,
     parse_edge_list,
     short_cycle,
-    shortest_paths,
     subset_norm,
     within_hops,
+    within_length,
 )
 
 from helpers import (
@@ -225,6 +226,22 @@ class TestLayerProfile:
         g = petersen_graph()
         assert sum(layer_profile(g, 0, 5).counts) == 10
 
+    @settings(max_examples=200, deadline=None)
+    @given(g=unit_graphs(), data=st.data())
+    def test_hop_layers_match_floyd_warshall(self, g, data):
+        # one or more sources, repeats allowed, or none; the graph is often
+        # disconnected, and r runs from 0 past the diameter to n + 1
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=4))
+        r = data.draw(st.integers(0, g.n + 1))
+        dist = floyd_warshall(g)
+        layers = hop_layers(g.adjacency(), sources, r)
+        assert len(layers) == r + 1
+        placed = [v for layer in layers for v in layer]
+        assert len(placed) == len(set(placed))
+        near = [min((dist[s][v] for s in sources), default=math.inf) for v in range(g.n)]
+        assert {v: d for d, layer in enumerate(layers) for v in layer} == {
+            v: d for v, d in enumerate(near) if d <= r}
+
 
 class TestGirth:
     def test_petersen(self):
@@ -313,8 +330,8 @@ class TestGirth:
         toggled = {(min(u, v), max(u, v)) for u, v in edits if u != v and max(u, v) < g.n}
         h = Graph(g.n, sorted(set(g.edges) ^ toggled))
         ends = {x for edge in toggled for x in edge}
-        hops_to_edit = [min((shortest_paths(h, x)[s] for x in ends), default=math.inf)
-                        for s in range(g.n)]
+        dist = floyd_warshall(h)
+        hops_to_edit = [min((dist[x][s] for x in ends), default=math.inf) for s in range(g.n)]
         before, after = g.adjacency(), h.adjacency()
         for limit in range(g.n + 2):
             for s in range(g.n):
@@ -352,39 +369,6 @@ class TestGirth:
                 assert all(c == 1 for c in frontier.values())
 
 
-class TestShortestPaths:
-    def test_unit_path(self):
-        d = shortest_paths(path_graph(3), 0)
-        assert d == [0, 1, 2]
-
-    def test_disconnected(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        d = shortest_paths(g, 0)
-        assert d[2] == math.inf and d[3] == math.inf
-
-    def test_weighted_triangle(self):
-        g = Graph(3, [(0, 1), (1, 2), (0, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0})
-        d = shortest_paths(g, 0)
-        assert d[2] == pytest.approx(2.0)
-
-    def test_hops_flag_ignores_lengths(self):
-        g = Graph(3, [(0, 1), (1, 2), (0, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0})
-        d = shortest_paths(g, 0, use_lengths=False)
-        assert d[2] == 1
-
-    def test_matches_floyd_warshall_weighted(self):
-        rng = random.Random(23)
-        for _ in range(10):
-            base = random_connected_graph(rng, rng.randint(3, 9), rng.randint(2, 12) + 8)
-            lengths = {e: rng.uniform(0.5, 3.0) for e in base.edges}
-            g = Graph(base.n, base.edges, lengths)
-            dist = floyd_warshall(g)
-            for v in range(g.n):
-                d = shortest_paths(g, v)
-                for u in range(g.n):
-                    assert d[u] == pytest.approx(dist[v][u])
-
-
 class TestWithinHops:
     @settings(max_examples=150, deadline=None)
     @given(g=unit_graphs())
@@ -395,14 +379,32 @@ class TestWithinHops:
         adj = g.adjacency()
         stamp = [0] * g.n
         tick = 0
+        dist = floyd_warshall(g)
         for u in range(g.n):
-            dist = shortest_paths(g, u)
             for v in range(g.n):
                 for cap in (0, 1, 2, 3, 5, 7):
                     tick += 1
-                    want = dist[v] <= cap
+                    want = dist[u][v] <= cap
                     assert within_hops(adj, u, v, cap, stamp, tick) == want
                     assert within_hops(adj, u, v, cap) == want
+
+
+class TestWithinLength:
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(), data=st.data())
+    def test_matches_floyd_warshall(self, g, data):
+        # dyadic lengths keep every sum exact, so a cap equal to the
+        # distance must pass and a cap just below it must not
+        lengths = data.draw(st.lists(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.25)),
+                                     min_size=g.m, max_size=g.m))
+        wg = Graph(g.n, g.edges, dict(zip(g.edges, lengths)))
+        dist = floyd_warshall(wg)
+        for u in range(g.n):
+            for v in range(g.n):
+                d = dist[u][v]
+                near = (d, d - 0.25) if d < math.inf else ()
+                for cap in (0.0, 1.0, 2.5, 6.5, *near):
+                    assert within_length(wg.adjacency(), wg.lengths, u, v, cap) == (d <= cap)
 
 
 class TestEdgeListFormat:

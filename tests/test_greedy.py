@@ -29,7 +29,7 @@ from spanorm.greedy import (
 from helpers import (
     complete_graph,
     cycle_graph,
-    is_t_spanner_all_pairs,
+    floyd_warshall,
     one_sided_greedy,
     path_graph,
     petersen_graph,
@@ -60,7 +60,7 @@ class TestGreedyExamples:
         assert h.kept_edges == ((0, 1), (0, 2), (0, 3))
         assert girth(h.graph()) == UNBOUNDED
         assert verify_stretch(g, h, 3)
-        assert is_t_spanner_all_pairs(g, h.graph(), 3)
+        assert verify_stretch_all_pairs(g, h, 3)
 
     def test_empty_graph(self):
         h = greedy_spanner(Graph(0, []), 3)
@@ -123,7 +123,7 @@ class TestGreedyWeighted:
             for t in (1, 2, 3):
                 h = greedy_spanner(g, t)
                 assert verify_stretch(g, h, t)
-                assert is_t_spanner_all_pairs(g, h.graph(), t)
+                assert verify_stretch_all_pairs(g, h, t)
 
 
 class TestVerifyStretch:
@@ -184,7 +184,7 @@ class TestVerifyStretch:
             rng.shuffle(edges)
             sub = g.subgraph(edges[: rng.randint(0, len(edges))])
             for t in (2, 3):
-                assert verify_stretch(g, sub, t) == is_t_spanner_all_pairs(g, sub, t)
+                assert verify_stretch(g, sub, t) == verify_stretch_all_pairs(g, sub, t)
 
     @settings(max_examples=300, deadline=None)
     @given(g=unit_graphs(), t=st.integers(1, 7), data=st.data())
@@ -291,9 +291,7 @@ class TestGreedyInvariants:
         rng = random.Random(43)
         g = random_connected_graph(rng, 12, 25)
         h = greedy_spanner(g, 3).graph()
-        from spanorm.graph_core import shortest_paths
-
-        assert all(d < math.inf for d in shortest_paths(h, 0))
+        assert all(d < math.inf for d in floyd_warshall(h)[0])
 
     def test_idempotent(self):
         rng = random.Random(47)
@@ -349,4 +347,4 @@ def test_disconnected_input_per_component():
     for t in (2, 3):
         h = greedy_spanner(g, t)
         assert verify_stretch(g, h, t)
-        assert is_t_spanner_all_pairs(g, h.graph(), t)
+        assert verify_stretch_all_pairs(g, h, t)

@@ -287,6 +287,16 @@ class TestConditions:
         assert not report.applicable
         assert not report.all_ok
 
+    def test_walk_frames_not_applicable(self):
+        # a skewed frame has no condition system: construct_dual and
+        # verify_certificate decide it, as the walk does
+        frames = [(frame, p) for p in GRID_RATIONAL_PS for t in range(2, 10)
+                  for frame, _cert in lb_lp._walk(t, p)[1]]
+        assert Counter(frame.skew for frame, _p in frames) == {SKEW_RIGHT: 83, SKEW_LEFT: 23}
+        for frame, p in frames:
+            report = verify_lcr_conditions(frame, p)
+            assert not report.applicable and report.conditions == ()
+
     def test_012_p10(self):
         report = verify_lcr_conditions(LcrParams(0, 1, 2), F(10))
         assert report.all_ok
