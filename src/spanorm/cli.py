@@ -68,6 +68,15 @@ def _parse_p(text: str):
     return p
 
 
+def _parse_rational(value, what: str) -> Fraction:
+    """``Fraction(value)``: a zero denominator or a value that names no
+    rational is a usage error (ValueError, exit 2)."""
+    try:
+        return Fraction(value)
+    except (ZeroDivisionError, TypeError):
+        raise ValueError(f"{what} must be a rational number, got {value!r}") from None
+
+
 def _read_graph(path: str):
     from .graph_core import parse_edge_list
 
@@ -184,8 +193,11 @@ def _lb_report(t: int, p, lam, exact: bool, want_certificate: bool) -> dict:
 
 
 def _cmd_lb(args) -> int:
-    number = Fraction if args.exact else float
-    report = _lb_report(args.t, number(args.p), number(args.lam), args.exact, args.certificate)
+    if args.exact:
+        p, lam = _parse_rational(args.p, "--p"), _parse_rational(args.lam, "--lambda")
+    else:
+        p, lam = float(args.p), float(args.lam)
+    report = _lb_report(args.t, p, lam, args.exact, args.certificate)
     _emit(report)
     return 0 if report.get("verified", True) else 1
 
@@ -226,6 +238,9 @@ def _cmd_lb_sweep(args) -> int:
     if type(lam_points) is not int or lam_points < 1:
         raise ValueError(
             f"--grid: 'lambda_points' must be a positive integer, got {lam_points!r}")
+    for p_text in ps:
+        if _parse_rational(p_text, "--grid: p") < 1:
+            raise ValueError(f"--grid: p must be a rational >= 1, got {p_text!r}")
     rows = []
     for p_text in ps:
         p = Fraction(p_text)
@@ -296,8 +311,8 @@ def _cmd_gen(args) -> int:
                 )
             else:
                 t = params["t"]
-                p = Fraction(str(params["p"]))
-                lam = Fraction(str(params["lambda"]))
+                p = _parse_rational(str(params["p"]), "--params: p")
+                lam = _parse_rational(str(params["lambda"]), "--params: lambda")
                 primal = lb_lp.minimal_spanner_primal(lb_lp.derive_lcr(p, t), p, lam)
                 inst = build_from_lp(primal, params["n"], seed=args.seed, t=t,
                                      p=float(p))
@@ -429,6 +444,8 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
     families = _nonempty_list(spec, "families", None, "REJECTED_SPEC")
     axes = [_nonempty_list(grid, key, default, "REJECTED_SPEC: grid")
             for key, default in (("seeds", [0]), ("n", [100]), ("t", [3]), ("p", ["2"]))]
+    for p_text in axes[-1]:
+        _parse_rational(p_text, "REJECTED_SPEC: grid p")
     outdir = Path(spec.get("output", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{spec.get('name', 'experiment')}.csv"

@@ -46,7 +46,6 @@ __all__ = [
 
 SPANNER_EDGE_BUDGET = 300_000
 HOST_EDGE_BUDGET = 2_000_000
-_LIFT_REPAIR_ROUNDS = 30_000
 
 
 # -- named graphs ------------------------------------------------------------
@@ -165,6 +164,21 @@ def named_girth_graph(name: str) -> Graph:
 # -- random regular bipartite graphs with a girth floor ----------------------
 
 
+def _lift_repair_rounds(side: int, degree: int) -> int:
+    """Repair rounds a lift of ``side * degree`` edges may take before it gives up.
+
+    Twenty per edge, at least 1,000 and at most 30,000.  In a count over
+    seeds 0-23 of 20 sizes from (4, 3, 4) to (350, 3, 10) (fewer seeds for
+    the slowest), a lift that converged needed at most 6.6 rounds per edge
+    (526 rounds at (20, 4, 6)), and the lifts the tests and the benchmark
+    build need at most 1.4, except at (20, 3, 8): 17 of its seeds converged
+    after 1,689 to 19,538 rounds, and each now gives up.  (15, 3, 8),
+    (26, 5, 6), (50, 4, 8), (60, 3, 9) and (80, 4, 8) converged at no seed
+    tried; (15, 3, 8) now gives up within a second instead of after 20 s.
+    """
+    return min(30_000, max(1_000, 20 * side * degree))
+
+
 def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> Graph:
     """d-regular bipartite graph on 2*side vertices with girth >= min_girth.
 
@@ -172,7 +186,9 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
     short cycle survives, swap one of its matching edges with another edge of
     the same matching, preferring swap partners that do not create new short
     cycles through the rewired edges.  Deterministic for a fixed seed; raises
-    after ``_LIFT_REPAIR_ROUNDS`` repair rounds (retry with another seed).
+    ``RuntimeError`` after ``_lift_repair_rounds(side, degree)`` repair
+    rounds (retry with another seed, or a larger side: near the Moore bound
+    the random repair often reaches no such graph).
     Sizes no such graph has are refused at once with ``ValueError``:
     ``degree > side``, or ``side`` below the bipartite Moore bound
     ``sum((degree-1)**i for i < g/2)``, g being ``min_girth`` rounded up to
@@ -259,7 +275,7 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
         left, right = (x, y - side) if x < side else (y, x - side)
         return left, next(k for k in range(degree) if perms[k][left] == right)
 
-    for _ in range(_LIFT_REPAIR_ROUNDS):
+    for _ in range(_lift_repair_rounds(side, degree)):
         bad = find_short_cycle()
         if bad is None:
             break

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .simplex import _dense_solve, solve_lp
+from .simplex import _dense_solve, _solve
 
 __all__ = [
     "ConditionReport",
@@ -257,6 +257,10 @@ class LbLpModel:
 
     The model never sees n: coefficients depend on p and lambda only, so two
     builds at different nominal n are identical object for object.
+
+    ``_basis`` holds the basis of the model's float pivot run once one has
+    returned (see ``solve``); it takes no part in ``repr``, ``==`` or
+    ``hash``, and dies with the model.
     """
 
     t: int
@@ -268,6 +272,7 @@ class LbLpModel:
     rows: tuple[tuple, ...]
     rhs: tuple
     eq_rows: frozenset = field(default_factory=frozenset)
+    _basis: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def objective_vector(self):
         return tuple(1 if v == "ell" else 0 for v in self.var_names)
@@ -393,17 +398,25 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
     meaningful.  Infeasible/unbounded cannot occur for in-range parameters
     (the all-ones assignment spans, and ell >= 0), so those solver errors
     propagate as genuine bugs.
+
+    The model pivots in float at most once: the first float pivot run that
+    returns, in either mode, leaves its basis on the model, and later calls
+    certify that basis (exactly, with ``exact=True``) instead of pivoting
+    again.  A run that raises leaves nothing, so the next call fails or
+    climbs the same way.  The data below is built the same way from the
+    frozen model each call, so every answer, float bits and exact values
+    alike, is the one a fresh model gives, in either call order.
     """
     ub = [i for i in range(len(model.rows)) if i not in model.eq_rows]
     eq = sorted(model.eq_rows)
-    sol = solve_lp(
+    data = (
         model.objective_vector(),
         [[-v for v in model.rows[i]] for i in ub],
         [-model.rhs[i] for i in ub],
         [model.rows[i] for i in eq],
         [model.rhs[i] for i in eq],
-        exact=exact,
     )
+    sol = _solve(data, exact, model._basis)
     # the >= rows went in negated: u_r = -y_r
     duals = {model.row_names[i]: -y for i, y in zip(ub, sol.duals)}
     duals.update((model.row_names[i], y) for i, y in zip(eq, sol.duals[len(ub) :]))

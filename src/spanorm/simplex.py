@@ -19,6 +19,13 @@ negative reduced cost and no pivot row (unbounded, or round-off), climbs the
 exact rung on the rationals ``Fraction(float(v))`` of its own data and casts
 the answer back; exact pivoting then raises ``Unbounded`` or finds an optimum.
 
+One LP solved both ways pivots in float once.  ``solve_lp`` runs its own
+float pivot each call; ``lb_lp.solve`` passes ``_solve`` a list kept on the
+model, which holds the basis of the model's one float run that returned, and
+the other rung reads it there: the exact rung certifies that basis and does
+not rerun the float pivot.  The run is deterministic in its data, so every
+answer is the one a fresh run would give.
+
 The certificate returns the optimal duals with the primal: ``duals`` holds
 one multiplier ``y_i`` per input row, ``A_ub`` rows first, such that
 ``A^T y <= c`` column by column, ``y_i <= 0`` on the ``A_ub`` rows, and
@@ -135,22 +142,40 @@ def solve_lp(
 
     Returns the optimum, a minimizer and the duals (see the module docstring).
     """
-    data = (c, a_ub, b_ub, a_eq, b_eq)
+    return _solve((c, a_ub, b_ub, a_eq, b_eq), exact, [])
+
+
+def _solve(data, exact: bool, memo: list) -> LpSolution:
+    """``solve_lp`` on ``data``.  ``memo`` is empty, or holds the basis (a
+    tuple of ints) of a float pivot run on this same ``data`` that returned;
+    a run that raised leaves it empty (see the module docstring)."""
     if exact:
         try:
-            basis = _pivot_phases(_Program(*data, float), FLOAT_TOL)[0]
+            basis = _float_basis(data, memo)
         except (SimplexError, _NeedsExact, OverflowError):
             basis = None
         return _exact_ladder(data, basis, _to_rational)
     prog = _Program(*data, float)
     basis = None
     try:
-        basis = _pivot_phases(prog, FLOAT_TOL)[0]
+        basis = _float_basis(data, memo, prog)
         return _certified_from_basis(prog, basis)
     except _NeedsExact:
         sol = _exact_ladder(data, basis, _via_float_fraction)
         x, duals = (tuple(map(float, v)) for v in (sol.x, sol.duals))
         return LpSolution(float(sol.objective), x, duals)
+
+
+def _float_basis(data, memo: list, prog: _Program | None = None) -> tuple:
+    """The float pivot run's final basis, pivoted only while ``memo`` is empty.
+
+    ``prog`` is ``_Program(*data, float)`` when the caller has built it.
+    """
+    if not memo:
+        if prog is None:
+            prog = _Program(*data, float)
+        memo.append(tuple(_pivot_phases(prog, FLOAT_TOL)[0]))
+    return memo[0]
 
 
 def _exact_ladder(data, basis, conv) -> LpSolution:

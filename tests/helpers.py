@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from spanorm.extremal import _LIFT_REPAIR_ROUNDS, _gap_forward
+from spanorm.extremal import _gap_forward, _lift_repair_rounds
 from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, short_cycle, within_hops
 from spanorm.greedy import Spanner
 from spanorm.simplex import LpSolution, _integer_rows, _integer_solve, _NeedsExact
@@ -394,7 +394,7 @@ def reference_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) 
                 return left, k
         return left, 0
 
-    for _ in range(_LIFT_REPAIR_ROUNDS):
+    for _ in range(_lift_repair_rounds(side, degree)):
         bad = find_short_cycle()
         if bad is None:
             break

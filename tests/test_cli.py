@@ -418,6 +418,8 @@ class TestSubcommands:
             ("lcr", {"L": 0, "C": 0, "R": 0, "p": 2.0, "center": 8}, "t = L + C + R >= 1"),
             ("named", {"name": 5}, "unknown named graph 5"),
             ("named", {"name": None}, "unknown named graph None"),
+            ("lp", {"t": 3, "p": "1/0", "lambda": "1", "n": 100}, "p must be a rational"),
+            ("lp", {"t": 3, "p": "2", "lambda": "1/0", "n": 100}, "lambda must be a rational"),
         ],
     )
     def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):
@@ -447,6 +449,10 @@ class TestSubcommands:
          "'seeds' must be a non-empty list"),
         ("experiment", {"grid": {"n": 40}, "families": ["greedy_bound"]},
          "'n' must be a non-empty list"),
+        ("experiment", {"grid": {"p": ["1/0"]}, "families": ["lb_agreement"], "output": "out"},
+         "p must be a rational number, got '1/0'"),
+        ("lb-sweep", {"p": ["1/0"]}, "p must be a rational number, got '1/0'"),
+        ("lb-sweep", {"p": ["2", "0"]}, "p must be a rational >= 1, got '0'"),
     ])
     def test_malformed_document_exit_2(self, command, doc, reason, tmp_path, monkeypatch,
                                        capsys):
@@ -461,6 +467,15 @@ class TestSubcommands:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert reason in captured.err
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    @pytest.mark.parametrize("p, lam", [("1/0", "1"), ("2", "1/0")])
+    def test_lb_zero_denominator_exit_2(self, p, lam, capsys):
+        code = main(["lb", "--t", "3", "--p", p, "--lambda", lam, "--exact"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "must be a rational number, got '1/0'" in captured.err
 
     def test_lb_sweep(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -119,6 +119,17 @@ class TestLifts:
             random_bipartite_lift(side, degree, min_girth, seed=0)
         assert time.perf_counter() - started < 0.1
 
+    @pytest.mark.parametrize("side, degree, min_girth, seed", [
+        (15, 3, 8, 0), (4, 4, 4, 1), (3, 3, 4, 15),
+    ])
+    def test_unreached_size_gives_up_soon(self, side, degree, min_girth, seed):
+        # each size exists (the Tutte-Coxeter graph, K_{4,4}, K_{3,3}) but this
+        # seed's repair does not reach it; 30,000 rounds took 5-21 s
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="did not converge"):
+            random_bipartite_lift(side, degree, min_girth, seed)
+        assert time.perf_counter() - started < 2
+
     def test_sizes_at_moore_bound_built(self):
         # the bound itself is not refused: the Heawood graph, K_{3,3}, C_10
         for side, degree, min_girth in ((7, 3, 6), (3, 3, 4), (5, 2, 10)):

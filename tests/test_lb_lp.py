@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spanorm import lb_lp
+from spanorm import lb_lp, simplex
 from spanorm.lb_lp import (
     ConditionReport,
     DeriveDiagnostic,
@@ -221,6 +221,96 @@ class TestSolveSpotValues:
             if prev is not None:
                 assert ell <= prev
             prev = ell
+
+
+def _solve_outcome(model, exact) -> str:
+    try:
+        res = solve(model, exact=exact)
+    except Exception as exc:  # noqa: BLE001 - the name is compared too
+        return type(exc).__name__
+    return repr((res.ell, sorted(res.duals.items())))
+
+
+@pytest.fixture
+def float_pivots(monkeypatch):
+    """Counts the float pivot runs ``simplex._pivot_phases`` starts."""
+    runs = []
+
+    def counted(prog, tol):
+        if tol:
+            runs.append(tol)
+        return real(prog, tol)
+
+    real = simplex._pivot_phases
+    monkeypatch.setattr(simplex, "_pivot_phases", counted)
+    return runs
+
+
+class TestFloatRunReuse:
+    """A model pivots in float once; the answers are a fresh model's."""
+
+    @pytest.mark.parametrize("first", [False, True], ids=["float-first", "exact-first"])
+    @pytest.mark.parametrize("relaxed", [True, False])
+    def test_one_float_pivot_per_model(self, float_pivots, first, relaxed):
+        model = build_model(5, F(5, 2), F(6, 5), relaxed=relaxed)
+        for exact in (first, not first, first, not first):
+            solve(model, exact=exact)
+        assert len(float_pivots) == 1
+        assert all(type(j) is int for j in model._basis[0])
+
+    def test_answers_match_a_fresh_model(self):
+        # t 1-9 by the grid p, int and float forms of p, and lambda up to the
+        # cap, relaxed and full: each answer and each exception name is the
+        # one a fresh model gives, in either call order
+        raised = Counter()
+        for t in range(1, 10):
+            for p in [*GRID_PS, 2, 10, 1.3, 2.5]:
+                top = 1 + (1 / p if isinstance(p, float) else F(1) / p)
+                for k in (3, 11, 20):
+                    lam = top * (k / 20 if isinstance(p, float) else F(k, 20))
+                    for relaxed in (True, False):
+                        def model():
+                            return build_model(t, p, lam, relaxed=relaxed)
+
+                        fresh = [_solve_outcome(model(), exact) for exact in (False, True)]
+                        one = model()
+                        float_first = [_solve_outcome(one, exact) for exact in (False, True)]
+                        one = model()
+                        exact_first = [_solve_outcome(one, exact) for exact in (True, False)]
+                        assert float_first == fresh == exact_first[::-1], (t, p, lam, relaxed)
+                        raised.update(v for v in fresh if not v.startswith("("))
+        # exact solves of the full models on the float data of p = golden
+        # ratio, lambda at its cap
+        assert raised == Counter({"Infeasible": 9})
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_raised_float_run_stores_nothing(self, monkeypatch, exact):
+        # a float run forced to raise leaves the model as it was, and the
+        # next calls answer as a fresh model does
+        model = build_model(4, F(3), F(1))
+        real = simplex._pivot_phases
+
+        def refused(prog, tol):
+            if tol:
+                raise simplex._NeedsExact
+            return real(prog, tol)
+
+        monkeypatch.setattr(simplex, "_pivot_phases", refused)
+        _solve_outcome(model, exact)
+        assert model._basis == []
+        monkeypatch.setattr(simplex, "_pivot_phases", real)
+        for again in (False, True):
+            assert _solve_outcome(model, again) == _solve_outcome(build_model(4, F(3), F(1)), again)
+        assert len(model._basis) == 1
+
+    def test_solved_model_equals_its_unsolved_twin(self):
+        solved, twin = build_model(3, F(2), F(1)), build_model(3, F(2), F(1))
+        solve(solved)
+        solve(solved, exact=True)
+        assert solved._basis and not twin._basis
+        assert repr(solved) == repr(twin)
+        assert solved == twin
+        assert hash(solved) == hash(twin)
 
 
 class TestDeriveLcr:

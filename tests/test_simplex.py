@@ -484,6 +484,38 @@ class TestLadder:
             solve_lp(c, a, [0, 0, 1])
 
 
+class TestFloatRunMemo:
+    """``_solve``'s memo: one LP solved both ways pivots in float once."""
+
+    LP = ([-1, -2], [[1, 1], [0, 1]], [4, 3], [], [])
+
+    def test_solve_lp_keeps_no_state(self, rungs):
+        # the public entry point runs its own float pivot on every call
+        for exact in (False, True):
+            solve_lp(*self.LP, exact=exact)
+        assert rungs == ["pivot float", "float cert ok", "pivot float", "exact cert ok"]
+
+    @pytest.mark.parametrize("first", [False, True], ids=["float-first", "exact-first"])
+    def test_one_float_pivot_for_both_rungs(self, rungs, first):
+        memo = []
+        got = {exact: simplex._solve(self.LP, exact, memo) for exact in (first, not first)}
+        assert rungs.count("pivot float") == 1 and "pivot exact" not in rungs
+        assert len(memo) == 1 and all(type(j) is int for j in memo[0])
+        assert memo[0] == tuple(_pivot_phases(_Program(*self.LP, float), simplex.FLOAT_TOL)[0])
+        for exact, sol in got.items():
+            assert repr(sol) == repr(solve_lp(*self.LP, exact=exact))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_raised_float_run_stores_nothing(self, rungs, exact):
+        # the float run finds a false ray and raises; each call climbs alone
+        lp = ([-0.3, -0.7], [[1, -0.3], [-0.3, -1], [-1 / 3, 0.1]], [0, 0.3, 0], [], [])
+        memo = []
+        first, again = (simplex._solve(lp, exact, memo) for _ in range(2))
+        assert memo == []
+        assert rungs == ["pivot float", "pivot exact", "exact cert ok"] * 2
+        assert repr(first) == repr(again) == repr(solve_lp(*lp, exact=exact))
+
+
 class TestFloatCertification:
     """``_certified_from_basis`` refuses each way ``_certified_exact`` does,
     plus a basis solve that does not satisfy its rows."""
