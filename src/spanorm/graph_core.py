@@ -353,25 +353,50 @@ def within_length(
     """True iff the distance from ``u`` to ``v`` in ``adj`` under ``lengths``
     is <= ``cap``, up to the relative tolerance ``LENGTH_RTOL``.
 
-    The weighted twin of :func:`within_hops`: a Dijkstra run that never
-    reaches past the cap and stops at the first path to ``v`` within it.
+    The weighted twin of :func:`within_hops`: a bidirectional bounded
+    Dijkstra.  One search grows from ``u`` and one from ``v``, each with its
+    own heap and labels, and each step pops the side with the smaller heap.
+    No label above the bound is ever set.
+
+    - Meeting rule: relaxing x-y to a new label ``nd`` returns True as soon
+      as y has a label on the other side and ``nd + other[y] <= bound``;
+      both labels are lengths of real paths, so the verdict is sound.
+    - Stop rule: False once either heap is empty, or once the two heap tops
+      add up to more than the bound.
+
+    Why the stop is safe: let P be a shortest u-v path of length D <= bound,
+    and x the first vertex on P that the search from u has not settled
+    (there is one: a label on v would have met v's own label 0).  x holds
+    its label d(u,x), so the forward top is at most d(u,x).  If the search
+    from v had settled x, the two labels of x would have met.  So some
+    vertex between x and v on P is unsettled from v and holds its label,
+    which bounds the backward top by d(x,v); both heaps are non-empty and
+    the tops add up to at most D.  On exact sums the verdict is therefore
+    the one-directional search's.  On non-dyadic floats the meeting sum
+    ``(d_f + w) + d_b`` can differ from the left-to-right sum of the same
+    path only in its last bits, far inside ``LENGTH_RTOL``.
     """
     bound = cap * (1.0 + LENGTH_RTOL)
     if u == v:
         return bound >= 0
-    dist = {u: 0.0}
-    heap = [(0.0, u)]
-    while heap:
-        dx, x = heapq.heappop(heap)
-        if dx > dist[x]:
+    pop, push, inf = heapq.heappop, heapq.heappush, math.inf
+    near, far = {u: 0.0}, {v: 0.0}
+    heap, other = [(0.0, u)], [(0.0, v)]
+    while heap and other:
+        if len(heap) > len(other):
+            heap, other, near, far = other, heap, far, near
+        if heap[0][0] + other[0][0] > bound:
+            return False
+        dx, x = pop(heap)
+        if dx > near[x]:
             continue
         for y in adj[x]:
             nd = dx + lengths[(x, y) if x < y else (y, x)]
-            if nd <= bound and nd < dist.get(y, math.inf):
-                if y == v:
+            if nd <= bound and nd < near.get(y, inf):
+                if nd + far.get(y, inf) <= bound:
                     return True
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
+                near[y] = nd
+                push(heap, (nd, y))
     return False
 
 

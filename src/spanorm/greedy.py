@@ -21,10 +21,12 @@ sums are compared with the relative tolerance ``LENGTH_RTOL``, inside
 Each greedy step and each edge of the stretch check asks: is d_H(u,v) within
 budget?  On unit-length graphs ``graph_core.within_hops`` answers with a
 bidirectional BFS, two balls of radius about t/2 instead of one of radius t;
-weighted graphs use ``within_length``, a Dijkstra run cut at the budget.  The
-stretch check asks all its questions of one fixed H, so on unit graphs of at
-most ``_BALL_MASK_MAX_N`` vertices it precomputes every ball as a bitmask and
-answers each edge with one AND (``_spans_by_balls``).
+weighted graphs use ``within_length``, its Dijkstra twin, which grows one
+search from u and one from v until they meet within the budget or their
+heap tops add up to more than it.  The stretch check asks all its questions
+of one fixed H, so on unit graphs of at most ``_BALL_MASK_MAX_N`` vertices
+it precomputes every ball as a bitmask and answers each edge with one AND
+(``_spans_by_balls``).
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def greedy_spanner(g: Graph, t: int) -> Spanner:
     Ties between equal-length edges break by (min endpoint, max endpoint),
     so reruns are reproducible.  An edge of length w is kept iff the partial
     spanner has no path within t*w: ``within_hops`` with cap t on unit
-    lengths, ``within_length`` with cap t*w otherwise.
+    lengths, ``within_length`` with cap t*w otherwise (both search from u
+    and from v at once and stop when the two searches meet or cannot).
     """
     if t < 1:
         raise ValueError(f"stretch must be a positive integer, got {t}")

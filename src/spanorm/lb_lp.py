@@ -393,11 +393,14 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
     ``duals`` maps each row name to its multiplier u_r in the model's own
     sign convention: u_r >= 0 on the ``>=`` rows, the column sums
     ``sum_r A[r][j] * u_r`` stay at most c_j, and ``rhs . u`` equals ell.
-    ``exact=True`` runs the simplex in rational arithmetic; pass p and
-    lambda as Fractions (or ints) when building the model for this to be
-    meaningful.  Infeasible/unbounded cannot occur for in-range parameters
-    (the all-ones assignment spans, and ell >= 0), so those solver errors
-    propagate as genuine bugs.
+    ``exact=True`` runs the simplex in rational arithmetic on a model built
+    with p and lambda as ints or Fractions; a float p or lambda raises
+    ``ParameterError`` before any pivot.  The exact value of a float is not
+    the number it stands for: lambda = 1 + 1/p in floats, at the float
+    golden ratio, lies just past the cap of the rational data.
+    Infeasible/unbounded cannot occur for in-range parameters (the all-ones
+    assignment spans, and ell >= 0), so those solver errors propagate as
+    genuine bugs.
 
     The model pivots in float at most once: the first float pivot run that
     returns, in either mode, leaves its basis on the model, and later calls
@@ -407,6 +410,11 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
     frozen model each call, so every answer, float bits and exact values
     alike, is the one a fresh model gives, in either call order.
     """
+    if exact and (isinstance(model.p, float) or isinstance(model.lam, float)):
+        raise ParameterError(
+            f"exact solve needs int or Fraction p and lambda, got p={model.p!r}, "
+            f"lambda={model.lam!r}"
+        )
     ub = [i for i in range(len(model.rows)) if i not in model.eq_rows]
     eq = sorted(model.eq_rows)
     data = (

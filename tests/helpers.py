@@ -200,6 +200,29 @@ def reference_weighted_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:
     return tuple(kept)
 
 
+def reference_within_length(adj, lengths, u: int, v: int, cap: float) -> bool:
+    """``graph_core.within_length`` as it stood before it searched from both
+    ends: one Dijkstra from ``u`` that never labels past the bound and stops
+    at the first label on ``v``.  A referee for the bidirectional search."""
+    bound = cap * (1.0 + LENGTH_RTOL)
+    if u == v:
+        return bound >= 0
+    dist = {u: 0.0}
+    heap = [(0.0, u)]
+    while heap:
+        dx, x = heapq.heappop(heap)
+        if dx > dist[x]:
+            continue
+        for y in adj[x]:
+            nd = dx + lengths[(x, y) if x < y else (y, x)]
+            if nd <= bound and nd < dist.get(y, math.inf):
+                if y == v:
+                    return True
+                dist[y] = nd
+                heapq.heappush(heap, (nd, y))
+    return False
+
+
 def verify_stretch_all_pairs(g: Graph, h: Spanner | Graph, t: float) -> bool:
     """All-pairs stretch check via Floyd-Warshall on both graphs, with the
     library's relative tolerance ``LENGTH_RTOL``: every pair of ``g`` is

@@ -1,7 +1,9 @@
 """Graph construction, norms, layers, girth, distances, and IO round trips."""
 
+import heapq
 import math
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -9,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanorm import graph_core
 from spanorm.graph_core import (
     Graph,
     GraphError,
     INFINITY,
+    LENGTH_RTOL,
     UNBOUNDED,
     degree_norm,
     format_edge_list,
@@ -28,6 +32,7 @@ from spanorm.graph_core import (
     within_length,
 )
 
+import helpers
 from helpers import (
     brute_force_girth,
     complete_graph,
@@ -38,6 +43,7 @@ from helpers import (
     random_connected_graph,
     reference_counter_norm,
     reference_lp_norm,
+    reference_within_length,
     star_graph,
     unit_graphs,
 )
@@ -405,6 +411,102 @@ class TestWithinLength:
                 near = (d, d - 0.25) if d < math.inf else ()
                 for cap in (0.0, 1.0, 2.5, 6.5, *near):
                     assert within_length(wg.adjacency(), wg.lengths, u, v, cap) == (d <= cap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(), data=st.data())
+    def test_matches_one_directional_reference(self, g, data):
+        # non-dyadic lengths, so sums round; the caps stay at least 1e-9
+        # (relative) away from the tolerance edge, where the order in which
+        # a path's lengths are added could tip the verdict
+        pick = st.one_of(st.floats(0.1, 5.0), st.sampled_from((0.1, 0.2, 0.3, 0.6, 1.0)))
+        lengths = data.draw(st.lists(pick, min_size=g.m, max_size=g.m))
+        wg = Graph(g.n, g.edges, dict(zip(g.edges, lengths)))
+        adj, lens = wg.adjacency(), wg.lengths
+        dist = floyd_warshall(wg)
+        for u in range(g.n):
+            for v in range(u, g.n):
+                d = dist[u][v]
+                near = (d, d * (1 - 1e-9), d * (1 + 1e-9), d / 2) if d < math.inf else ()
+                for cap in (0.0, 0.05, 1.0, 2.5, 100.0, *near):
+                    want = reference_within_length(adj, lens, u, v, cap)
+                    if not math.isclose(cap, d, rel_tol=1e-9):
+                        assert want == (d <= cap)
+                    assert within_length(adj, lens, u, v, cap) == want, (u, v, cap)
+                    assert within_length(adj, lens, v, u, cap) == \
+                        reference_within_length(adj, lens, v, u, cap), (v, u, cap)
+
+    def test_same_vertex_at_cap_zero(self):
+        g = Graph(3, [(0, 1)], {(0, 1): 0.3})
+        for v in range(3):
+            assert within_length(g.adjacency(), g.lengths, v, v, 0.0)
+
+    def test_cap_below_lightest_edge(self):
+        g = random_connected_graph(random.Random(5), 12, 30)
+        rng = random.Random(6)
+        wg = Graph(g.n, g.edges, {e: rng.uniform(0.7, 5.0) for e in g.edges})
+        cap = min(wg.lengths.values()) * 0.999
+        for u in range(g.n):
+            for v in range(g.n):
+                assert within_length(wg.adjacency(), wg.lengths, u, v, cap) == (u == v)
+
+    def test_endpoint_isolated_or_in_a_small_component(self):
+        # vertex 0 is isolated and {1, 2} is an edge apart from the path
+        # 3-4-...-9, so one heap empties while the other still holds labels
+        edges = [(1, 2)] + [(i, i + 1) for i in range(3, 9)]
+        g = Graph(10, edges, {e: 0.1 * (e[0] + 1) for e in edges})
+        adj, lens = g.adjacency(), g.lengths
+        for small in (0, 1, 2):
+            for big in range(3, 10):
+                for cap in (0.5, 10.0, 1e9):
+                    assert not within_length(adj, lens, small, big, cap)
+                    assert not within_length(adj, lens, big, small, cap)
+        assert not within_length(adj, lens, 0, 1, 1e9)
+        assert within_length(adj, lens, 2, 1, 0.2)
+        assert not within_length(adj, lens, 2, 1, 0.19)
+
+    def test_cap_equal_to_a_dyadic_distance(self):
+        # a path of 2.0 whose halves meet in the middle, and a detour of
+        # 2.125; the cap 2.0 passes and the next dyadic below it does not
+        lengths = {(0, 1): 0.5, (1, 2): 0.25, (2, 3): 1.25, (0, 4): 1.0, (3, 4): 1.125}
+        g = Graph(5, list(lengths), lengths)
+        for u, v in ((0, 3), (3, 0)):
+            assert within_length(g.adjacency(), g.lengths, u, v, 2.0)
+            assert not within_length(g.adjacency(), g.lengths, u, v, 1.9375)
+
+    def test_path_of_exactly_the_bound_passes(self):
+        # halves and quarters of the bound add up to it exactly, so the
+        # meeting test must accept a sum equal to the bound
+        bound = 3.0 * (1.0 + LENGTH_RTOL)
+        for parts in ((bound,), (bound / 2, bound / 2), (bound / 4, bound / 2, bound / 4)):
+            k = len(parts)
+            lengths = {(i, i + 1): w for i, w in enumerate(parts)}
+            g = Graph(k + 1, list(lengths), lengths)
+            for u, v in ((0, k), (k, 0)):
+                assert within_length(g.adjacency(), g.lengths, u, v, 3.0)
+                assert reference_within_length(g.adjacency(), g.lengths, u, v, 3.0)
+
+    def test_meets_in_the_middle(self, monkeypatch):
+        # a complete binary tree of depth 8, leaf to leaf across the root
+        # (16 hops): the search from one leaf alone settles most of the
+        # tree, the two half-radius searches under half as many vertices
+        n = 511
+        g = Graph(n, [((i - 1) // 2, i) for i in range(1, n)])
+        lens = dict.fromkeys(g.edges, 1.0)
+        pops = Counter()
+
+        def shim(name):
+            def pop(heap):
+                pops[name] += 1
+                return heapq.heappop(heap)
+            return types.SimpleNamespace(heappop=pop, heappush=heapq.heappush)
+
+        monkeypatch.setattr(graph_core, "heapq", shim("both"))
+        monkeypatch.setattr(helpers, "heapq", shim("one"))
+        for cap, want in ((15.0, False), (14.0, False), (16.0, True)):
+            pops.clear()
+            assert within_length(g.adjacency(), lens, 255, 510, cap) == want
+            assert reference_within_length(g.adjacency(), lens, 255, 510, cap) == want
+            assert 2 * pops["both"] < pops["one"], (cap, pops)
 
 
 class TestEdgeListFormat:

@@ -35,6 +35,7 @@ from helpers import (
     petersen_graph,
     random_connected_graph,
     reference_weighted_greedy,
+    reference_within_length,
     star_graph,
     unit_graphs,
     verify_stretch_all_pairs,
@@ -124,6 +125,40 @@ class TestGreedyWeighted:
                 h = greedy_spanner(g, t)
                 assert verify_stretch(g, h, t)
                 assert verify_stretch_all_pairs(g, h, t)
+
+
+    def test_matches_one_directional_search_seeded(self, monkeypatch):
+        # kept edges and stretch verdicts (the spanner and up to five
+        # one-edge-short non-spanners) with the library's bidirectional
+        # search, then with the one-directional reference in its place
+        rng = random.Random(2101)
+        cases = []
+        for i in range(300):
+            n = rng.randint(5, 120)
+            base = random_connected_graph(rng, n, rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n)))
+            draw = (lambda: rng.uniform(0.7, 5.0),
+                    lambda: rng.choice((0.1, 0.2, 0.3, 0.6, 0.7, 1.0, 1.5, 2.25, 5.0)),
+                    lambda: rng.randint(1, 5))[i % 3]
+            g = Graph(n, base.edges, {e: draw() for e in base.edges})
+            t = rng.choice((1, 2, 3, 5))
+            cases.append((g, t, rng.random()))
+
+        def outcomes():
+            out = []
+            for g, t, pick in cases:
+                h = greedy_spanner(g, t)
+                short = random.Random(pick).sample(h.kept_edges, min(5, h.m))
+                verdicts = [verify_stretch(g, h, t)] + [
+                    verify_stretch(g, g.subgraph(set(h.kept_edges) - {e}), t) for e in short
+                ]
+                out.append((h.kept_edges, verdicts))
+            return out
+
+        mine = outcomes()
+        monkeypatch.setattr(greedy_module, "within_length", reference_within_length)
+        assert mine == outcomes()
+        verdicts = [v for _, vs in mine for v in vs]
+        assert verdicts.count(True) == len(cases) and verdicts.count(False) > 1000
 
 
 class TestVerifyStretch:

@@ -279,9 +279,22 @@ class TestFloatRunReuse:
                         exact_first = [_solve_outcome(one, exact) for exact in (True, False)]
                         assert float_first == fresh == exact_first[::-1], (t, p, lam, relaxed)
                         raised.update(v for v in fresh if not v.startswith("("))
-        # exact solves of the full models on the float data of p = golden
-        # ratio, lambda at its cap
-        assert raised == Counter({"Infeasible": 9})
+        # every exact solve on float data is refused before any pivot: the
+        # float golden ratio and 1.3 and 2.5, 3 lambdas, relaxed and full,
+        # t 1-9
+        assert raised == Counter({"ParameterError": 3 * 3 * 2 * 9})
+
+    @pytest.mark.parametrize("p, lam", [(GOLDEN, (1 + 1 / GOLDEN) * 1.0), (2.5, F(1)),
+                                        (F(5, 2), 1.0), (3, 0.5)])
+    def test_exact_on_float_data_refused_before_pivot(self, float_pivots, p, lam):
+        # the float golden ratio at its lambda cap used to raise Infeasible
+        for relaxed in (True, False):
+            model = build_model(4, p, lam, relaxed=relaxed)
+            with pytest.raises(ParameterError, match="int or Fraction"):
+                solve(model, exact=True)
+            assert model._basis == [] and float_pivots == []
+            assert solve(model).ell >= 0
+            float_pivots.clear()
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_raised_float_run_stores_nothing(self, monkeypatch, exact):
