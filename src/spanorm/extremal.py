@@ -221,6 +221,15 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
             adj[side + j].append(i)
     limit = min_girth - 1  # longest forbidden cycle
 
+    def first_repeat(i: int):
+        """The first k whose ``perms[k][i]`` an earlier matching has, or None."""
+        seen = set()
+        for k in range(degree):
+            if perms[k][i] in seen:
+                return k
+            seen.add(perms[k][i])
+        return None
+
     def swap(k: int, i: int, j: int) -> None:
         pi, pj = perms[k][i], perms[k][j]
         for left, old, new in ((i, pi, pj), (j, pj, pi)):
@@ -230,6 +239,9 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
             adj[side + new].append(left)
         perms[k][i], perms[k][j] = pj, pi
 
+    # rows holding a parallel edge; a net swap of rows i and j changes
+    # those two rows only (a failed attempt and its undo leave perms as it was)
+    repeated = {i for i in range(side) if first_repeat(i) is not None}
     stamp = [0] * (2 * side)
     queries = 0
     deepest = (limit - 1) // 2  # short_cycle's search radius
@@ -259,12 +271,9 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
         """(left, matching) of a matching edge on a short cycle, or None."""
         nonlocal hit_root
         # parallel matchings first (short_cycle does not see 2-cycles)
-        for i in range(side):
-            seen = {}
-            for k in range(degree):
-                if perms[k][i] in seen:
-                    return i, k
-                seen[perms[k][i]] = k
+        if repeated:
+            i = min(repeated)
+            return i, first_repeat(i)
         roots = None if hit_root is None else [*dirty_roots_below(hit_root),
                                                *range(hit_root, 2 * side)]
         touched.clear()
@@ -296,6 +305,11 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
                 continue
             swap(k, i, j)  # random kick to escape a local minimum
         touched.update((i, j, side + perms[k][i], side + perms[k][j]))
+        for row in (i, j):
+            if first_repeat(row) is None:
+                repeated.discard(row)
+            else:
+                repeated.add(row)
     else:
         raise RuntimeError(
             f"girth repair did not converge (side={side}, degree={degree}, "

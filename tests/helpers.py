@@ -172,6 +172,31 @@ def one_sided_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:
     return tuple(kept)
 
 
+def reference_unit_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:
+    """Kept edges of the unit-length greedy t-spanner, one bidirectional
+    ``within_hops`` query per edge (the library's unit greedy before it
+    cached one ball per source vertex)."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    kept = []
+    stamp = [0] * g.n
+    for tick, (u, v) in enumerate(g.edges, start=1):
+        if not within_hops(adj, u, v, t, stamp, tick):
+            kept.append((u, v))
+            adj[u].append(v)
+            adj[v].append(u)
+    return tuple(kept)
+
+
+def reference_spans_by_hops(adj, edges, t: int) -> bool:
+    """True iff every edge (u, v) has d(u,v) <= t in ``adj``: one
+    ``within_hops`` query per edge."""
+    stamp = [0] * len(adj)
+    return all(
+        within_hops(adj, u, v, t, stamp, tick)
+        for tick, (u, v) in enumerate(edges, start=1)
+    )
+
+
 def reference_weighted_greedy(g: Graph, t: int) -> tuple[tuple[int, int], ...]:
     """Kept edges of the weighted greedy t-spanner, one full Dijkstra per edge.
 

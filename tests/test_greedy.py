@@ -2,6 +2,8 @@
 
 import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,12 @@ from spanorm.graph_core import (
     girth_at_least,
     lp_norm,
 )
+import spanorm.graph_core as graph_core_module
 import spanorm.greedy as greedy_module
 from spanorm.greedy import (
     Spanner,
     _spans_by_balls,
-    _spans_by_hops,
+    _unspanned,
     greedy_spanner,
     spanner_summary,
     upper_bound_exponent,
@@ -34,6 +37,8 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_connected_graph,
+    reference_spans_by_hops,
+    reference_unit_greedy,
     reference_weighted_greedy,
     reference_within_length,
     star_graph,
@@ -81,6 +86,17 @@ class TestGreedyExamples:
     def test_invalid_stretch(self):
         with pytest.raises(ValueError):
             greedy_spanner(cycle_graph(3), 0)
+
+    @pytest.mark.parametrize("t", [2.5, 3.0, Fraction(3), Fraction(5, 2), True, "3"])
+    def test_non_int_stretch_refused(self, t):
+        # one rule on unit and weighted graphs alike: the stretch is an int
+        unit = cycle_graph(5)
+        weighted = Graph(3, [(0, 1), (1, 2), (0, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0})
+        for g in (unit, weighted):
+            with pytest.raises(ValueError, match="positive integer"):
+                greedy_spanner(g, t)
+            with pytest.raises(ValueError, match="positive integer"):
+                verify_stretch(g, g, t)
 
 
 class TestGreedyWeighted:
@@ -240,7 +256,8 @@ class TestVerifyStretch:
 
 
 class TestBallMasks:
-    """The unit stretch check by ball bitmasks against one BFS per edge."""
+    """The unit stretch check by ball bitmasks against one ``within_hops``
+    query per edge (``reference_spans_by_hops``)."""
 
     @settings(max_examples=200, deadline=None)
     @given(g=unit_graphs(max_n=20), t=st.integers(0, 8), data=st.data())
@@ -249,7 +266,7 @@ class TestBallMasks:
         # (a spanner for t >= 1), so both verdicts occur
         some = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
         for h in (g.subgraph(sorted(some)), g):
-            want = _spans_by_hops(h.adjacency(), g.edges, t)
+            want = reference_spans_by_hops(h.adjacency(), g.edges, t)
             assert _spans_by_balls(h.adjacency(), g.edges, t) == want
             assert verify_stretch(g, h, t) == want
 
@@ -263,19 +280,20 @@ class TestBallMasks:
             sub = g.subgraph([e for e in g.edges if rng.random() < 0.85])
             for t in range(9):
                 for h in (sub, greedy_spanner(g, max(t, 1)).graph()):
-                    want = _spans_by_hops(h.adjacency(), g.edges, t)
+                    want = reference_spans_by_hops(h.adjacency(), g.edges, t)
                     assert _spans_by_balls(h.adjacency(), g.edges, t) == want
                     verdicts.add(want)
         assert verdicts == {True, False}
 
     def test_gate_picks_the_branch(self, monkeypatch):
-        # masks up to 4096 vertices (as the README states), one BFS per edge above
+        # masks up to 4096 vertices (as the README states), the ball-caching
+        # scan above
         def refuse(*args):
             raise AssertionError("wrong branch")
 
         at_gate = Graph(4096, [(0, 1), (1, 2)])
         above = Graph(4097, [(0, 1), (1, 2)])
-        monkeypatch.setattr(greedy_module, "_spans_by_hops", refuse)
+        monkeypatch.setattr(greedy_module, "_unspanned", refuse)
         assert verify_stretch(at_gate, at_gate, 3)
         monkeypatch.undo()
         monkeypatch.setattr(greedy_module, "_spans_by_balls", refuse)
@@ -283,7 +301,7 @@ class TestBallMasks:
         assert not verify_stretch(above, above.subgraph([(0, 1)]), 3)
 
     def test_above_gate_agrees(self, monkeypatch):
-        # with the gate lowered to 0 every graph takes the per-edge branch
+        # with the gate lowered to 0 every graph takes the scan
         rng = random.Random(61)
         cases = []
         for _ in range(10):
@@ -303,6 +321,109 @@ class TestBallMasks:
         assert not verify_stretch(g, g, t)
         assert not verify_stretch(Graph(2, [(0, 1)]), Graph(2, [(0, 1)]), t)
         assert verify_stretch(Graph(3, []), Graph(3, []), t)
+
+
+class TestUnitScan:
+    """The unit greedy's ball-caching scan (``_unspanned``) against one
+    ``within_hops`` query per edge (``reference_unit_greedy``)."""
+
+    def test_matches_per_edge_bfs_seeded(self):
+        rng = random.Random(2201)
+        kept = dropped = 0
+        for _ in range(60):
+            n = rng.randint(100, 500)
+            m = round(math.exp(rng.uniform(math.log(n), math.log(n ** 1.5))))
+            g = random_connected_graph(rng, n, min(m, n * (n - 1) // 2))
+            t = rng.randint(1, 8)
+            h = greedy_spanner(g, t)
+            assert h.kept_edges == reference_unit_greedy(g, t)
+            kept += h.m
+            dropped += g.m - h.m
+        assert kept > 0 and dropped > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=unit_graphs(max_n=14), t=st.integers(1, 8), extra=st.integers(0, 4),
+           data=st.data())
+    def test_isolated_vertices(self, g, t, extra, data):
+        # isolated vertices scattered among the ids by a random relabelling
+        label = data.draw(st.permutations(range(g.n + extra)))
+        g = Graph(g.n + extra, [(label[u], label[v]) for u, v in g.edges])
+        assert greedy_spanner(g, t).kept_edges == reference_unit_greedy(g, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(leaves=st.integers(0, 12), t=st.integers(1, 8), data=st.data())
+    def test_stars(self, leaves, t, data):
+        label = data.draw(st.permutations(range(leaves + 1)))
+        g = Graph(leaves + 1, [(label[u], label[v]) for u, v in star_graph(leaves).edges])
+        h = greedy_spanner(g, t)
+        assert h.kept_edges == g.edges == reference_unit_greedy(g, t)
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_complete_graphs(self, t):
+        for k in range(1, 13):
+            g = complete_graph(k)
+            h = greedy_spanner(g, t)
+            assert h.kept_edges == reference_unit_greedy(g, t)
+            # K_k is its own 1-spanner; for t >= 2 the greedy keeps 0's star
+            assert h.m == (g.m if t == 1 else max(k - 1, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=unit_graphs(max_n=16), t=st.sampled_from((1, 2)))
+    def test_small_even_and_unit_stretch(self, g, t):
+        # t = 2 is even, so the source ball's radius a = 1 and a - 1 < b = 1;
+        # t = 1 never searches beyond v
+        assert greedy_spanner(g, t).kept_edges == reference_unit_greedy(g, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=unit_graphs(max_n=14), t=st.integers(0, 8), data=st.data())
+    def test_above_gate_on_one_edge_short_spanners(self, g, t, data):
+        # the greedy spanner less one kept edge: spanned or not, the scan
+        # must agree with the masks and with one query per edge
+        h = greedy_spanner(g, max(t, 1))
+        hs = [h.graph()]
+        if h.m:
+            drop = data.draw(st.sampled_from(h.kept_edges))
+            hs.append(g.subgraph([e for e in h.kept_edges if e != drop]))
+        for sub in hs:
+            want = reference_spans_by_hops(sub.adjacency(), g.edges, t)
+            assert _spans_by_balls(sub.adjacency(), g.edges, t) == want
+            with mock.patch.object(greedy_module, "_BALL_MASK_MAX_N", 0):
+                assert verify_stretch(g, sub, t) == want
+
+    def test_no_within_hops_and_one_source_ball_per_vertex(self, monkeypatch):
+        # K_60 at t = 3: the per-edge search asked within_hops once per edge
+        # (1770 calls) and walked the hub's adjacency once per edge (1711
+        # times); the scan asks it never and reads the hub once per source
+        g = complete_graph(60)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return real(*args)
+
+        real = graph_core_module.within_hops
+        monkeypatch.setattr(graph_core_module, "within_hops", counting)
+        monkeypatch.setattr(greedy_module, "within_hops", counting, raising=False)
+        assert greedy_spanner(g, 3).kept_edges == tuple((0, v) for v in range(1, 60))
+        assert calls == []
+
+        class Counted(list):
+            def __iter__(self):
+                reads[self.vertex] += 1
+                return super().__iter__()
+
+        reads = [0] * g.n
+        adj = []
+        for x in range(g.n):
+            adj.append(Counted())
+            adj[x].vertex = x
+        kept = list(_unspanned(adj, g.edges, 3))
+        assert kept == [(0, v) for v in range(1, 60)]
+        # u's ball of radius 2 reads u's and the hub's adjacency once per
+        # run; v's ball of radius 1 reads v's adjacency only when v is not
+        # yet in u's ball, which happens on the hub's own run alone
+        assert reads[0] == g.n - 1
+        assert all(r <= 2 for r in reads[1:])
 
 
 class TestGreedyInvariants:
