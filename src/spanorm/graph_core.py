@@ -8,7 +8,9 @@ weighted graphs; only ``within_length`` reads them.
 Shared kernels take plain adjacency lists or degree multisets:
 ``hop_layers`` (the one truncated multi-source BFS, read by
 ``layer_profile``), ``within_hops`` and ``within_length`` (bounded hop and
-weighted distance tests), ``short_cycle`` (the one cycle search) and
+weighted distance tests), two cycle searches (``short_cycle``, the
+first-hit search the lift repair reads, and ``_cycle_verdict``, the
+min-vertex verdict behind ``girth`` and ``girth_at_least``) and
 ``degree_norm`` (the one lp norm of degrees).
 """
 
@@ -431,6 +433,11 @@ def short_cycle(adj: Sequence[Sequence[int]], limit: int,
     A caller that edits the graph may therefore skip a root that was clean
     and lies farther than ``deepest`` hops, in the edited graph, from every
     endpoint of an edited edge: no edge at its ball changed.
+
+    ``random_bipartite_lift`` repairs this first hit in root order, which is
+    why the girth checks use :func:`_cycle_verdict` instead: its hits come
+    from other roots, so repairing them would swap other edges and change
+    every lift's edge list.
     """
     n = len(adj)
     dist = [0] * n
@@ -462,24 +469,76 @@ def short_cycle(adj: Sequence[Sequence[int]], limit: int,
     return None
 
 
+def _cycle_verdict(adj: Sequence[Sequence[int]], limit: int) -> int | None:
+    """The length of some walk of at most ``limit`` edges that closes a cycle,
+    or None iff ``adj`` has no cycle of length <= ``limit``.
+
+    :func:`short_cycle`'s search, except that root s's BFS runs in G[>= s]:
+    it skips every neighbour y < s, so each cycle is searched only from its
+    smallest vertex.  A hit is still a closed walk of at most ``limit`` edges
+    round a non-tree edge, so it contains a cycle no longer than itself.
+    Conversely, let C be a shortest cycle, of length L <= ``limit``, and r
+    its smallest vertex.  C lies in G[>= r], which has no cycle shorter than
+    C, so by :func:`short_cycle`'s argument r's restricted BFS meets C with a
+    walk of exactly L edges.  Which root hits first differs from
+    :func:`short_cycle`, so the lift repair keeps that search.
+    """
+    n = len(adj)
+    dist = [0] * n
+    parent = [-1] * n
+    stamp = [0] * n
+    deepest = (limit - 1) // 2
+    for s in range(n):
+        tick = s + 1
+        stamp[s] = tick
+        dist[s] = 0
+        parent[s] = -1
+        frontier = [s]
+        depth = 0
+        while frontier and depth <= deepest:
+            depth += 1
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y < s:
+                        continue
+                    if stamp[y] != tick:
+                        stamp[y] = tick
+                        dist[y] = depth
+                        parent[y] = x
+                        nxt.append(y)
+                    elif parent[x] != y and parent[y] != x:
+                        length = dist[x] + dist[y] + 1
+                        if length <= limit:
+                            return length
+            frontier = nxt
+    return None
+
+
 def girth(g: Graph):
     """Length (edge count) of a shortest cycle; ``UNBOUNDED`` for forests.
 
-    Takes any cycle witness, then asks :func:`short_cycle` for a shorter one
-    until there is none.
+    Takes any cycle witness, then asks :func:`_cycle_verdict` for a shorter
+    one until there is none.
     """
     adj = g.adjacency()
     best = UNBOUNDED
-    hit = short_cycle(adj, g.n)
-    while hit is not None:
-        best = hit[0]
-        hit = short_cycle(adj, best - 1)
+    length = _cycle_verdict(adj, g.n)
+    while length is not None:
+        best = length
+        length = _cycle_verdict(adj, best - 1)
     return best
 
 
 def girth_at_least(g: Graph, k: int) -> bool:
-    """True iff ``g`` has no cycle shorter than ``k`` edges."""
-    return k <= 3 or short_cycle(g.adjacency(), k - 1) is None
+    """True iff ``g`` has no cycle shorter than ``k`` edges.
+
+    ``k`` must be an ``int``; a bool, float, ``Fraction`` or str raises
+    ``ValueError``.
+    """
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"girth bound must be an integer, got {k!r}")
+    return k <= 3 or _cycle_verdict(g.adjacency(), k - 1) is None
 
 
 # -- edge-list interchange format ----------------------------------------

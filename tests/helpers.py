@@ -125,6 +125,13 @@ def brute_force_girth(g: Graph) -> float:
     return best
 
 
+def reference_cycle_free(adj, limit: int) -> bool:
+    """True iff ``adj`` has no cycle of at most ``limit`` edges, read off the
+    first-hit search ``short_cycle`` over every root: the girth verdict as it
+    stood before the min-vertex search."""
+    return short_cycle(adj, limit) is None
+
+
 def reference_lp_norm(degrees, p) -> float:
     """The per-vertex lp norm as ``lp_norm`` computed it before
     ``graph_core.degree_norm``; the kernel must agree bit for bit."""

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanorm import graph_core
+from spanorm.cli import _random_graph
+from spanorm.extremal import named_girth_graph, random_bipartite_lift
 from spanorm.graph_core import (
     Graph,
     GraphError,
@@ -31,6 +33,7 @@ from spanorm.graph_core import (
     within_hops,
     within_length,
 )
+from spanorm.greedy import greedy_spanner
 
 import helpers
 from helpers import (
@@ -42,6 +45,7 @@ from helpers import (
     petersen_graph,
     random_connected_graph,
     reference_counter_norm,
+    reference_cycle_free,
     reference_lp_norm,
     reference_within_length,
     star_graph,
@@ -373,6 +377,112 @@ class TestGirth:
                     paths[y] = nxt[y]
                 frontier = nxt
                 assert all(c == 1 for c in frontier.values())
+
+
+class _CountingAdjacency:
+    """Adjacency lists that log the vertex of every list read."""
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.reads = []
+
+    def __len__(self):
+        return len(self.adj)
+
+    def __getitem__(self, x):
+        self.reads.append(x)
+        return self.adj[x]
+
+
+def _verdict_graphs():
+    """Spanners of criterion-1 graphs (every root scanned at limit t+1),
+    the named graphs and the two acceptance lifts."""
+    rng = random.Random(2323)
+    for n in (100, 230, 360, 500):
+        lo, hi = math.log(n), math.log(int(n**1.5))
+        g = _random_graph(rng, n, int(math.exp(rng.uniform(lo, hi))))
+        for t in (3, 5, 7):
+            yield f"spanner n={n} t={t}", greedy_spanner(g, t).graph(), t + 2
+    for name in ("petersen", "heawood", "mcgee", "robertson", "tutte_coxeter",
+                 "pg2_2", "pg2_3", "pg2_4", "pg2_5"):
+        yield name, named_girth_graph(name), 5
+    yield "lift 300,4,8", random_bipartite_lift(300, 4, 8, seed=11), 8
+    yield "lift 350,3,10", random_bipartite_lift(350, 3, 10, seed=5), 10
+
+
+def _farthest_pair(adj, cap: int) -> tuple[int, int, int]:
+    """``(d, u, v)``: two vertices d hops apart, with d as large as possible
+    up to ``cap``."""
+    best = (0, 0, 0)
+    for u in range(len(adj)):
+        layers = hop_layers(adj, (u,), cap)
+        d = max(i for i, layer in enumerate(layers) if layer)
+        if d > best[0]:
+            best = (d, u, layers[d][0])
+            if d == cap:
+                break
+    return best
+
+
+class TestCycleVerdict:
+    """The min-vertex verdict behind ``girth`` and ``girth_at_least``, refereed
+    by ``short_cycle``'s first-hit search and by exhaustive cycle search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs())
+    def test_matches_first_hit_search_and_brute_force_property(self, g):
+        adj = g.adjacency()
+        best = brute_force_girth(g)
+        for limit in range(g.n + 2):
+            length = graph_core._cycle_verdict(adj, limit)
+            free = reference_cycle_free(adj, limit)
+            assert (length is None) == free == (best > limit)
+            if length is not None:
+                assert best <= length <= limit
+            assert girth_at_least(g, limit + 1) == free
+
+    def test_seeded_graphs_and_one_edge_flips(self):
+        # at limits girth-1 and girth the verdict agrees with the reference;
+        # an edge between two vertices d <= girth-2 hops apart closes a cycle
+        # of d+1 edges and no shorter one, which flips the verdict at girth-1
+        for name, g, floor in _verdict_graphs():
+            adj = g.adjacency()
+            gv = girth(g)
+            assert floor <= gv < UNBOUNDED, name
+            assert reference_cycle_free(adj, gv - 1) and not reference_cycle_free(adj, gv), name
+            for limit in (gv - 1, gv):
+                assert girth_at_least(g, limit + 1) == reference_cycle_free(adj, limit), name
+            d, u, v = _farthest_pair(adj, gv - 2)
+            h = Graph(g.n, g.edges + ((u, v),))
+            flipped = h.adjacency()
+            assert d >= 2 and girth(h) == d + 1, name
+            assert reference_cycle_free(flipped, d) and girth_at_least(h, d + 1), name
+            assert not reference_cycle_free(flipped, d + 1) and not girth_at_least(h, d + 2), name
+            assert not girth_at_least(h, gv), name
+
+    def test_root_reads_no_vertex_below_it(self, monkeypatch):
+        # Heawood has girth 6, so at limit 5 every root runs its search out to
+        # two hops; root s reads only its ball in the subgraph on s..n-1
+        g = named_girth_graph("heawood")
+        adj = g.adjacency()
+        shim = _CountingAdjacency(adj)
+        monkeypatch.setattr(Graph, "adjacency", lambda self: shim)
+        assert girth_at_least(g, 6)
+        pos = 0
+        for s in range(g.n):
+            above = [[y for y in nbrs if y >= s] for nbrs in adj]
+            ball = sorted(x for layer in hop_layers(above, (s,), 2) for x in layer)
+            reads = shim.reads[pos:pos + len(ball)]
+            pos += len(ball)
+            assert reads[0] == s == min(reads)
+            assert sorted(reads) == ball
+        assert pos == len(shim.reads) == 68
+
+    @pytest.mark.parametrize("k", [5.5, 6.0, Fraction(6), True, False, "6", None])
+    def test_girth_at_least_refuses_non_integer_bound(self, k):
+        # 5.5 would otherwise pass Petersen, whose 5-cycles are shorter
+        with pytest.raises(ValueError, match="girth bound must be an integer"):
+            girth_at_least(petersen_graph(), k)
 
 
 class TestWithinHops:
