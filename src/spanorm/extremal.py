@@ -908,6 +908,19 @@ def _pad_to(g: Graph, n: int) -> Graph:
     return Graph(n, g.edges, g.lengths)
 
 
+def _tightness_clique(big_lambda: float, pf: float, other_edges: int):
+    """``(c, edges)``: the clique on c = int(Lambda**(p/(1+p))) vertices of a
+    tightness instance.  ``ValueError`` before any list is built when the
+    clique, the instance's ``other_edges`` and the edge joining them exceed
+    ``HOST_EDGE_BUDGET``."""
+    c = int(big_lambda ** (pf / (1 + pf)))
+    total = c * (c - 1) // 2 + other_edges + 1
+    if total > HOST_EDGE_BUDGET:
+        raise ValueError(f"Lambda {big_lambda} asks for a clique on {c} vertices, "
+                         f"{total} edges in all, above the budget {HOST_EDGE_BUDGET}")
+    return c, [(i, j) for i in range(c) for j in range(i + 1, c)]
+
+
 def build_tightness(k: int, p, n: int, big_lambda: float, seed: int = 0) -> Graph:
     """Instance whose (2k-1)-spanners all have norm Omega(min(max-bound, Lambda)).
 
@@ -918,6 +931,8 @@ def build_tightness(k: int, p, n: int, big_lambda: float, seed: int = 0) -> Grap
     a clique of c = int(Lambda**(p/(1+p))) vertices, clique plus star has
     c + n + 1 (the star has n leaves), and clique plus high-girth has c plus
     the vertex count of the girth supply built for max(n // 2, 14) vertices.
+    A clique instance of more than ``HOST_EDGE_BUDGET`` edges raises
+    ``ValueError``.
     """
     if k not in (2, 3):
         raise ValueError("tightness instances are implemented for k in {2, 3}")
@@ -936,8 +951,7 @@ def build_tightness(k: int, p, n: int, big_lambda: float, seed: int = 0) -> Grap
                 edges.append((prev, extra))
                 prev = extra
             return Graph(n, edges)
-        m = int(big_lambda ** (pf / (1 + pf)))
-        edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        m, edges = _tightness_clique(big_lambda, pf, n)
         center = m
         edges += [(center, center + 1 + i) for i in range(n)]
         edges.append((0, center))
@@ -969,11 +983,9 @@ def build_tightness(k: int, p, n: int, big_lambda: float, seed: int = 0) -> Grap
     # Lambda too large for the high-girth graph alone: adjoin a clique sized
     # Lambda**(p/(1+p)) (consistent with ||clique||_p = Theta(Lambda); the
     # alternative exponent reading makes the norm overshoot)
-    m = int(big_lambda ** (pf / (1 + pf)))
     supply = _girth_supply(k, max(n // 2, 14), seed)
-    base = supply
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    m, edges = _tightness_clique(big_lambda, pf, supply.m)
     offset = m
-    edges += [(offset + u, offset + v) for u, v in base.edges]
+    edges += [(offset + u, offset + v) for u, v in supply.edges]
     edges.append((0, offset))
-    return Graph(m + base.n, edges)
+    return Graph(m + supply.n, edges)

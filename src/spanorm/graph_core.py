@@ -8,10 +8,11 @@ weighted graphs; only ``within_length`` reads them.
 Shared kernels take plain adjacency lists or degree multisets:
 ``hop_layers`` (the one truncated multi-source BFS, read by
 ``layer_profile``), ``within_hops`` and ``within_length`` (bounded hop and
-weighted distance tests), two cycle searches (``short_cycle``, the
-first-hit search the lift repair reads, and ``_cycle_verdict``, the
-min-vertex verdict behind ``girth`` and ``girth_at_least``) and
-``degree_norm`` (the one lp norm of degrees).
+weighted distance tests), ``short_cycle`` (the one cycle search, read two
+ways: its first hit in root order is what the lift repair swaps away, and
+run on a copy that drops each root after its search it is the min-vertex
+verdict behind ``girth`` and ``girth_at_least``) and ``degree_norm`` (the
+one lp norm of degrees).
 """
 
 from __future__ import annotations
@@ -411,14 +412,17 @@ def short_cycle(adj: Sequence[Sequence[int]], limit: int,
     most ``limit`` edges, and the root whose search met it; or None.
 
     Truncated BFS from every root in id order (or from ``roots``, which must
-    be increasing), one level at a time.  A non-tree edge (x,y) closes the
-    walk root->x, x-y, y->root of dist[x]+dist[y]+1 edges, which contains a
-    cycle no longer than itself.  For a root on a shortest cycle of length L
-    the BFS meets that cycle's far edge with a walk of exactly L edges, while
-    scanning only levels d with 2d+1 <= L.  So a hit proves a cycle of at
-    most ``length`` edges, and None at ``limit`` proves there is no cycle of
-    length <= ``limit``.  ``adj`` must be simple: a parallel edge (a 2-cycle)
-    is not seen.
+    be increasing), one level at a time.  ``roots`` is read one root at a
+    time, just before that root's search, so a caller may edit ``adj``
+    between two roots.
+
+    A non-tree edge (x,y) closes the walk root->x, x-y, y->root of
+    dist[x]+dist[y]+1 edges, which contains a cycle no longer than itself.
+    For a root on a shortest cycle of length L the BFS meets that cycle's
+    far edge with a walk of exactly L edges, while scanning only levels d
+    with 2d+1 <= L.  So a hit proves a cycle of at most ``length`` edges,
+    and None at ``limit`` proves there is no cycle of length <= ``limit``.
+    ``adj`` must be simple: a parallel edge (a 2-cycle) is not seen.
 
     Locality: whether the search from root s hits depends only on the edges
     with an endpoint within ``deepest = (limit-1)//2`` hops of s, not on the
@@ -434,10 +438,10 @@ def short_cycle(adj: Sequence[Sequence[int]], limit: int,
     and lies farther than ``deepest`` hops, in the edited graph, from every
     endpoint of an edited edge: no edge at its ball changed.
 
-    ``random_bipartite_lift`` repairs this first hit in root order, which is
-    why the girth checks use :func:`_cycle_verdict` instead: its hits come
-    from other roots, so repairing them would swap other edges and change
-    every lift's edge list.
+    The search is read two ways.  ``random_bipartite_lift`` repairs its
+    first hit in root order, and the girth checks run it through
+    :func:`_cycle_verdict`, which drops each root from ``adj`` after its
+    search so that later roots read less.
     """
     n = len(adj)
     dist = [0] * n
@@ -473,46 +477,26 @@ def _cycle_verdict(adj: Sequence[Sequence[int]], limit: int) -> int | None:
     """The length of some walk of at most ``limit`` edges that closes a cycle,
     or None iff ``adj`` has no cycle of length <= ``limit``.
 
-    :func:`short_cycle`'s search, except that root s's BFS runs in G[>= s]:
-    it skips every neighbour y < s, so each cycle is searched only from its
-    smallest vertex.  A hit is still a closed walk of at most ``limit`` edges
-    round a non-tree edge, so it contains a cycle no longer than itself.
-    Conversely, let C be a shortest cycle, of length L <= ``limit``, and r
-    its smallest vertex.  C lies in G[>= r], which has no cycle shorter than
-    C, so by :func:`short_cycle`'s argument r's restricted BFS meets C with a
-    walk of exactly L edges.  Which root hits first differs from
-    :func:`short_cycle`, so the lift repair keeps that search.
+    :func:`short_cycle` on a copy of ``adj`` that drops each root once its
+    search is done, so root s searches G[>= s] and each cycle is searched
+    only from its smallest vertex.  A hit still contains a cycle no longer
+    than itself.  Conversely, let C be a shortest cycle, of length L <=
+    ``limit``, and r its smallest vertex.  C lies in G[>= r], which has no
+    cycle shorter than C, so r's search meets C with a walk of exactly L
+    edges.  On every graph the tests try, the first hit is also the one the
+    search on ``adj`` finds; that is not proved, so the lift repair reads
+    the search on ``adj``.
     """
-    n = len(adj)
-    dist = [0] * n
-    parent = [-1] * n
-    stamp = [0] * n
-    deepest = (limit - 1) // 2
-    for s in range(n):
-        tick = s + 1
-        stamp[s] = tick
-        dist[s] = 0
-        parent[s] = -1
-        frontier = [s]
-        depth = 0
-        while frontier and depth <= deepest:
-            depth += 1
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y < s:
-                        continue
-                    if stamp[y] != tick:
-                        stamp[y] = tick
-                        dist[y] = depth
-                        parent[y] = x
-                        nxt.append(y)
-                    elif parent[x] != y and parent[y] != x:
-                        length = dist[x] + dist[y] + 1
-                        if length <= limit:
-                            return length
-            frontier = nxt
-    return None
+    rest = [list(nbrs) for nbrs in adj]
+
+    def roots():
+        for s, nbrs in enumerate(rest):
+            yield s
+            for y in nbrs:
+                rest[y].remove(s)
+
+    hit = short_cycle(rest, limit, roots())
+    return None if hit is None else hit[0]
 
 
 def girth(g: Graph):

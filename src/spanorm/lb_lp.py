@@ -279,8 +279,8 @@ class LbLpModel:
 
 
 def _check_tp(t: int, p) -> None:
-    if not (isinstance(t, int) and t >= 1):
-        raise ParameterError(f"stretch t must be a positive integer, got {t}")
+    if isinstance(t, bool) or not (isinstance(t, int) and t >= 1):
+        raise ParameterError(f"stretch t must be a positive integer, got {t!r}")
     if p is None or isinstance(p, bool) or not 1 <= p < math.inf:
         raise ParameterError(f"p must be a finite real >= 1, got {p}")
 

@@ -72,7 +72,8 @@ def optimal_spanner(
     ``prune=True`` adds branch-and-bound and stretches to 40 edges.  Edges
     are ordered with the greedy spanner's complement first, which lets the
     norm bound bite early.  A caller that holds ``greedy_spanner(g, t)``
-    passes it as ``greedy`` to save building it again.
+    passes it as ``greedy`` to save building it again; a spanner built on
+    another graph or at another stretch raises ``ValueError``.
 
     The branch-and-bound keeps one mutable adjacency ``avail`` of the kept
     edges plus every undecided one: the drop branch takes its edge out of
@@ -97,6 +98,9 @@ def optimal_spanner(
         )
     if greedy is None:
         greedy = greedy_spanner(g, t)
+    elif not (greedy.base == g and greedy.t == t):
+        raise ValueError(f"greedy is a spanner of {greedy.base!r} at t={greedy.t!r}, "
+                         f"not of {g!r} at t={t!r}")
     greedy_edges = set(greedy.kept_edges)
     order = [e for e in g.edges if e not in greedy_edges] + [
         e for e in g.edges if e in greedy_edges
@@ -210,7 +214,8 @@ def optimal_spanner(
 
 def greedy_ratio(g: Graph, t: int, p, greedy: Spanner | None = None) -> float:
     """Norm ratio of the greedy spanner to the oracle optimum (>= 1); pass
-    ``greedy_spanner(g, t)`` as ``greedy`` if it is at hand."""
+    ``greedy_spanner(g, t)`` as ``greedy`` if it is at hand, and nothing
+    else: another graph's or stretch's spanner raises ``ValueError``."""
     return optimal_spanner(g, t, p, greedy=greedy).greedy_ratio
 
 

@@ -132,6 +132,17 @@ def reference_cycle_free(adj, limit: int) -> bool:
     return short_cycle(adj, limit) is None
 
 
+def reference_min_vertex_verdict(adj, limit: int):
+    """The min-vertex girth verdict one root at a time: the length of the
+    first hit of ``short_cycle`` from root s alone in G[>= s], over s in id
+    order; None iff no root hits."""
+    for s in range(len(adj)):
+        hit = short_cycle([[y for y in nbrs if y >= s] for nbrs in adj], limit, [s])
+        if hit is not None:
+            return hit[0]
+    return None
+
+
 def reference_lp_norm(degrees, p) -> float:
     """The per-vertex lp norm as ``lp_norm`` computed it before
     ``graph_core.degree_norm``; the kernel must agree bit for bit."""

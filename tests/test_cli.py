@@ -420,6 +420,8 @@ class TestSubcommands:
             ("named", {"name": None}, "unknown named graph None"),
             ("lp", {"t": 3, "p": "1/0", "lambda": "1", "n": 100}, "p must be a rational"),
             ("lp", {"t": 3, "p": "2", "lambda": "1/0", "n": 100}, "lambda must be a rational"),
+            ("tightness", {"k": 2, "p": 1.5, "n": 10000, "Lambda": 2001.5 ** (5 / 3)},
+             "clique on 2001 vertices"),
         ],
     )
     def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):
@@ -467,6 +469,16 @@ class TestSubcommands:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert reason in captured.err
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_lb_sweep_bool_stretch_writes_no_out_file(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"t": [True], "p": ["2"], "lambda_points": 2}))
+        code = main(["lb-sweep", "--grid", str(grid), "--out", str(tmp_path / "sweep.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: stretch t must be a positive integer, got True\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
 
     @pytest.mark.parametrize("p, lam", [("1/0", "1"), ("2", "1/0")])
     def test_lb_zero_denominator_exit_2(self, p, lam, capsys):

@@ -518,6 +518,15 @@ class TestTightness:
         g = build_tightness(k, p, n, lam)
         assert hashlib.sha256(format_edge_list(g).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("k, p, n, lam", ids=["clique_plus_girth", "clique_plus_star"],
+                             argvalues=[(2, 1.5, 10000, 2001.5 ** (5 / 3)),
+                                        (2, 2.0, 1000, 2001.5 ** 1.5)])
+    def test_clique_over_budget_refused(self, k, p, n, lam):
+        # c = 2001 gives 2,001,000 clique edges, just above the budget; the
+        # range check passes, so only the edge count refuses it
+        with pytest.raises(ValueError, match="clique on 2001 vertices.*above the budget"):
+            build_tightness(k, p, n, lam)
+
     def test_k3_supply(self):
         g = build_tightness(3, 1.0, 30, lp_norm(named_girth_graph("tutte_coxeter"), 1.0))
         h = greedy_spanner(g, 5)

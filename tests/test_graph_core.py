@@ -47,6 +47,7 @@ from helpers import (
     reference_counter_norm,
     reference_cycle_free,
     reference_lp_norm,
+    reference_min_vertex_verdict,
     reference_within_length,
     star_graph,
     unit_graphs,
@@ -426,7 +427,17 @@ def _farthest_pair(adj, cap: int) -> tuple[int, int, int]:
 
 class TestCycleVerdict:
     """The min-vertex verdict behind ``girth`` and ``girth_at_least``, refereed
-    by ``short_cycle``'s first-hit search and by exhaustive cycle search."""
+    by a per-root search of G[>= s], by ``short_cycle``'s first-hit search and
+    by exhaustive cycle search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs())
+    def test_matches_min_vertex_reference_property(self, g):
+        # the same length as root s's own search of G[>= s], at every limit
+        adj = g.adjacency()
+        for limit in range(g.n + 2):
+            assert (graph_core._cycle_verdict(adj, limit)
+                    == reference_min_vertex_verdict(adj, limit))
 
     @settings(max_examples=150, deadline=None)
     @given(g=unit_graphs())
@@ -462,12 +473,20 @@ class TestCycleVerdict:
 
     def test_root_reads_no_vertex_below_it(self, monkeypatch):
         # Heawood has girth 6, so at limit 5 every root runs its search out to
-        # two hops; root s reads only its ball in the subgraph on s..n-1
+        # two hops; root s reads only its ball in the subgraph on s..n-1.  The
+        # shim sits on the lists short_cycle searches, not on g's own.
         g = named_girth_graph("heawood")
         adj = g.adjacency()
-        shim = _CountingAdjacency(adj)
-        monkeypatch.setattr(Graph, "adjacency", lambda self: shim)
+        shims = []
+        search = graph_core.short_cycle
+
+        def counted(rest, limit, roots=None):
+            shims.append(_CountingAdjacency(rest))
+            return search(shims[-1], limit, roots)
+
+        monkeypatch.setattr(graph_core, "short_cycle", counted)
         assert girth_at_least(g, 6)
+        (shim,) = shims
         pos = 0
         for s in range(g.n):
             above = [[y for y in nbrs if y >= s] for nbrs in adj]

@@ -159,6 +159,13 @@ class TestModel:
         with pytest.raises(ParameterError, match="finite real"):
             build_model(3, p, 1.0)
 
+    def test_bool_stretch_refused(self):
+        # True == 1 would pass as an int and name a variable 'nuTrue'
+        for call, args in ((build_model, (True, F(2), 1)), (derive_lcr, (F(2), True)),
+                           (predicted_exponent, (True, F(2), 1))):
+            with pytest.raises(ParameterError, match="stretch t must be a positive integer"):
+                call(*args)
+
     @pytest.mark.parametrize("p", [1e300, F(10**300)])
     def test_p_too_large_for_the_floor_log_refused(self, p):
         # p/(p-1) rounds to 1.0, so the float seed of the floor-log has no scale

@@ -218,6 +218,16 @@ class TestGreedyRatio:
                     assert res.greedy_ratio == want
                 assert greedy_ratio(g, 3, p) == want
 
+    def test_foreign_greedy_refused(self):
+        # another graph's greedy gave 0.905 here and the t = 1 greedy 2.61,
+        # against a true ratio of 1.17
+        g = complete_graph(6)
+        for other in (greedy_spanner(path_graph(6), 3), greedy_spanner(g, 1)):
+            with pytest.raises(ValueError, match="greedy is a spanner of"):
+                greedy_ratio(g, 3, 2, greedy=other)
+            with pytest.raises(ValueError, match="greedy is a spanner of"):
+                optimal_spanner(g, 3, 2, greedy=other)
+
     def test_one_greedy_per_ratio(self, monkeypatch):
         calls = []
 
