@@ -829,7 +829,11 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int,
     when the spanner has a forward path of length t, and construction
     asserts the reach lower bound Delta_t / 2**t for every source, with
     Delta_t = n**solution["Delta"].  An ``n`` below 2 is refused with
-    ValueError.
+    ValueError, and so is a host of more than ``HOST_EDGE_BUDGET`` edges:
+    before any draw when the layer sizes and degrees already force that
+    many, else as soon as the sampled pairs pass it.  The RNGs are keyed by
+    (seed, layer, vertex), so the refusal moves no draw of an instance
+    within the budget.
     """
     if n < 2:
         raise ValueError(f"build_from_lp needs n >= 2, got {n}")
@@ -843,11 +847,19 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int,
             size = n
         sizes.append(size)
     offsets = (0, *accumulate(sizes))
+    wants = [min(int(math.ceil(n ** float(solution[f"delta{i}"]) * math.log(n))), sizes[i])
+             for i in range(1, t + 1)]
+    delta_t = n ** float(solution["Delta"])
+    reach = max(0, math.ceil(delta_t / 2**t - 1e-9))
+    # the host holds a pair per source and layer-t vertex it reaches, at
+    # least ``reach`` of them per source, and the spanner's edges on top at
+    # t >= 2; at t = 1 the spanner's edges are the pairs
+    spanner_edges = sum(size * want for size, want in zip(sizes, wants))
+    base = spanner_edges if t >= 2 else 0
+    _check_host_budget(max(spanner_edges, base + sizes[0] * reach))
     edges = []
     neighbors_fwd: list[list[list[int]]] = []
-    for i in range(1, t + 1):
-        d_i = n ** float(solution[f"delta{i}"])
-        want = min(int(math.ceil(d_i * math.log(n))), sizes[i])
+    for i, want in enumerate(wants, 1):
         layer_fwd = []
         for v in range(sizes[i - 1]):
             rng = random.Random(((seed * 1_000_003 + i) * 1_000_003 + v) & 0x7FFFFFFF)
@@ -858,7 +870,6 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int,
         neighbors_fwd.append(layer_fwd)
     spanner = Graph(offsets[-1], edges)
     # forward reachability per source in V_0
-    delta_t = n ** float(solution["Delta"])
     host_pairs = []
     for u in range(sizes[0]):
         frontier = {u}
@@ -873,6 +884,7 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int,
                 f"Delta_t/2^t = {delta_t / 2**t:.3g}"
             )
         host_pairs += [(u, offsets[t] + w) for w in sorted(frontier)]
+        _check_host_budget(base + len(host_pairs))
     return LayeredInstance(
         t=t,
         p=p,
@@ -880,6 +892,13 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int,
         explicit_spanner=spanner,
         explicit_host_pairs=tuple(host_pairs),
     )
+
+
+def _check_host_budget(least: int) -> None:
+    """Refuse an LP-sampled host known to hold at least ``least`` edges."""
+    if least > HOST_EDGE_BUDGET:
+        raise ValueError(f"host has at least {least} edges, above the materialization "
+                         f"budget {HOST_EDGE_BUDGET}")
 
 
 # -- tightness families (upper-bound matching instances) ----------------------

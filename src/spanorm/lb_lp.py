@@ -40,7 +40,13 @@ ell / lambda), ``_base_dual`` (its dual, on first certificate in the nice
 range) and ``_walk`` (the interpolation walk with each walk shape's
 exponent at its cap, on first lambda above the base cap).  A fourth,
 ``_primal_terms``, holds the lambda-independent terms of the nice-range
-primal per (shape, p).  ``typed=True``
+primal per (shape, p).  A fifth, ``_certificate``, keyed by
+``(t, p, relaxed, basis)``, holds the lambda-free parts of the float and
+exact simplex certificates of each optimal basis ``solve`` meets (see
+``solve``): about 0.8 kB an entry, key included, as the entry packs its
+integers in 32-bit words and its float duals in doubles, and 427 entries
+for one cold pass of the ``lb_certify`` grid.
+``typed=True``
 keeps 2.0 and Fraction(2) apart, since float shapes, caps and duals decide
 with a tolerance.  The caches hold values only, never exceptions, and are
 unbounded: a few small tuples per (t, p) a process asks about;
@@ -55,7 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .simplex import _dense_solve, _solve
+from .simplex import _dense_solve, _parts, _solve
 
 __all__ = [
     "ConditionReport",
@@ -409,12 +415,35 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
     climbs the same way.  The data below is built the same way from the
     frozen model each call, so every answer, float bits and exact values
     alike, is the one a fresh model gives, in either call order.
+
+    Lambda enters only the density row's rhs, so a basis's certificate has
+    a lambda-free part, made for both modes once per (t, p, relaxed,
+    basis) by ``_certificate`` on the model at lambda = 1, and a part
+    affine in lambda, read here: the exact basic values ``(u + s w) / den`` at
+    s = lambda - 1, or the float basic values ``B^-1 b`` solved at this
+    lambda.  A basis refused at this lambda climbs the simplex ladder as
+    before.  The answers are those of a certificate made afresh.
     """
     if exact and (isinstance(model.p, float) or isinstance(model.lam, float)):
         raise ParameterError(
             f"exact solve needs int or Fraction p and lambda, got p={model.p!r}, "
             f"lambda={model.lam!r}"
         )
+    data, ub, eq = _lp_data(model)
+    # the density row goes in negated, its rhs at -lambda: 1 - lambda above
+    # its rhs at lambda = 1
+    stored = functools.partial(_certificate, model.t, model.p, model.relaxed)
+    sol = _solve(data, exact, model._basis, (stored, 1 - model.lam))
+    # the >= rows went in negated: u_r = -y_r
+    duals = {model.row_names[i]: -y for i, y in zip(ub, sol.duals)}
+    duals.update((model.row_names[i], y) for i, y in zip(eq, sol.duals[len(ub) :]))
+    return SolveResult(ell=sol.objective, duals=duals)
+
+
+def _lp_data(model: LbLpModel):
+    """``(data, ub, eq)``: the model as ``simplex._solve`` data and the model
+    rows behind its ``A_ub`` rows (the ``>=`` rows, negated) and ``A_eq``
+    rows."""
     ub = [i for i in range(len(model.rows)) if i not in model.eq_rows]
     eq = sorted(model.eq_rows)
     data = (
@@ -424,11 +453,23 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
         [model.rows[i] for i in eq],
         [model.rhs[i] for i in eq],
     )
-    sol = _solve(data, exact, model._basis)
-    # the >= rows went in negated: u_r = -y_r
-    duals = {model.row_names[i]: -y for i, y in zip(ub, sol.duals)}
-    duals.update((model.row_names[i], y) for i, y in zip(eq, sol.duals[len(ub) :]))
-    return SolveResult(ell=sol.objective, duals=duals)
+    return data, ub, eq
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _certificate(t: int, p, relaxed: bool, basis: tuple) -> tuple:
+    """The lambda-free parts of the float and, for rational p, the exact
+    certificate of ``basis`` (``simplex._parts``) for the models of
+    (t, p, relaxed), made on the model at lambda = 1 whichever lambda asks
+    first.
+
+    Lambda moves only the density row's rhs, and never its sign, so the
+    program's rows, costs and flips are those of every lambda.
+    """
+    model = build_model(t, p, 1, relaxed)
+    data, ub, _eq = _lp_data(model)
+    row = ub.index(model.row_names.index("density"))
+    return _parts(data, basis, row, not isinstance(p, float))
 
 
 # -- (L,C,R) derivation ------------------------------------------------------

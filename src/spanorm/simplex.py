@@ -19,6 +19,20 @@ negative reduced cost and no pivot row (unbounded, or round-off), climbs the
 exact rung on the rationals ``Fraction(float(v))`` of its own data and casts
 the answer back; exact pivoting then raises ``Unbounded`` or finds an optimum.
 
+A certificate splits in two.  The duals and the reduced-cost verdict do
+not read the rhs, and the basic values are affine in the rhs of any one
+row.  ``_parts`` makes, for one such row, what a basis's certificates need
+at every rhs of that row: the float duals and, for rational data, the
+exact duals with x_K(s) = (u + s w) / den and the unit rows' residues,
+affine in the shift s.  ``_exact_at`` reads the exact certificate at a shift in integer sign
+checks; ``_certified_from_basis`` takes stored float duals and solves the
+float basic values at the program's own rhs, so float bits do not move.
+A shift must keep the row's sign, since the program negates the rows with
+a negative rhs and the parts hold that choice.  ``lb_lp`` keeps the parts
+per basis: its density lambda moves one rhs, and lambda > 0 keeps its
+sign.  ``_certified_exact`` is the same two steps at s = 0, so there is
+one exact certificate.
+
 One LP solved both ways pivots in float once.  ``solve_lp`` runs its own
 float pivot each call; ``lb_lp.solve`` passes ``_solve`` a list kept on the
 model, which holds the basis of the model's one float run that returned, and
@@ -45,6 +59,7 @@ linear solver; the closed-form certificates in ``lb_lp`` use it too.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -54,6 +69,7 @@ __all__ = ["Infeasible", "LpSolution", "SimplexError", "Unbounded", "solve_lp"]
 FLOAT_TOL = 1e-10
 VERIFY_TOL = 1e-8
 DEGENERATE_SWITCH = 40
+_ZERO = Fraction(0)
 
 
 class SimplexError(Exception):
@@ -145,21 +161,28 @@ def solve_lp(
     return _solve((c, a_ub, b_ub, a_eq, b_eq), exact, [])
 
 
-def _solve(data, exact: bool, memo: list) -> LpSolution:
+def _solve(data, exact: bool, memo: list, stored=None) -> LpSolution:
     """``solve_lp`` on ``data``.  ``memo`` is empty, or holds the basis (a
     tuple of ints) of a float pivot run on this same ``data`` that returned;
-    a run that raised leaves it empty (see the module docstring)."""
+    a run that raised leaves it empty (see the module docstring).
+
+    ``stored`` is None or a pair ``(parts, shift)``: ``parts(basis)`` is
+    ``_parts`` of a program that differs from ``data`` only in the rhs of
+    the parts' moving row, which ``data`` holds ``shift`` higher.  A basis
+    the stored part refuses climbs the ladder as a refused certificate does.
+    """
     if exact:
         try:
             basis = _float_basis(data, memo)
         except (SimplexError, _NeedsExact, OverflowError):
             basis = None
-        return _exact_ladder(data, basis, _to_rational)
+        return _exact_ladder(data, basis, _to_rational, stored)
     prog = _Program(*data, float)
     basis = None
     try:
         basis = _float_basis(data, memo, prog)
-        return _certified_from_basis(prog, basis)
+        duals = None if stored is None else _stored_part(stored, basis, False)
+        return _certified_from_basis(prog, basis, duals)
     except _NeedsExact:
         sol = _exact_ladder(data, basis, _via_float_fraction)
         x, duals = (tuple(map(float, v)) for v in (sol.x, sol.duals))
@@ -178,15 +201,17 @@ def _float_basis(data, memo: list, prog: _Program | None = None) -> tuple:
     return memo[0]
 
 
-def _exact_ladder(data, basis, conv) -> LpSolution:
+def _exact_ladder(data, basis, conv, stored=None) -> LpSolution:
     """Certify ``basis`` exactly, else pivot exactly and certify where that ends.
 
-    ``conv`` makes the data rational.  Pivoting divides, so it runs on a
-    copy whose every entry is a ``Fraction``.
+    ``conv`` makes the data rational; ``stored`` is ``_solve``'s.  Pivoting
+    divides, so it runs on a copy whose every entry is a ``Fraction``.
     """
     if basis is not None:
         try:
-            return _certified_exact(_Program(*data, conv), basis)
+            if stored is None:
+                return _certified_exact(_Program(*data, conv), basis)
+            return _exact_at(_stored_part(stored, basis, True), stored[1])
         except _NeedsExact:
             pass
     prog = _Program(*data, lambda v: Fraction(conv(v)))
@@ -207,21 +232,71 @@ def _via_float_fraction(v):
     return Fraction(float(v))
 
 
-def _certified_from_basis(prog: _Program, basis) -> LpSolution:
+def _parts(data, basis, row: int, rational: bool) -> tuple:
+    """What the certificates of ``basis`` need at every rhs of ``row`` (an
+    index into ``A_ub`` then ``A_eq``) of ``data``: the pair of
+    ``_float_duals`` and, for ``rational`` data, ``_exact_parts``.  A part
+    is None where it refuses the basis at every such rhs."""
+    try:
+        duals = _float_duals(_Program(*data, float), basis)
+    except _NeedsExact:
+        duals = None
+    exact = None
+    if rational:
+        try:
+            exact = _exact_parts(_Program(*data, _to_rational), basis, row)
+        except _NeedsExact:
+            pass
+    return duals, exact
+
+
+def _stored_part(stored, basis, exact: bool):
+    """The float or exact part of ``_solve``'s ``stored`` parts of ``basis``;
+    raises ``_NeedsExact`` where that part refuses the basis."""
+    part = stored[0](basis)[exact]
+    if part is None:
+        raise _NeedsExact
+    return part
+
+
+def _float_duals(prog: _Program, basis) -> bytes:
+    """The part of the float certificate that does not read the rhs: the
+    duals ``y = B^-T c_B``, negated back where the program negated the
+    input row.
+
+    Raises ``_NeedsExact`` when B is singular or a reduced cost is below
+    ``-VERIFY_TOL``.  B, c and the flips do not involve the rhs.
+    """
+    m = prog.m
+    try:
+        yvec = _dense_solve(
+            [[prog.rows[r][j] for r in range(m)] for j in basis],
+            [prog.full_c[j] for j in basis],
+        )
+    except ZeroDivisionError:
+        raise _NeedsExact
+    for j in range(prog.width):
+        if j not in prog.art_cols:
+            used = sum(row[j] * y for row, y in zip(prog.rows, yvec) if row[j])
+            if prog.full_c[j] - used < -VERIFY_TOL:
+                raise _NeedsExact
+    # packed doubles keep every bit, -0.0 included, in 8 bytes a dual
+    return struct.pack(f"{m}d", *[-y if flip else y for y, flip in zip(yvec, prog.flipped)])
+
+
+def _certified_from_basis(prog: _Program, basis, duals=None) -> LpSolution:
     """Rebuild x and the duals from the basis against the original float data.
 
     Raises ``_NeedsExact`` unless the basis proves optimal within tolerance:
     basic values non-negative, rows satisfied, and all reduced costs
-    non-negative.
+    non-negative.  ``duals`` is the basis's ``_float_duals`` when the caller
+    holds it; x is solved here from this program's rhs.
     """
+    if duals is None:
+        duals = _float_duals(prog, basis)
     m, width, n = prog.m, prog.width, prog.n
-    bmat = [[prog.rows[i][basis[r]] for r in range(m)] for i in range(m)]
     try:
-        xb = _dense_solve(bmat, prog.rhs)
-        yvec = _dense_solve(
-            [[bmat[r][i] for r in range(m)] for i in range(m)],
-            [prog.full_c[basis[r]] for r in range(m)],
-        )
+        xb = _dense_solve([[row[j] for j in basis] for row in prog.rows], prog.rhs)
     except ZeroDivisionError:
         raise _NeedsExact
     xfull = [prog.zero] * width
@@ -238,15 +313,9 @@ def _certified_from_basis(prog: _Program, basis) -> LpSolution:
         lhs = sum(row[j] * xfull[j] for j in cols)
         if abs(lhs - rhs) > VERIFY_TOL * max(1.0, abs(rhs)):
             raise _NeedsExact
-    for j in range(width):
-        if j not in prog.art_cols:
-            used = sum(row[j] * y for row, y in zip(prog.rows, yvec) if row[j])
-            if prog.full_c[j] - used < -VERIFY_TOL:
-                raise _NeedsExact
     x = xfull[:n]
     objective = sum((ci * xi for ci, xi in zip(prog.c, x)), prog.zero)
-    duals = tuple(-y if flip else y for y, flip in zip(yvec, prog.flipped))
-    return LpSolution(objective=objective, x=tuple(x), duals=duals)
+    return LpSolution(objective=objective, x=tuple(x), duals=struct.unpack(f"{m}d", duals))
 
 
 def _certified_exact(prog: _Program, basis) -> LpSolution:
@@ -268,6 +337,31 @@ def _certified_exact(prog: _Program, basis) -> LpSolution:
     run on these integers, and the reduced cost of column j is
     ``c_j - sum_T I[i][j] * z_i``; each sign is read off integers.
     Raises ``_NeedsExact`` unless the basis is exactly optimal.
+
+    The certificate is ``_exact_parts`` read by ``_exact_at`` with no
+    shift: the same two steps answer a cached basis at any shift.
+    """
+    return _exact_at(_exact_parts(prog, basis), 0)
+
+
+def _exact_parts(prog: _Program, basis, row: int | None = None) -> tuple:
+    """The exact certificate of ``basis`` at every shift s of the input rhs
+    of ``row`` (see ``_certified_exact``).
+
+    The core solves for two right-hand sides at once, b and the step d of
+    a unit shift (-1 on ``row`` where the program negated it), so that
+    ``x_K(s) = (u + s w) / den``.  Each unit row's scaled residue
+    ``s_i (b_i - A_iK x_K) den`` is ``a + s b`` likewise; it must have the
+    sign of the unit column's entry, or be 0 for an artificial, so it is
+    kept as one or two pairs ``(a, b)``, over their gcd, that must read
+    ``a + s b >= 0``.  z and the reduced-cost verdict do not involve the
+    rhs.  Returns ``(costs, ints)``: ``costs`` holds ``(j, c_j)`` for each
+    non-zero cost, and ``ints`` (``_packed``) is ``den``, ``yden``, the
+    lengths of ``x`` and ``bounds``, then ``x``, which holds ``(u_j, w_j)``
+    for every structural column (0 off the core), ``bounds``, the pairs,
+    and ``y``, the duals' numerators over ``yden``.  Raises
+    ``_NeedsExact`` when the basis is singular or a reduced cost is
+    negative, which no shift changes.
     """
     n = prog.n
     unit = {prog.unit_rows[j - n]: j for j in basis if j >= n}  # row -> column
@@ -277,40 +371,79 @@ def _certified_exact(prog: _Program, basis) -> LpSolution:
     # columns: the basis is singular
     if len(core) != len(tight):
         raise _NeedsExact
-    irows = _integer_rows([*prog.rows[i], prog.rhs[i]] for i in tight)
+    step = [0] * prog.m
+    if row is not None:
+        step[row] = -1 if prog.flipped[row] else 1
+    irows = _integer_rows([*prog.rows[i], prog.rhs[i], step[i]] for i in tight)
     try:
-        xnum, xden = _integer_solve([[row[j] for j in core] + [row[-1]] for row in irows])
-        znum, zden = _integer_solve(
-            _integer_rows([row[j] for row in irows] + [prog.full_c[j]] for j in core)
+        xw, den = _integer_solve([[r[j] for j in core] + r[-2:] for r in irows])
+        z, zden = _integer_solve(
+            _integer_rows([r[j] for r in irows] + [prog.full_c[j]] for j in core)
         )
     except ZeroDivisionError:
         raise _NeedsExact
-    if any(v < 0 for v in xnum):
-        raise _NeedsExact
-    urows = _integer_rows([prog.rows[i][j] for j in core] + [prog.rhs[i]] for i in unit)
-    for (i, u), row in zip(unit.items(), urows):
-        # s * (b_i - A_iK x_K) * xden, with s > 0: the sign of x_u * A_iu
-        # (zip stops at the rhs)
-        rest = row[-1] * xden - sum(a * v for a, v in zip(row, xnum))
-        if rest and (u in prog.art_cols or (rest > 0) != (prog.rows[i][u] > 0)):
-            raise _NeedsExact
     # basic columns have reduced cost 0 by construction
     skip = set(basis).union(prog.art_cols)
-    zrows = [(row, z) for row, z in zip(irows, znum) if z]
+    zrows = [(r, v) for r, (v,) in zip(irows, z) if v]
     for j in range(prog.width):
         if j in skip:
             continue
         cnum, cden = prog.full_c[j].as_integer_ratio()
         # the reduced cost times zden * cden, both positive
-        if cnum * zden < cden * sum(row[j] * z for row, z in zrows):
+        if cnum * zden < cden * sum(r[j] * v for r, v in zrows):
             raise _NeedsExact
-    basic = dict(zip(core, xnum))
-    x = [Fraction(basic.get(j, 0), xden) for j in range(n)]
-    objective = sum((ci * xi for ci, xi in zip(prog.c, x) if ci), Fraction(0))
+    bounds = []
+    urows = _integer_rows([prog.rows[i][j] for j in core] + [prog.rhs[i], step[i]] for i in unit)
+    for (i, u), r in zip(unit.items(), urows):
+        # zip stops at the rhs
+        a = r[-2] * den - sum(c * v for c, (v, _w) in zip(r, xw))
+        b = r[-1] * den - sum(c * w for c, (_v, w) in zip(r, xw))
+        g = math.gcd(a, b) or 1
+        if u in prog.art_cols or prog.rows[i][u] > 0:
+            bounds += (a // g, b // g)
+        if u in prog.art_cols or prog.rows[i][u] < 0:
+            bounds += (-a // g, -b // g)
     y = [0] * prog.m
-    for i, row, z in zip(tight, irows, znum):
-        y[i] = (-z if prog.flipped[i] else z) * row[prog.start_basis[i]]
-    duals = tuple(Fraction(v, zden) for v in y)
+    for i, r, (v,) in zip(tight, irows, z):
+        y[i] = (-v if prog.flipped[i] else v) * r[prog.start_basis[i]]
+    x = [0] * (2 * n)
+    for j, (u, w) in zip(core, xw):
+        x[2 * j : 2 * j + 2] = u, w
+    costs = tuple(v for j, c in enumerate(prog.c) if c for v in (j, c))
+    return costs, _packed([den, zden, len(x), len(bounds), *x, *bounds, *y])
+
+
+def _packed(ints: list) -> tuple:
+    """``(code, data)``: ``ints`` packed as ``struct`` words of ``code``,
+    32-bit "i" or else 64-bit "q" where they all fit, and otherwise code
+    None and their tuple."""
+    for code in "iq":
+        try:
+            return code, struct.pack(f"{len(ints)}{code}", *ints)
+        except struct.error:
+            pass
+    return None, tuple(ints)
+
+
+def _exact_at(parts: tuple, shift) -> LpSolution:
+    """The certificate ``parts`` (of ``_exact_parts``) with its row's input
+    rhs ``shift`` higher, in integer sign checks; raises ``_NeedsExact``
+    unless every basic value stays feasible there."""
+    costs, (code, ints) = parts
+    if code is not None:
+        ints = struct.unpack(f"{len(ints) // struct.calcsize(code)}{code}", ints)
+    den, yden, nx, nb = ints[:4]
+    x_parts, bounds, y = ints[4 : 4 + nx], ints[4 + nx : 4 + nx + nb], ints[4 + nx + nb :]
+    sn, sd = shift.as_integer_ratio()
+    vals = [u * sd + sn * w for u, w in zip(x_parts[::2], x_parts[1::2])]
+    if any(v < 0 for v in vals) or any(
+        a * sd + sn * b < 0 for a, b in zip(bounds[::2], bounds[1::2])
+    ):
+        raise _NeedsExact
+    den *= sd
+    x = [Fraction(v, den) if v else _ZERO for v in vals]
+    objective = sum((c * x[j] for j, c in zip(costs[::2], costs[1::2])), _ZERO)
+    duals = tuple(Fraction(v, yden) if v else _ZERO for v in y)
     return LpSolution(objective=objective, x=tuple(x), duals=duals)
 
 
@@ -374,8 +507,8 @@ def _dense_solve(mat, vec):
     matrices are sparse).  A singular system raises ``ZeroDivisionError``.
     """
     if all(isinstance(v, (int, Fraction)) for row in (*mat, vec) for v in row):
-        nums, den = _integer_solve(_integer_rows([*row, v] for row, v in zip(mat, vec)))
-        return [Fraction(v, den) for v in nums]
+        rows, den = _integer_solve(_integer_rows([*row, v] for row, v in zip(mat, vec)))
+        return [Fraction(v, den) for v, in rows]
     n = len(vec)
     m = [list(row) + [v] for row, v in zip(mat, vec)]
     for col in range(n):
@@ -417,16 +550,17 @@ def _integer_rows(rows) -> list[list[int]]:
     return out
 
 
-def _integer_solve(m: list[list[int]]) -> tuple[list[int], int]:
+def _integer_solve(m: list[list[int]]) -> tuple[list[list[int]], int]:
     """Exact branch of ``_dense_solve``: fraction-free integer Gauss-Jordan.
 
-    ``m`` holds the augmented integer rows ``[a_r0 .. a_r(n-1), b_r]`` and is
-    eliminated in place.  A row stays proportional to its rational row, so
-    the update ``(a/g)*row_r - (f/g)*pivot_row`` with ``g = gcd(a, f)``
-    clears column ``col`` without a division, and dividing the row by its
-    gcd afterwards keeps the integers short.  Returns ``(nums, den)`` with
-    ``x_r = nums[r] / den`` and ``den > 0``; raises ``ZeroDivisionError`` on
-    a singular system.
+    ``m`` holds the n augmented integer rows ``[a_r0 .. a_r(n-1), b_r0 ..
+    b_r(k-1)]``, one right-hand side per trailing column, and is eliminated
+    in place.  A row stays proportional to its rational row, so the update
+    ``(a/g)*row_r - (f/g)*pivot_row`` with ``g = gcd(a, f)`` clears column
+    ``col`` without a division, and dividing the row by its gcd afterwards
+    keeps the integers short.  Returns ``(nums, den)`` with ``den > 0`` and
+    ``x_r = nums[r][c] / den`` for right-hand side c; raises
+    ``ZeroDivisionError`` on a singular system.
     """
     n = len(m)
     for col in range(n):
@@ -442,7 +576,7 @@ def _integer_solve(m: list[list[int]]) -> tuple[list[int], int]:
         m[col], m[piv] = m[piv], m[col]
         prow = m[col]
         a = prow[col]
-        nonzero = [j for j in range(col, n + 1) if prow[j]]
+        nonzero = [j for j in range(col, len(prow)) if prow[j]]
         for r in range(n):
             if r == col:
                 continue
@@ -459,9 +593,9 @@ def _integer_solve(m: list[list[int]]) -> tuple[list[int], int]:
             g = math.gcd(*row_r)
             if g > 1:
                 m[r] = [v // g for v in row_r]
-    # row r now reads m[r][r] * x_r = m[r][n]
+    # row r now reads m[r][r] * x_r = m[r][n:]
     den = math.lcm(*[m[r][r] for r in range(n)])
-    return [m[r][n] * (den // m[r][r]) for r in range(n)], den
+    return [[v * (den // m[r][r]) for v in m[r][n:]] for r in range(n)], den
 
 
 def _pivot(tableau, basis, row: int, col: int) -> None:

@@ -377,12 +377,13 @@ def dense_certified_exact(prog, basis) -> LpSolution:
     tight-row core: both integer solves run on the whole m x m basis."""
     irows = _integer_rows([*row, rhs] for row, rhs in zip(prog.rows, prog.rhs))
     try:
-        xnum, xden = _integer_solve([[row[j] for j in basis] + [row[-1]] for row in irows])
-        znum, zden = _integer_solve(
+        xrows, xden = _integer_solve([[row[j] for j in basis] + [row[-1]] for row in irows])
+        zrows, zden = _integer_solve(
             _integer_rows([row[j] for row in irows] + [prog.full_c[j]] for j in basis)
         )
     except ZeroDivisionError:
         raise _NeedsExact
+    xnum, znum = [v for v, in xrows], [v for v, in zrows]
     basic = dict(zip(basis, xnum))
     if any(v < 0 for v in xnum) or any(basic.get(j, 0) > 0 for j in prog.art_cols):
         raise _NeedsExact

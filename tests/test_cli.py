@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -432,6 +433,19 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert reason in captured.err
+        assert not list(tmp_path.iterdir())
+
+    def test_gen_lp_oversized_host_refused_before_sampling(self, monkeypatch, tmp_path,
+                                                           capsys):
+        draws = []
+        monkeypatch.setattr(random.Random, "sample", lambda *args: draws.append(args))
+        params = {"t": 3, "p": "2", "lambda": "1", "n": 10**7}
+        code = main(["gen", "--family", "lp", "--params", json.dumps(params),
+                     "--out", str(tmp_path / "inst")])
+        captured = capsys.readouterr()
+        assert (code, captured.out, draws) == (2, "", [])
+        assert captured.err.startswith("error: host has at least ")
+        assert captured.err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, doc, reason", [

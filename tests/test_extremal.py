@@ -467,6 +467,38 @@ class TestBuildFromLp:
         assert a.spanner().edges != c.spanner().edges
         assert c.verify()
 
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Counts the neighbour samples drawn."""
+        calls = []
+        real = random.Random.sample
+
+        def counted(rng, *args, **kwargs):
+            calls.append(args)
+            return real(rng, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "sample", counted)
+        return calls
+
+    def test_oversized_host_refused_before_any_draw(self, monkeypatch):
+        # n = 10**7 fixes layer sizes (46416, 215, 215, 46416), and each
+        # source reaches at least 46416 / 8 of the last layer
+        draws = []
+        monkeypatch.setattr(random.Random, "sample", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="above the materialization budget"):
+            build_from_lp(self._optimum(), 10**7, seed=1, t=3)
+        assert draws == []
+
+    def test_reach_stops_at_the_budget(self, monkeypatch, draws):
+        # within the budget before any draw, the host passes it on the way
+        full = build_from_lp(self._optimum(), 1024, seed=7, t=3).host_edge_count()
+        draws.clear()
+        monkeypatch.setattr(extremal, "HOST_EDGE_BUDGET", 6000)
+        with pytest.raises(ValueError, match=r"host has at least (\d+) edges") as refused:
+            build_from_lp(self._optimum(), 1024, seed=7, t=3)
+        least = int(refused.value.args[0].split()[4])
+        assert 6000 < least < full and len(draws) == 102 + 10 + 10
+
 
 class TestTightness:
     def test_case_i_star_plus_path(self):

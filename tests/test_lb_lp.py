@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -55,6 +56,13 @@ LP_OUTPUT_PIN = "5555e3b0d2d40571b86935fbd2f103d431ee4749fa9e33f8e335fc71a5fa8aa
 # over t 1-9, eight p and four lambdas; recorded before the exact certificate
 # solved on the tight-row core of the basis
 SOLVE_PIN = "4ab5481361db046ac8728b2c8e3a66a0736983373c24306f4da6504829dbaebb"
+# sha256 of repr((objective, x, duals)) of the simplex answer behind every
+# solve (the exception name where one raises), float and exact, relaxed and
+# full models, over t 1-9, GRID_PS with the int and float forms of p, and
+# lambda = k/20 of the LP's range (see certificate_outcomes); recorded from
+# certificates made afresh at each lambda, before the lambda-free part of a
+# basis's certificate was cached
+ANSWER_PIN = "8768b5a8394743e5bec0b66b7bd8bdf5cab2a705decd51116876ef07be7810aa"
 
 
 def lp_outputs_digest() -> str:
@@ -76,7 +84,8 @@ def lp_outputs_digest() -> str:
 def empty_caches():
     """Empty the per-(t, p) caches before and after the test, so a test
     starts cold and no value computed under a patched internal outlives it."""
-    caches = (lb_lp._base, lb_lp._base_dual, lb_lp._walk, lb_lp._primal_terms)
+    caches = (lb_lp._base, lb_lp._base_dual, lb_lp._walk, lb_lp._primal_terms,
+              lb_lp._certificate)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -265,32 +274,6 @@ class TestFloatRunReuse:
         assert len(float_pivots) == 1
         assert all(type(j) is int for j in model._basis[0])
 
-    def test_answers_match_a_fresh_model(self):
-        # t 1-9 by the grid p, int and float forms of p, and lambda up to the
-        # cap, relaxed and full: each answer and each exception name is the
-        # one a fresh model gives, in either call order
-        raised = Counter()
-        for t in range(1, 10):
-            for p in [*GRID_PS, 2, 10, 1.3, 2.5]:
-                top = 1 + (1 / p if isinstance(p, float) else F(1) / p)
-                for k in (3, 11, 20):
-                    lam = top * (k / 20 if isinstance(p, float) else F(k, 20))
-                    for relaxed in (True, False):
-                        def model():
-                            return build_model(t, p, lam, relaxed=relaxed)
-
-                        fresh = [_solve_outcome(model(), exact) for exact in (False, True)]
-                        one = model()
-                        float_first = [_solve_outcome(one, exact) for exact in (False, True)]
-                        one = model()
-                        exact_first = [_solve_outcome(one, exact) for exact in (True, False)]
-                        assert float_first == fresh == exact_first[::-1], (t, p, lam, relaxed)
-                        raised.update(v for v in fresh if not v.startswith("("))
-        # every exact solve on float data is refused before any pivot: the
-        # float golden ratio and 1.3 and 2.5, 3 lambdas, relaxed and full,
-        # t 1-9
-        assert raised == Counter({"ParameterError": 3 * 3 * 2 * 9})
-
     @pytest.mark.parametrize("p, lam", [(GOLDEN, (1 + 1 / GOLDEN) * 1.0), (2.5, F(1)),
                                         (F(5, 2), 1.0), (3, 0.5)])
     def test_exact_on_float_data_refused_before_pivot(self, float_pivots, p, lam):
@@ -331,6 +314,101 @@ class TestFloatRunReuse:
         assert repr(solved) == repr(twin)
         assert solved == twin
         assert hash(solved) == hash(twin)
+
+
+def certificate_outcomes(monkeypatch) -> tuple[str, Counter]:
+    """``(digest, raised)`` of ``ANSWER_PIN``'s grid: the sha256 of every
+    answer behind ``solve``, each solve in its own line ordered by (family,
+    lambda, mode), and the names of the exceptions raised.
+
+    The families (t, p, relaxed) take turns at three orders, each from an
+    empty ``_certificate``: lambda ascending with the float solve first on
+    each model, lambda descending with the exact solve first, and a
+    shuffled lambda and mode order.
+    """
+    answers = []
+    real = lb_lp._solve
+
+    def recorded(*args):
+        sol = real(*args)
+        answers.append(repr((sol.objective, sol.x, sol.duals)))
+        return sol
+
+    monkeypatch.setattr(lb_lp, "_solve", recorded)
+    rng = random.Random(25)
+    lines, raised = {}, Counter()
+    families = [(t, p, relaxed) for t in range(1, 10) for p in [*GRID_PS, 2, 10, 1.3, 2.5]
+                for relaxed in (True, False)]
+    for f, (t, p, relaxed) in enumerate(families):
+        top = 1 + (1 / p if isinstance(p, float) else F(1) / p)
+        order = [(k, top * (k / 20 if isinstance(p, float) else F(k, 20))) for k in range(1, 21)]
+        modes = (True, False) if f % 3 == 1 else (False, True)
+        if f % 3 == 1:
+            order.reverse()
+        elif f % 3 == 2:
+            rng.shuffle(order)
+        lb_lp._certificate.cache_clear()
+        for k, lam in order:
+            model = build_model(t, p, lam, relaxed=relaxed)
+            for exact in rng.sample(modes, 2) if f % 3 == 2 else modes:
+                try:
+                    solve(model, exact=exact)
+                    lines[f, k, exact] = answers[-1]
+                except Exception as exc:  # noqa: BLE001 - the name is pinned too
+                    lines[f, k, exact] = type(exc).__name__
+                    raised[type(exc).__name__] += 1
+    text = "\n".join(lines[key] for key in sorted(lines))
+    return hashlib.sha256(text.encode()).hexdigest(), raised
+
+
+class TestCertificateCache:
+    """``_certificate`` keeps the lambda-free part of each basis's
+    certificate; no answer depends on it, on the order that fills it, or on
+    which mode solves a model first."""
+
+    def test_answers_match_certificates_made_afresh(self, monkeypatch, empty_caches):
+        digest, raised = certificate_outcomes(monkeypatch)
+        # every exact solve on float data is refused before any pivot: the
+        # float golden ratio and 1.3 and 2.5, 20 lambdas, relaxed and full,
+        # t 1-9
+        assert raised == Counter({"ParameterError": 3 * 20 * 2 * 9})
+        assert digest == ANSWER_PIN
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("stale", ["other-lambda", "singular"])
+    def test_refused_basis_climbs_the_ladder(self, monkeypatch, empty_caches, stale, exact):
+        # a basis the stored certificate refuses: the optimal basis at
+        # lambda = 1/20 of the range, asked about the top of the range,
+        # where a basic value turns negative, or a basis naming one column
+        # throughout, which every lambda refuses and the cache holds as
+        # refused.  The ladder pivots exactly, and the answer is the one the
+        # certificates made afresh give from the same basis
+        t, p = 3, F(2)
+        low, high = (build_model(t, p, (1 + 1 / p) * F(k, 20)) for k in (1, 20))
+        solve(low)
+        basis = low._basis[0] if stale == "other-lambda" else (0,) * len(low._basis[0])
+        high._basis.append(basis)
+        answers, pivots = [], []
+        real, real_pivot = lb_lp._solve, simplex._pivot_phases
+
+        def recorded(*args):
+            answers.append(real(*args))
+            return answers[-1]
+
+        def pivot(prog, tol):
+            pivots.append(tol)
+            return real_pivot(prog, tol)
+
+        monkeypatch.setattr(lb_lp, "_solve", recorded)
+        monkeypatch.setattr(simplex, "_pivot_phases", pivot)
+        got = solve(high, exact=exact)
+        assert pivots == [0]
+        refused = lb_lp._certificate(t, p, True, basis)
+        assert refused[exact] is None if stale == "singular" else refused[exact] is not None
+        afresh = real(lb_lp._lp_data(high)[0], exact, [basis])
+        assert repr(answers) == repr([afresh])
+        fresh = solve(build_model(t, p, high.lam), exact=exact)
+        assert got.ell == (fresh.ell if exact else pytest.approx(fresh.ell, abs=1e-12))
 
 
 class TestDeriveLcr:

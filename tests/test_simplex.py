@@ -2,6 +2,7 @@
 every rung of the certification ladder, the returned duals, and the linear
 solver behind them all."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -20,6 +21,8 @@ from spanorm.simplex import (
     _certified_exact,
     _certified_from_basis,
     _dense_solve,
+    _integer_rows,
+    _integer_solve,
     _NeedsExact,
     _pivot_phases,
     _Program,
@@ -207,6 +210,24 @@ class TestDenseSolve:
         # bit for bit, signed zeros included
         assert [repr(v) for v in got] == [repr(v) for v in want]
 
+    @settings(max_examples=100, deadline=None)
+    @given(system=square_systems(RATIONALS), data=st.data())
+    def test_integer_solve_takes_several_right_hand_sides(self, system, data):
+        # one elimination with k trailing columns gives each column's solve
+        mat, vec = system
+        n = len(vec)
+        column = st.lists(RATIONALS, min_size=n, max_size=n)
+        rhs = [vec, *(data.draw(column) for _ in range(data.draw(st.integers(0, 2))))]
+        rows = _integer_rows([*row, *(b[r] for b in rhs)] for r, row in enumerate(mat))
+        if fraction_gauss_jordan(mat, vec) is None:
+            with pytest.raises(ZeroDivisionError):
+                _integer_solve(rows)
+            return
+        nums, den = _integer_solve(rows)
+        assert den > 0 and all(len(row) == len(rhs) for row in nums)
+        want = [_dense_solve(mat, b) for b in rhs]
+        assert [[Fraction(v, den) for v in row] for row in nums] == [list(x) for x in zip(*want)]
+
     def test_mixed_float_input_takes_the_float_branch(self):
         mat = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
         got = _dense_solve(mat, [1.0, Fraction(2)])
@@ -279,6 +300,23 @@ def _same_certificate(prog, basis) -> bool:
     return True
 
 
+def _outcome(certify, *args):
+    """The repr of the certificate, or None where it refuses the basis."""
+    try:
+        return repr(certify(*args))
+    except _NeedsExact:
+        return None
+
+
+def _moved(prog, row, shift):
+    """A copy of ``prog`` whose input rhs on ``row`` is ``shift`` higher."""
+    moved = copy.copy(prog)
+    moved.rhs = list(prog.rhs)
+    if shift:
+        moved.rhs[row] += -shift if prog.flipped[row] else shift
+    return moved
+
+
 class TestCoreCertificate:
     """``_certified_exact`` solves only the tight-row core of a basis; the
     dense reference in ``helpers`` solves all of it."""
@@ -286,22 +324,35 @@ class TestCoreCertificate:
     @pytest.mark.parametrize("relaxed", [True, False], ids=["relaxed", "full"])
     def test_grid_bases_match_the_dense_reference(self, monkeypatch, relaxed):
         # every basis an exact lb_lp.solve certifies over t 1-9, the rational
-        # grid p and lambda = k/20 of the LP's range
-        seen = []
-        real = simplex._certified_exact
+        # grid p and lambda = k/20 of the LP's range: its parts are made once
+        # on the model at lambda = 1, and each reading at another lambda
+        # answers as the dense reference does on that lambda's program
+        made, reads = {}, []
+        real_parts, real_at = simplex._exact_parts, simplex._exact_at
 
-        def recorded(prog, basis):
-            seen.append((prog, list(basis)))
-            return real(prog, basis)
+        def parts(prog, basis, row=None):
+            out = real_parts(prog, basis, row)
+            made[id(out)] = (prog, list(basis), row)
+            return out
 
-        monkeypatch.setattr(simplex, "_certified_exact", recorded)
+        def at(parts, shift):
+            prog, basis, row = made[id(parts)]
+            want = _outcome(dense_certified_exact, _moved(prog, row, shift), basis)
+            reads.append((_outcome(real_at, parts, shift), want))
+            return real_at(parts, shift)
+
+        monkeypatch.setattr(simplex, "_exact_parts", parts)
+        monkeypatch.setattr(simplex, "_exact_at", at)
+        lb_lp._certificate.cache_clear()
         for p in (p for p in GRID_PS if isinstance(p, Fraction)):
             for t in range(1, 10):
                 for k in range(1, 21):
                     lb_lp.solve(lb_lp.build_model(t, p, (1 + 1 / p) * Fraction(k, 20), relaxed),
                                 exact=True)
-        # each solve ends in one certified basis, after any refused ones
-        assert sum(_same_certificate(prog, basis) for prog, basis in seen) == 9 * 9 * 20
+        assert all(got == want for got, want in reads)
+        # each solve reads one certified basis, and each basis is made once
+        assert len(reads) == sum(got is not None for got, _want in reads) == 9 * 9 * 20
+        assert len(made) == lb_lp._certificate.cache_info().currsize < len(reads) / 3
 
     @pytest.mark.parametrize(
         "program,basis,certified",
@@ -364,9 +415,9 @@ def rungs(monkeypatch):
         return _pivot_phases(prog, tol)
 
     def certificate(name, fn):
-        def wrapped(prog, basis):
+        def wrapped(prog, basis, *duals):
             try:
-                out = fn(prog, basis)
+                out = fn(prog, basis, *duals)
             except _NeedsExact:
                 seen.append(f"{name} refused")
                 raise
