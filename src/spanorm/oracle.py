@@ -6,11 +6,13 @@ subset and checks each with ``verify_stretch``; branch-and-bound mode prunes
 on two sound tests (the norm of the degrees already forced, and
 spannability of each excluded edge inside the still-available graph) and
 re-verifies every surviving leaf, so both modes return the same optimum.
-The branch-and-bound does O(degree) work per node: it keeps the available
+The branch-and-bound builds no graph per node: it keeps the available
 edges (kept plus undecided) as one adjacency that the drop branch edits in
-place and restores on backtrack, and at a leaf, where that adjacency is the
-kept set, it checks only the dropped edges' stretch.  Ties break to the
-lexicographically smallest kept edge set, making results reproducible.
+place and restores on backtrack, keeps the degree multiset as one integer
+that the keep branch updates in O(1), computes each multiset's norm once
+per search, and at a leaf, where that adjacency is the kept set, checks
+only the dropped edges' stretch.  Ties break to the lexicographically
+smallest kept edge set, making results reproducible.
 """
 
 from __future__ import annotations
@@ -88,6 +90,31 @@ def optimal_spanner(
     drop child skips the norm bound test its parent just passed on the same
     degrees and incumbent.  ``prune=False`` builds a graph and calls
     ``verify_stretch`` per subset, and stays the independent reference.
+
+    The bound test computes ``degree_norm`` once per degree multiset the
+    search meets and reads it from a dict after that.  The multiset is kept
+    as ``key = sum((n+1)**d for d in degrees)``: it starts at ``n`` (every
+    degree 0), and keeping edge ``(u, v)`` adds ``(n+1)**(d+1) - (n+1)**d``
+    for each end before the keep child gets it.  Two facts make the
+    memo return the very float a fresh call would:
+
+    - ``degree_norm`` of a per-vertex list depends only on the multiset of
+      its entries, for every ``p``.  ``INFINITY`` takes a ``max``.  A finite
+      ``p`` sums with ``math.fsum``, which is correctly rounded, so its sum
+      is that of the exact real sum whatever the order.  Whether a term
+      overflows depends on that term alone, and as the terms are
+      non-negative every partial sum is at most the whole one, so the sum
+      leaves the float range in every order or in none; the scaled branch
+      then divides by the ``max`` and again sums with ``fsum``.
+    - The key determines the multiset: in a simple graph every degree is
+      below ``n``, and at most ``n < n+1`` vertices share a degree, so the
+      count of degree ``d`` is the key's ``d``-th base-``(n+1)`` digit.
+      The power table needs only the exponents up to ``g``'s largest
+      degree, which no degree in the search exceeds, so its size does not
+      grow with ``n``.
+
+    So the search tree, ``explored``, ``pruned`` and the optimum are those
+    of a search that calls ``degree_norm`` at every node.
     """
     m = g.m
     if prune and m > PRUNED_EDGE_LIMIT:
@@ -162,13 +189,21 @@ def optimal_spanner(
                 return
             offer(norm, tuple(sorted(kept)))
 
-        def dfs(idx: int, norm: float | None) -> None:
+        # keeping an edge raises a degree to at most g's own largest, so
+        # the table stops there whatever n is
+        power = [(g.n + 1) ** d for d in range(max(g.degrees(), default=0) + 1)]
+        norms: dict[int, float] = {}
+
+        def dfs(idx: int, norm: float | None, key: int) -> None:
             # norm is None unless the parent already passed the bound test
-            # on the same degrees and incumbent (the drop child)
+            # on the same degrees and incumbent (the drop child); key is
+            # sum over v of (n+1)**degrees[v], which names the degree multiset
             nonlocal explored, pruned
             explored += 1
             if norm is None:
-                norm = degree_norm(degrees, p)
+                norm = norms.get(key)
+                if norm is None:
+                    norm = norms[key] = degree_norm(degrees, p)
                 if norm > best_norm + 1e-12:
                     pruned += 1
                     return
@@ -184,7 +219,7 @@ def optimal_spanner(
             # and the greedy spans its dropped edges within t * length
             if idx < complement or spanned(idx):
                 dropped.append(idx)
-                dfs(idx + 1, norm)
+                dfs(idx + 1, norm, key)
                 dropped.pop()
             else:
                 pruned += 1
@@ -192,14 +227,15 @@ def optimal_spanner(
             nv.insert(iv, u)
             # branch 2: keep the edge
             kept.append(order[idx])
-            degrees[u] += 1
-            degrees[v] += 1
-            dfs(idx + 1, None)
-            degrees[u] -= 1
-            degrees[v] -= 1
+            du, dv = degrees[u], degrees[v]
+            degrees[u] = du + 1
+            degrees[v] = dv + 1
+            dfs(idx + 1, None, key + power[du + 1] - power[du] + power[dv + 1] - power[dv])
+            degrees[u] = du
+            degrees[v] = dv
             kept.pop()
 
-        dfs(0, None)
+        dfs(0, None, g.n)
 
     assert best_edges is not None, "the full graph always spans itself"
     spanner = Spanner(base=g, kept_edges=best_edges, t=t)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanorm.oracle
-from spanorm.graph_core import Graph, INFINITY, girth_at_least, lp_norm
+from spanorm.graph_core import Graph, INFINITY, degree_norm, girth_at_least, lp_norm
 from spanorm.greedy import Spanner, greedy_spanner, verify_stretch
 from spanorm.oracle import (
     OracleSizeError,
@@ -54,6 +55,38 @@ SEARCH_PINS = [
     (18, ((0, 4), (1, 2), (1, 4), (2, 3)), 3.7416573867739413, 6, 4),
     (19, ((0, 2), (0, 3), (1, 3)), 6.0, 5, 3),
 ]
+
+# the same search at p = 1.001 on seeded_oracle_case(seed) for seeds 0-5:
+# non-integer powers go through the norm memo, and the counts move if the
+# prune slack 1e-12 is loosened (to 1e-3, seed 0 explores 1471 nodes)
+P1001_PINS = [
+    (0, ((0, 1), (1, 3), (2, 4), (2, 5), (3, 5), (5, 6)), 11.977679900776948, 1397, 862),
+    (1, ((0, 1), (1, 2), (2, 4), (3, 4)), 7.987545879016461, 175, 102),
+    (2, ((0, 1), (1, 3), (2, 3)), 5.992035612500406, 5, 3),
+    (3, ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3)), 9.984456989005736, 47, 38),
+    (4, ((0, 3), (0, 4), (1, 2), (1, 4), (2, 3)), 9.983934617839754, 18, 13),
+    (5, ((0, 2), (0, 7), (1, 2), (1, 4), (2, 3), (2, 5), (3, 6), (6, 7)), 15.968180145260144, 69, 60),
+]
+
+# (p, kept_edges, optimum_norm, explored, pruned, greedy_norm) at t = 3 on a
+# fan: hub 0 joined to 1..5 plus the path 1-2-3-4-5.  At p = 1000 and 1e6 a
+# degree of 3 or more overflows float(d) ** p, so degree_norm takes its
+# scaled branch inside the search and for the greedy star; at p = 300 no term
+# overflows
+FAN_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]
+LARGE_P_PINS = [
+    (300, ((0, 1), (0, 3), (1, 2), (3, 4), (4, 5)), 2.0092633488041076, 290, 151, 5.000000000000001),
+    (1000, ((0, 1), (0, 3), (1, 2), (3, 4), (4, 5)), 2.002774511422669, 290, 151, 5.0),
+    (1e6, ((0, 1), (0, 3), (1, 2), (3, 4), (4, 5)), 2.000002772590644, 290, 151, 5.0),
+]
+
+# ball_growth_check(petersen_graph(), 3.0, 3).optimal_bound_violations: the
+# bound 1 + n ** ((2 - 2 ** (1 - r)) * alpha) at r = 2 and 3, alpha = log_10 3
+PETERSEN_OPTIMAL_VIOLATIONS = tuple(
+    (v, r, 10, bound)
+    for v in range(10)
+    for r, bound in ((2, 6.196152422706632), (3, 7.8385211708643325))
+)
 
 
 class TestOptimalSpanner:
@@ -151,6 +184,44 @@ class TestOptimalSpanner:
         g = Graph(3, [(0, 1), (1, 2), (0, 2)], {(0, 1): 1, (1, 2): 1, (0, 2): 5})
         assert optimal_spanner(g, 2, 2).optimum.kept_edges == ((0, 1), (1, 2))
 
+    @pytest.mark.parametrize("pin", P1001_PINS, ids=lambda pin: f"seed{pin[0]}")
+    def test_search_tree_pinned_at_p_1001(self, pin):
+        seed, kept, norm, explored, pruned = pin
+        g, t, _ = seeded_oracle_case(seed)
+        res = optimal_spanner(g, t, 1.001)
+        assert (res.optimum.kept_edges, res.optimum_norm, res.explored, res.pruned) == (
+            kept, norm, explored, pruned
+        )
+
+    @pytest.mark.parametrize("pin", LARGE_P_PINS, ids=lambda pin: f"p{pin[0]:g}")
+    def test_search_tree_pinned_at_large_p(self, pin):
+        p, kept, norm, explored, pruned, greedy_norm = pin
+        res = optimal_spanner(Graph(6, FAN_EDGES), 3, p)
+        assert (res.optimum.kept_edges, res.optimum_norm, res.explored, res.pruned,
+                res.greedy_norm) == (kept, norm, explored, pruned, greedy_norm)
+
+    def test_isolated_vertices_cost_little(self):
+        # the fan spread over 5001 vertices, labels kept in order so the
+        # search meets the edges as on 6 vertices: the same tree and norms,
+        # and the norm memo's power table stops at the largest degree (a
+        # table up to degree n would hold about 19 MB here)
+        spread = 1000
+        g = Graph(5 * spread + 1, [(u * spread, v * spread) for u, v in FAN_EDGES])
+        tracemalloc.start()
+        try:
+            res = optimal_spanner(g, 3, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        small = optimal_spanner(Graph(6, FAN_EDGES), 3, 2)
+        assert res.optimum.kept_edges == tuple(
+            (u * spread, v * spread) for u, v in small.optimum.kept_edges
+        )
+        assert (res.optimum_norm, res.explored, res.pruned, res.greedy_norm) == (
+            small.optimum_norm, small.explored, small.pruned, small.greedy_norm
+        )
+        assert peak < 4 * 2**20
+
     def test_pruned_leaves_skip_verify_stretch(self, monkeypatch):
         # only the greedy incumbent goes through verify_stretch; the leaves
         # of the pruned search check their dropped edges in place
@@ -178,6 +249,37 @@ class TestOptimalSpanner:
         res = optimal_spanner(g, t, p)
         assert (res.explored, res.pruned) == SEARCH_PINS[16][3:]
         assert len(calls) == 3959
+
+    def test_one_norm_per_degree_multiset(self, monkeypatch):
+        # the bound test computes degree_norm once per degree multiset it
+        # meets: 44 multisets over a 4040-node search
+        multisets = []
+        real = spanorm.oracle.degree_norm
+
+        def counting_norm(degrees, p):
+            multisets.append(tuple(sorted(degrees)))
+            return real(degrees, p)
+
+        monkeypatch.setattr(spanorm.oracle, "degree_norm", counting_norm)
+        g, t, p = seeded_oracle_case(11)
+        res = optimal_spanner(g, t, p)
+        assert (res.optimum.kept_edges, res.optimum_norm, res.explored, res.pruned) == (
+            SEARCH_PINS[11][1:]
+        )
+        assert len(multisets) == len(set(multisets)) == 44
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1000), max_size=12).flatmap(
+            lambda ds: st.tuples(st.just(ds), st.permutations(ds))
+        ),
+        st.sampled_from([1, 1.001, 2, Fraction(5, 2), 1e6, INFINITY]),
+    )
+    def test_degree_norm_ignores_order(self, pair, p):
+        # the lemma behind the memo: the norm is a function of the multiset,
+        # also where p = 1e6 overflows and the scaled branch runs
+        degrees, permuted = pair
+        assert degree_norm(permuted, p) == degree_norm(degrees, p)
 
     def test_petersen_forced_whole(self):
         # girth 5 means no 3-spanner may drop an edge
@@ -258,6 +360,13 @@ class TestBallGrowth:
         assert report.inductive_ok
         # bound grows past the saturated ball size 10 by r = 2
         assert not report.optimal_bound_violations
+
+    def test_petersen_optimal_bound_pinned(self):
+        # a 2-norm of 3 is below the Petersen graph's own sqrt(90), so every
+        # ball of radius 2 and 3 breaks the optimal-spanner bound; the bound
+        # values pin its exponent
+        report = ball_growth_check(petersen_graph(), 3.0, 3)
+        assert report.optimal_bound_violations == PETERSEN_OPTIMAL_VIOLATIONS
 
     def test_inductive_step_every_spanner(self):
         rng = random.Random(79)
