@@ -429,6 +429,9 @@ def _cmd_experiment(args) -> int:
     return run_experiment(spec, resume=not args.fresh)
 
 
+_EXPERIMENT_FAMILIES = ("greedy_bound", "lb_agreement")
+
+
 def run_experiment(spec: dict, resume: bool = True) -> int:
     """Run a parameter grid, appending one CSV row per instance.
 
@@ -442,6 +445,10 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
     if not isinstance(grid, dict) or not grid:
         raise ValueError(f"REJECTED_SPEC: 'grid' must be a non-empty JSON object, got {grid!r}")
     families = _nonempty_list(spec, "families", None, "REJECTED_SPEC")
+    for family in families:
+        if family not in _EXPERIMENT_FAMILIES:
+            raise ValueError(f"REJECTED_SPEC: unknown family {family!r}; the families are "
+                             f"{', '.join(_EXPERIMENT_FAMILIES)}")
     axes = [_nonempty_list(grid, key, default, "REJECTED_SPEC: grid")
             for key, default in (("seeds", [0]), ("n", [100]), ("t", [3]), ("p", ["2"]))]
     for p_text in axes[-1]:
@@ -549,14 +556,12 @@ def _experiment_row(family: str, seed: int, n: int, t: int, p_text: str) -> dict
                 bound=f"{bound:.10g}", ratio=f"{norm / bound:.10g}",
                 ok="1" if norm <= bound and girth_at_least(h.graph(), t + 2) else "0",
             )
-        elif family == "lb_agreement":
+        else:  # lb_agreement; run_experiment refuses any other family
             ell, pred, _branch, agree = _lp_agreement(t, Fraction(p_text), Fraction(1))
             row.update(
                 norm=f"{ell:.12g}", bound=f"{pred:.12g}", ratio=f"{abs(ell - pred):.3g}",
                 ok="1" if agree else "0",
             )
-        else:
-            raise ValueError(f"unknown family {family}")
     except Exception as exc:  # recorded, never aborts the sweep
         row["ok"] = "0"
         _log(f"row failed ({family}, seed={seed}, n={n}, t={t}, p={p_text}): {exc}")

@@ -93,7 +93,10 @@ def _projective_points(q: int) -> list[tuple[int, int, int]]:
 
 
 def projective_plane_incidence(q: int) -> Graph:
-    """Point-line incidence graph of PG(2, q): bipartite, (q+1)-regular, girth 6."""
+    """Point-line incidence graph of PG(2, q): bipartite, (q+1)-regular, girth 6.
+
+    ``named_girth_graph`` verifies the degree and the girth of each build.
+    """
     if q not in (2, 3, 4, 5):
         raise ValueError(f"projective plane order {q} not implemented")
     pts = _projective_points(q)
@@ -106,10 +109,7 @@ def projective_plane_incidence(q: int) -> Graph:
                 s = _gf_add(q, s, _gf_mul(q, a, b))
             if s == 0:
                 edges.append((pi, npts + li))
-    g = Graph(2 * npts, edges)
-    assert all(d == q + 1 for d in g.degrees())
-    assert girth(g) == 6
-    return g
+    return Graph(2 * npts, edges)
 
 
 # 19 vertices, 4-regular, girth 5: the unique (4,5)-cage.  Frozen edge list,

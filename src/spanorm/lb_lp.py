@@ -14,13 +14,15 @@ growth is governed by the coefficients
 
 and dual optimality is certified by explicit complementary-slackness systems
 (one per structural case: plain L>0, plain L=0, left-skewed, right-skewed,
-and right-skewed with L=0).  This module constructs those certificates by
-solving the corresponding linear systems with ``simplex._dense_solve`` and
-verifies them against the LP.  For rational p the solve is exact integer
-fraction-free elimination, with a ``Fraction`` formed only for each dual
-value; for float p it is float Gauss-Jordan.  A plain shape with no system
-on file (C = 0) or a singular one (odd t at p = 1) is certified by the LP's
-own optimal duals instead, which ``solve`` returns by row name.
+and right-skewed with L=0).  Each shape names its support rows S and tight
+columns T (``_tight_system``); the dual solves A_{S,T}^T u = c_T and the
+primal A_{S,T} x_T = b_S with x = 0 off T, both with
+``simplex._dense_solve``, and the pair is verified against the LP.  For
+rational p the solve is exact integer fraction-free elimination, with a
+``Fraction`` formed only for each value; for float p it is float
+Gauss-Jordan.  A plain shape with no system on file (C = 0) or a singular
+one (odd t at p = 1) is certified by the LP's own optimal duals instead,
+which ``solve`` returns by row name.
 
 Numeric policy: ``p`` and ``lambda`` may be int, float or Fraction.  Each
 public entry point turns an int into a Fraction once (``_exactify``), and
@@ -39,15 +41,15 @@ shape of ``derive_lcr``, its nice-range cap and closed-form slope
 ell / lambda), ``_base_dual`` (its dual, on first certificate in the nice
 range) and ``_walk`` (the interpolation walk with each walk shape's
 exponent at its cap, on first lambda above the base cap).  A fourth,
-``_primal_terms``, holds the lambda-independent terms of the nice-range
-primal per (shape, p).  A fifth, ``_certificate``, keyed by
-``(t, p, relaxed, basis)``, holds the lambda-free parts of the float and
-exact simplex certificates of each optimal basis ``solve`` meets (see
-``solve``): about 0.8 kB an entry, key included, as the entry packs its
-integers in 32-bit words and its float duals in doubles, and 427 entries
-for one cold pass of the ``lb_certify`` grid.
-``typed=True``
-keeps 2.0 and Fraction(2) apart, since float shapes, caps and duals decide
+``_primal_terms``, holds the solve of each shape's tight rows per (shape, p),
+plain or skewed, as tuples over its tight columns, so a primal at any
+lambda is x0 + lambda * x1 (x1 alone for a plain shape).  A fifth,
+``_certificate``, keyed by ``(t, p, relaxed, basis)``, holds the
+lambda-free parts of the float and exact simplex certificates of each
+optimal basis ``solve`` meets (see ``solve``): about 0.8 kB an entry, key
+included, as the entry packs its integers in 32-bit words and its float
+duals in doubles, and 427 entries for one cold pass of the ``lb_certify``
+grid.  ``typed=True`` keeps 2.0 and Fraction(2) apart, since float shapes, caps and duals decide
 with a tolerance.  The caches hold values only, never exceptions, and are
 unbounded: a few small tuples per (t, p) a process asks about;
 ``cache_info()`` reports their hits and fills.
@@ -172,11 +174,6 @@ def e_coeff(i: int, j: int, p):
         raise ParameterError(f"e_coeff needs i >= 1 and j >= 0, got ({i},{j})")
     p = _exactify(p)
     return 1 + p / i * (1 - _qpow(p, j))
-
-
-def _growth(p, j: int):
-    """g(j) = p(1 - q**j) = sum of q**0..q**(j-1); equals E(1,j) - 1."""
-    return p * (1 - _qpow(p, j))
 
 
 def _floor_log_ratio(p, value, cap: int) -> int:
@@ -758,166 +755,24 @@ def predicted_exponent(t: int, p, lam):
     return ell, {"branch": branch, "params": base, "segment": seg, "theta": theta}
 
 
-# -- primal constructions ----------------------------------------------------
+# -- the tight rows of a shape ------------------------------------------------
 
 
-def _pack_primal(ell, nu: list, delta: list) -> dict:
-    """The LP assignment of layer exponents nu[0..t] and degrees delta[1..t].
+def _tight_system(params: LcrParams, p) -> tuple:
+    """``(model, support, tight)``: the shape's complementary-slackness system
+    on the relaxed model at lambda = 1.
 
-    Delta, the reach of the final layer, coincides with nu[t].
+    ``support`` holds the rows that may carry nonzero dual values, as
+    ``(name, row)`` pairs, and the shape's primal meets them with equality;
+    ``tight`` holds the indices of the columns that may sit above 0, whose
+    dual constraints hold with equality.  The primal is 0 on every other
+    column.  A plain shape has t + C + R + 3 rows and 2t + 3 - L columns; a
+    right skew trades layer L+C+1's expansion row for the cap row, and a
+    left skew adds the cap row and the column delta_L.  So the system is
+    square except for a left skew with L = 0, which has no delta_0 and
+    raises ``DualConstructionError``.  ``p`` comes in exactified.
     """
-    t = len(nu) - 1
-    assign = {"ell": ell}
-    assign.update((f"nu{i}", nu[i]) for i in range(t + 1))
-    assign.update((f"delta{i}", delta[i]) for i in range(1, t + 1))
-    assign["Delta"] = nu[t]
-    return assign
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _primal_terms(params: LcrParams, p):
-    """The lambda-independent terms of ``minimal_spanner_primal``: the
-    denominator of mu (or eta), ell / mu, the layer coefficients E(C, j) (or
-    g(j)) for j <= max(L, R), and q**(j-1) for 1 <= j <= R.  ``p`` comes in
-    exactified."""
-    L, C, R = params.L, params.C, params.R
-    if C == 0 and (L == 0 or R == 0):
-        raise ParameterError("C = 0 needs L, R >= 1")
-    if C > 0:
-        one = Fraction(1) if isinstance(p, Fraction) else 1.0
-        coeffs = tuple(e_coeff(C, j, p) for j in range(max(L, R) + 1))
-        ell_per_mu = one / p + one / C
-    else:
-        coeffs = tuple(_growth(p, j) for j in range(max(L, R) + 1))
-        ell_per_mu = None  # ell is eta itself
-    qpows = tuple(_qpow(p, j - 1) for j in range(1, R + 1))
-    return coeffs[L] / p + coeffs[R], ell_per_mu, coeffs, qpows
-
-
-def minimal_spanner_primal(params: LcrParams, p, lam) -> dict:
-    """Log-space primal assignment of a plain (L,C,R)-minimal spanner.
-
-    Valid (and LP-optimal) for lambda in the nice range.  Layer exponents
-    follow the equal-contribution recurrences; Delta coincides with nu_t.
-    The lambda-independent terms come from ``_primal_terms``, once per
-    (shape, p).
-    """
-    if params.skew != SKEW_NONE:
-        raise ParameterError("use skewed_primal for skewed shapes")
-    p, lam = _exactify(p), _exactify(lam)
-    L, C, R = params.L, params.C, params.R
-    t = params.t
-    denom, ell_per_mu, coeffs, qpows = _primal_terms(params, p)
-    nu = [None] * (t + 1)
-    delta = [None] * (t + 1)
-    if C > 0:
-        mu = lam / denom
-        ell = mu * ell_per_mu
-        for j in range(L + 1):
-            nu[L - j] = mu * coeffs[j]
-        nu[L : L + C + 1] = [mu] * (C + 1)
-        for j in range(R + 1):
-            nu[L + C + j] = mu * coeffs[j]
-        delta[1 : L + C + 1] = [0 * mu] * L + [mu / C] * C
-        for j in range(1, R + 1):
-            delta[L + C + j] = mu / C * qpows[j - 1]
-    else:
-        eta = lam / denom
-        ell = eta
-        for j in range(L + 1):
-            nu[L - j] = eta * coeffs[j]
-        for j in range(R + 1):
-            nu[L + j] = eta * coeffs[j]
-        delta[1 : L + 1] = [0 * eta] * L
-        for j in range(1, R + 1):
-            delta[L + j] = eta * qpows[j - 1]
-    return _pack_primal(ell, nu, delta)
-
-
-def skewed_primal(params: LcrParams, p, lam) -> dict:
-    """Log-space primal of a skewed (L,C,R)-minimal spanner with n_t = n.
-
-    Solves the three pinning relations (central-degree split, final layer
-    pinned at n, density equals lambda) for (ell, mu, tau); tau is the log
-    of the skew degree.
-    """
-    L, C, R = params.L, params.C, params.R
-    if R < 1 or C < 0:
-        raise ParameterError("skewed shapes need R >= 1")
-    if params.skew == SKEW_LEFT and L < 1:
-        raise ParameterError("left skew needs L >= 1")
-    p, lam = _exactify(p), _exactify(lam)
-    q = _q(p)
-    gL, gR = _growth(p, L), _growth(p, R)
-    one = Fraction(1) if isinstance(q, Fraction) else 1.0
-    # unknown order: (ell, mu, tau); the skew sets tau's coefficient in the
-    # final-layer row (right) or the density row (left)
-    mat = [[-C * one, (p + C) / p * one, -one],
-           [gR, _qpow(p, R), 0 * one],
-           [gL / p, _qpow(p, L) / p, 0 * one]]
-    if params.skew == SKEW_RIGHT:
-        mat[1][2] = -_qpow(p, R - 1)
-    elif params.skew == SKEW_LEFT:
-        mat[2][2] = -_qpow(p, L - 1) / p
-    else:
-        raise ParameterError("skewed_primal needs a left or right skew")
-    vec = [0 * one, one, lam - 1]
-    try:
-        ell, mu, tau = _dense_solve(mat, vec)
-    except ZeroDivisionError:
-        raise DualConstructionError("singular complementary-slackness system") from None
-
-    t = params.t
-    nu = [None] * (t + 1)
-    delta = [None] * (t + 1)
-    for i in range(L, L + C + 1):
-        nu[i] = mu
-    if C >= 1:
-        dc = (mu - tau) / C
-        for i in range(L + 1, L + C + 1):
-            delta[i] = dc
-    if params.skew == SKEW_RIGHT:
-        for j in range(1, L + 1):
-            nu[L - j] = ell * _growth(p, j) + _qpow(p, j) * mu
-            delta[L - j + 1] = 0 * one
-        d_first = ell - mu / p
-        delta[L + C + 1] = d_first
-        nu[L + C + 1] = mu + d_first - tau
-    else:
-        if L >= 1:
-            nu[L - 1] = ell + q * mu - tau
-            delta[L] = tau
-            for j in range(1, L):
-                nu[L - 1 - j] = ell * _growth(p, j) + _qpow(p, j) * nu[L - 1]
-                delta[L - j] = 0 * one
-        d_first = ell - mu / p
-        delta[L + C + 1] = d_first
-        nu[L + C + 1] = mu + d_first
-    for i in range(L + C + 2, t + 1):
-        delta[i] = ell - nu[i - 1] / p
-        nu[i] = nu[i - 1] + delta[i]
-    tol = 0 if isinstance(tau, Fraction) else 1e-9
-    if tau < -tol or tau > mu / (C + 1) + tol:
-        raise ParameterError(
-            f"skew degree exponent {float(tau):.6g} outside [0, mu/(C+1)] "
-            f"for {params} at lambda={float(lam):.6g}"
-        )
-    assign = _pack_primal(ell, nu, delta)
-    assign["_tau"] = tau
-    return assign
-
-
-# -- dual certificates -------------------------------------------------------
-
-def _dual_support(params: LcrParams, t: int) -> tuple[set, set]:
-    """(support rows, tight columns) for the case's complementary-slackness system.
-
-    Rows are named by the relaxed model's row names; columns by variable
-    names.  Support rows may carry nonzero dual values; tight columns are
-    the primal variables strictly above their bound, whose dual constraints
-    must hold with equality.
-    """
-    L, C = params.L, params.C
+    t, L, C = params.t, params.L, params.C
     # both skews pin n_t = n, so the size cap joins the support; a right skew
     # drops layer L+C+1's expansion row, a left skew makes delta_L tight
     first_grow = L + C + (2 if params.skew == SKEW_RIGHT else 1)
@@ -928,18 +783,138 @@ def _dual_support(params: LcrParams, t: int) -> tuple[set, set]:
     rows |= {f"grow{i}" for i in range(first_grow, t + 1)}
     if params.skew != SKEW_NONE:
         rows.add("cap")
-    cols = {"ell", "Delta"} | {f"nu{i}" for i in range(t + 1)}
-    cols |= {f"delta{i}" for i in range(first_delta, t + 1)}
-    return rows, cols
+    idle = {f"delta{i}" for i in range(1, first_delta)}
+    model = build_model(t, p, 1, relaxed=True)
+    support = [(r, row) for r, row in zip(model.row_names, model.rows) if r in rows]
+    tight = [j for j, name in enumerate(model.var_names) if name not in idle]
+    if len(support) != len(tight):
+        raise DualConstructionError(
+            f"case system is not square for {params}: "
+            f"{len(support)} unknowns vs {len(tight)} equations"
+        )
+    return model, support, tight
+
+
+# -- primal constructions ----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _primal_terms(params: LcrParams, p) -> tuple:
+    """``(x0, x1)``: the shape's primal is x0 + lambda * x1 on its tight
+    columns, in model order; ``x0`` is None for a plain shape.
+
+    The primal solves the support rows of ``_tight_system`` as equations.
+    Only the density row (rhs lambda) and the cap row of a skewed frame
+    (rhs -1) have a nonzero rhs, so one solve per rhs serves every lambda.
+    A central right row i, one whose left row i is in the support too, is
+    read as nu_i = nu_{i-1}: right_i - left_i = q (nu_i - nu_{i-1}), so for
+    p > 1 the swap is a row operation, and at p = 1, where the two rows
+    coincide, it is the shape's own condition of C equal central layers.
+    ``p`` comes in exactified; a singular system raises
+    ``DualConstructionError``.
+    """
+    model, support, tight = _tight_system(params, p)
+    cast = Fraction if isinstance(p, Fraction) else float
+    col = model.var_names.index
+    central = {f"right{i}": i for i in range(params.L + 1, params.L + params.C + 1)}
+    mat = []
+    for name, row in support:
+        if name in central:
+            i = central[name]
+            row = [0] * len(row)
+            row[col(f"nu{i}")], row[col(f"nu{i - 1}")] = 1, -1
+        mat.append([row[j] for j in tight])
+
+    rhs = dict(zip(model.row_names, model.rhs))
+
+    def solve_for(rhs_row: str) -> tuple:
+        # a float rhs keeps every value of a float solve a float
+        vec = [cast(rhs[name] if name == rhs_row else 0) for name, _row in support]
+        try:
+            return tuple(_dense_solve(mat, vec))
+        except ZeroDivisionError:
+            raise DualConstructionError("singular complementary-slackness system") from None
+
+    x1 = solve_for("density")  # the model's density rhs is lambda = 1
+    return (None if params.skew == SKEW_NONE else solve_for("cap")), x1
+
+
+def _primal(params: LcrParams, p, lam) -> dict:
+    """The LP assignment of the shape at lambda, from ``_primal_terms``:
+    ell, nu_0..nu_t, delta_1..delta_t and Delta, in model order, with 0 on
+    the idle deltas."""
+    x0, x1 = _primal_terms(params, p)
+    vals = [lam * b for b in x1] if x0 is None else [a + lam * b for a, b in zip(x0, x1)]
+    t = params.t
+    # the idle columns are the leading deltas, which follow ell and nu_0..nu_t
+    vals[t + 2 : t + 2] = [0 * vals[0]] * (2 * t + 3 - len(vals))
+    names = ["ell", *(f"nu{i}" for i in range(t + 1)),
+             *(f"delta{i}" for i in range(1, t + 1)), "Delta"]
+    return dict(zip(names, vals))
+
+
+def minimal_spanner_primal(params: LcrParams, p, lam) -> dict:
+    """Log-space primal assignment of a plain (L,C,R)-minimal spanner.
+
+    Valid (and LP-optimal) for lambda in the nice range.  It solves the
+    shape's tight rows, once per (shape, p) in ``_primal_terms``, so that
+    every layer contributes equally and Delta coincides with nu_t; the
+    primal is lambda times that solution.
+    """
+    if params.skew != SKEW_NONE:
+        raise ParameterError("use skewed_primal for skewed shapes")
+    if params.C == 0 and (params.L == 0 or params.R == 0):
+        raise ParameterError("C = 0 needs L, R >= 1")
+    p, lam = _exactify(p), _exactify(lam)
+    return _primal(params, p, lam)
+
+
+def skewed_primal(params: LcrParams, p, lam) -> dict:
+    """Log-space primal of a skewed (L,C,R)-minimal spanner with n_t = n.
+
+    Solves the frame's tight rows, the cap row pinning n_t = n among them,
+    once per (shape, p) in ``_primal_terms``.  ``_tau``, the log of the skew
+    degree, is the slack of the expansion row of layer L+C+1 in a right
+    skew and delta_L in a left skew; it must lie in [0, mu/(C+1)], where mu
+    is the central layer exponent nu_L.
+    """
+    L, C, R = params.L, params.C, params.R
+    if R < 1 or C < 0:
+        raise ParameterError("skewed shapes need R >= 1")
+    if params.skew == SKEW_LEFT and L < 1:
+        raise ParameterError("left skew needs L >= 1")
+    if params.skew == SKEW_NONE:
+        raise ParameterError("skewed_primal needs a left or right skew")
+    p, lam = _exactify(p), _exactify(lam)
+    assign = _primal(params, p, lam)
+    mu = assign[f"nu{L}"]
+    if params.skew == SKEW_RIGHT:
+        i = L + C + 1
+        tau = assign[f"nu{i - 1}"] + assign[f"delta{i}"] - assign[f"nu{i}"]
+    else:
+        tau = assign[f"delta{L}"]
+    tol = 0 if isinstance(tau, Fraction) else 1e-9
+    if tau < -tol or tau > mu / (C + 1) + tol:
+        raise ParameterError(
+            f"skew degree exponent {float(tau):.6g} outside [0, mu/(C+1)] "
+            f"for {params} at lambda={float(lam):.6g}"
+        )
+    assign["_tau"] = tau
+    return assign
+
+
+# -- dual certificates -------------------------------------------------------
 
 
 def construct_dual(params: LcrParams, p) -> DualCertificate:
     """Closed-form dual for the case matching ``params`` (see the five systems).
 
     Solves the complementary-slackness equations of the relaxed LP for the
-    given shape; every component must come out non-negative and the leftover
-    inequality constraints (dual rows for the degree-1 left section) must
-    hold, else :class:`DualConstructionError` names the violation.
+    given shape, A_{S,T}^T u = c_T over the support rows S and tight
+    columns T of ``_tight_system``; every component must come out
+    non-negative and the leftover inequality constraints (dual rows for the
+    degree-1 left section) must hold, else :class:`DualConstructionError`
+    names the violation.
 
     A plain shape with no closed-form system on file (C = 0), or whose
     system is singular (odd t at p = 1), takes the LP's own optimal duals
@@ -953,19 +928,13 @@ def construct_dual(params: LcrParams, p) -> DualCertificate:
     if plain and params.C == 0:
         return _lp_dual(params, p)
     exact = isinstance(p, Fraction)
-    model = build_model(t, p, 1, relaxed=True)
-    rows, cols = _dual_support(params, t)
-    support = [(r, row) for r, row in zip(model.row_names, model.rows) if r in rows]
-    tight = [j for j, name in enumerate(model.var_names) if name in cols]
-    if len(support) != len(tight):
-        raise DualConstructionError(
-            f"case system is not square for {params}: "
-            f"{len(support)} unknowns vs {len(tight)} equations"
-        )
+    model, support, tight = _tight_system(params, p)
     # Equations: for each tight column j, sum over support rows of A[r][j] * u_r = c_j
     c = model.objective_vector()
     cast = Fraction if exact else float
-    mat = [[cast(row[j]) for _name, row in support] for j in tight]
+    # the model's own entries: a float rhs keeps every value of a float
+    # solve a float, and the values are those of cast entries
+    mat = [[row[j] for _name, row in support] for j in tight]
     vec = [cast(c[j]) for j in tight]
     try:
         sol = _dense_solve(mat, vec)
@@ -980,7 +949,7 @@ def construct_dual(params: LcrParams, p) -> DualCertificate:
             raise DualConstructionError(f"NEGATIVE_COMPONENT {name} = {float(val)}")
     # Remaining dual constraints (columns outside the tight set) must hold.
     for j, colname in enumerate(model.var_names):
-        if colname in cols:
+        if j in tight:
             continue
         lhs = sum(row[j] * values[name] for name, row in support)
         if lhs > c[j] + tol:

@@ -191,6 +191,36 @@ class TestSubcommands:
         report = json.loads(out)
         assert report["covered"] is True
 
+    def test_decompose_reports_contributions_above_girth_2k(self, tmp_path, capsys):
+        # McGee has girth 7 > 2k, so the report carries each class's
+        # contribution and slack; Petersen (girth 5) gets a girth note instead
+        from spanorm.decomposition import class_contributions
+
+        g = named_girth_graph("mcgee")
+        path = tmp_path / "mcgee.edges"
+        path.write_text(format_edge_list(g))
+        code, out = run_cli(["decompose", "--input", path, "--k", 3], capsys)
+        assert code == 0
+        report = json.loads(out)
+        expected = class_contributions(g, 3)
+        name = {"low": "low", "med": "med", ("high", 0): "high_0"}
+        assert set(expected.norms) == set(name)
+        assert report["contributions"] == {name[key]: v for key, v in expected.norms.items()}
+        assert report["slacks"] == {name[key]: expected.slack(key) for key in expected.norms}
+        assert "girth_note" not in report
+
+    @pytest.mark.parametrize("name, coverage", [("mcgee", True), ("petersen", None)])
+    def test_verify_stretch_5_checks_coverage(self, name, coverage, tmp_path, capsys):
+        # k = 3 at stretch 5: the coverage check needs girth above 2k, which
+        # McGee (girth 7) has and Petersen (girth 5) lacks
+        path = tmp_path / f"{name}.edges"
+        path.write_text(format_edge_list(named_girth_graph(name)))
+        code, out = run_cli(["verify", "--input", path, "--stretch", 5], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["checks"]["coverage"] is coverage
+        assert report["failed"] == []
+
     def test_oracle_k4(self, k4_file, capsys):
         code, out = run_cli(["oracle", "--input", k4_file, "--stretch", 3, "--p", 2], capsys)
         assert code == 0
@@ -469,6 +499,9 @@ class TestSubcommands:
          "p must be a rational number, got '1/0'"),
         ("lb-sweep", {"p": ["1/0"]}, "p must be a rational number, got '1/0'"),
         ("lb-sweep", {"p": ["2", "0"]}, "p must be a rational >= 1, got '0'"),
+        ("experiment", {"grid": {"n": [40]}, "families": ["greedy_bound", "nope"],
+                        "output": "out"},
+         "unknown family 'nope'; the families are greedy_bound, lb_agreement"),
     ])
     def test_malformed_document_exit_2(self, command, doc, reason, tmp_path, monkeypatch,
                                        capsys):
@@ -582,6 +615,34 @@ class TestExperiment:
         assert run_experiment(spec) == 0
         resumed = csv_path.read_text()
         assert sorted(self._strip_timing(resumed)) == sorted(self._strip_timing(full))
+
+    def test_failed_row_is_recorded_and_exits_1(self, tmp_path, capsys):
+        # the LP needs t >= 2, so an lb_agreement row at t = 1 fails; the row
+        # is written with ok = 0 and the sweep goes on
+        spec = {"name": "bad", "grid": {"t": [1, 3], "p": ["2"]},
+                "families": ["lb_agreement"], "output": str(tmp_path / "out")}
+        assert run_experiment(spec) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failures"] == 1
+        assert captured.err.count("row failed (lb_agreement, seed=0, n=100, t=1, p=2)") == 1
+        rows = self._strip_timing((tmp_path / "out" / "bad.csv").read_text())
+        assert rows[1] == "lb_agreement,0,100,1,2,,,,,,0"
+        assert rows[2].startswith("lb_agreement,0,100,3,2,") and rows[2].endswith(",1")
+
+    def test_resume_over_another_header_runs_every_row(self, tmp_path):
+        # a file whose header is not this run's holds no finished rows, so a
+        # row it holds is run again rather than kept
+        spec = self._spec(tmp_path)
+        assert run_experiment(spec) == 0
+        csv_path = tmp_path / "out" / "demo.csv"
+        full = csv_path.read_text()
+        lines = full.splitlines()
+        cols = lines[1].split(",")
+        cols[5] = "-1"  # m_in
+        csv_path.write_text("\n".join([lines[0].replace("ratio", "quotient"),
+                                       ",".join(cols), *lines[2:]]) + "\n")
+        assert run_experiment(spec) == 0
+        assert self._strip_timing(csv_path.read_text()) == self._strip_timing(full)
 
     def test_threaded_run_matches_and_joins_pool(self, tmp_path):
         spec = self._spec(tmp_path)

@@ -47,10 +47,20 @@ MODEL_ROW_PINS = {
     (5, 2.5, True): "fa994cf7e199fbe40518034dc2335a82de5b88679b456f9196a33fa6f73e1a1d",
     (5, 2.5, False): "966646b7fadaff55e90fde8eba95a79901859a0f07f34139421964bc2e20c797",
 }
-# sha256 of the repr of every predicted_exponent and certificate_for outcome
-# (the exception name where one raises) over t 2-9, GRID_PS and six lambdas,
-# recorded before the (t, p) facts were cached
-LP_OUTPUT_PIN = "5555e3b0d2d40571b86935fbd2f103d431ee4749fa9e33f8e335fc71a5fa8aa3"
+# sha256 of the repr of every predicted_exponent outcome and of every
+# certificate_for frame and certificate, with its primal for rational p (the
+# exception name where one raises), over t 2-9, GRID_PS and six lambdas;
+# recorded while the primals came from layer recurrences, before both were
+# read off the shape's tight rows (a float primal's last bits follow the
+# order of operations, so float-p primals are checked against the exact ones
+# in TestPrimalSolve instead)
+LP_OUTPUT_PIN = "76291b5c1aeee1365fbec4e8cf035b33818d241e028b6cc1df41bb04dca58c11"
+# sha256 of the repr of every rational outcome of primal_outcomes (``Name:
+# message`` where a call raises), recorded from the layer recurrences
+PRIMAL_PIN = "e8b654feff76d689aabf52d0bdcd69ed29c8ffa189d90db03fd5e6ec8f81cc18"
+# the p of the primal sweep: 8 rational, p = 1 included, and 4 float
+PRIMAL_PS = [F(1), F(101, 100), F(11, 10), F(3, 2), F(2), F(5, 2), F(3), F(10),
+             GOLDEN, 1.01, 2.5, 7.0]
 # sha256 of repr((ell, sorted(duals.items()))) of every solve outcome (the
 # exception name where one raises), float and exact, relaxed and full models,
 # over t 1-9, eight p and four lambdas; recorded before the exact certificate
@@ -74,10 +84,49 @@ def lp_outputs_digest() -> str:
                 lam = top * (F(k, 6) if isinstance(p, F) else k / 6)
                 for call in (predicted_exponent, certificate_for):
                     try:
-                        lines.append(repr(call(t, p, lam)))
+                        out = call(t, p, lam)
                     except Exception as exc:  # noqa: BLE001 - the name is pinned too
                         lines.append(type(exc).__name__)
+                        continue
+                    if call is certificate_for and not isinstance(p, F):
+                        out = (out[0], out[2])
+                    lines.append(repr(out))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def primal_shapes():
+    """Every (L,C,R) with L, R <= 4, C <= 3 and t >= 1, in each skew a shape
+    can carry (a right skew needs C >= 1)."""
+    for skew in (lb_lp.SKEW_NONE, SKEW_LEFT, SKEW_RIGHT):
+        for L in range(5):
+            for C in range(4):
+                for R in range(5):
+                    if L + C + R >= 1 and (skew != SKEW_RIGHT or C >= 1):
+                        yield LcrParams(L, C, R, skew=skew)
+
+
+def primal_outcomes(ps):
+    """``(shape, p, lam, outcome)`` of each primal over ``primal_shapes`` at
+    lambda = 1/3, 1 and 1 + 1/p: ``minimal_spanner_primal`` for a plain
+    shape, ``skewed_primal`` for a skewed one; the outcome is the assignment
+    or the exception."""
+    for shape in primal_shapes():
+        call = minimal_spanner_primal if shape.skew == lb_lp.SKEW_NONE else skewed_primal
+        for p in ps:
+            one = F(1) if isinstance(p, F) else 1.0
+            for lam in (one / 3, one, 1 + 1 / p):
+                try:
+                    yield shape, p, lam, call(shape, p, lam)
+                except Exception as exc:  # noqa: BLE001 - the message is pinned too
+                    yield shape, p, lam, exc
+
+
+def primal_outcomes_digest() -> tuple[str, int]:
+    """``(digest, count)`` over the rational p of ``PRIMAL_PS``."""
+    lines = [repr(out) if isinstance(out, dict) else f"{type(out).__name__}: {out}"
+             for _shape, _p, _lam, out in primal_outcomes([p for p in PRIMAL_PS
+                                                           if isinstance(p, F)])]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), len(lines)
 
 
 @pytest.fixture
@@ -558,6 +607,12 @@ class TestDualCertificates:
         # paper form: s = (C+1 - (p/(p-1))**(R-1)) * x
         assert cert.s == (2 - F(10, 9)) * cert.x
 
+    @pytest.mark.parametrize("p", [F(2), 2.0])
+    def test_left_skew_without_left_section_refused(self, p):
+        # a left skew makes delta_L tight, and L = 0 has no delta_0
+        with pytest.raises(DualConstructionError, match="not square"):
+            construct_dual(LcrParams(0, 1, 2, skew=SKEW_LEFT), p)
+
     def test_verify_accepts_matching_pair(self):
         lam = F(1)
         model = build_model(3, F(2), lam)
@@ -668,13 +723,16 @@ class TestCertificatePipeline:
     @pytest.mark.parametrize("p", [F(1), 1.0])
     @pytest.mark.parametrize("t", [3, 5, 7, 9])
     def test_p1_odd_t_certified_by_lp_duals(self, t, p):
-        # the plain (L,1,L) system is singular at p = 1; the LP duals stand in
+        # the plain (L,1,L) system is singular at p = 1; the LP duals stand in.
+        # Its central right row coincides with left row L+1 there, and the
+        # primal reads it as nu_L = nu_(L+1), the shape's equal central layers
         assert derive_lcr(p, t) == LcrParams(t // 2, 1, t // 2)
         for k in range(1, 21):
             lam = 2 * F(k, 20) if isinstance(p, F) else k / 10
             _params, primal, cert = certificate_for(t, p, lam)
             model = build_model(t, p, lam)
             assert verify_certificate(model, primal, cert), (t, p, lam)
+            assert primal[f"nu{t // 2}"] == primal[f"nu{t // 2 + 1}"]
             if isinstance(p, F):
                 assert cert.objective(lam) == solve(model, exact=True).ell
 
@@ -882,24 +940,67 @@ class TestFactsCache:
         assert calls == []
 
     def test_warm_primals_evaluate_no_layer_term(self, monkeypatch, empty_caches):
-        # E(C, j), g(j) and q**j are facts of (shape, p): once filled, a
-        # nice-range primal is lambda times fixed terms (LP_OUTPUT_PIN pins
-        # their bits through certificate_for)
+        # a shape's tight-row solve is a fact of (shape, p): once filled, a
+        # primal is x0 + lambda * x1 and builds no model and solves nothing
+        # (LP_OUTPUT_PIN and PRIMAL_PIN pin the exact values)
         calls = []
-        for name in ("e_coeff", "_growth", "_qpow"):
+        for name in ("build_model", "_dense_solve"):
             real = getattr(lb_lp, name)
-            monkeypatch.setattr(lb_lp, name, lambda *a, real=real: calls.append(a) or real(*a))
+            monkeypatch.setattr(lb_lp, name,
+                                lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
         cases = [(LcrParams(1, 1, 1), F(2)), (LcrParams(2, 0, 2), F(3, 2)),
-                 (LcrParams(1, 2, 3), 2.5), (LcrParams(3, 0, 1), GOLDEN)]
-        grid = [(shape, p, nice_range_max(shape, p) * k / 5) for shape, p in cases
-                for k in range(1, 6)]
-        calls.clear()
-        cold = [repr(minimal_spanner_primal(*point)) for point in grid]
+                 (LcrParams(1, 2, 3), 2.5), (LcrParams(3, 0, 1), GOLDEN),
+                 (LcrParams(1, 1, 2, skew=SKEW_RIGHT), F(10)),
+                 (LcrParams(2, 0, 1, skew=SKEW_LEFT), F(3))]
+        grid = [(shape, p, lam) for shape, p in cases
+                for lam in ((1 + 1 / p) * k / 5 for k in range(1, 6))]
+
+        def primals():
+            out = []
+            for shape, p, lam in grid:
+                call = minimal_spanner_primal if shape.skew == lb_lp.SKEW_NONE else skewed_primal
+                try:
+                    out.append(repr(call(shape, p, lam)))
+                except ParameterError as exc:
+                    out.append(str(exc))
+            return out
+
+        cold = primals()
+        assert any(text.startswith("{") for text in cold)
         assert calls
         calls.clear()
-        assert [repr(minimal_spanner_primal(*point)) for point in grid] == cold
+        assert primals() == cold
         assert calls == []
         assert lb_lp._primal_terms.cache_info().currsize == len(cases)
+        # a plain shape stores no x0: its only nonzero rhs is the density's
+        assert lb_lp._primal_terms(LcrParams(1, 1, 1), F(2))[0] is None
+
+
+class TestPrimalSolve:
+    def test_outcomes_pinned(self, empty_caches):
+        assert primal_outcomes_digest() == (PRIMAL_PIN, 6552)
+
+    def test_float_primals_match_the_exact_ones(self, empty_caches):
+        # a float-p primal is the float solve of the tight rows; it stays
+        # within 1e-12 of the exact primal at the rationals the floats stand for
+        worst = 0.0
+        for p in (GOLDEN, 2.5, 1.3, 1.01, 7.0):
+            for t in range(2, 10):
+                for k in range(1, 21):
+                    lam = (1 + 1 / p) * k / 20
+                    try:
+                        frame, primal, _cert = certificate_for(t, p, lam)
+                    except (ParameterError, DualConstructionError):
+                        continue
+                    call = minimal_spanner_primal if frame.skew == lb_lp.SKEW_NONE \
+                        else skewed_primal
+                    exact = call(frame, F(p), F(lam))
+                    assert list(primal) == list(exact)
+                    assert all(type(v) is float for v in primal.values())
+                    for key, value in exact.items():
+                        err = abs(primal[key] - float(value)) / max(1.0, abs(float(value)))
+                        worst = max(worst, err)
+        assert worst <= 1e-12
 
 
 class TestLbValue:
