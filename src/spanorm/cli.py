@@ -138,14 +138,11 @@ def _cmd_decompose(args) -> int:
     }
     try:
         contributions = class_contributions(g, k)
-        report["contributions"] = {
-            ("high_%d" % key[1]) if isinstance(key, tuple) else key: value
-            for key, value in contributions.norms.items()
-        }
-        report["slacks"] = {
-            ("high_%d" % key[1]) if isinstance(key, tuple) else key: contributions.slack(key)
-            for key in contributions.norms
-        }
+        # a high class is keyed ("high", j) in the library and high_j here
+        names = {key: "high_%d" % key[1] if isinstance(key, tuple) else key
+                 for key in contributions.norms}
+        report["contributions"] = {names[key]: v for key, v in contributions.norms.items()}
+        report["slacks"] = {names[key]: contributions.slack(key) for key in contributions.norms}
     except GirthTooSmallError as exc:
         report["contributions"] = None
         report["girth_note"] = str(exc)
@@ -331,8 +328,6 @@ def _cmd_gen(args) -> int:
                     "verified": verified,
                 }
             )
-        else:
-            raise ValueError(f"unknown family {family}")
     except KeyError as exc:
         raise ValueError(f"--params for family {family} lacks the key {exc}") from None
     except TypeError as exc:

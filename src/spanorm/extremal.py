@@ -497,7 +497,7 @@ class LayeredInstance:
     gaps: tuple = ()
     predicted: dict = field(default_factory=dict)
     explicit_spanner: Graph | None = None
-    explicit_host_pairs: tuple | None = None  # (u, w) global ids, u in V_0, w in V_t
+    explicit_host: Graph | None = None  # the spanner plus the V_0 x V_t pairs it reaches
 
     def __post_init__(self):
         self.offsets = (0, *accumulate(self.layer_sizes))
@@ -522,10 +522,11 @@ class LayeredInstance:
         return self.explicit_spanner is None and self.spanner_edge_count() > SPANNER_EDGE_BUDGET
 
     def host_edge_count(self) -> int:
-        """Biclique (or explicit host pair) count, plus the spanner's edges
-        when t >= 2; at t = 1 the spanner lies inside the biclique."""
-        pairs = (len(self.explicit_host_pairs) if self.explicit_host_pairs is not None
-                 else self.layer_sizes[0] * self.layer_sizes[-1])
+        """Biclique count, plus the spanner's edges when t >= 2 (at t = 1 the
+        spanner lies inside the biclique), or the explicit host's edges."""
+        if self.explicit_host is not None:
+            return self.explicit_host.m
+        pairs = self.layer_sizes[0] * self.layer_sizes[-1]
         return pairs if self.t == 1 else pairs + self.spanner_edge_count()
 
     @property
@@ -541,8 +542,7 @@ class LayeredInstance:
         that tail alone is the row, since it holds the gap's edges.
         """
         if self.explicit_spanner is not None:
-            pairs = self.explicit_host_pairs if host else ()
-            yield from sorted(set(self.explicit_spanner.edges).union(pairs))
+            yield from (self.explicit_host if host else self.explicit_spanner).edges
             return
         tail = range(self.offsets[self.t], self.n) if host else range(0)
         for i, gap in enumerate(self.gaps):
@@ -579,8 +579,8 @@ class LayeredInstance:
         return sum(self._per_layer_counts(), Counter())
 
     def host_degree_counts(self) -> Counter:
-        if self.explicit_host_pairs is not None:
-            return Counter(self.host_graph().degrees())
+        if self.explicit_host is not None:
+            return Counter(self.explicit_host.degrees())
         n0, nt = self.layer_sizes[0], self.layer_sizes[-1]
         per_layer = self._per_layer_counts()
         per_layer[0] = Counter({deg + nt: cnt for deg, cnt in per_layer[0].items()})
@@ -592,7 +592,7 @@ class LayeredInstance:
         if self.host_virtual:
             raise ValueError(f"host has {self.host_edge_count()} edges, above the "
                              f"materialization budget {HOST_EDGE_BUDGET}")
-        return Graph(self.n, self.edges(host=True))
+        return self.explicit_host or Graph(self.n, self.edges(host=True))
 
     def spanner_norm(self, p=None) -> float:
         p = self.p if p is None else p
@@ -621,8 +621,8 @@ class LayeredInstance:
         rules (``_rules_span_all_pairs``): no graph is built and nothing is
         sampled, so ``seed`` is accepted and ignored.
         """
-        if self.explicit_host_pairs is not None:
-            return verify_stretch(self.host_graph(), self.spanner(), self.t)
+        if self.explicit_host is not None:
+            return verify_stretch(self.explicit_host, self.explicit_spanner, self.t)
         return _rules_span_all_pairs(self.gaps, self.layer_sizes)
 
 
@@ -763,9 +763,13 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
         mprime = 1
     center_actual = dtilde * mprime
 
-    ideal = _ideal_exponents(L, C, R, skew, pf, float(center_size), dt_real, d_real, t)
-    real = _real_layer_sizes(L, C, R, skew, pf, float(center_actual), float(dtilde), float(d_c))
-    sizes = [max(1, math.floor(s + 1e-9)) for s in real]
+    try:
+        ideal = _ideal_exponents(L, C, R, skew, pf, float(center_size), dt_real, d_real, t)
+        real = _real_layer_sizes(L, C, R, skew, pf, float(center_actual), float(dtilde),
+                                 float(d_c))
+        sizes = [max(1, math.floor(s + 1e-9)) for s in real]
+    except OverflowError:
+        raise ValueError(f"center_size {center_size} at p = {p} overflows a float") from None
     for i in range(L, L + C + 1):
         sizes[i] = center_actual
 
@@ -799,6 +803,8 @@ def build_lcr(params: LcrParams, p, center_size: int) -> LayeredInstance:
     ``center_size`` is the target size of the central layers for C >= 1; for
     C = 0 the center is a single vertex and ``center_size`` is the size of
     the two layers beside it (equivalently their degree toward the center).
+    A ``center_size`` and ``p`` whose layer sizes or norms overflow a float
+    raise ``ValueError``, here and in ``build_skewed``.
     """
     if params.skew != SKEW_NONE:
         raise ValueError("build_lcr builds plain shapes; use build_skewed")
@@ -890,7 +896,8 @@ def build_from_lp(solution: dict, n: int, seed: int, t: int,
         p=p,
         layer_sizes=tuple(sizes),
         explicit_spanner=spanner,
-        explicit_host_pairs=tuple(host_pairs),
+        # at t = 1 the pairs are the spanner's edges
+        explicit_host=Graph(offsets[-1], set(edges).union(host_pairs)),
     )
 
 
@@ -951,13 +958,17 @@ def build_tightness(k: int, p, n: int, big_lambda: float, seed: int = 0) -> Grap
     c + n + 1 (the star has n leaves), and clique plus high-girth has c plus
     the vertex count of the girth supply built for max(n // 2, 14) vertices.
     A clique instance of more than ``HOST_EDGE_BUDGET`` edges raises
-    ``ValueError``.
+    ``ValueError``, and so does an ``n`` whose range bound n**((1+p)/p)
+    overflows a float.
     """
     if k not in (2, 3):
         raise ValueError("tightness instances are implemented for k in {2, 3}")
     pf = float(p)
-    if not n ** (1 / pf) / 4 <= big_lambda <= 4 * n ** ((1 + pf) / pf):
-        raise ValueError(f"Lambda {big_lambda} outside the representable range")
+    try:
+        if not n ** (1 / pf) / 4 <= big_lambda <= 4 * n ** ((1 + pf) / pf):
+            raise ValueError(f"Lambda {big_lambda} outside the representable range")
+    except OverflowError:
+        raise ValueError(f"n too large: n ** ((1 + p) / p) at p = {p} overflows a float") from None
     threshold = k / (k - 1)
     if pf >= threshold:
         if big_lambda <= n:

@@ -35,24 +35,33 @@ both sides are Fractions, and with a 1e-12 relative slack otherwise.
 for exact certificates; an exact referee for it is an open item in
 ROADMAP.md.
 
-What depends on (t, p) alone is derived once per (t, p), by three functions
-under ``functools.lru_cache(maxsize=None, typed=True)``: ``_base`` (the base
-shape of ``derive_lcr``, its nice-range cap and closed-form slope
-ell / lambda), ``_base_dual`` (its dual, on first certificate in the nice
-range) and ``_walk`` (the interpolation walk with each walk shape's
-exponent at its cap, on first lambda above the base cap).  A fourth,
-``_primal_terms``, holds the solve of each shape's tight rows per (shape, p),
-plain or skewed, as tuples over its tight columns, so a primal at any
-lambda is x0 + lambda * x1 (x1 alone for a plain shape).  A fifth,
-``_certificate``, keyed by ``(t, p, relaxed, basis)``, holds the
-lambda-free parts of the float and exact simplex certificates of each
-optimal basis ``solve`` meets (see ``solve``): about 0.8 kB an entry, key
-included, as the entry packs its integers in 32-bit words and its float
-duals in doubles, and 427 entries for one cold pass of the ``lb_certify``
-grid.  ``typed=True`` keeps 2.0 and Fraction(2) apart, since float shapes, caps and duals decide
-with a tolerance.  The caches hold values only, never exceptions, and are
-unbounded: a few small tuples per (t, p) a process asks about;
-``cache_info()`` reports their hits and fills.
+What depends on (t, p) alone is derived once, by six functions under
+``functools.lru_cache(maxsize=None, typed=True)``; the fill counts are
+those of one cold pass of the ``lb_certify`` grid, which asks about 70
+pairs (t, p) and relaxed models only:
+
+- ``_base`` (70 fills): the base shape of ``derive_lcr``, its nice-range
+  cap and closed-form slope ell / lambda;
+- ``_base_dual`` (54): its dual, on first certificate in the nice range;
+- ``_walk`` (36): the interpolation walk with each walk shape's exponent
+  at its cap, on first lambda above the base cap;
+- ``_unit`` (70), per (t, p, relaxed): the model at lambda = 1, the one
+  model that ``_tight_system``, ``_lp_dual`` and ``_certificate`` read,
+  about 6 kB;
+- ``_primal_terms`` (116), per (shape, p): the one solve of the shape's
+  tight rows, plain or skewed, as tuples over its tight columns, so a
+  primal at any lambda is x0 + lambda * x1 (x1 alone for a plain shape);
+- ``_certificate`` (427 float and 375 exact fills), per (t, p, relaxed,
+  basis, exact): the lambda-free part of the float or the exact simplex
+  certificate of each optimal basis ``solve`` meets, made only for the
+  rung that asks (see ``solve``); about 0.56 kB an entry, key included,
+  as an exact part packs its integers in 32-bit words and a float part
+  its duals in doubles.
+
+``typed=True`` keeps 2.0 and Fraction(2) apart, since float shapes, caps
+and duals decide with a tolerance.  The caches hold values only, never
+exceptions, and are unbounded: a few small tuples per (t, p) a process
+asks about; ``cache_info()`` reports their hits and fills.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .simplex import _dense_solve, _parts, _solve
+from .simplex import _dense_solve, _part, _solve
 
 __all__ = [
     "ConditionReport",
@@ -414,12 +423,13 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
     alike, is the one a fresh model gives, in either call order.
 
     Lambda enters only the density row's rhs, so a basis's certificate has
-    a lambda-free part, made for both modes once per (t, p, relaxed,
-    basis) by ``_certificate`` on the model at lambda = 1, and a part
-    affine in lambda, read here: the exact basic values ``(u + s w) / den`` at
-    s = lambda - 1, or the float basic values ``B^-1 b`` solved at this
-    lambda.  A basis refused at this lambda climbs the simplex ladder as
-    before.  The answers are those of a certificate made afresh.
+    a lambda-free part, made for each mode once per (t, p, relaxed, basis),
+    when that mode first asks, by ``_certificate`` on the model at
+    lambda = 1, and a part affine in lambda, read here: the exact basic
+    values ``(u + s w) / den`` at s = lambda - 1, or the float basic values
+    ``B^-1 b`` solved at this lambda.  A basis refused at this lambda climbs
+    the simplex ladder as before.  The answers are those of a certificate
+    made afresh.
     """
     if exact and (isinstance(model.p, float) or isinstance(model.lam, float)):
         raise ParameterError(
@@ -454,19 +464,25 @@ def _lp_data(model: LbLpModel):
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _certificate(t: int, p, relaxed: bool, basis: tuple) -> tuple:
-    """The lambda-free parts of the float and, for rational p, the exact
-    certificate of ``basis`` (``simplex._parts``) for the models of
-    (t, p, relaxed), made on the model at lambda = 1 whichever lambda asks
-    first.
+def _unit(t: int, p, relaxed: bool) -> LbLpModel:
+    """The model of (t, p, relaxed) at lambda = 1, where everything
+    lambda-free about the family is read."""
+    return build_model(t, p, 1, relaxed)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _certificate(t: int, p, relaxed: bool, basis: tuple, exact: bool):
+    """The lambda-free part of the float (``exact`` False) or the exact
+    certificate of ``basis`` (``simplex._part``) for the models of
+    (t, p, relaxed), made on ``_unit`` whichever lambda asks first, and
+    only for the rung that asks.
 
     Lambda moves only the density row's rhs, and never its sign, so the
     program's rows, costs and flips are those of every lambda.
     """
-    model = build_model(t, p, 1, relaxed)
+    model = _unit(t, p, relaxed)
     data, ub, _eq = _lp_data(model)
-    row = ub.index(model.row_names.index("density"))
-    return _parts(data, basis, row, not isinstance(p, float))
+    return _part(data, basis, ub.index(model.row_names.index("density")), exact)
 
 
 # -- (L,C,R) derivation ------------------------------------------------------
@@ -760,7 +776,7 @@ def predicted_exponent(t: int, p, lam):
 
 def _tight_system(params: LcrParams, p) -> tuple:
     """``(model, support, tight)``: the shape's complementary-slackness system
-    on the relaxed model at lambda = 1.
+    on the relaxed model at lambda = 1 (``_unit``).
 
     ``support`` holds the rows that may carry nonzero dual values, as
     ``(name, row)`` pairs, and the shape's primal meets them with equality;
@@ -784,7 +800,7 @@ def _tight_system(params: LcrParams, p) -> tuple:
     if params.skew != SKEW_NONE:
         rows.add("cap")
     idle = {f"delta{i}" for i in range(1, first_delta)}
-    model = build_model(t, p, 1, relaxed=True)
+    model = _unit(t, p, True)
     support = [(r, row) for r, row in zip(model.row_names, model.rows) if r in rows]
     tight = [j for j, name in enumerate(model.var_names) if name not in idle]
     if len(support) != len(tight):
@@ -805,7 +821,8 @@ def _primal_terms(params: LcrParams, p) -> tuple:
 
     The primal solves the support rows of ``_tight_system`` as equations.
     Only the density row (rhs lambda) and the cap row of a skewed frame
-    (rhs -1) have a nonzero rhs, so one solve per rhs serves every lambda.
+    (rhs -1) have a nonzero rhs, so one elimination with a right-hand side
+    for each serves every lambda.
     A central right row i, one whose left row i is in the support too, is
     read as nu_i = nu_{i-1}: right_i - left_i = q (nu_i - nu_{i-1}), so for
     p > 1 the swap is a row operation, and at p = 1, where the two rows
@@ -826,17 +843,14 @@ def _primal_terms(params: LcrParams, p) -> tuple:
         mat.append([row[j] for j in tight])
 
     rhs = dict(zip(model.row_names, model.rhs))
-
-    def solve_for(rhs_row: str) -> tuple:
-        # a float rhs keeps every value of a float solve a float
-        vec = [cast(rhs[name] if name == rhs_row else 0) for name, _row in support]
-        try:
-            return tuple(_dense_solve(mat, vec))
-        except ZeroDivisionError:
-            raise DualConstructionError("singular complementary-slackness system") from None
-
-    x1 = solve_for("density")  # the model's density rhs is lambda = 1
-    return (None if params.skew == SKEW_NONE else solve_for("cap")), x1
+    # the density rhs is lambda = 1; a float rhs keeps a float solve float
+    pinned = ("density",) if params.skew == SKEW_NONE else ("density", "cap")
+    vecs = [[cast(rhs[name] if name == pin else 0) for name, _row in support] for pin in pinned]
+    try:
+        x1, *x0 = map(tuple, _dense_solve(mat, *vecs))
+    except ZeroDivisionError:
+        raise DualConstructionError("singular complementary-slackness system") from None
+    return (x0[0] if x0 else None), x1
 
 
 def _primal(params: LcrParams, p, lam) -> dict:
@@ -937,7 +951,7 @@ def construct_dual(params: LcrParams, p) -> DualCertificate:
     mat = [[row[j] for _name, row in support] for j in tight]
     vec = [cast(c[j]) for j in tight]
     try:
-        sol = _dense_solve(mat, vec)
+        (sol,) = _dense_solve(mat, vec)
     except ZeroDivisionError:
         if plain:
             return _lp_dual(params, p)
@@ -987,7 +1001,7 @@ def _lp_dual(params: LcrParams, p) -> DualCertificate:
     complementary slackness one optimal dual at lambda = 1 certifies the
     whole nice-range ray.
     """
-    duals = solve(build_model(params.t, p, 1), exact=isinstance(p, Fraction)).duals
+    duals = solve(_unit(params.t, p, True), exact=isinstance(p, Fraction)).duals
     return _package_certificate(duals, params, p, params.t)
 
 

@@ -21,17 +21,18 @@ the answer back; exact pivoting then raises ``Unbounded`` or finds an optimum.
 
 A certificate splits in two.  The duals and the reduced-cost verdict do
 not read the rhs, and the basic values are affine in the rhs of any one
-row.  ``_parts`` makes, for one such row, what a basis's certificates need
-at every rhs of that row: the float duals and, for rational data, the
-exact duals with x_K(s) = (u + s w) / den and the unit rows' residues,
-affine in the shift s.  ``_exact_at`` reads the exact certificate at a shift in integer sign
-checks; ``_certified_from_basis`` takes stored float duals and solves the
-float basic values at the program's own rhs, so float bits do not move.
-A shift must keep the row's sign, since the program negates the rows with
-a negative rhs and the parts hold that choice.  ``lb_lp`` keeps the parts
-per basis: its density lambda moves one rhs, and lambda > 0 keeps its
-sign.  ``_certified_exact`` is the same two steps at s = 0, so there is
-one exact certificate.
+row.  ``_part`` makes, for one such row, what one rung's certificate of a
+basis needs at every rhs of that row: the float duals for the float rung,
+or for the exact rung the exact duals with x_K(s) = (u + s w) / den and
+the unit rows' residues, affine in the shift s.  ``_exact_at`` reads the
+exact part at a shift in integer sign checks; ``_certified_from_basis``
+takes stored float duals and solves the float basic values at the
+program's own rhs, so float bits do not move.  A shift must keep the
+row's sign, since the program negates the rows with a negative rhs and
+the parts hold that choice.  ``lb_lp`` keeps each part per basis and
+rung, made when that rung first asks: its density lambda moves one rhs,
+and lambda > 0 keeps its sign.  ``_certified_exact`` is the same two steps
+at s = 0, so there is one exact certificate.
 
 One LP solved both ways pivots in float once.  ``solve_lp`` runs its own
 float pivot each call; ``lb_lp.solve`` passes ``_solve`` a list kept on the
@@ -166,10 +167,11 @@ def _solve(data, exact: bool, memo: list, stored=None) -> LpSolution:
     tuple of ints) of a float pivot run on this same ``data`` that returned;
     a run that raised leaves it empty (see the module docstring).
 
-    ``stored`` is None or a pair ``(parts, shift)``: ``parts(basis)`` is
-    ``_parts`` of a program that differs from ``data`` only in the rhs of
-    the parts' moving row, which ``data`` holds ``shift`` higher.  A basis
-    the stored part refuses climbs the ladder as a refused certificate does.
+    ``stored`` is None or a pair ``(part, shift)``: ``part(basis, exact)``
+    is ``_part`` of a program that differs from ``data`` only in the rhs of
+    the part's moving row, which ``data`` holds ``shift`` higher; each rung
+    asks only for its own part.  A basis the stored part refuses climbs the
+    ladder as a refused certificate does.
     """
     if exact:
         try:
@@ -232,28 +234,24 @@ def _via_float_fraction(v):
     return Fraction(float(v))
 
 
-def _parts(data, basis, row: int, rational: bool) -> tuple:
-    """What the certificates of ``basis`` need at every rhs of ``row`` (an
-    index into ``A_ub`` then ``A_eq``) of ``data``: the pair of
-    ``_float_duals`` and, for ``rational`` data, ``_exact_parts``.  A part
-    is None where it refuses the basis at every such rhs."""
+def _part(data, basis, row: int, exact: bool):
+    """What the float (``exact`` False) or the exact certificate of
+    ``basis`` needs at every rhs of ``row`` (an index into ``A_ub`` then
+    ``A_eq``) of ``data``: ``_float_duals``, which does not read ``row``,
+    or ``_exact_parts`` on the rationals of ``data``.  None where that part
+    refuses the basis at every such rhs."""
     try:
-        duals = _float_duals(_Program(*data, float), basis)
+        if exact:
+            return _exact_parts(_Program(*data, _to_rational), basis, row)
+        return _float_duals(_Program(*data, float), basis)
     except _NeedsExact:
-        duals = None
-    exact = None
-    if rational:
-        try:
-            exact = _exact_parts(_Program(*data, _to_rational), basis, row)
-        except _NeedsExact:
-            pass
-    return duals, exact
+        return None
 
 
 def _stored_part(stored, basis, exact: bool):
-    """The float or exact part of ``_solve``'s ``stored`` parts of ``basis``;
+    """The float or exact part of ``basis`` from ``_solve``'s ``stored``;
     raises ``_NeedsExact`` where that part refuses the basis."""
-    part = stored[0](basis)[exact]
+    part = stored[0](basis, exact)
     if part is None:
         raise _NeedsExact
     return part
@@ -269,7 +267,7 @@ def _float_duals(prog: _Program, basis) -> bytes:
     """
     m = prog.m
     try:
-        yvec = _dense_solve(
+        (yvec,) = _dense_solve(
             [[prog.rows[r][j] for r in range(m)] for j in basis],
             [prog.full_c[j] for j in basis],
         )
@@ -296,7 +294,7 @@ def _certified_from_basis(prog: _Program, basis, duals=None) -> LpSolution:
         duals = _float_duals(prog, basis)
     m, width, n = prog.m, prog.width, prog.n
     try:
-        xb = _dense_solve([[row[j] for j in basis] for row in prog.rows], prog.rhs)
+        (xb,) = _dense_solve([[row[j] for j in basis] for row in prog.rows], prog.rhs)
     except ZeroDivisionError:
         raise _NeedsExact
     xfull = [prog.zero] * width
@@ -496,21 +494,24 @@ def _nonzero(v, tol) -> bool:
     return v > tol or v < -tol
 
 
-def _dense_solve(mat, vec):
-    """Solve a square system by Gauss-Jordan elimination.
+def _dense_solve(mat, *rhs) -> list:
+    """Solve a square system for each right-hand side by one Gauss-Jordan
+    elimination; returns one solution per right-hand side.
 
     When every entry is an int or a ``Fraction`` the solve is exact and
     fraction-free: each row is scaled to integers by the lcm of its
     denominators, eliminated with Python ints, and a ``Fraction`` is formed
     only for the answers.  Otherwise the scalars are eliminated as they are,
-    with partial pivoting.  Both branches skip zero entries (the LP basis
-    matrices are sparse).  A singular system raises ``ZeroDivisionError``.
+    with partial pivoting; the pivots do not read the right-hand sides, so
+    each solution has the bits of a solve of its column alone.  Both
+    branches skip zero entries (the LP basis matrices are sparse).  A
+    singular system raises ``ZeroDivisionError``.
     """
-    if all(isinstance(v, (int, Fraction)) for row in (*mat, vec) for v in row):
-        rows, den = _integer_solve(_integer_rows([*row, v] for row, v in zip(mat, vec)))
-        return [Fraction(v, den) for v, in rows]
-    n = len(vec)
-    m = [list(row) + [v] for row, v in zip(mat, vec)]
+    n = len(mat)
+    m = [[*row, *(b[r] for b in rhs)] for r, row in enumerate(mat)]
+    if all(isinstance(v, (int, Fraction)) for row in m for v in row):
+        nums, den = _integer_solve(_integer_rows(m))
+        return [[Fraction(row[c], den) for row in nums] for c in range(len(rhs))]
     for col in range(n):
         # partial pivot: the first row with the largest |entry|
         piv, size = col, abs(m[col][col])
@@ -525,7 +526,7 @@ def _dense_solve(mat, vec):
         inv = prow[col]
         if inv != 1:
             m[col] = prow = [v / inv for v in prow]
-        nonzero = [j for j in range(col, n + 1) if prow[j] != 0]
+        nonzero = [j for j in range(col, len(prow)) if prow[j] != 0]
         for r in range(n):
             if r == col:
                 continue
@@ -535,7 +536,7 @@ def _dense_solve(mat, vec):
                 continue
             for j in nonzero:
                 row_r[j] -= factor * prow[j]
-    return [m[r][n] for r in range(n)]
+    return [[m[r][n + c] for r in range(n)] for c in range(len(rhs))]
 
 
 def _integer_rows(rows) -> list[list[int]]:

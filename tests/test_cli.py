@@ -453,6 +453,16 @@ class TestSubcommands:
             ("lp", {"t": 3, "p": "2", "lambda": "1/0", "n": 100}, "lambda must be a rational"),
             ("tightness", {"k": 2, "p": 1.5, "n": 10000, "Lambda": 2001.5 ** (5 / 3)},
              "clique on 2001 vertices"),
+            ("lcr", {"L": 1, "C": 1, "R": 1, "p": 2.0, "center": 1e300},
+             "center_size 1e+300 at p = 2.0 overflows a float"),
+            ("lcr", {"L": 2, "C": 0, "R": 2, "p": 1.3, "center": 1e200},
+             "center_size 1e+200 at p = 1.3 overflows a float"),
+            ("skewed", {"L": 1, "C": 1, "R": 1, "skew": "right", "p": 2.0, "center": 1e300,
+                        "skew_exponent": 0.3}, "center_size 1e+300 at p = 2.0"),
+            ("lcr", {"L": 1, "C": 1, "R": 1, "p": 1e300, "center": 16},
+             "center_size 16 at p = 1e+300"),
+            ("tightness", {"k": 2, "p": 1.5, "n": 10**300, "Lambda": 1e250},
+             "n too large: n ** ((1 + p) / p) at p = 1.5 overflows a float"),
         ],
     )
     def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):

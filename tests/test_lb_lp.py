@@ -134,7 +134,7 @@ def empty_caches():
     """Empty the per-(t, p) caches before and after the test, so a test
     starts cold and no value computed under a patched internal outlives it."""
     caches = (lb_lp._base, lb_lp._base_dual, lb_lp._walk, lb_lp._primal_terms,
-              lb_lp._certificate)
+              lb_lp._unit, lb_lp._certificate)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -452,12 +452,45 @@ class TestCertificateCache:
         monkeypatch.setattr(simplex, "_pivot_phases", pivot)
         got = solve(high, exact=exact)
         assert pivots == [0]
-        refused = lb_lp._certificate(t, p, True, basis)
-        assert refused[exact] is None if stale == "singular" else refused[exact] is not None
+        refused = lb_lp._certificate(t, p, True, basis, exact)
+        assert refused is None if stale == "singular" else refused is not None
         afresh = real(lb_lp._lp_data(high)[0], exact, [basis])
         assert repr(answers) == repr([afresh])
         fresh = solve(build_model(t, p, high.lam), exact=exact)
         assert got.ell == (fresh.ell if exact else pytest.approx(fresh.ell, abs=1e-12))
+
+
+    @staticmethod
+    def made_parts(monkeypatch) -> Counter:
+        """Count the simplex certificate parts made from here on."""
+        made = Counter()
+        for name in ("_float_duals", "_exact_parts"):
+            real = getattr(simplex, name)
+            monkeypatch.setattr(simplex, name,
+                                lambda *a, name=name, real=real: made.update([name]) or real(*a))
+        return made
+
+    def test_float_sweep_makes_no_exact_part(self, monkeypatch, empty_caches):
+        # lb-sweep solves rational (t, p) in float only: no rung asks for an
+        # exact part, so none is made
+        from spanorm.cli import _lp_agreement
+
+        made = self.made_parts(monkeypatch)
+        t, p = 4, F(5, 2)
+        for k in range(1, 21):
+            assert _lp_agreement(t, p, (1 + 1 / p) * F(k, 20))[3]
+        assert made["_float_duals"] == lb_lp._certificate.cache_info().currsize > 0
+        assert made["_exact_parts"] == 0
+
+    def test_exact_report_makes_no_float_part(self, monkeypatch, empty_caches):
+        # lb --exact --certificate: the exact rung asks for the exact part
+        # alone, and the base shape's dual solves no LP
+        from spanorm.cli import _lb_report
+
+        made = self.made_parts(monkeypatch)
+        report = _lb_report(3, F(2), 1, exact=True, want_certificate=True)
+        assert report["verified"] and report["ell_exact"] == {"num": 1, "den": 2}
+        assert made == Counter({"_exact_parts": 1})
 
 
 class TestDeriveLcr:
@@ -974,6 +1007,18 @@ class TestFactsCache:
         assert lb_lp._primal_terms.cache_info().currsize == len(cases)
         # a plain shape stores no x0: its only nonzero rhs is the density's
         assert lb_lp._primal_terms(LcrParams(1, 1, 1), F(2))[0] is None
+
+    @pytest.mark.parametrize("p", [F(10), 10.0])
+    def test_skewed_terms_eliminate_once(self, monkeypatch, empty_caches, p):
+        # a skewed frame's density and cap right-hand sides share one
+        # elimination of its tight rows
+        solves = []
+        real = lb_lp._dense_solve
+        monkeypatch.setattr(lb_lp, "_dense_solve",
+                            lambda mat, *rhs: solves.append(len(rhs)) or real(mat, *rhs))
+        x0, x1 = lb_lp._primal_terms(LcrParams(1, 1, 2, skew=SKEW_RIGHT), p)
+        assert solves == [2]
+        assert x0 is not None and len(x0) == len(x1)
 
 
 class TestPrimalSolve:

@@ -177,7 +177,7 @@ class TestDenseSolve:
             with pytest.raises(ZeroDivisionError):
                 _dense_solve(mat, vec)
             return
-        got = _dense_solve(mat, vec)
+        (got,) = _dense_solve(mat, vec)
         assert got == want
         assert all(type(v) is Fraction for v in got)
         for row, b in zip(mat, vec):
@@ -205,7 +205,7 @@ class TestDenseSolve:
             with pytest.raises(ZeroDivisionError):
                 _dense_solve(mat, vec)
             return
-        got = _dense_solve(mat, vec)
+        (got,) = _dense_solve(mat, vec)
         assert got == want
         # bit for bit, signed zeros included
         assert [repr(v) for v in got] == [repr(v) for v in want]
@@ -218,19 +218,33 @@ class TestDenseSolve:
         n = len(vec)
         column = st.lists(RATIONALS, min_size=n, max_size=n)
         rhs = [vec, *(data.draw(column) for _ in range(data.draw(st.integers(0, 2))))]
+        # on float input _dense_solve pivots without reading the right-hand
+        # sides, so each solution has the bits of its column's own solve
+        fmat = [[float(v) for v in row] for row in mat]
+        frhs = [[float(v) for v in b] for b in rhs]
+        try:
+            fwant = [repr(_dense_solve(fmat, b)[0]) for b in frhs]
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _dense_solve(fmat, *frhs)
+        else:
+            assert [repr(x) for x in _dense_solve(fmat, *frhs)] == fwant
         rows = _integer_rows([*row, *(b[r] for b in rhs)] for r, row in enumerate(mat))
         if fraction_gauss_jordan(mat, vec) is None:
             with pytest.raises(ZeroDivisionError):
                 _integer_solve(rows)
+            with pytest.raises(ZeroDivisionError):
+                _dense_solve(mat, *rhs)
             return
         nums, den = _integer_solve(rows)
         assert den > 0 and all(len(row) == len(rhs) for row in nums)
-        want = [_dense_solve(mat, b) for b in rhs]
+        want = [_dense_solve(mat, b)[0] for b in rhs]
         assert [[Fraction(v, den) for v in row] for row in nums] == [list(x) for x in zip(*want)]
+        assert _dense_solve(mat, *rhs) == want
 
     def test_mixed_float_input_takes_the_float_branch(self):
         mat = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-        got = _dense_solve(mat, [1.0, Fraction(2)])
+        (got,) = _dense_solve(mat, [1.0, Fraction(2)])
         assert got == float_dense_solve(mat, [1.0, Fraction(2)])
         assert all(type(v) is float for v in got)
 
