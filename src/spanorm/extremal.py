@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,13 +198,16 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
 
     Each round repairs the cycle a full ``short_cycle`` scan from root 0 would
     return first, without rescanning every root.  The first scan is full.
-    After a scan hit at root h, the roots below h were clean, and by the
-    locality rule in ``short_cycle`` one stays clean unless it lies within
-    ``(limit-1)//2`` hops of an endpoint of a net swap made since (the placed
-    swap or the random kick; a failed attempt and its undo reorder lists but
-    leave the edge set as it was).  So the next scan visits those near roots
-    below h in id order, then h, h+1, ..., in the current adjacency order,
-    and meets the same first hit.  The final girth check is a full scan.
+    After a scan hit at root h, the roots below h were clean, each in its
+    search of the vertices at or above it, and by the locality rule in
+    ``short_cycle`` one stays clean unless it lies within ``(limit-1)//2``
+    hops of an endpoint of a net swap made since (the placed swap or the
+    random kick; a failed attempt and its undo reorder lists but leave the
+    edge set as it was).  So the next scan visits those near roots below h
+    in id order, then h, h+1, ..., in the current adjacency order; every
+    root it reaches has only clean roots below it, so by ``short_cycle``'s
+    same-first-hit rule it meets the first hit of a search of the whole
+    graph from root 0.  The final girth check is a full scan.
     """
     if min_girth % 2 == 1:
         min_girth += 1  # bipartite girth is even
@@ -731,6 +735,8 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
         raise ValueError(f"layered builders need a finite p, got {p}")
     if pf <= 1 and C >= 1:
         raise ValueError("layered builders need p > 1 for the decay recurrences")
+    if center_size > sys.float_info.max:
+        raise ValueError(f"center_size {center_size} at p = {p} overflows a float")
     skew = params.skew
     if skew == SKEW_NONE:
         dt_real = 1.0

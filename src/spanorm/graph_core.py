@@ -8,11 +8,10 @@ weighted graphs; only ``within_length`` reads them.
 Shared kernels take plain adjacency lists or degree multisets:
 ``hop_layers`` (the one truncated multi-source BFS, read by
 ``layer_profile``), ``within_hops`` and ``within_length`` (bounded hop and
-weighted distance tests), ``short_cycle`` (the one cycle search, read two
-ways: its first hit in root order is what the lift repair swaps away, and
-run on a copy that drops each root after its search it is the min-vertex
-verdict behind ``girth`` and ``girth_at_least``) and ``degree_norm`` (the
-one lp norm of degrees).
+weighted distance tests), ``short_cycle`` (the one cycle search, where each
+root searches only the vertices at or above it: its first hit in root order
+is what the lift repair swaps away, and its verdict is what ``girth`` and
+``girth_at_least`` read) and ``degree_norm`` (the one lp norm of degrees).
 """
 
 from __future__ import annotations
@@ -412,36 +411,63 @@ def short_cycle(adj: Sequence[Sequence[int]], limit: int,
     most ``limit`` edges, and the root whose search met it; or None.
 
     Truncated BFS from every root in id order (or from ``roots``, which must
-    be increasing), one level at a time.  ``roots`` is read one root at a
-    time, just before that root's search, so a caller may edit ``adj``
-    between two roots.
+    be increasing), one level at a time.  Root s skips every neighbour below
+    s, so it searches G[>= s], the subgraph on the vertices s..n-1.
 
     A non-tree edge (x,y) closes the walk root->x, x-y, y->root of
     dist[x]+dist[y]+1 edges, which contains a cycle no longer than itself.
-    For a root on a shortest cycle of length L the BFS meets that cycle's
-    far edge with a walk of exactly L edges, while scanning only levels d
-    with 2d+1 <= L.  So a hit proves a cycle of at most ``length`` edges,
-    and None at ``limit`` proves there is no cycle of length <= ``limit``.
-    ``adj`` must be simple: a parallel edge (a 2-cycle) is not seen.
+    Conversely, let C be a shortest cycle, of length L <= ``limit``, and r
+    its smallest vertex.  C lies in G[>= r], which has no shorter cycle, so
+    unless an earlier root hits, r's search meets C's far edge with a walk
+    of exactly L edges, while scanning only levels d with 2d+1 <= L.  So a hit proves a cycle of at
+    most ``length`` edges, and None from every root at ``limit`` proves
+    there is no cycle of length <= ``limit``.  ``adj`` must be simple: a
+    parallel edge (a 2-cycle) is not seen.
 
-    Locality: whether the search from root s hits depends only on the edges
-    with an endpoint within ``deepest = (limit-1)//2`` hops of s, not on the
-    order of the adjacency lists.  Levels are hop distances.  The search
-    scans every edge at a vertex of level d <= deepest; an edge inside level
-    d closes 2d+1 <= limit edges and is never a tree edge.  A vertex at level
-    d+1 has exactly one tree edge, whichever parent it gets, so it offers a
-    non-tree edge of length 2(d+1) iff it has two or more neighbours at level
-    d.  So s hits iff its ball holds an edge inside a level d <= deepest, or
-    a vertex at a level d+1 with 2(d+1) <= limit and two neighbours one level
-    down; only which hit ``(length, x, y)`` comes first depends on the order.
-    A caller that edits the graph may therefore skip a root that was clean
+    Locality: whether root s hits depends only on the edges of G[>= s] with
+    an endpoint within ``deepest = (limit-1)//2`` hops of s in G[>= s], not
+    on the order of the adjacency lists.  Levels are hop distances.  The
+    search scans every edge at a vertex of level d <= deepest; an edge
+    inside level d closes 2d+1 <= limit edges and is never a tree edge.  A
+    vertex at level d+1 has exactly one tree edge, whichever parent it gets,
+    so it offers a non-tree edge of length 2(d+1) iff it has two or more
+    neighbours at level d.  So s hits iff its ball holds an edge inside a
+    level d <= deepest, or a vertex at a level d+1 with 2(d+1) <= limit and
+    two neighbours one level down; only which hit ``(length, x, y)`` comes
+    first depends on the order.  That ball lies inside s's ball in G.  A
+    caller that edits the graph may therefore skip a root that was clean
     and lies farther than ``deepest`` hops, in the edited graph, from every
     endpoint of an edited edge: no edge at its ball changed.
 
-    The search is read two ways.  ``random_bipartite_lift`` repairs its
-    first hit in root order, and the girth checks run it through
-    :func:`_cycle_verdict`, which drops each root from ``adj`` after its
-    search so that later roots read less.
+    Same first hit: when every root below r is clean, r's search of G[>= r]
+    returns the hit, or None, that its search of G would return.
+
+    - A clean root m leaves every closed walk through m in G[>= m] of at
+      most ``limit`` edges on its BFS tree.  An edge (a,b) of such a walk
+      has level(a) + level(b) <= limit - 1, so the search scans it from an
+      end at a level <= deepest, and were (a,b) a non-tree edge, that scan
+      would close level(a) + level(b) + 1 <= ``limit`` edges: a hit.  So the edges
+      of a closed walk in G of at most ``limit`` edges whose smallest
+      vertex m lies below r hold no cycle, for the walk runs in G[>= m]
+      through m, and m is clean.
+    - Run r's search of G, and call a stamped vertex low if its tree path
+      from r visits a vertex below r.  A hit on a low vertex would be such
+      a walk with a cycle in it: the non-tree edge and its two tree paths.
+      So scanning a low vertex stamps only low vertices and hits nothing.
+      An edge from a vertex that is not low to a low vertex at or above r
+      is a non-tree edge of at most 2*deepest + 2 edges; it is no hit only
+      at an odd ``limit`` with the low end at level deepest + 1, which no
+      check can make a hit and no level scans.  So the vertices that are
+      not low are the ones G[>= r] stamps, at the same levels, with the
+      same parents and in the same order, bar those at level deepest + 1
+      at an odd ``limit``, and the two searches meet the same first hit.
+
+    A scan of every root meets its roots in this order, for each root
+    before the first hit is clean; so its first hit is also that of the
+    search of G from every root.  ``extremal.random_bipartite_lift`` skips
+    only roots below its last hit that were clean then and, by locality,
+    still are.  A root searched on its own does not see cycles through
+    smaller vertices; no caller in the package does that.
     """
     n = len(adj)
     dist = [0] * n
@@ -460,6 +486,8 @@ def short_cycle(adj: Sequence[Sequence[int]], limit: int,
             nxt = []
             for x in frontier:
                 for y in adj[x]:
+                    if y < s:
+                        continue  # root s searches G[>= s]
                     if stamp[y] != tick:
                         stamp[y] = tick
                         dist[y] = depth
@@ -473,44 +501,18 @@ def short_cycle(adj: Sequence[Sequence[int]], limit: int,
     return None
 
 
-def _cycle_verdict(adj: Sequence[Sequence[int]], limit: int) -> int | None:
-    """The length of some walk of at most ``limit`` edges that closes a cycle,
-    or None iff ``adj`` has no cycle of length <= ``limit``.
-
-    :func:`short_cycle` on a copy of ``adj`` that drops each root once its
-    search is done, so root s searches G[>= s] and each cycle is searched
-    only from its smallest vertex.  A hit still contains a cycle no longer
-    than itself.  Conversely, let C be a shortest cycle, of length L <=
-    ``limit``, and r its smallest vertex.  C lies in G[>= r], which has no
-    cycle shorter than C, so r's search meets C with a walk of exactly L
-    edges.  On every graph the tests try, the first hit is also the one the
-    search on ``adj`` finds; that is not proved, so the lift repair reads
-    the search on ``adj``.
-    """
-    rest = [list(nbrs) for nbrs in adj]
-
-    def roots():
-        for s, nbrs in enumerate(rest):
-            yield s
-            for y in nbrs:
-                rest[y].remove(s)
-
-    hit = short_cycle(rest, limit, roots())
-    return None if hit is None else hit[0]
-
-
 def girth(g: Graph):
     """Length (edge count) of a shortest cycle; ``UNBOUNDED`` for forests.
 
-    Takes any cycle witness, then asks :func:`_cycle_verdict` for a shorter
-    one until there is none.
+    Takes any cycle witness, then asks :func:`short_cycle` for a shorter one
+    until there is none.
     """
     adj = g.adjacency()
     best = UNBOUNDED
-    length = _cycle_verdict(adj, g.n)
-    while length is not None:
-        best = length
-        length = _cycle_verdict(adj, best - 1)
+    hit = short_cycle(adj, g.n)
+    while hit is not None:
+        best = hit[0]
+        hit = short_cycle(adj, best - 1)
     return best
 
 
@@ -522,7 +524,7 @@ def girth_at_least(g: Graph, k: int) -> bool:
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError(f"girth bound must be an integer, got {k!r}")
-    return k <= 3 or _cycle_verdict(g.adjacency(), k - 1) is None
+    return k <= 3 or short_cycle(g.adjacency(), k - 1) is None
 
 
 # -- edge-list interchange format ----------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from spanorm.extremal import _gap_forward, _lift_repair_rounds
-from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, short_cycle, within_hops
+from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, within_hops
 from spanorm.greedy import Spanner
 from spanorm.simplex import LpSolution, _integer_rows, _integer_solve, _NeedsExact
 
@@ -125,19 +125,53 @@ def brute_force_girth(g: Graph) -> float:
     return best
 
 
+def reference_short_cycle(adj, limit: int, roots=None):
+    """``graph_core.short_cycle`` as it stood before each root skipped the
+    vertices below it: a truncated BFS from every root (or from ``roots``)
+    over all of ``adj``, returning the first non-tree edge that closes a walk
+    of at most ``limit`` edges as ``(length, x, y, root)``, or None."""
+    n = len(adj)
+    dist = [0] * n
+    parent = [-1] * n
+    stamp = [0] * n
+    deepest = (limit - 1) // 2
+    for s in range(n) if roots is None else roots:
+        tick = s + 1
+        stamp[s] = tick
+        dist[s] = 0
+        parent[s] = -1
+        frontier = [s]
+        depth = 0
+        while frontier and depth <= deepest:
+            depth += 1
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if stamp[y] != tick:
+                        stamp[y] = tick
+                        dist[y] = depth
+                        parent[y] = x
+                        nxt.append(y)
+                    elif parent[x] != y and parent[y] != x:
+                        length = dist[x] + dist[y] + 1
+                        if length <= limit:
+                            return length, x, y, s
+            frontier = nxt
+    return None
+
+
 def reference_cycle_free(adj, limit: int) -> bool:
     """True iff ``adj`` has no cycle of at most ``limit`` edges, read off the
-    first-hit search ``short_cycle`` over every root: the girth verdict as it
-    stood before the min-vertex search."""
-    return short_cycle(adj, limit) is None
+    plain first-hit search ``reference_short_cycle`` over every root."""
+    return reference_short_cycle(adj, limit) is None
 
 
 def reference_min_vertex_verdict(adj, limit: int):
     """The min-vertex girth verdict one root at a time: the length of the
-    first hit of ``short_cycle`` from root s alone in G[>= s], over s in id
-    order; None iff no root hits."""
+    first hit of the plain search from root s alone in a copy of G[>= s],
+    over s in id order; None iff no root hits."""
     for s in range(len(adj)):
-        hit = short_cycle([[y for y in nbrs if y >= s] for nbrs in adj], limit, [s])
+        hit = reference_short_cycle([[y for y in nbrs if y >= s] for nbrs in adj], limit, [s])
         if hit is not None:
             return hit[0]
     return None
@@ -294,6 +328,21 @@ def unit_graphs(draw, max_n: int = 12) -> Graph:
 
 
 @st.composite
+def bipartite_graphs(draw, max_n: int = 14) -> tuple[Graph, Graph]:
+    """Hypothesis strategy: a random bipartite graph on 2..max_n vertices, its
+    sides shuffled over the ids, and a copy with one more edge, which may
+    join two vertices of one side."""
+    n = draw(st.integers(2, max_n))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    across = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    edges = draw(st.sets(st.sampled_from(across))) if across else set()
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    extra = draw(st.sampled_from(others)) if others else None
+    plus = edges if extra is None else edges | {extra}
+    return Graph(n, sorted(edges)), Graph(n, sorted(plus))
+
+
+@st.composite
 def small_connected_graphs(draw) -> Graph:
     """Hypothesis strategy: connected graphs on 3..7 vertices with at most 12
     edges, unit-length or with integer lengths 1..3 (the oracle's scale)."""
@@ -407,7 +456,7 @@ def dense_certified_exact(prog, basis) -> LpSolution:
 def reference_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> Graph:
     """``extremal.random_bipartite_lift`` as it stood before its repair rounds
     rescanned only the roots an edit can reach: every round restarts the
-    cycle search at root 0."""
+    plain cycle search ``reference_short_cycle`` at root 0."""
     if min_girth % 2 == 1:
         min_girth += 1
     rng = random.Random(seed)
@@ -451,7 +500,7 @@ def reference_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) 
                 if perms[k][i] in seen:
                     return i, k
                 seen[perms[k][i]] = k
-        hit = short_cycle(adj, limit)
+        hit = reference_short_cycle(adj, limit)
         if hit is None:
             return None
         x, y = hit[1], hit[2]

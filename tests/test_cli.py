@@ -463,6 +463,12 @@ class TestSubcommands:
              "center_size 16 at p = 1e+300"),
             ("tightness", {"k": 2, "p": 1.5, "n": 10**300, "Lambda": 1e250},
              "n too large: n ** ((1 + p) / p) at p = 1.5 overflows a float"),
+            ("lcr", {"L": 1, "C": 1, "R": 1, "p": 2.0, "center": 10**400},
+             f"center_size {10**400} at p = 2.0 overflows a float"),
+            ("lcr", {"L": 1, "C": 0, "R": 1, "p": 2.0, "center": 10**400},
+             f"center_size {10**400} at p = 2.0 overflows a float"),
+            ("skewed", {"L": 1, "C": 1, "R": 1, "skew": "right", "p": 2.0, "center": 10**400,
+                        "skew_exponent": 0.2}, f"center_size {10**400} at p = 2.0"),
         ],
     )
     def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):

@@ -37,6 +37,7 @@ from spanorm.greedy import greedy_spanner
 
 import helpers
 from helpers import (
+    bipartite_graphs,
     brute_force_girth,
     complete_graph,
     cycle_graph,
@@ -48,6 +49,7 @@ from helpers import (
     reference_cycle_free,
     reference_lp_norm,
     reference_min_vertex_verdict,
+    reference_short_cycle,
     reference_within_length,
     star_graph,
     unit_graphs,
@@ -254,6 +256,17 @@ class TestLayerProfile:
             v: d for v, d in enumerate(near) if d <= r}
 
 
+def _assert_first_hit_is_plain(adj) -> None:
+    """At every limit, ``short_cycle`` returns the plain search's first hit,
+    from root 0 and from every root r up to the hit's root."""
+    n = len(adj)
+    for limit in range(n + 2):
+        plain = reference_short_cycle(adj, limit)
+        assert short_cycle(adj, limit) == plain
+        for r in range((n if plain is None else plain[3]) + 1):
+            assert short_cycle(adj, limit, range(r, n)) == plain
+
+
 class TestGirth:
     def test_petersen(self):
         g = petersen_graph()
@@ -353,13 +366,26 @@ class TestGirth:
     @settings(max_examples=150, deadline=None)
     @given(g=unit_graphs())
     def test_short_cycle_resumes_past_clean_roots(self, g):
-        # skipping roots known to be clean leaves the first hit as it was
-        adj = g.adjacency()
-        for limit in range(g.n + 2):
-            full = short_cycle(adj, limit)
-            clean_below = g.n if full is None else full[3]
-            for r in range(clean_below + 1):
-                assert short_cycle(adj, limit, range(r, g.n)) == full
+        # skipping roots known to be clean leaves the first hit as it was; root
+        # s searches only G[>= s], yet while the roots below it are clean its
+        # first hit is the one a search of all of G finds
+        _assert_first_hit_is_plain(g.adjacency())
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=bipartite_graphs())
+    def test_short_cycle_first_hit_is_the_plain_search_bipartite_property(self, pair):
+        # the lift's graphs are bipartite, and its repair adds one edge at a time
+        for g in pair:
+            _assert_first_hit_is_plain(g.adjacency())
+
+    def test_short_cycle_single_root_searches_no_smaller_vertex(self):
+        # a triangle 1-2-3 with a pendant vertex 0: root 2 alone searches the
+        # edge 2-3 and misses the triangle through 1, which the full scan
+        # meets at root 1
+        adj = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)]).adjacency()
+        assert reference_short_cycle(adj, 3, [2]) == (3, 1, 3, 2)
+        assert short_cycle(adj, 3, [2]) is None
+        assert short_cycle(adj, 3) == reference_short_cycle(adj, 3) == (3, 2, 3, 1)
 
     def test_unique_short_paths_in_high_girth(self):
         # girth >= 2k+1 forces a unique i-hop path to each vertex of N_i(v), i <= k
@@ -426,9 +452,9 @@ def _farthest_pair(adj, cap: int) -> tuple[int, int, int]:
 
 
 class TestCycleVerdict:
-    """The min-vertex verdict behind ``girth`` and ``girth_at_least``, refereed
-    by a per-root search of G[>= s], by ``short_cycle``'s first-hit search and
-    by exhaustive cycle search."""
+    """The verdict behind ``girth`` and ``girth_at_least``, refereed by a
+    per-root search of G[>= s], by the plain first-hit search over all of G
+    and by exhaustive cycle search."""
 
     @settings(max_examples=150, deadline=None)
     @given(g=unit_graphs())
@@ -436,8 +462,8 @@ class TestCycleVerdict:
         # the same length as root s's own search of G[>= s], at every limit
         adj = g.adjacency()
         for limit in range(g.n + 2):
-            assert (graph_core._cycle_verdict(adj, limit)
-                    == reference_min_vertex_verdict(adj, limit))
+            hit = short_cycle(adj, limit)
+            assert (None if hit is None else hit[0]) == reference_min_vertex_verdict(adj, limit)
 
     @settings(max_examples=150, deadline=None)
     @given(g=unit_graphs())
@@ -445,7 +471,8 @@ class TestCycleVerdict:
         adj = g.adjacency()
         best = brute_force_girth(g)
         for limit in range(g.n + 2):
-            length = graph_core._cycle_verdict(adj, limit)
+            hit = short_cycle(adj, limit)
+            length = None if hit is None else hit[0]
             free = reference_cycle_free(adj, limit)
             assert (length is None) == free == (best > limit)
             if length is not None:
@@ -474,14 +501,14 @@ class TestCycleVerdict:
     def test_root_reads_no_vertex_below_it(self, monkeypatch):
         # Heawood has girth 6, so at limit 5 every root runs its search out to
         # two hops; root s reads only its ball in the subgraph on s..n-1.  The
-        # shim sits on the lists short_cycle searches, not on g's own.
+        # shim wraps g's own lists, which girth_at_least hands to short_cycle.
         g = named_girth_graph("heawood")
         adj = g.adjacency()
         shims = []
         search = graph_core.short_cycle
 
-        def counted(rest, limit, roots=None):
-            shims.append(_CountingAdjacency(rest))
+        def counted(lists, limit, roots=None):
+            shims.append(_CountingAdjacency(lists))
             return search(shims[-1], limit, roots)
 
         monkeypatch.setattr(graph_core, "short_cycle", counted)
