@@ -588,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spanorm",
         description="Greedy lp-norm spanners, universal lower bounds, extremal generators",
     )
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; rows run sequentially")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -628,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("lcr", "skewed", "lp", "tightness", "named"))
     sp.add_argument("--params", default=None, help="JSON object of parameters")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_gen)
 
     sp = sub.add_parser("oracle", help="brute-force minimum-norm spanner")
@@ -672,7 +671,6 @@ def _is_domain_error(exc: BaseException) -> bool:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # seed is honored by subcommands that draw randomness
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -208,6 +208,18 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
     root it reaches has only clean roots below it, so by ``short_cycle``'s
     same-first-hit rule it meets the first hit of a search of the whole
     graph from root 0.  The final girth check is a full scan.
+
+    Every edge joins a left vertex to a right one, so every cycle is even
+    and every left-right path has odd length.  With ``min_girth`` = 2D + 2
+    the search limit is 2D, not 2D + 1, with the same first hit.  A BFS
+    from any root gives adjacent vertices levels one apart, so a non-tree
+    edge met while scanning a vertex x at level D, which limit 2D + 1 scans
+    and 2D does not, either closes 2D + 2 edges, too many, or leads to a
+    neighbour y at level D - 1 other than x's parent.  That parent came
+    before y in level D - 1, so x was stamped when y was scanned, and that
+    scan already met the edge as a hit of 2D edges.  Likewise a path of at
+    most 2D edges between the ends of a matching edge has at most 2D - 1,
+    and the final check need not look for a cycle of 2D + 1 edges.
     """
     if min_girth % 2 == 1:
         min_girth += 1  # bipartite girth is even
@@ -223,7 +235,7 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
         for i, j in enumerate(perm):
             adj[i].append(side + j)
             adj[side + j].append(i)
-    limit = min_girth - 1  # longest forbidden cycle
+    limit = min_girth - 2  # longest forbidden cycle; none is odd
 
     def first_repeat(i: int):
         """The first k whose ``perms[k][i]`` an earlier matching has, or None."""
@@ -257,7 +269,7 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
         return sorted(v for layer in hop_layers(adj, touched, deepest) for v in layer if v < h)
 
     def edge_clean(left: int, right_vertex: int) -> bool:
-        """No parallel edge and no alternative left->right path < min_girth-1."""
+        """No parallel edge and no other left->right path of < limit edges."""
         nonlocal queries
         target = side + right_vertex
         if adj[left].count(target) > 1:
@@ -324,7 +336,7 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
         for i, j in enumerate(perm):
             edges.append((i, side + j))
     g = Graph(2 * side, edges)
-    assert girth_at_least(g, min_girth)
+    assert girth_at_least(g, min_girth - 1)
     assert all(d == degree for d in g.degrees())
     return g
 

@@ -362,7 +362,8 @@ def within_length(
 
     - Meeting rule: relaxing x-y to a new label ``nd`` returns True as soon
       as y has a label on the other side and ``nd + other[y] <= bound``;
-      both labels are lengths of real paths, so the verdict is sound.
+      both labels are lengths of real paths, so the verdict is sound, also
+      at an infinite cap, which spans exactly the vertices u reaches.
     - Stop rule: False once either heap is empty, or once the two heap tops
       add up to more than the bound.
 
@@ -395,7 +396,7 @@ def within_length(
         for y in adj[x]:
             nd = dx + lengths[(x, y) if x < y else (y, x)]
             if nd <= bound and nd < near.get(y, inf):
-                if nd + far.get(y, inf) <= bound:
+                if y in far and nd + far[y] <= bound:
                     return True
                 near[y] = nd
                 push(heap, (nd, y))

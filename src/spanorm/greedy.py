@@ -98,9 +98,10 @@ def greedy_spanner(g: Graph, t: int) -> Spanner:
     (u, v) whether v's ball of radius floor(t/2) meets it, and on a kept
     edge adds v's layers 0..ceil(t/2)-1 to u's ball (see the module
     docstring).  Weighted edges ask ``within_length`` with cap t*w.  A
-    stretch that is not an ``int`` at least 1 raises ``ValueError``.
+    stretch that is not an ``int`` at least 1, or whose t*w is not a finite
+    float, raises ``ValueError``.
     """
-    _check_stretch(t)
+    _check_stretch(t, g.lengths)
     if t < 1:
         raise ValueError(f"stretch must be a positive integer, got {t}")
     adj: list[list[int]] = [[] for _ in range(g.n)]
@@ -118,10 +119,19 @@ def greedy_spanner(g: Graph, t: int) -> Spanner:
     return Spanner(base=g, kept_edges=tuple(kept), t=t)
 
 
-def _check_stretch(t) -> None:
-    """Refuse a stretch that is not an ``int`` (a bool, float or Fraction)."""
+def _check_stretch(t, lengths=None) -> None:
+    """Refuse a stretch that is not an ``int`` (a bool, float or Fraction),
+    and, on a weighted graph, one whose budget t*w is not a finite float,
+    which the longest edge decides."""
     if isinstance(t, bool) or not isinstance(t, int):
         raise ValueError(f"stretch must be a positive integer, got {t!r}")
+    if lengths:
+        try:
+            top = t * max(lengths.values())
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError("stretch times the longest edge length is not a finite float")
 
 
 def verify_stretch(g: Graph, h: Spanner | Graph, t: int) -> bool:
@@ -131,10 +141,10 @@ def verify_stretch(g: Graph, h: Spanner | Graph, t: int) -> bool:
 
     ``h`` must be a subgraph of ``g``: the same vertex count, only edges of
     ``g``, and ``g``'s lengths on them (none on a unit ``g``).  Anything else
-    raises ``ValueError``, and so does a ``t`` that is not an ``int``; an
-    ``int`` t <= 0 spans no edge.
+    raises ``ValueError``, and so does a ``t`` that is not an ``int`` or
+    whose t*w is not a finite float; an ``int`` t <= 0 spans no edge.
     """
-    _check_stretch(t)
+    _check_stretch(t, g.lengths)
     hg = h.graph() if isinstance(h, Spanner) else h
     lengths = g.lengths
     if lengths is None:
@@ -167,7 +177,8 @@ def _unspanned(adj: list[list[int]], edges, t: int) -> Iterator[tuple[int, int]]
     Marks are per run, so a stale mark of an earlier u never equals u + 1,
     and the ticks are negative, so they never equal any mark.  For t <= 0
     no ball grows and every edge (u != v) is yielded, as ``within_hops``
-    would find it unspanned.
+    would find it unspanned.  A ball stops growing at an empty level, so a
+    t far above n costs no more than t = n.
     """
     a, b = (t + 1) // 2, t // 2
     stamp = [0] * len(adj)
@@ -184,6 +195,8 @@ def _unspanned(adj: list[list[int]], edges, t: int) -> Iterator[tuple[int, int]]
                         if stamp[y] != here:
                             stamp[y] = here
                             nxt.append(y)
+                if not nxt:
+                    break  # u's component is marked
                 frontier = nxt
         if stamp[v] == here:
             continue
@@ -236,15 +249,19 @@ def _spans_by_balls(adj: Sequence[Sequence[int]], edges, t: int) -> bool:
       (it is v itself when d(u,v) <= ceil(t/2)).
 
     For t <= 0 no round runs and both masks are ``1 << x``, so an edge
-    (u != v) is never spanned, as with ``_unspanned``.
+    (u != v) is never spanned, as with ``_unspanned``.  A round that adds
+    nothing ends the rounds, so a t far above n costs no more than t = n.
     """
     ball = [1 << x for x in range(len(adj))]
     small = ball
     half = t // 2
     for r in range(1, t - half + 1):
-        ball = [reduce(or_, map(ball.__getitem__, nbrs), b) for b, nbrs in zip(ball, adj)]
-        if r == half:
-            small = ball
+        grown = [reduce(or_, map(ball.__getitem__, nbrs), b) for b, nbrs in zip(ball, adj)]
+        if r <= half:
+            small = grown
+        if grown == ball:
+            break  # every ball holds its component, as will every later round
+        ball = grown
     return all(ball[u] & small[v] for u, v in edges)
 
 

@@ -54,9 +54,8 @@ pairs (t, p) and relaxed models only:
 - ``_certificate`` (427 float and 375 exact fills), per (t, p, relaxed,
   basis, exact): the lambda-free part of the float or the exact simplex
   certificate of each optimal basis ``solve`` meets, made only for the
-  rung that asks (see ``solve``); about 0.56 kB an entry, key included,
-  as an exact part packs its integers in 32-bit words and a float part
-  its duals in doubles.
+  rung that asks (see ``solve``): plain tuples of ints or floats, about
+  1.2 kB an entry, key included.
 
 ``typed=True`` keeps 2.0 and Fraction(2) apart, since float shapes, caps
 and duals decide with a tolerance.  The caches hold values only, never

@@ -60,7 +60,6 @@ linear solver; the closed-form certificates in ``lb_lp`` use it too.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -257,7 +256,7 @@ def _stored_part(stored, basis, exact: bool):
     return part
 
 
-def _float_duals(prog: _Program, basis) -> bytes:
+def _float_duals(prog: _Program, basis) -> tuple:
     """The part of the float certificate that does not read the rhs: the
     duals ``y = B^-T c_B``, negated back where the program negated the
     input row.
@@ -265,10 +264,9 @@ def _float_duals(prog: _Program, basis) -> bytes:
     Raises ``_NeedsExact`` when B is singular or a reduced cost is below
     ``-VERIFY_TOL``.  B, c and the flips do not involve the rhs.
     """
-    m = prog.m
     try:
         (yvec,) = _dense_solve(
-            [[prog.rows[r][j] for r in range(m)] for j in basis],
+            [[row[j] for row in prog.rows] for j in basis],
             [prog.full_c[j] for j in basis],
         )
     except ZeroDivisionError:
@@ -278,8 +276,7 @@ def _float_duals(prog: _Program, basis) -> bytes:
             used = sum(row[j] * y for row, y in zip(prog.rows, yvec) if row[j])
             if prog.full_c[j] - used < -VERIFY_TOL:
                 raise _NeedsExact
-    # packed doubles keep every bit, -0.0 included, in 8 bytes a dual
-    return struct.pack(f"{m}d", *[-y if flip else y for y, flip in zip(yvec, prog.flipped)])
+    return tuple(-y if flip else y for y, flip in zip(yvec, prog.flipped))
 
 
 def _certified_from_basis(prog: _Program, basis, duals=None) -> LpSolution:
@@ -313,7 +310,7 @@ def _certified_from_basis(prog: _Program, basis, duals=None) -> LpSolution:
             raise _NeedsExact
     x = xfull[:n]
     objective = sum((ci * xi for ci, xi in zip(prog.c, x)), prog.zero)
-    return LpSolution(objective=objective, x=tuple(x), duals=struct.unpack(f"{m}d", duals))
+    return LpSolution(objective=objective, x=tuple(x), duals=duals)
 
 
 def _certified_exact(prog: _Program, basis) -> LpSolution:
@@ -353,13 +350,12 @@ def _exact_parts(prog: _Program, basis, row: int | None = None) -> tuple:
     sign of the unit column's entry, or be 0 for an artificial, so it is
     kept as one or two pairs ``(a, b)``, over their gcd, that must read
     ``a + s b >= 0``.  z and the reduced-cost verdict do not involve the
-    rhs.  Returns ``(costs, ints)``: ``costs`` holds ``(j, c_j)`` for each
-    non-zero cost, and ``ints`` (``_packed``) is ``den``, ``yden``, the
-    lengths of ``x`` and ``bounds``, then ``x``, which holds ``(u_j, w_j)``
-    for every structural column (0 off the core), ``bounds``, the pairs,
-    and ``y``, the duals' numerators over ``yden``.  Raises
-    ``_NeedsExact`` when the basis is singular or a reduced cost is
-    negative, which no shift changes.
+    rhs.  Returns the tuples ``(costs, den, yden, x, bounds, y)``: ``costs``
+    holds ``j, c_j`` for each non-zero cost, ``x`` holds ``u_j, w_j`` for
+    every structural column (0 off the core), ``bounds`` the pairs, and
+    ``y`` the duals' numerators over ``yden``.  Raises ``_NeedsExact`` when
+    the basis is singular or a reduced cost is negative, which no shift
+    changes.
     """
     n = prog.n
     unit = {prog.unit_rows[j - n]: j for j in basis if j >= n}  # row -> column
@@ -408,30 +404,14 @@ def _exact_parts(prog: _Program, basis, row: int | None = None) -> tuple:
     for j, (u, w) in zip(core, xw):
         x[2 * j : 2 * j + 2] = u, w
     costs = tuple(v for j, c in enumerate(prog.c) if c for v in (j, c))
-    return costs, _packed([den, zden, len(x), len(bounds), *x, *bounds, *y])
-
-
-def _packed(ints: list) -> tuple:
-    """``(code, data)``: ``ints`` packed as ``struct`` words of ``code``,
-    32-bit "i" or else 64-bit "q" where they all fit, and otherwise code
-    None and their tuple."""
-    for code in "iq":
-        try:
-            return code, struct.pack(f"{len(ints)}{code}", *ints)
-        except struct.error:
-            pass
-    return None, tuple(ints)
+    return costs, den, zden, tuple(x), tuple(bounds), tuple(y)
 
 
 def _exact_at(parts: tuple, shift) -> LpSolution:
     """The certificate ``parts`` (of ``_exact_parts``) with its row's input
     rhs ``shift`` higher, in integer sign checks; raises ``_NeedsExact``
     unless every basic value stays feasible there."""
-    costs, (code, ints) = parts
-    if code is not None:
-        ints = struct.unpack(f"{len(ints) // struct.calcsize(code)}{code}", ints)
-    den, yden, nx, nb = ints[:4]
-    x_parts, bounds, y = ints[4 : 4 + nx], ints[4 + nx : 4 + nx + nb], ints[4 + nx + nb :]
+    costs, den, yden, x_parts, bounds, y = parts
     sn, sd = shift.as_integer_ratio()
     vals = [u * sd + sn * w for u, w in zip(x_parts[::2], x_parts[1::2])]
     if any(v < 0 for v in vals) or any(

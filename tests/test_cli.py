@@ -309,6 +309,17 @@ class TestSubcommands:
         assert main(["norm", "--input", str(k4_file), "--p", "3/2"]) == 2
         assert "could not convert" in capsys.readouterr().err
 
+    def test_infinite_budget_exit_2(self, tmp_path, capsys):
+        # 3 * 1e308 is not a finite float: refused before any search, where
+        # the greedy used to keep one edge and verify and oracle accept it
+        path = tmp_path / "heavy.edges"
+        path.write_text("3 3\n0 1 1e308\n0 2 1e308\n1 2 1e308\n")
+        for command in ("greedy", "verify", "oracle"):
+            argv = [command, "--input", str(path), "--stretch", "3", "--p", "2"]
+            assert main(argv) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == "" and "finite float" in captured.err, command
+
     def test_invalid_graph_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "inf.edges"
         path.write_text("2 1\n0 1 inf\n")
@@ -765,7 +776,7 @@ sys.exit(code)
 """
 
 HELP = """\
-usage: spanorm [-h] [--seed SEED] [--threads THREADS]
+usage: spanorm [-h] [--threads THREADS]
                {greedy,norm,decompose,lb,lb-sweep,gen,oracle,verify,experiment}
                ...
 
@@ -785,7 +796,6 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --seed SEED
   --threads THREADS     accepted for compatibility; rows run sequentially
 """
 

@@ -605,6 +605,14 @@ class TestWithinLength:
             for v in range(g.n):
                 assert within_length(wg.adjacency(), wg.lengths, u, v, cap) == (u == v)
 
+    def test_infinite_cap_needs_a_path(self):
+        # an infinite cap spans exactly the vertices a path reaches: the
+        # sides meet only on a label both have set
+        adj, lens = [[1], [0], []], {(0, 1): 1.0}
+        assert within_length(adj, lens, 0, 1, math.inf)
+        for u, v in ((0, 2), (2, 0), (1, 2)):
+            assert not within_length(adj, lens, u, v, math.inf)
+
     def test_endpoint_isolated_or_in_a_small_component(self):
         # vertex 0 is isolated and {1, 2} is an edge apart from the path
         # 3-4-...-9, so one heap empties while the other still holds labels

@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 from fractions import Fraction
 from unittest import mock
 
@@ -97,6 +98,46 @@ class TestGreedyExamples:
                 greedy_spanner(g, t)
             with pytest.raises(ValueError, match="positive integer"):
                 verify_stretch(g, g, t)
+
+
+class TestStretchRange:
+    """A stretch far above n answers as t = n does, in time bounded by the
+    graph; a weighted budget t*w must be a finite float."""
+
+    @pytest.mark.parametrize("g", [cycle_graph(4), path_graph(4), petersen_graph(),
+                                   complete_graph(5), Graph(6, [(0, 1), (2, 3), (3, 4)])],
+                             ids=["c4", "p4", "petersen", "k5", "forest"])
+    def test_huge_stretch_equals_stretch_n(self, g):
+        # a search that grew t levels would run for hours; SIGALRM stops it
+        def expire(signum, frame):
+            raise TimeoutError("a stretch of 10**9 took more than 2 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(2)
+        try:
+            huge = greedy_spanner(g, 10**9)
+            assert huge.kept_edges == greedy_spanner(g, g.n).kept_edges
+            for h in (huge.graph(), Graph(g.n, g.edges[1:])):
+                want = verify_stretch(g, h, g.n)
+                assert verify_stretch(g, h, 10**9) is want
+                assert _spans_by_balls(h.adjacency(), g.edges, 10**9) is want
+                scan = _unspanned(list(map(list, h.adjacency())), g.edges, 10**9)
+                assert (next(scan, None) is None) is want
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    def test_infinite_budget_refused(self):
+        # 3 * 1e308 overflows to inf, and 10**400 * w to OverflowError
+        heavy = Graph(3, [(0, 1), (0, 2), (1, 2)], dict.fromkeys([(0, 1), (0, 2), (1, 2)], 1e308))
+        light = Graph(3, [(0, 1), (1, 2)], {(0, 1): 1.0, (1, 2): 2.0})
+        for g, t in ((heavy, 3), (light, 10**400)):
+            with pytest.raises(ValueError, match="finite float"):
+                greedy_spanner(g, t)
+            with pytest.raises(ValueError, match="finite float"):
+                verify_stretch(g, g, t)
+        # at t = 1 the budget 1e308 is finite, and no edge spans another
+        assert greedy_spanner(heavy, 1).kept_edges == heavy.edges
 
 
 class TestGreedyWeighted:

@@ -459,6 +459,21 @@ class TestCertificateCache:
         fresh = solve(build_model(t, p, high.lam), exact=exact)
         assert got.ell == (fresh.ell if exact else pytest.approx(fresh.ell, abs=1e-12))
 
+    def test_parts_are_plain_tuples(self, empty_caches):
+        # a float part is the duals' floats, bit for bit; an exact part is
+        # ints and tuples of ints (this LP's costs are ints)
+        t, p = 4, F(5, 2)
+        model = build_model(t, p, (1 + 1 / p) * F(3, 5))
+        solve(model)
+        basis = model._basis[0]
+        duals = lb_lp._certificate(t, p, True, basis, False)
+        data = lb_lp._lp_data(model)[0]
+        assert type(duals) is tuple
+        assert repr(duals) == repr(simplex._solve(data, False, [basis]).duals)
+        parts = lb_lp._certificate(t, p, True, basis, True)
+        assert type(parts) is tuple and len(parts) == 6
+        assert all(type(v) is int or (type(v) is tuple and all(type(w) is int for w in v))
+                   for v in parts)
 
     @staticmethod
     def made_parts(monkeypatch) -> Counter:
