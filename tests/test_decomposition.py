@@ -1,11 +1,14 @@
 """Vertex classification, coverage, contribution bounds, Phi, and peeling."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
+from spanorm import decomposition
 from spanorm.decomposition import (
     GirthTooSmallError,
     check_coverage,
@@ -16,14 +19,92 @@ from spanorm.decomposition import (
     phi,
 )
 from spanorm.extremal import named_girth_graph, random_bipartite_lift
-from spanorm.graph_core import Graph, girth_at_least, layer_profile, lp_norm, subset_norm
+from spanorm.graph_core import (
+    Graph,
+    girth,
+    girth_at_least,
+    layer_profile,
+    lp_norm,
+    subset_norm,
+)
+from spanorm.greedy import greedy_spanner
 
-from helpers import cycle_graph, petersen_graph, random_connected_graph, star_graph
+from helpers import (
+    bipartite_graphs,
+    complete_graph,
+    cycle_graph,
+    petersen_graph,
+    random_connected_graph,
+    star_graph,
+)
+
+NAMED = ("petersen", "heawood", "mcgee", "robertson", "tutte_coxeter",
+         "pg2_2", "pg2_3", "pg2_4", "pg2_5")
+
+# sha256 of decomposition_outputs_digest(), recorded when every layer count
+# came from a BFS per vertex: the classes, norms and Phi must not move with
+# the way the counts are made.
+DECOMPOSITION_PIN = "776fdc7fd6f50e26f5e9ba62e50d33d68addb84c7516ae6961b79073ba4c86e0"
 
 
 def random_tree(rng, n):
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     return Graph(n, edges)
+
+
+def pin_cases():
+    """``(label, graph, ks)`` for the pin: the named graphs, the acceptance
+    lifts, the two ``desk_suite`` lift sizes at seeds 0-7, graphs below the
+    girth bound of every k they are read at, and forests, whose layers run
+    out before k."""
+    for name in NAMED:
+        yield name, named_girth_graph(name), (3, 4, 5)
+    yield "lift_4reg_g8", random_bipartite_lift(300, 4, 8, seed=11), (3, 4)
+    yield "lift_3reg_g10", random_bipartite_lift(350, 3, 10, seed=5), (3, 4, 5)
+    for seed in range(8):
+        yield f"lift.300.4.8.{seed}", random_bipartite_lift(300, 4, 8, seed=seed), (3,)
+        yield f"lift.350.3.10.{seed}", random_bipartite_lift(350, 3, 10, seed=seed), (4,)
+    for n in range(3, 11):
+        yield f"cycle.{n}", cycle_graph(n), (3, 4, 5)
+    yield "k5", complete_graph(5), (3, 4, 5)
+    rng = random.Random(41)
+    for i in range(6):
+        g = random_connected_graph(rng, 16 + 4 * i, 24 + 10 * i)
+        yield f"random.{i}", g, (3, 4, 5)
+    for i in range(4):
+        yield f"tree.{i}", random_tree(rng, 5 + 9 * i), (3, 4, 5, 12)
+    yield "star.9", star_graph(9), (3, 4, 12)
+    yield "forest", Graph(7, [(0, 1), (1, 2), (4, 5)]), (3, 5, 12)
+    yield "empty.1", Graph(1, []), (3, 4)
+    yield "empty.5", Graph(5, []), (3, 4)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - the name is pinned too
+        return type(exc).__name__
+
+
+def decomposition_outputs_digest() -> str:
+    lines = []
+    for label, g, ks in pin_cases():
+        for k in ks:
+            classes = _outcome(classify, g, k)
+            if not isinstance(classes, str):
+                classes = (sorted(classes.low), sorted(classes.med),
+                           [(j, sorted(classes.high[j])) for j in sorted(classes.high)])
+            report = _outcome(class_contributions, g, k)
+            if not isinstance(report, str):
+                report = (sorted((repr(key), repr(v)) for key, v in report.norms.items()),
+                          report.min_degree)
+            lines.append(repr((label, k, classes, report)))
+        for k in (1, 2) + ks:
+            value = _outcome(phi, g, k)
+            if isinstance(value, F):
+                value = (value.numerator, value.denominator)
+            lines.append(repr((label, k, value)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestClassify:
@@ -188,8 +269,6 @@ class TestStructuralInequalities:
 
     def test_holder_reduction(self):
         # ||H||_p <= n**(1/p - (k-1)/k) ||H||_{k/(k-1)} for p < k/(k-1)
-        from spanorm.greedy import greedy_spanner
-
         rng = random.Random(23)
         g = random_connected_graph(rng, 80, 400)
         for k in (2, 3):
@@ -234,3 +313,102 @@ class TestPeel:
         g = named_girth_graph("pg2_3")  # 4-regular
         result = peel_low_degree(g)
         assert result.core == frozenset(range(g.n))
+
+
+def bfs_table(g, r):
+    """``d_0(v) .. d_r(v)`` for every v, one BFS per vertex: the definition."""
+    return [layer_profile(g, v, r).counts for v in range(g.n)]
+
+
+def as_table(rows, n, r):
+    """Per-vertex tuples of ``rows``, read as 0 past the last row given."""
+    rows = rows + [[0] * n] * (r + 1 - len(rows))
+    return [tuple(row[v] for row in rows) for v in range(n)]
+
+
+def assert_walks_match(g, max_r=10):
+    """The recurrence equals the BFS at every r with girth >= 2r+1."""
+    top = girth(g)
+    r = 0
+    while r <= max_r and top >= 2 * r + 1:
+        assert as_table(decomposition._walk_rows(g, r), g.n, r) == bfs_table(g, r), r
+        r += 1
+
+
+class TestLayerCounts:
+    def test_outputs_pinned(self):
+        assert decomposition_outputs_digest() == DECOMPOSITION_PIN
+
+    def test_walks_match_bfs_on_trees(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            assert_walks_match(random_tree(rng, rng.randint(1, 40)), max_r=12)
+
+    def test_walks_match_bfs_on_greedy_spanners(self):
+        rng = random.Random(17)
+        for _ in range(6):
+            g = random_connected_graph(rng, rng.randint(10, 40), rng.randint(40, 120))
+            for t in range(3, 10):
+                assert_walks_match(greedy_spanner(g, t).graph())
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=bipartite_graphs())
+    def test_walks_match_bfs_on_bipartite_graphs(self, pair):
+        for g in pair:
+            assert_walks_match(g)
+
+    def test_walks_match_bfs_on_named_graphs_and_lifts(self):
+        for name in NAMED:
+            assert_walks_match(named_girth_graph(name))
+        for seed in (0, 1, 2):
+            assert_walks_match(random_bipartite_lift(60, 3, 8, seed=seed))
+            assert_walks_match(random_bipartite_lift(120, 3, 10, seed=seed))
+
+    def test_low_girth_takes_bfs(self, monkeypatch):
+        # below girth 2r+1 the walks overcount, so the BFS must answer
+        pg23 = named_girth_graph("pg2_3")
+        assert as_table(decomposition._walk_rows(pg23, 3), pg23.n, 3) != bfs_table(pg23, 3)
+        cases = [(pg23, 3)] + [(cycle_graph(n), k) for k in (3, 4, 5) for n in range(3, 2 * k + 1)]
+        expected = [(classify(g, k), _outcome(phi, g, k)) for g, k in cases]
+
+        def refuse(g, radius):
+            raise AssertionError("walk recurrence used below the girth bound")
+
+        monkeypatch.setattr(decomposition, "_walk_rows", refuse)
+        # a triangle with two tails: vertex 0's layers run out before vertex 5's
+        lollipop = Graph(6, [(0, 1), (0, 2), (1, 5), (2, 3), (2, 4), (3, 4)])
+        for r in range(8):
+            assert as_table(decomposition._layer_rows(lollipop, r, False), 6, r) == bfs_table(lollipop, r)
+        for (g, k), want in zip(cases, expected):
+            assert as_table(decomposition._layer_rows(g, k, False), g.n, k) == bfs_table(g, k)
+            assert (classify(g, k), _outcome(phi, g, k)) == want
+
+    def test_one_girth_verdict_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(g, bound):
+            calls.append(bound)
+            return girth_at_least(g, bound)
+
+        monkeypatch.setattr(decomposition, "girth_at_least", counted)
+        g = named_girth_graph("mcgee")
+        for call in (classify, check_coverage, class_contributions, phi):
+            calls.clear()
+            call(g, 3)
+            assert calls == [7], call.__name__
+
+    def test_layers_past_the_last_stop(self):
+        # a path's layers run out after 3 hops; a huge k builds none past them
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert len(decomposition._layer_rows(g, 10**6, True)) == 4
+        assert check_coverage(g, 10**5)
+        ring = cycle_graph(5)
+        assert len(decomposition._layer_rows(ring, 10**6, False)) == 3
+
+    def test_non_int_k_refused(self):
+        g = named_girth_graph("mcgee")
+        for call in (classify, check_coverage, class_contributions, phi):
+            for k in (3.0, F(3), True):
+                with pytest.raises(ValueError, match=r"^k must be an integer") as info:
+                    call(g, k)
+                assert info.type is ValueError, (call.__name__, k)
