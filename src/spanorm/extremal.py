@@ -610,15 +610,13 @@ class LayeredInstance:
                              f"materialization budget {HOST_EDGE_BUDGET}")
         return self.explicit_host or Graph(self.n, self.edges(host=True))
 
-    def spanner_norm(self, p=None) -> float:
-        p = self.p if p is None else p
+    def spanner_norm(self) -> float:
         counts = self.spanner_degree_counts()
-        return degree_norm(counts.keys(), p, counts.values())
+        return degree_norm(counts.keys(), self.p, counts.values())
 
-    def host_norm(self, p=None) -> float:
-        p = self.p if p is None else p
+    def host_norm(self) -> float:
         counts = self.host_degree_counts()
-        return degree_norm(counts.keys(), p, counts.values())
+        return degree_norm(counts.keys(), self.p, counts.values())
 
     def measured(self) -> dict:
         log_n = math.log(self.n)

@@ -290,10 +290,13 @@ def hop_layers(adj: Sequence[Sequence[int]], sources: Iterable[int], r: int) -> 
 def layer_profile(g: Graph, v: int, r: int) -> LayerProfile:
     """BFS layer sizes around ``v`` by hop count, truncated at radius ``r``.
 
-    Edge lengths are ignored here by definition.
+    Edge lengths are ignored here by definition.  ``r`` must be an ``int``;
+    a bool, float or other type raises ``GraphError``.
     """
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range for n={g.n}")
+    if isinstance(r, bool) or not isinstance(r, int):
+        raise GraphError(f"radius r must be an integer, got {r!r}")
     if r < 0:
         raise GraphError(f"radius must be non-negative, got {r}")
     counts = tuple(map(len, hop_layers(g.adjacency(), (v,), r)))

@@ -31,28 +31,28 @@ exact output and float input float output.  Lambda must lie in the LP's
 own range (0, 1 + 1/p], tested with no slack (``_check_lambda``); every
 test against an interior range cap goes through ``_at_most``: exact when
 both sides are Fractions, and with a 1e-12 relative slack otherwise.
-``verify_certificate`` still checks in float, at an absolute ``tol``, even
-for exact certificates; an exact referee for it is an open item in
-ROADMAP.md.
+``verify_certificate`` still checks in float, at the absolute
+``CERTIFICATE_TOL``, even for exact certificates; an exact referee for it
+is an open item in ROADMAP.md.
 
 What depends on (t, p) alone is derived once, by six functions under
 ``functools.lru_cache(maxsize=None, typed=True)``; the fill counts are
 those of one cold pass of the ``lb_certify`` grid, which asks about 70
-pairs (t, p) and relaxed models only:
+pairs (t, p):
 
 - ``_base`` (70 fills): the base shape of ``derive_lcr``, its nice-range
   cap and closed-form slope ell / lambda;
 - ``_base_dual`` (54): its dual, on first certificate in the nice range;
 - ``_walk`` (36): the interpolation walk with each walk shape's exponent
   at its cap, on first lambda above the base cap;
-- ``_unit`` (70), per (t, p, relaxed): the model at lambda = 1, the one
-  model that ``_tight_system``, ``_lp_dual`` and ``_certificate`` read,
-  about 6 kB;
+- ``_unit`` (70), per (t, p): the model at lambda = 1, the one model
+  that ``_tight_system``, ``_lp_dual`` and ``_certificate`` read, about
+  6 kB;
 - ``_primal_terms`` (116), per (shape, p): the one solve of the shape's
   tight rows, plain or skewed, as tuples over its tight columns, so a
   primal at any lambda is x0 + lambda * x1 (x1 alone for a plain shape);
-- ``_certificate`` (427 float and 375 exact fills), per (t, p, relaxed,
-  basis, exact): the lambda-free part of the float or the exact simplex
+- ``_certificate`` (427 float and 375 exact fills), per (t, p, basis,
+  exact): the lambda-free part of the float or the exact simplex
   certificate of each optimal basis ``solve`` meets, made only for the
   rung that asks (see ``solve``): plain tuples of ints or floats, about
   1.2 kB an entry, key included.
@@ -264,7 +264,8 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class LbLpModel:
-    """The lower-bound LP in log space; all rows are ``coeffs . x >= rhs``.
+    """The relaxed lower-bound LP of ``build_model`` in log space; all rows
+    are ``coeffs . x >= rhs``.
 
     The model never sees n: coefficients depend on p and lambda only, so two
     builds at different nominal n are identical object for object.
@@ -277,12 +278,10 @@ class LbLpModel:
     t: int
     p: object
     lam: object
-    relaxed: bool
     var_names: tuple[str, ...]
     row_names: tuple[str, ...]
     rows: tuple[tuple, ...]
     rhs: tuple
-    eq_rows: frozenset = field(default_factory=frozenset)
     _basis: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def objective_vector(self):
@@ -296,14 +295,13 @@ def _check_tp(t: int, p) -> None:
         raise ParameterError(f"p must be a finite real >= 1, got {p}")
 
 
-def build_model(t: int, p, lam, relaxed: bool = True) -> LbLpModel:
+def build_model(t: int, p, lam) -> LbLpModel:
     """Log-space LP for stretch t, norm parameter p, p-log density lambda.
 
-    ``relaxed=True`` builds the reduced program actually solved by default
-    (one aggregated spanning row, one Delta variable); ``relaxed=False``
-    keeps the full constraint list, including the per-layer expansion
-    variables, for the equal-optimum verification mode.  The model keeps
-    ``p`` and ``lam`` as given.
+    The relaxed program: one aggregated spanning row and one Delta variable
+    stand in for the per-layer reachability variables of the full program,
+    with the same optimum (the test suite solves the full program as its
+    reference).  The model keeps ``p`` and ``lam`` as given.
     """
     _check_tp(t, p)
     exact_p = _exactify(p)
@@ -311,84 +309,46 @@ def build_model(t: int, p, lam, relaxed: bool = True) -> LbLpModel:
     q = _q(exact_p)
     _check_lambda(exact_p, lam)
 
-    nus = [f"nu{i}" for i in range(t + 1)]
     deltas = [f"delta{i}" for i in range(1, t + 1)]
-    if relaxed:
-        var_names = ["ell", *nus, *deltas, "Delta"]
-    else:
-        var_names = ["ell", *nus, *deltas] + [f"Delta{i}" for i in range(1, t + 1)]
+    var_names = ("ell", *(f"nu{i}" for i in range(t + 1)), *deltas, "Delta")
     index = {v: k for k, v in enumerate(var_names)}
-    nvar = len(var_names)
-
     row_names: list[str] = []
     rows: list[tuple] = []
     rhs: list = []
-    eq_rows: set[int] = set()
 
-    def add(name: str, coeffs: Mapping[str, object], r, eq: bool = False) -> None:
-        vec = [0] * nvar
+    def add(name: str, coeffs: Mapping[str, object], r) -> None:
+        vec = [0] * len(var_names)
         for var, cf in coeffs.items():
             vec[index[var]] = cf
-        if eq:
-            eq_rows.add(len(rows))
         row_names.append(name)
         rows.append(tuple(vec))
         rhs.append(r)
 
-    def norm_rows() -> None:
-        for i in range(1, t + 1):
-            # (12), (1) left degree-norm: ell - nu_{i-1}/p - delta_i >= 0
-            add(f"left{i}", {"ell": 1, f"nu{i - 1}": -one_over_p, f"delta{i}": -1}, 0)
-        for i in range(1, t + 1):
-            # (13), (2) right degree-norm: ell + q*nu_i - nu_{i-1} - delta_i >= 0
-            add(f"right{i}", {"ell": 1, f"nu{i}": q, f"nu{i - 1}": -1, f"delta{i}": -1}, 0)
-
-    def grow_rows() -> None:
-        for i in range(1, t + 1):
-            # (14), (4) expansion: nu_{i-1} + delta_i - nu_i >= 0
-            add(f"grow{i}", {f"nu{i - 1}": 1, f"delta{i}": 1, f"nu{i}": -1}, 0)
-
-    if relaxed:
-        # (11) spanning: sum delta_i - Delta >= 0
-        add("span", {**{d: 1 for d in deltas}, "Delta": -1}, 0)
-        norm_rows()
-        grow_rows()
-        # (15) density: nu_0/p + Delta >= lambda
-        add("density", {"nu0": one_over_p, "Delta": 1}, lam)
-        # (16) final layer: nu_t - Delta >= 0
-        add("final", {f"nu{t}": 1, "Delta": -1}, 0)
-        # (17) size cap: -nu_t >= -1
-        add("cap", {f"nu{t}": -1}, -1)
-    else:
-        norm_rows()
-        for i in range(1, t + 1):
-            # (3) degree at most layer size
-            add(f"degsize{i}", {f"nu{i}": 1, f"delta{i}": -1}, 0)
-        grow_rows()
-        # (5) Delta_1 = d_1
-        add("ddef", {"Delta1": 1, "delta1": -1}, 0, eq=True)
-        for i in range(2, t + 1):
-            # (6) reachability product
-            add(f"dgrow{i}", {f"Delta{i - 1}": 1, f"delta{i}": 1, f"Delta{i}": -1}, 0)
-        for i in range(2, t + 1):
-            # (7) reachability capped by layer size
-            add(f"dsize{i}", {f"nu{i}": 1, f"Delta{i}": -1}, 0)
-        # (8) density
-        add("density", {"nu0": one_over_p, f"Delta{t}": 1}, lam)
-        for i in range(t + 1):
-            # (9) layer sizes at most n
-            add(f"size{i}", {f"nu{i}": -1}, -1)
-
+    # (11) spanning: sum delta_i - Delta >= 0
+    add("span", {**{d: 1 for d in deltas}, "Delta": -1}, 0)
+    for i in range(1, t + 1):
+        # (12) left degree-norm: ell - nu_{i-1}/p - delta_i >= 0
+        add(f"left{i}", {"ell": 1, f"nu{i - 1}": -one_over_p, f"delta{i}": -1}, 0)
+    for i in range(1, t + 1):
+        # (13) right degree-norm: ell + q*nu_i - nu_{i-1} - delta_i >= 0
+        add(f"right{i}", {"ell": 1, f"nu{i}": q, f"nu{i - 1}": -1, f"delta{i}": -1}, 0)
+    for i in range(1, t + 1):
+        # (14) expansion: nu_{i-1} + delta_i - nu_i >= 0
+        add(f"grow{i}", {f"nu{i - 1}": 1, f"delta{i}": 1, f"nu{i}": -1}, 0)
+    # (15) density: nu_0/p + Delta >= lambda
+    add("density", {"nu0": one_over_p, "Delta": 1}, lam)
+    # (16) final layer: nu_t - Delta >= 0
+    add("final", {f"nu{t}": 1, "Delta": -1}, 0)
+    # (17) size cap: -nu_t >= -1
+    add("cap", {f"nu{t}": -1}, -1)
     return LbLpModel(
         t=t,
         p=p,
         lam=lam,
-        relaxed=relaxed,
-        var_names=tuple(var_names),
+        var_names=var_names,
         row_names=tuple(row_names),
         rows=tuple(rows),
         rhs=tuple(rhs),
-        eq_rows=frozenset(eq_rows),
     )
 
 
@@ -402,7 +362,7 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
     """Optimal ell and the optimal duals for the model.
 
     ``duals`` maps each row name to its multiplier u_r in the model's own
-    sign convention: u_r >= 0 on the ``>=`` rows, the column sums
+    sign convention: u_r >= 0 on every row (all are ``>=``), the column sums
     ``sum_r A[r][j] * u_r`` stay at most c_j, and ``rhs . u`` equals ell.
     ``exact=True`` runs the simplex in rational arithmetic on a model built
     with p and lambda as ints or Fractions; a float p or lambda raises
@@ -422,10 +382,10 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
     alike, is the one a fresh model gives, in either call order.
 
     Lambda enters only the density row's rhs, so a basis's certificate has
-    a lambda-free part, made for each mode once per (t, p, relaxed, basis),
-    when that mode first asks, by ``_certificate`` on the model at
-    lambda = 1, and a part affine in lambda, read here: the exact basic
-    values ``(u + s w) / den`` at s = lambda - 1, or the float basic values
+    a lambda-free part, made for each mode once per (t, p, basis), when
+    that mode first asks, by ``_certificate`` on the model at lambda = 1,
+    and a part affine in lambda, read here: the exact basic values
+    ``(u + s w) / den`` at s = lambda - 1, or the float basic values
     ``B^-1 b`` solved at this lambda.  A basis refused at this lambda climbs
     the simplex ladder as before.  The answers are those of a certificate
     made afresh.
@@ -435,53 +395,41 @@ def solve(model: LbLpModel, exact: bool = False) -> SolveResult:
             f"exact solve needs int or Fraction p and lambda, got p={model.p!r}, "
             f"lambda={model.lam!r}"
         )
-    data, ub, eq = _lp_data(model)
     # the density row goes in negated, its rhs at -lambda: 1 - lambda above
     # its rhs at lambda = 1
-    stored = functools.partial(_certificate, model.t, model.p, model.relaxed)
-    sol = _solve(data, exact, model._basis, (stored, 1 - model.lam))
-    # the >= rows went in negated: u_r = -y_r
-    duals = {model.row_names[i]: -y for i, y in zip(ub, sol.duals)}
-    duals.update((model.row_names[i], y) for i, y in zip(eq, sol.duals[len(ub) :]))
+    stored = functools.partial(_certificate, model.t, model.p)
+    sol = _solve(_lp_data(model), exact, model._basis, (stored, 1 - model.lam))
+    # the rows went in negated: u_r = -y_r
+    duals = {name: -y for name, y in zip(model.row_names, sol.duals)}
     return SolveResult(ell=sol.objective, duals=duals)
 
 
 def _lp_data(model: LbLpModel):
-    """``(data, ub, eq)``: the model as ``simplex._solve`` data and the model
-    rows behind its ``A_ub`` rows (the ``>=`` rows, negated) and ``A_eq``
-    rows."""
-    ub = [i for i in range(len(model.rows)) if i not in model.eq_rows]
-    eq = sorted(model.eq_rows)
-    data = (
-        model.objective_vector(),
-        [[-v for v in model.rows[i]] for i in ub],
-        [-model.rhs[i] for i in ub],
-        [model.rows[i] for i in eq],
-        [model.rhs[i] for i in eq],
-    )
-    return data, ub, eq
+    """The model as ``simplex._solve`` data: its ``>=`` rows negated into
+    ``A_ub``, in model order, and no ``A_eq``."""
+    return (model.objective_vector(), [[-v for v in row] for row in model.rows],
+            [-r for r in model.rhs], (), ())
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _unit(t: int, p, relaxed: bool) -> LbLpModel:
-    """The model of (t, p, relaxed) at lambda = 1, where everything
-    lambda-free about the family is read."""
-    return build_model(t, p, 1, relaxed)
+def _unit(t: int, p) -> LbLpModel:
+    """The model of (t, p) at lambda = 1, where everything lambda-free about
+    the family is read."""
+    return build_model(t, p, 1)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _certificate(t: int, p, relaxed: bool, basis: tuple, exact: bool):
+def _certificate(t: int, p, basis: tuple, exact: bool):
     """The lambda-free part of the float (``exact`` False) or the exact
-    certificate of ``basis`` (``simplex._part``) for the models of
-    (t, p, relaxed), made on ``_unit`` whichever lambda asks first, and
-    only for the rung that asks.
+    certificate of ``basis`` (``simplex._part``) for the models of (t, p),
+    made on ``_unit`` whichever lambda asks first, and only for the rung
+    that asks.
 
     Lambda moves only the density row's rhs, and never its sign, so the
     program's rows, costs and flips are those of every lambda.
     """
-    model = _unit(t, p, relaxed)
-    data, ub, _eq = _lp_data(model)
-    return _part(data, basis, ub.index(model.row_names.index("density")), exact)
+    model = _unit(t, p)
+    return _part(_lp_data(model), basis, model.row_names.index("density"), exact)
 
 
 # -- (L,C,R) derivation ------------------------------------------------------
@@ -775,7 +723,7 @@ def predicted_exponent(t: int, p, lam):
 
 def _tight_system(params: LcrParams, p) -> tuple:
     """``(model, support, tight)``: the shape's complementary-slackness system
-    on the relaxed model at lambda = 1 (``_unit``).
+    on the model at lambda = 1 (``_unit``).
 
     ``support`` holds the rows that may carry nonzero dual values, as
     ``(name, row)`` pairs, and the shape's primal meets them with equality;
@@ -799,7 +747,7 @@ def _tight_system(params: LcrParams, p) -> tuple:
     if params.skew != SKEW_NONE:
         rows.add("cap")
     idle = {f"delta{i}" for i in range(1, first_delta)}
-    model = _unit(t, p, True)
+    model = _unit(t, p)
     support = [(r, row) for r, row in zip(model.row_names, model.rows) if r in rows]
     tight = [j for j, name in enumerate(model.var_names) if name not in idle]
     if len(support) != len(tight):
@@ -1000,8 +948,11 @@ def _lp_dual(params: LcrParams, p) -> DualCertificate:
     complementary slackness one optimal dual at lambda = 1 certifies the
     whole nice-range ray.
     """
-    duals = solve(_unit(params.t, p, True), exact=isinstance(p, Fraction)).duals
+    duals = solve(_unit(params.t, p), exact=isinstance(p, Fraction)).duals
     return _package_certificate(duals, params, p, params.t)
+
+
+CERTIFICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -1017,16 +968,15 @@ def verify_certificate(
     model: LbLpModel,
     primal: Mapping[str, object],
     cert: DualCertificate,
-    tol: float = 1e-9,
 ) -> CertificateCheck:
     """Dual feasibility + complementary slackness + objective agreement.
 
-    All three parts are checked against the relaxed model within ``tol``
-    (absolute); any failure is reported with the offending row or column
-    name rather than raised.
+    All three parts are checked against the model in float, within the
+    absolute ``CERTIFICATE_TOL``, which bounds only these float checks (an
+    exact referee is an open item in ROADMAP.md); any failure is reported
+    with the offending row or column name rather than raised.
     """
-    if not model.relaxed:
-        raise ParameterError("certificates pair with the relaxed model")
+    tol = CERTIFICATE_TOL
     t = model.t
     dual_by_row = {"span": cert.x, "density": cert.y, "final": cert.w, "cap": cert.s}
     for i in range(1, t + 1):

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from spanorm.extremal import _gap_forward, _lift_repair_rounds
 from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, within_hops
 from spanorm.greedy import Spanner
-from spanorm.simplex import LpSolution, _integer_rows, _integer_solve, _NeedsExact
+from spanorm.lb_lp import ParameterError
+from spanorm.simplex import LpSolution, _integer_rows, _integer_solve, _NeedsExact, solve_lp
 
 
 def path_graph(k: int) -> Graph:
@@ -451,6 +452,71 @@ def dense_certified_exact(prog, basis) -> LpSolution:
         for z, row, j, flip in zip(znum, irows, prog.start_basis, prog.flipped)
     )
     return LpSolution(objective=objective, x=tuple(x), duals=duals)
+
+
+def full_lb_model(t: int, p, lam) -> tuple:
+    """``(var_names, row_names, rows, rhs)`` of the full lower-bound LP at
+    (t, p, lambda), the reference for ``lb_lp.build_model``'s relaxation.
+
+    Rows (1)-(9) keep a reachability exponent Delta_i per layer where the
+    relaxed program aggregates one spanning row and one Delta.  Every row
+    is ``coeffs . x >= rhs`` except ``ddef``, an equality; an int p becomes
+    a Fraction, so the coefficients take the library model's types.
+    """
+    p = Fraction(p) if type(p) is int else p
+    one_over_p, q = 1 / p, (p - 1) / p
+    layers = range(1, t + 1)
+    var_names = ("ell", *(f"nu{i}" for i in range(t + 1)), *(f"delta{i}" for i in layers),
+                 *(f"Delta{i}" for i in layers))
+    rows = []
+
+    def add(name, coeffs, r):
+        rows.append((name, tuple(coeffs.get(v, 0) for v in var_names), r))
+
+    for i in layers:
+        # (1) left degree-norm: ell - nu_{i-1}/p - delta_i >= 0
+        add(f"left{i}", {"ell": 1, f"nu{i - 1}": -one_over_p, f"delta{i}": -1}, 0)
+    for i in layers:
+        # (2) right degree-norm: ell + q*nu_i - nu_{i-1} - delta_i >= 0
+        add(f"right{i}", {"ell": 1, f"nu{i}": q, f"nu{i - 1}": -1, f"delta{i}": -1}, 0)
+    for i in layers:
+        # (3) degree at most layer size
+        add(f"degsize{i}", {f"nu{i}": 1, f"delta{i}": -1}, 0)
+    for i in layers:
+        # (4) expansion: nu_{i-1} + delta_i - nu_i >= 0
+        add(f"grow{i}", {f"nu{i - 1}": 1, f"delta{i}": 1, f"nu{i}": -1}, 0)
+    # (5) Delta_1 = delta_1
+    add("ddef", {"Delta1": 1, "delta1": -1}, 0)
+    for i in layers[1:]:
+        # (6) reachability product
+        add(f"dgrow{i}", {f"Delta{i - 1}": 1, f"delta{i}": 1, f"Delta{i}": -1}, 0)
+    for i in layers[1:]:
+        # (7) reachability capped by layer size
+        add(f"dsize{i}", {f"nu{i}": 1, f"Delta{i}": -1}, 0)
+    # (8) density
+    add("density", {"nu0": one_over_p, f"Delta{t}": 1}, lam)
+    for i in range(t + 1):
+        # (9) layer sizes at most n
+        add(f"size{i}", {f"nu{i}": -1}, -1)
+    return (var_names, *zip(*rows))
+
+
+def solve_full_lb(t: int, p, lam, exact: bool = False) -> tuple:
+    """``(sol, duals)``: ``simplex.solve_lp``'s answer on ``full_lb_model``,
+    its ``>=`` rows negated into ``A_ub`` and ``ddef`` as ``A_eq``, and the
+    duals by row name in ``lb_lp.solve``'s sign convention: u = -y on the
+    ``>=`` rows, u = y on ``ddef``.  As in ``lb_lp.solve``, an exact solve
+    of a float p or lambda raises ``ParameterError``."""
+    if exact and (isinstance(p, float) or isinstance(lam, float)):
+        raise ParameterError("exact solve needs int or Fraction p and lambda")
+    var_names, names, rows, rhs = full_lb_model(t, p, lam)
+    ge = [i for i, name in enumerate(names) if name != "ddef"]
+    eq = names.index("ddef")
+    sol = solve_lp([int(v == "ell") for v in var_names], [[-v for v in rows[i]] for i in ge],
+                   [-rhs[i] for i in ge], [rows[eq]], [rhs[eq]], exact=exact)
+    duals = {names[i]: -y for i, y in zip(ge, sol.duals)}
+    duals["ddef"] = sol.duals[-1]
+    return sol, duals
 
 
 def reference_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> Graph:

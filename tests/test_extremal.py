@@ -169,7 +169,7 @@ class TestBuildLcr:
         inst = build_lcr(LcrParams(1, 0, 1), 2.0, 8)
         assert inst.layer_sizes == (8, 1, 8)
         # one central vertex joined to both sides: norm is Theta(side size)
-        assert inst.spanner_norm(2.0) == pytest.approx(math.sqrt(2 * 8 + 16**2), rel=1e-12)
+        assert inst.spanner_norm() == pytest.approx(math.sqrt(2 * 8 + 16**2), rel=1e-12)
 
     def test_stretch_verified_exhaustively_small(self):
         for params, p, size in [
@@ -455,8 +455,8 @@ class TestBuildFromLp:
         n = 1024
         # host norm carries the density within the w.h.p. slack; spanner norm
         # stays within a log factor of n**ell
-        assert inst.host_norm(2.0) >= n ** (0.9 * 1.0)
-        assert inst.spanner_norm(2.0) <= 8 * math.log(n) * n**0.5
+        assert inst.host_norm() >= n ** (0.9 * 1.0)
+        assert inst.spanner_norm() <= 8 * math.log(n) * n**0.5
 
     def test_seeded_determinism(self):
         a = build_from_lp(self._optimum(), 1024, seed=7, t=3)

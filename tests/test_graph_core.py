@@ -239,6 +239,13 @@ class TestLayerProfile:
         g = petersen_graph()
         assert sum(layer_profile(g, 0, 5).counts) == 10
 
+    @pytest.mark.parametrize("r", [2.5, 2.0, True])
+    def test_non_int_radius_refused(self, r):
+        # a float used to raise a bare TypeError from range, and True
+        # answered as r = 1
+        with pytest.raises(GraphError, match="radius r must be an integer"):
+            layer_profile(petersen_graph(), 0, r)
+
     @settings(max_examples=200, deadline=None)
     @given(g=unit_graphs(), data=st.data())
     def test_hop_layers_match_floyd_warshall(self, g, data):

@@ -34,13 +34,15 @@ from spanorm.lb_lp import (
     verify_certificate,
     verify_lcr_conditions,
 )
+from helpers import full_lb_model, solve_full_lb
 from test_acceptance import GRID_LAMBDA_POINTS, GRID_PS, GRID_TS
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # the rational p of the lb_certify benchmark grid
 GRID_RATIONAL_PS = [F(101, 100), F(11, 10), F(13, 10), F(9, 5), F(2), F(5, 2), F(3), F(5), F(10)]
-# sha256 of repr((row_names, rows, rhs)) of build_model(t, p, 1, relaxed): the
-# row order, every coefficient and its type, all of which steer the simplex
+# sha256 of repr((row_names, rows, rhs)) at lambda = 1 of build_model (True)
+# and of the full reference program full_lb_model (False): the row order,
+# every coefficient and its type, all of which steer the simplex
 MODEL_ROW_PINS = {
     (3, F(2), True): "1151415396c8a24b2d22bd19a6b16cde838bc1e57d09e25aee400edefab3aaf9",
     (3, F(2), False): "34d58639708221c1ef141caa63c57c5098e2590159abc17956bb1f223cc85afd",
@@ -62,16 +64,17 @@ PRIMAL_PIN = "e8b654feff76d689aabf52d0bdcd69ed29c8ffa189d90db03fd5e6ec8f81cc18"
 PRIMAL_PS = [F(1), F(101, 100), F(11, 10), F(3, 2), F(2), F(5, 2), F(3), F(10),
              GOLDEN, 1.01, 2.5, 7.0]
 # sha256 of repr((ell, sorted(duals.items()))) of every solve outcome (the
-# exception name where one raises), float and exact, relaxed and full models,
-# over t 1-9, eight p and four lambdas; recorded before the exact certificate
-# solved on the tight-row core of the basis
+# exception name where one raises), float and exact, relaxed and full models
+# (the full one through solve_full_lb), over t 1-9, eight p and four lambdas;
+# recorded before the exact certificate solved on the tight-row core of the
+# basis, and before the full program left the library
 SOLVE_PIN = "4ab5481361db046ac8728b2c8e3a66a0736983373c24306f4da6504829dbaebb"
 # sha256 of repr((objective, x, duals)) of the simplex answer behind every
 # solve (the exception name where one raises), float and exact, relaxed and
-# full models, over t 1-9, GRID_PS with the int and float forms of p, and
-# lambda = k/20 of the LP's range (see certificate_outcomes); recorded from
-# certificates made afresh at each lambda, before the lambda-free part of a
-# basis's certificate was cached
+# full models (the full one through solve_full_lb), over t 1-9, GRID_PS with
+# the int and float forms of p, and lambda = k/20 of the LP's range (see
+# certificate_outcomes); recorded from certificates made afresh at each
+# lambda, before the lambda-free part of a basis's certificate was cached
 ANSWER_PIN = "8768b5a8394743e5bec0b66b7bd8bdf5cab2a705decd51116876ef07be7810aa"
 
 
@@ -149,12 +152,17 @@ def solve_outcomes_digest() -> str:
             rational = isinstance(p, F)
             for k in (1, 4, 7, 10):
                 lam = (1 + 1 / p) * (F(k, 10) if rational else k / 10)
-                for relaxed in (True, False):
-                    model = build_model(t, p, lam, relaxed=relaxed)
+                model = build_model(t, p, lam)
+                for full in (False, True):
                     for exact in (False, True) if rational else (False,):
                         try:
-                            res = solve(model, exact=exact)
-                            lines.append(repr((res.ell, sorted(res.duals.items()))))
+                            if full:
+                                sol, duals = solve_full_lb(t, p, lam, exact)
+                                ell = sol.objective
+                            else:
+                                res = solve(model, exact=exact)
+                                ell, duals = res.ell, res.duals
+                            lines.append(repr((ell, sorted(duals.items()))))
                         except Exception as exc:  # noqa: BLE001 - the name is pinned too
                             lines.append(type(exc).__name__)
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -190,8 +198,8 @@ class TestModel:
         assert len(m.var_names) == 7
 
     def test_full_variable_count(self):
-        m = build_model(3, F(2), F(1), relaxed=False)
-        assert len(m.var_names) == 3 * 3 + 2
+        # ell, nu0..nu3, delta1..delta3, Delta1..Delta3
+        assert len(full_lb_model(3, F(2), F(1))[0]) == 3 * 3 + 2
 
     def test_trivial_solution_feasible(self):
         # whole graph spans itself: (t=3, p=2, lambda=1) must be feasible
@@ -207,8 +215,11 @@ class TestModel:
 
     @pytest.mark.parametrize("t,p,relaxed", sorted(MODEL_ROW_PINS, key=repr))
     def test_rows_pinned(self, t, p, relaxed):
-        m = build_model(t, p, 1, relaxed=relaxed)
-        text = repr((m.row_names, m.rows, m.rhs))
+        if relaxed:
+            m = build_model(t, p, 1)
+            text = repr((m.row_names, m.rows, m.rhs))
+        else:
+            text = repr(full_lb_model(t, p, 1)[1:])
         assert hashlib.sha256(text.encode()).hexdigest() == MODEL_ROW_PINS[(t, p, relaxed)]
 
     @pytest.mark.parametrize("p", [math.inf, float("nan"), 0.5])
@@ -266,7 +277,7 @@ class TestSolveSpotValues:
             (3, F(10), F(21, 20)),
         ]:
             relaxed = solve(build_model(t, p, lam), exact=True).ell
-            full = solve(build_model(t, p, lam, relaxed=False), exact=True).ell
+            full = solve_full_lb(t, p, lam, exact=True)[0].objective
             assert relaxed == full
 
     def test_monotone_in_lambda(self):
@@ -315,9 +326,8 @@ class TestFloatRunReuse:
     """A model pivots in float once; the answers are a fresh model's."""
 
     @pytest.mark.parametrize("first", [False, True], ids=["float-first", "exact-first"])
-    @pytest.mark.parametrize("relaxed", [True, False])
-    def test_one_float_pivot_per_model(self, float_pivots, first, relaxed):
-        model = build_model(5, F(5, 2), F(6, 5), relaxed=relaxed)
+    def test_one_float_pivot_per_model(self, float_pivots, first):
+        model = build_model(5, F(5, 2), F(6, 5))
         for exact in (first, not first, first, not first):
             solve(model, exact=exact)
         assert len(float_pivots) == 1
@@ -327,13 +337,11 @@ class TestFloatRunReuse:
                                         (F(5, 2), 1.0), (3, 0.5)])
     def test_exact_on_float_data_refused_before_pivot(self, float_pivots, p, lam):
         # the float golden ratio at its lambda cap used to raise Infeasible
-        for relaxed in (True, False):
-            model = build_model(4, p, lam, relaxed=relaxed)
-            with pytest.raises(ParameterError, match="int or Fraction"):
-                solve(model, exact=True)
-            assert model._basis == [] and float_pivots == []
-            assert solve(model).ell >= 0
-            float_pivots.clear()
+        model = build_model(4, p, lam)
+        with pytest.raises(ParameterError, match="int or Fraction"):
+            solve(model, exact=True)
+        assert model._basis == [] and float_pivots == []
+        assert solve(model).ell >= 0
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_raised_float_run_stores_nothing(self, monkeypatch, exact):
@@ -373,15 +381,18 @@ def certificate_outcomes(monkeypatch) -> tuple[str, Counter]:
     The families (t, p, relaxed) take turns at three orders, each from an
     empty ``_certificate``: lambda ascending with the float solve first on
     each model, lambda descending with the exact solve first, and a
-    shuffled lambda and mode order.
+    shuffled lambda and mode order.  A family with ``relaxed`` False solves
+    the full program through ``solve_full_lb`` instead of ``solve``.
     """
     answers = []
     real = lb_lp._solve
 
-    def recorded(*args):
-        sol = real(*args)
+    def answer(sol):
         answers.append(repr((sol.objective, sol.x, sol.duals)))
         return sol
+
+    def recorded(*args):
+        return answer(real(*args))
 
     monkeypatch.setattr(lb_lp, "_solve", recorded)
     rng = random.Random(25)
@@ -398,10 +409,13 @@ def certificate_outcomes(monkeypatch) -> tuple[str, Counter]:
             rng.shuffle(order)
         lb_lp._certificate.cache_clear()
         for k, lam in order:
-            model = build_model(t, p, lam, relaxed=relaxed)
+            model = build_model(t, p, lam)
             for exact in rng.sample(modes, 2) if f % 3 == 2 else modes:
                 try:
-                    solve(model, exact=exact)
+                    if relaxed:
+                        solve(model, exact=exact)
+                    else:
+                        answer(solve_full_lb(t, p, lam, exact)[0])
                     lines[f, k, exact] = answers[-1]
                 except Exception as exc:  # noqa: BLE001 - the name is pinned too
                     lines[f, k, exact] = type(exc).__name__
@@ -452,9 +466,9 @@ class TestCertificateCache:
         monkeypatch.setattr(simplex, "_pivot_phases", pivot)
         got = solve(high, exact=exact)
         assert pivots == [0]
-        refused = lb_lp._certificate(t, p, True, basis, exact)
+        refused = lb_lp._certificate(t, p, basis, exact)
         assert refused is None if stale == "singular" else refused is not None
-        afresh = real(lb_lp._lp_data(high)[0], exact, [basis])
+        afresh = real(lb_lp._lp_data(high), exact, [basis])
         assert repr(answers) == repr([afresh])
         fresh = solve(build_model(t, p, high.lam), exact=exact)
         assert got.ell == (fresh.ell if exact else pytest.approx(fresh.ell, abs=1e-12))
@@ -466,11 +480,11 @@ class TestCertificateCache:
         model = build_model(t, p, (1 + 1 / p) * F(3, 5))
         solve(model)
         basis = model._basis[0]
-        duals = lb_lp._certificate(t, p, True, basis, False)
-        data = lb_lp._lp_data(model)[0]
+        duals = lb_lp._certificate(t, p, basis, False)
+        data = lb_lp._lp_data(model)
         assert type(duals) is tuple
         assert repr(duals) == repr(simplex._solve(data, False, [basis]).duals)
-        parts = lb_lp._certificate(t, p, True, basis, True)
+        parts = lb_lp._certificate(t, p, basis, True)
         assert type(parts) is tuple and len(parts) == 6
         assert all(type(v) is int or (type(v) is tuple and all(type(w) is int for w in v))
                    for v in parts)
@@ -710,16 +724,26 @@ class TestDualCertificates:
 
     @pytest.mark.parametrize("relaxed", [True, False])
     def test_solve_duals_certify_ell(self, relaxed):
-        # u >= 0 on the >= rows, A^T u <= c column by column, rhs . u = ell
-        model = build_model(4, F(13, 10), F(6, 5), relaxed=relaxed)
-        res = solve(model, exact=True)
-        assert set(res.duals) == set(model.row_names)
-        u = [res.duals[name] for name in model.row_names]
-        assert all(v >= 0 for i, v in enumerate(u) if i not in model.eq_rows)
-        for j, var in enumerate(model.var_names):
+        # u >= 0 on the >= rows, A^T u <= c column by column, rhs . u = ell;
+        # the full program's duals come from solve_full_lb's sign mapping
+        t, p, lam = 4, F(13, 10), F(6, 5)
+        if relaxed:
+            model = build_model(t, p, lam)
+            var_names, row_names, rows, rhs = (model.var_names, model.row_names,
+                                               model.rows, model.rhs)
+            res = solve(model, exact=True)
+            ell, duals = res.ell, res.duals
+        else:
+            var_names, row_names, rows, rhs = full_lb_model(t, p, lam)
+            sol, duals = solve_full_lb(t, p, lam, exact=True)
+            ell = sol.objective
+        assert set(duals) == set(row_names)
+        u = [duals[name] for name in row_names]
+        assert all(v >= 0 for name, v in zip(row_names, u) if name != "ddef")
+        for j, var in enumerate(var_names):
             cost = 1 if var == "ell" else 0
-            assert sum(row[j] * v for row, v in zip(model.rows, u)) <= cost
-        assert sum(r * v for r, v in zip(model.rhs, u)) == res.ell
+            assert sum(row[j] * v for row, v in zip(rows, u)) <= cost
+        assert sum(r * v for r, v in zip(rhs, u)) == ell
 
     @pytest.mark.parametrize("t,p", [(3, F(2)), (6, F(5)), (8, F(9, 5)), (7, F(3)), (5, 2.5)])
     def test_closed_form_and_lp_duals_both_verify(self, t, p):

@@ -335,8 +335,7 @@ class TestCoreCertificate:
     """``_certified_exact`` solves only the tight-row core of a basis; the
     dense reference in ``helpers`` solves all of it."""
 
-    @pytest.mark.parametrize("relaxed", [True, False], ids=["relaxed", "full"])
-    def test_grid_bases_match_the_dense_reference(self, monkeypatch, relaxed):
+    def test_grid_bases_match_the_dense_reference(self, monkeypatch):
         # every basis an exact lb_lp.solve certifies over t 1-9, the rational
         # grid p and lambda = k/20 of the LP's range: its parts are made once
         # on the model at lambda = 1, and each reading at another lambda
@@ -361,8 +360,7 @@ class TestCoreCertificate:
         for p in (p for p in GRID_PS if isinstance(p, Fraction)):
             for t in range(1, 10):
                 for k in range(1, 21):
-                    lb_lp.solve(lb_lp.build_model(t, p, (1 + 1 / p) * Fraction(k, 20), relaxed),
-                                exact=True)
+                    lb_lp.solve(lb_lp.build_model(t, p, (1 + 1 / p) * Fraction(k, 20)), exact=True)
         assert all(got == want for got, want in reads)
         # each solve reads one certified basis, and each basis is made once
         assert len(reads) == sum(got is not None for got, _want in reads) == 9 * 9 * 20
