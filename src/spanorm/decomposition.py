@@ -15,7 +15,12 @@ non-backtracking walk counts, O(r m) in all; below it, from a BFS per vertex
 makes one girth verdict and reuses it: :func:`check_coverage` and
 :func:`class_contributions` refuse girth < 2k+1 before any counting,
 :func:`classify` and :func:`phi` pick the path with it, and :func:`phi` also
-reads it for its ``<= 2n`` assertion.
+reads it for its ``<= 2n`` assertion.  The verdict is
+:func:`~spanorm.graph_core.girth_at_least`'s, and the ``Graph`` keeps its
+proof: calls at one bound on one graph scan for cycles once between them,
+and a graph from :func:`~spanorm.extremal.random_bipartite_lift`, whose
+final check proved girth >= ``min_girth - 1``, is not scanned at all below
+that bound.
 
 A walk v = x_0, x_1, ..., x_j is non-backtracking if x_{i+1} != x_{i-1};
 c_j(v) counts those of length j from v.  They obey

@@ -219,7 +219,11 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
     before y in level D - 1, so x was stamped when y was scanned, and that
     scan already met the edge as a hit of 2D edges.  Likewise a path of at
     most 2D edges between the ends of a matching edge has at most 2D - 1,
-    and the final check need not look for a cycle of 2D + 1 edges.
+    and the final check need not look for a cycle of 2D + 1 edges.  That
+    check asserts ``girth_at_least(g, min_girth - 1)``, so the graph
+    returned carries its proof (unless ``-O`` strips asserts), and a later
+    ``girth_at_least`` at a bound up to ``min_girth - 1`` on it scans
+    nothing.
     """
     if min_girth % 2 == 1:
         min_girth += 1  # bipartite girth is even

@@ -72,9 +72,15 @@ class Graph:
 
     No self-loops, no parallel edges.  ``lengths`` maps each edge to a
     finite, strictly positive length; ``None`` means unit lengths throughout.
+
+    A graph also carries what :func:`girth_at_least` has proven about its
+    girth: a floor (3 at first, true of every simple graph) and a ceiling
+    (``UNBOUNDED`` at first).  Nothing changes a graph's edges after
+    construction, so a bound proven once holds for the graph's life.
     """
 
-    __slots__ = ("n", "edges", "lengths", "_adj", "_degrees")
+    __slots__ = ("n", "edges", "lengths", "_adj", "_degrees", "_girth_floor",
+                 "_girth_ceiling")
 
     def __init__(
         self,
@@ -120,6 +126,8 @@ class Graph:
             adj[v].append(u)
         self._adj = tuple(tuple(a) for a in adj)
         self._degrees = tuple(len(a) for a in self._adj)
+        self._girth_floor = 3
+        self._girth_ceiling = UNBOUNDED
 
     # -- basic accessors ------------------------------------------------
 
@@ -525,10 +533,30 @@ def girth_at_least(g: Graph, k: int) -> bool:
 
     ``k`` must be an ``int``; a bool, float, ``Fraction`` or str raises
     ``ValueError``.
+
+    The verdict is read off the girth floor and ceiling ``g`` carries when
+    they settle it (``k`` at most the floor, or above the ceiling).
+    Otherwise one :func:`short_cycle` scan at limit ``k - 1`` decides, and
+    its proof is kept on ``g``: no hit proves the girth is at least ``k``,
+    the new floor; a hit of length L closes a walk of L edges that holds a
+    cycle, so it proves the girth is at most L, the new ceiling.  Each
+    scan raises the floor or lowers the ceiling, and a ``Graph``'s edges
+    never change, so every later verdict is the one a fresh scan would
+    give.  Each value written is a proven bound, so threads that race on
+    one graph can lose a bound but never record a false one.
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError(f"girth bound must be an integer, got {k!r}")
-    return k <= 3 or short_cycle(g.adjacency(), k - 1) is None
+    if k <= g._girth_floor:
+        return True
+    if k > g._girth_ceiling:
+        return False
+    hit = short_cycle(g.adjacency(), k - 1)
+    if hit is None:
+        g._girth_floor = k
+        return True
+    g._girth_ceiling = hit[0]
+    return False
 
 
 # -- edge-list interchange format ----------------------------------------

@@ -8,11 +8,13 @@ spannability of each excluded edge inside the still-available graph) and
 re-verifies every surviving leaf, so both modes return the same optimum.
 The branch-and-bound builds no graph per node: it keeps the available
 edges (kept plus undecided) as one adjacency that the drop branch edits in
-place and restores on backtrack, keeps the degree multiset as one integer
-that the keep branch updates in O(1), computes each multiset's norm once
-per search, and at a leaf, where that adjacency is the kept set, checks
-only the dropped edges' stretch.  Ties break to the lexicographically
-smallest kept edge set, making results reproducible.
+place and restores on backtrack (on a unit graph one int bitmask per
+vertex, so a drop is two XORs, and the spannability test a hop search over
+those bits), keeps the degree multiset as one integer that the keep branch
+updates in O(1), computes each multiset's norm once per search, and at a
+leaf, where that adjacency is the kept set, checks only the dropped edges'
+stretch.  Ties break to the lexicographically smallest kept edge set,
+making results reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .graph_core import (
     degree_norm,
     layer_profile,
     lp_norm,
-    within_hops,
     within_length,
 )
 from .greedy import Spanner, greedy_spanner, verify_stretch
@@ -65,6 +66,33 @@ class OracleResult:
         return self.greedy_norm / self.optimum_norm
 
 
+def _within_hops_mask(mask: list[int], u: int, v: int, cap: int) -> bool:
+    """True iff ``v`` is within ``cap >= 1`` hops of ``u != v``, where bit y
+    of ``mask[x]`` is set iff x-y is an edge.
+
+    Level i of the search is the set of vertices exactly i hops from u, one
+    int; v is within ``cap`` hops iff a level i < ``cap`` meets ``mask[v]``.
+    An empty level stops the search, so a ``cap`` far above n costs what
+    ``cap = n`` does.
+    """
+    near = mask[v]
+    seen = level = 1 << u
+    while not level & near:
+        cap -= 1
+        if not cap:
+            return False
+        reach = 0
+        while level:
+            low = level & -level
+            reach |= mask[low.bit_length() - 1]
+            level ^= low
+        level = reach & ~seen
+        if not level:
+            return False
+        seen |= level
+    return True
+
+
 def optimal_spanner(
     g: Graph, t: int, p, prune: bool = True, greedy: Spanner | None = None
 ) -> OracleResult:
@@ -77,19 +105,30 @@ def optimal_spanner(
     passes it as ``greedy`` to save building it again; a spanner built on
     another graph or at another stretch raises ``ValueError``.
 
-    The branch-and-bound keeps one mutable adjacency ``avail`` of the kept
-    edges plus every undecided one: the drop branch takes its edge out of
-    two lists for its subtree and puts it back in the same slots, and the
-    spannability prune asks ``within_hops`` (or ``within_length`` with cap
-    ``t * length``) on it, except inside the order's prefix of greedy-
-    complement edges, where every greedy edge is available and the test
-    would pass.  At a leaf ``avail`` is the kept set.  The leaf norm is
-    ``degree_norm`` of the running degrees, the same float ``lp_norm``
-    gives, and the stretch check asks the same question about the dropped
-    edges only: a kept edge spans itself, as ``verify_stretch`` sees it.  A
-    drop child skips the norm bound test its parent just passed on the same
-    degrees and incumbent.  ``prune=False`` builds a graph and calls
-    ``verify_stretch`` per subset, and stays the independent reference.
+    The branch-and-bound keeps one mutable adjacency of the kept edges
+    plus every undecided one.  On a unit graph it is ``mask``, one int per
+    vertex with bit y of ``mask[x]`` set iff x-y is available: the drop
+    branch clears the edge's two bits for its subtree and sets them again
+    on backtrack (two XORs each way), and the spannability prune asks
+    ``_within_hops_mask``, a hop search whose levels are ints.  On a
+    weighted graph it is ``avail``, one list per vertex: the drop branch
+    takes its edge out of two lists and puts it back in the same slots,
+    and the prune asks ``within_length`` with cap ``t * length``.  Both
+    tests answer exactly whether the edge's ends are within the cap in the
+    available edges, the verdict ``within_hops`` gives on lists, so a unit
+    graph and its copy with every length 1.0 search the same tree.  Neither runs
+    inside the order's prefix of greedy-complement edges, where every
+    greedy edge is available and the test would pass.  At a leaf the
+    adjacency is the kept set.  The leaf norm is ``degree_norm`` of the
+    running degrees, the same float ``lp_norm`` gives, and the stretch
+    check asks the same question about the dropped edges only: a kept edge
+    spans itself, as ``verify_stretch`` sees it.  A drop child skips the
+    norm bound test its parent just passed on the same degrees and
+    incumbent; a keep child's test runs in the parent, before the call, on
+    the same incumbent the child would see, and a child it prunes counts as
+    explored and pruned without a call.  ``prune=False`` builds a graph and
+    calls ``verify_stretch`` per subset, and stays the independent
+    reference.
 
     The bound test computes ``degree_norm`` once per degree multiset the
     search meets and reads it from a dict after that.  The multiset is kept
@@ -166,20 +205,22 @@ def optimal_spanner(
         degrees = [0] * g.n
         kept: list = []
         dropped: list[int] = []
-        avail = [list(nbrs) for nbrs in g.adjacency()]
-        stamp = [0] * g.n
-        tick = 0
         lengths = g.lengths
-        if lengths is not None:
+        if lengths is None:
+            mask = [0] * g.n
+            for u, v in g.edges:
+                mask[u] |= 1 << v
+                mask[v] |= 1 << u
+        else:
+            mask = None
+            avail = [list(nbrs) for nbrs in g.adjacency()]
             budget = [t * lengths[e] for e in order]
 
         def spanned(i: int) -> bool:
-            # order[i] is spanned within its budget by the edges now in avail
-            nonlocal tick
+            # order[i] is spanned within its budget by the edges now available
             u, v = order[i]
-            if lengths is None:
-                tick += 1
-                return within_hops(avail, u, v, t, stamp, tick)
+            if mask is not None:
+                return _within_hops_mask(mask, u, v, t)
             return within_length(avail, lengths, u, v, budget[i])
 
         def leaf(norm: float) -> None:
@@ -194,48 +235,62 @@ def optimal_spanner(
         power = [(g.n + 1) ** d for d in range(max(g.degrees(), default=0) + 1)]
         norms: dict[int, float] = {}
 
-        def dfs(idx: int, norm: float | None, key: int) -> None:
-            # norm is None unless the parent already passed the bound test
-            # on the same degrees and incumbent (the drop child); key is
-            # sum over v of (n+1)**degrees[v], which names the degree multiset
+        def dfs(idx: int, norm: float, key: int) -> None:
+            # the caller has passed the bound test on norm, the norm of the
+            # degrees; key is sum over v of (n+1)**degrees[v], which names
+            # the degree multiset
             nonlocal explored, pruned
             explored += 1
-            if norm is None:
-                norm = norms.get(key)
-                if norm is None:
-                    norm = norms[key] = degree_norm(degrees, p)
-                if norm > best_norm + 1e-12:
-                    pruned += 1
-                    return
             if idx == m:
                 leaf(norm)
                 return
             u, v = order[idx]
             # branch 1: drop the edge (complement-first order favors drops)
-            nu, nv = avail[u], avail[v]
-            iu, iv = nu.index(v), nv.index(u)
-            del nu[iu], nv[iv]
-            # in the complement prefix every greedy edge is still in avail,
-            # and the greedy spans its dropped edges within t * length
+            if mask is not None:
+                bu, bv = 1 << u, 1 << v
+                mask[u] ^= bv
+                mask[v] ^= bu
+            else:
+                nu, nv = avail[u], avail[v]
+                iu, iv = nu.index(v), nv.index(u)
+                del nu[iu], nv[iv]
+            # in the complement prefix every greedy edge is still available,
+            # and the greedy spans its dropped edges within t * length; the
+            # drop child keeps the degrees, so it skips the bound test its
+            # parent passed on the same incumbent
             if idx < complement or spanned(idx):
                 dropped.append(idx)
                 dfs(idx + 1, norm, key)
                 dropped.pop()
             else:
                 pruned += 1
-            nu.insert(iu, v)
-            nv.insert(iv, u)
-            # branch 2: keep the edge
-            kept.append(order[idx])
+            if mask is not None:
+                mask[u] ^= bv
+                mask[v] ^= bu
+            else:
+                nu.insert(iu, v)
+                nv.insert(iv, u)
+            # branch 2: keep the edge, bound-tested here: a pruned child is
+            # explored and pruned without a call
             du, dv = degrees[u], degrees[v]
+            key += power[du + 1] - power[du] + power[dv + 1] - power[dv]
             degrees[u] = du + 1
             degrees[v] = dv + 1
-            dfs(idx + 1, None, key + power[du + 1] - power[du] + power[dv + 1] - power[dv])
+            norm = norms.get(key)
+            if norm is None:
+                norm = norms[key] = degree_norm(degrees, p)
+            if norm > best_norm + 1e-12:
+                explored += 1
+                pruned += 1
+            else:
+                kept.append(order[idx])
+                dfs(idx + 1, norm, key)
+                kept.pop()
             degrees[u] = du
             degrees[v] = dv
-            kept.pop()
 
-        dfs(0, None, g.n)
+        # the root's norm is 0.0, never above the incumbent
+        dfs(0, degree_norm(degrees, p), g.n)
 
     assert best_edges is not None, "the full graph always spans itself"
     spanner = Spanner(base=g, kept_edges=best_edges, t=t)
@@ -274,8 +329,14 @@ def ball_growth_check(h: Spanner | Graph, p2_norm: float, r_max: int) -> BallGro
     |B(v,r+1)| <= sqrt(|B(v,r)|) * ||h||_2 for r >= 1 (exact for any graph
     with an edge), and the stronger 1 + n**((2 - 2**(1-r)) alpha) bound that
     only holds for minimum-2-norm spanners (reported, so callers assert it
-    when they know h is optimal).
+    when they know h is optimal).  ``r_max`` must be an ``int`` >= 0 (not a
+    bool) and ``p2_norm`` a finite number >= 0; anything else raises
+    ``ValueError`` naming the argument.
     """
+    if isinstance(r_max, bool) or not isinstance(r_max, int) or r_max < 0:
+        raise ValueError(f"r_max must be a non-negative integer, got {r_max!r}")
+    if not (math.isfinite(p2_norm) and p2_norm >= 0):
+        raise ValueError(f"p2_norm must be finite and >= 0, got {p2_norm!r}")
     hg = h.graph() if isinstance(h, Spanner) else h
     n = hg.n
     alpha = math.log(p2_norm, n) if p2_norm > 0 and n > 1 else 0.0

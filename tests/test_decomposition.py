@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from spanorm import decomposition
+from spanorm import decomposition, graph_core
 from spanorm.decomposition import (
     GirthTooSmallError,
     check_coverage,
@@ -396,6 +396,30 @@ class TestLayerCounts:
             calls.clear()
             call(g, 3)
             assert calls == [7], call.__name__
+
+    @pytest.mark.parametrize("side, degree, min_girth, k", [(300, 4, 8, 3), (350, 3, 10, 4)])
+    def test_lift_leaves_its_girth_proof(self, monkeypatch, side, degree, min_girth, k):
+        # the lift's final girth check proves girth >= min_girth - 1 on the
+        # graph it returns, so the decomposition calls after it scan nothing
+        g = random_bipartite_lift(side, degree, min_girth, seed=11)
+        scans = []
+        search = graph_core.short_cycle
+
+        def counted(adj, limit, roots=None):
+            scans.append(limit)
+            return search(adj, limit, roots)
+
+        monkeypatch.setattr(graph_core, "short_cycle", counted)
+        assert check_coverage(g, k)
+        class_contributions(g, k)
+        phi(g, 3)
+        assert scans == []
+        # a copy that was never verified is scanned once for all three
+        copy = Graph(g.n, g.edges)
+        assert check_coverage(copy, k)
+        class_contributions(copy, k)
+        phi(copy, 3)
+        assert scans == [2 * k]
 
     def test_layers_past_the_last_stop(self):
         # a path's layers run out after 3 hops; a huge k builds none past them

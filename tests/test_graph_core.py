@@ -58,6 +58,12 @@ from helpers import (
 NORM_PS = (1, 2, 1.5, 2.5, Fraction(5, 2), (1 + math.sqrt(5)) / 2, INFINITY)
 
 
+def fresh(g: Graph) -> Graph:
+    """A copy of ``g`` that carries no girth bound, so ``girth_at_least`` on
+    it scans instead of reading what an earlier verdict proved."""
+    return Graph(g.n, g.edges, g.lengths)
+
+
 class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
@@ -300,7 +306,7 @@ class TestGirth:
             g = random_connected_graph(rng, rng.randint(3, 10), rng.randint(2, 14) + 9)
             gv = girth(g)
             for k in range(3, 9):
-                assert girth_at_least(g, k) == (gv >= k)
+                assert girth_at_least(fresh(g), k) == (gv >= k)
 
     @settings(max_examples=150, deadline=None)
     @given(g=unit_graphs())
@@ -312,7 +318,35 @@ class TestGirth:
     def test_girth_at_least_matches_girth_property(self, g):
         gv = girth(g)
         for k in range(3, g.n + 2):
-            assert girth_at_least(g, k) == (gv >= k)
+            assert girth_at_least(fresh(g), k) == (gv >= k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs(), data=st.data())
+    def test_girth_at_least_memo_any_order_property(self, g, data):
+        # bounds proven by earlier verdicts on one graph, asked for in
+        # ascending, descending or shuffled order, give what a scan gives
+        ks = list(range(g.n + 3))
+        want = {k: girth_at_least(fresh(g), k) for k in ks}
+        shuffled = data.draw(st.permutations(ks))
+        for order in (ks, ks[::-1], shuffled):
+            memo = fresh(g)
+            assert [girth_at_least(memo, k) for k in order] == [want[k] for k in order]
+
+    def test_girth_at_least_scans_once_per_open_bound(self, monkeypatch):
+        # Petersen has girth 5: a verdict at 6 proves the ceiling 5, one at
+        # 5 the floor 5, and every later bound is answered without a scan
+        scans = []
+        search = graph_core.short_cycle
+
+        def counted(adj, limit, roots=None):
+            scans.append(limit)
+            return search(adj, limit, roots)
+
+        monkeypatch.setattr(graph_core, "short_cycle", counted)
+        g = petersen_graph()
+        assert [girth_at_least(g, k) for k in (6, 5, 7, 4, 6, 5, 10**6)] == [
+            False, True, False, True, False, True, False]
+        assert scans == [5, 4]
 
     @settings(max_examples=150, deadline=None)
     @given(g=unit_graphs())
@@ -484,7 +518,7 @@ class TestCycleVerdict:
             assert (length is None) == free == (best > limit)
             if length is not None:
                 assert best <= length <= limit
-            assert girth_at_least(g, limit + 1) == free
+            assert girth_at_least(fresh(g), limit + 1) == free
 
     def test_seeded_graphs_and_one_edge_flips(self):
         # at limits girth-1 and girth the verdict agrees with the reference;
@@ -496,14 +530,15 @@ class TestCycleVerdict:
             assert floor <= gv < UNBOUNDED, name
             assert reference_cycle_free(adj, gv - 1) and not reference_cycle_free(adj, gv), name
             for limit in (gv - 1, gv):
-                assert girth_at_least(g, limit + 1) == reference_cycle_free(adj, limit), name
+                assert girth_at_least(fresh(g), limit + 1) == reference_cycle_free(adj, limit), name
             d, u, v = _farthest_pair(adj, gv - 2)
             h = Graph(g.n, g.edges + ((u, v),))
             flipped = h.adjacency()
             assert d >= 2 and girth(h) == d + 1, name
-            assert reference_cycle_free(flipped, d) and girth_at_least(h, d + 1), name
-            assert not reference_cycle_free(flipped, d + 1) and not girth_at_least(h, d + 2), name
-            assert not girth_at_least(h, gv), name
+            assert reference_cycle_free(flipped, d) and girth_at_least(fresh(h), d + 1), name
+            assert not reference_cycle_free(flipped, d + 1), name
+            assert not girth_at_least(fresh(h), d + 2), name
+            assert not girth_at_least(fresh(h), gv), name
 
     def test_root_reads_no_vertex_below_it(self, monkeypatch):
         # Heawood has girth 6, so at limit 5 every root runs its search out to

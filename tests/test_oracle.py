@@ -239,16 +239,40 @@ class TestOptimalSpanner:
     def test_complement_prefix_skips_prune_test(self, monkeypatch):
         # while only greedy-complement edges are dropped the greedy spanner
         # is still available and spans them, so the search skips their prune
-        # test: 3959 within_hops calls here against 4085 with the test, and
+        # test: 3959 bitmask hop tests here against 4085 with the test, and
         # the same search tree
         calls = []
-        real = spanorm.oracle.within_hops
-        monkeypatch.setattr(spanorm.oracle, "within_hops",
+        real = spanorm.oracle._within_hops_mask
+        monkeypatch.setattr(spanorm.oracle, "_within_hops_mask",
                             lambda *args: calls.append(args) or real(*args))
         g, t, p = seeded_oracle_case(16)
+        assert g.lengths is None
         res = optimal_spanner(g, t, p)
         assert (res.explored, res.pruned) == SEARCH_PINS[16][3:]
         assert len(calls) == 3959
+
+    def test_unit_masks_match_unit_lengths(self):
+        # a unit graph searches on bitmask adjacency with the mask hop test,
+        # its copy with every length 1.0 on list adjacency with
+        # within_length: the verdicts are the same, so is the whole search
+        def outcome(g, t, p):
+            res = optimal_spanner(g, t, p)
+            return res.optimum.kept_edges, res.optimum_norm, res.explored, res.pruned
+
+        cases = []
+        for seed in range(len(SEARCH_PINS)):
+            g, t, p = seeded_oracle_case(seed)
+            cases.append((Graph(g.n, g.edges), [t], [p]))
+        rng = random.Random(97)
+        for n in range(4, 10):
+            for _ in range(2):
+                m = rng.randint(n - 1, min(16, n * (n - 1) // 2))
+                cases.append((random_connected_graph(rng, n, m), [1, 2, 3, 5], [1, 1.5, 2]))
+        for g, ts, ps in cases:
+            ones = Graph(g.n, g.edges, dict.fromkeys(g.edges, 1.0))
+            for t in ts:
+                for p in ps:
+                    assert outcome(g, t, p) == outcome(ones, t, p), (g.edges, t, p)
 
     def test_one_norm_per_degree_multiset(self, monkeypatch):
         # the bound test computes degree_norm once per degree multiset it
@@ -367,6 +391,16 @@ class TestBallGrowth:
         # values pin its exponent
         report = ball_growth_check(petersen_graph(), 3.0, 3)
         assert report.optimal_bound_violations == PETERSEN_OPTIMAL_VIOLATIONS
+
+    @pytest.mark.parametrize("p2_norm, r_max, name", [
+        (2.0, -1, "r_max"), (2.0, True, "r_max"), (2.0, 1.0, "r_max"),
+        (math.nan, 2, "p2_norm"), (math.inf, 2, "p2_norm"), (-1.0, 2, "p2_norm"),
+    ])
+    def test_bad_arguments_refused(self, p2_norm, r_max, name):
+        # unchecked, r_max = -1 raises a bare IndexError, True runs as 1,
+        # and a NaN norm gives alpha 0.0 and 8 bound violations on C4
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ball_growth_check(cycle_graph(4), p2_norm, r_max)
 
     def test_inductive_step_every_spanner(self):
         rng = random.Random(79)
