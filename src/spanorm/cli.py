@@ -17,17 +17,20 @@ output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-# Library modules are imported inside the handlers, so a subcommand loads
-# (and, without cached bytecode, compiles) only the layers it runs.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# Library modules, and the stdlib's ``csv`` and ``fractions``, are imported
+# inside the handlers, so a subcommand loads (and, without cached bytecode,
+# compiles) only what it runs.
 
 __all__ = ["main"]
 
@@ -71,6 +74,8 @@ def _parse_p(text: str):
 def _parse_rational(value, what: str) -> Fraction:
     """``Fraction(value)``: a zero denominator or a value that names no
     rational is a usage error (ValueError, exit 2)."""
+    from fractions import Fraction
+
     try:
         return Fraction(value)
     except (ZeroDivisionError, TypeError):
@@ -151,6 +156,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _lb_report(t: int, p, lam, exact: bool, want_certificate: bool) -> dict:
+    from fractions import Fraction
+
     from . import lb_lp
 
     model = lb_lp.build_model(t, p, lam)
@@ -228,6 +235,9 @@ def _nonempty_list(doc: dict, key: str, default, where: str) -> list:
 
 
 def _cmd_lb_sweep(args) -> int:
+    import csv
+    from fractions import Fraction
+
     spec = _read_spec(args.grid, "--grid")
     ts = _nonempty_list(spec, "t", [2, 3, 4, 5], "--grid")
     ps = _nonempty_list(spec, "p", ["1.5", "2", "3"], "--grid")
@@ -273,7 +283,6 @@ def _cmd_lb_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from . import lb_lp
     from .extremal import (build_from_lp, build_lcr, build_skewed,
                            build_tightness, named_girth_graph)
     from .graph_core import format_edge_list, girth, lp_norm, write_edge_list
@@ -296,6 +305,8 @@ def _cmd_gen(args) -> int:
             )
             meta.update({"n": g.n, "m": g.m, "norm": lp_norm(g, params["p"])})
         elif family in ("lcr", "skewed", "lp"):
+            from . import lb_lp
+
             if family == "lcr":
                 shape = lb_lp.LcrParams(params["L"], params["C"], params["R"])
                 inst = build_lcr(shape, params["p"], params["center"])
@@ -365,7 +376,6 @@ def _cmd_oracle(args) -> int:
 
 def verify_all(g, t: int, p, spanner=None) -> dict:
     """Bundle of applicable checks for one input graph; pure, CLI-independent."""
-    from .decomposition import GirthTooSmallError, check_coverage, heavy_mass
     from .graph_core import girth_at_least
     from .greedy import greedy_spanner, verify_stretch
 
@@ -376,9 +386,13 @@ def verify_all(g, t: int, p, spanner=None) -> dict:
     if not g.weighted:
         checks["greedy_girth"] = girth_at_least(hg, t + 2) if spanner is None else None
     if girth_at_least(g, 5):
+        from .decomposition import heavy_mass
+
         checks["heavy_mass"] = heavy_mass(g) <= 2 * g.n
     k = (t + 1) // 2
     if k >= 3 and not g.weighted:
+        from .decomposition import GirthTooSmallError, check_coverage
+
         try:
             checks["coverage"] = check_coverage(g, k)
         except GirthTooSmallError:
@@ -436,6 +450,8 @@ def run_experiment(spec: dict, resume: bool = True) -> int:
     to them before new rows are appended.  Failures are recorded as rows,
     never abort the sweep.
     """
+    import csv
+
     grid = spec.get("grid")
     if not isinstance(grid, dict) or not grid:
         raise ValueError(f"REJECTED_SPEC: 'grid' must be a non-empty JSON object, got {grid!r}")
@@ -510,6 +526,8 @@ def _finished_rows(csv_path: Path, fieldnames: list[str]) -> list[dict]:
     newline, it has every column and its ``ok`` is "0" or "1".  A file whose
     header is not ``fieldnames`` yields no rows.
     """
+    import csv
+
     text = csv_path.read_text()
     # every row is written with its newline, so an unterminated tail is torn
     text = text[: text.rfind("\n") + 1]
@@ -527,6 +545,7 @@ def _finished_rows(csv_path: Path, fieldnames: list[str]) -> list[dict]:
 def _experiment_row(family: str, seed: int, n: int, t: int, p_text: str) -> dict:
     import random
     import time
+    from fractions import Fraction
 
     from .graph_core import girth_at_least, lp_norm
     from .greedy import greedy_spanner, upper_bound_exponent

@@ -56,10 +56,12 @@ trailing all-zero rows are dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph_core import Graph, girth_at_least, layer_profile, subset_norm
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ClassContributions",
@@ -92,8 +94,7 @@ class PhiUndefinedError(ZeroDivisionError):
         super().__init__(f"d_{k}(v) = 0 for vertex {vertex} with neighbors")
 
 
-@dataclass(frozen=True)
-class VertexClasses:
+class VertexClasses(NamedTuple):
     """The (possibly overlapping) cover V_low, V_med, V_high_j."""
 
     k: int
@@ -222,8 +223,7 @@ def check_coverage(g: Graph, k: int) -> bool:
     return len(classes.union()) == g.n
 
 
-@dataclass(frozen=True)
-class ClassContributions:
+class ClassContributions(NamedTuple):
     """k/(k-1)-norm of each class, with the slack against its O(n) bound."""
 
     k: int
@@ -277,6 +277,8 @@ def phi(g: Graph, k: int) -> Fraction:
     raises :class:`PhiUndefinedError` naming the vertex (cannot happen under
     the preconditions).
     """
+    from fractions import Fraction
+
     _check_k(k)
     if k < 1:
         raise ValueError(f"phi needs k >= 1, got {k}")
@@ -308,8 +310,7 @@ def heavy_mass(g: Graph) -> int:
     return sum(d for d in g.degrees() if d >= threshold)
 
 
-@dataclass(frozen=True)
-class PeelResult:
+class PeelResult(NamedTuple):
     """Outcome of min-degree-4 peeling: same vertex ids, peeled ones isolated."""
 
     graph: Graph

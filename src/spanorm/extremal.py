@@ -29,11 +29,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
+from typing import TYPE_CHECKING
 
 from .graph_core import (Graph, degree_norm, girth, girth_at_least, hop_layers,
                          lp_norm, short_cycle, within_hops)
 from .greedy import verify_stretch
-from .lb_lp import LcrParams, SKEW_LEFT, SKEW_NONE, SKEW_RIGHT
+
+if TYPE_CHECKING:
+    from .lb_lp import LcrParams
 
 __all__ = [
     "LayeredInstance",
@@ -667,18 +670,19 @@ def _combine_layer_counters(
 # -- builders ------------------------------------------------------------------
 
 
-def _gap_kind(i: int, L: int, C: int, skew: str) -> str:
-    """Kind of the gap between layers i-1 and i of an (L, C, R) shape."""
+def _gap_kind(i: int, L: int, C: int, left: bool, right: bool) -> str:
+    """Kind of the gap between layers i-1 and i of an (L, C, R) shape with
+    a left skew, a right skew or (both false) none."""
     if L < i <= L + C:
         return "grid"
-    if i == L and skew == SKEW_LEFT:
+    if i == L and left:
         return "junct_left"
-    if i == L + C + 1 and skew == SKEW_RIGHT:
+    if i == L + C + 1 and right:
         return "junct_right"
     return "contract" if i <= L else "expand"
 
 
-def _real_layer_sizes(L: int, C: int, R: int, skew: str, p: float,
+def _real_layer_sizes(L: int, C: int, R: int, left: bool, right: bool, p: float,
                       center: float, dtilde: float, d_c: float) -> list[float]:
     """Real-valued sizes from the equal-contribution recurrences.
 
@@ -688,31 +692,31 @@ def _real_layer_sizes(L: int, C: int, R: int, skew: str, p: float,
     size of the layers beside it.
     """
     t = L + C + R
-    middle = center if C >= 1 else (dtilde if skew == SKEW_LEFT else 1.0)
+    middle = center if C >= 1 else (dtilde if left else 1.0)
     real = [0.0] * (t + 1)
     for i in range(L, L + C + 1):
         real[i] = middle
     K = middle * d_c**p
     if R >= 1:
-        real[L + C + 1] = middle * d_c / (dtilde if skew == SKEW_RIGHT else 1.0)
+        real[L + C + 1] = middle * d_c / (dtilde if right else 1.0)
         for i in range(L + C + 2, t + 1):
             grow = (K / real[i - 1]) ** (1.0 / p)
             real[i] = real[i - 1] * grow
     if L >= 1:
-        real[L - 1] = middle * d_c / (dtilde if skew == SKEW_LEFT else 1.0)
+        real[L - 1] = middle * d_c / (dtilde if left else 1.0)
         for i in range(L - 2, -1, -1):
             grow = (K / real[i + 1]) ** (1.0 / p)
             real[i] = real[i + 1] * grow
     return real
 
 
-def _ideal_exponents(L, C, R, skew, p, center, dtilde, d_c, t) -> dict:
+def _ideal_exponents(L, C, R, left, right, p, center, dtilde, d_c, t) -> dict:
     """Exponents of the unrounded construction (the generator's own target)."""
-    real = _real_layer_sizes(L, C, R, skew, p, center, dtilde, d_c)
+    real = _real_layer_sizes(L, C, R, left, right, p, center, dtilde, d_c)
     degs = [0.0] * (t + 1)
     for i in range(1, t + 1):
         a, b = real[i - 1], real[i]
-        kind = _gap_kind(i, L, C, skew)
+        kind = _gap_kind(i, L, C, left, right)
         if kind == "grid":
             ldeg = rdeg = d_c
         elif kind == "junct_left":
@@ -740,6 +744,8 @@ def _ideal_exponents(L, C, R, skew, p, center, dtilde, d_c, t) -> dict:
 
 
 def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredInstance:
+    from .lb_lp import SKEW_LEFT, SKEW_NONE, SKEW_RIGHT
+
     L, C, R = params.L, params.C, params.R
     t = params.t
     pf = float(p)
@@ -752,6 +758,7 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
     if center_size > sys.float_info.max:
         raise ValueError(f"center_size {center_size} at p = {p} overflows a float")
     skew = params.skew
+    left, right = skew == SKEW_LEFT, skew == SKEW_RIGHT
     if skew == SKEW_NONE:
         dt_real = 1.0
     else:
@@ -765,7 +772,7 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
             )
         dt_real = float(center_size) ** float(skew_exponent)
     dtilde = max(1, round(dt_real))
-    if dtilde > 1 and ((skew == SKEW_LEFT and L == 0) or (skew == SKEW_RIGHT and R == 0)):
+    if dtilde > 1 and ((left and L == 0) or (right and R == 0)):
         # no gap can hold the junction, so nothing would join the dtilde slices
         raise ValueError(
             f"a {skew} skew of degree {dtilde} has no {skew} junction: "
@@ -784,8 +791,9 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
     center_actual = dtilde * mprime
 
     try:
-        ideal = _ideal_exponents(L, C, R, skew, pf, float(center_size), dt_real, d_real, t)
-        real = _real_layer_sizes(L, C, R, skew, pf, float(center_actual), float(dtilde),
+        ideal = _ideal_exponents(L, C, R, left, right, pf, float(center_size), dt_real,
+                                 d_real, t)
+        real = _real_layer_sizes(L, C, R, left, right, pf, float(center_actual), float(dtilde),
                                  float(d_c))
         sizes = [max(1, math.floor(s + 1e-9)) for s in real]
     except OverflowError:
@@ -796,7 +804,7 @@ def _build_layered(params: LcrParams, p, center_size, skew_exponent) -> LayeredI
     gaps = []
     for i in range(1, t + 1):
         a, b = sizes[i - 1], sizes[i]
-        kind = _gap_kind(i, L, C, skew)
+        kind = _gap_kind(i, L, C, left, right)
         if kind == "contract" and a < b:
             raise ValueError(f"left section must shrink, sizes {a} -> {b}")
         if kind == "expand" and a > b:
@@ -826,6 +834,8 @@ def build_lcr(params: LcrParams, p, center_size: int) -> LayeredInstance:
     A ``center_size`` and ``p`` whose layer sizes or norms overflow a float
     raise ``ValueError``, here and in ``build_skewed``.
     """
+    from .lb_lp import SKEW_NONE
+
     if params.skew != SKEW_NONE:
         raise ValueError("build_lcr builds plain shapes; use build_skewed")
     return _build_layered(params, p, center_size, None)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -73,9 +72,9 @@ class Graph:
     No self-loops, no parallel edges.  ``lengths`` maps each edge to a
     finite, strictly positive length; ``None`` means unit lengths throughout.
 
-    A graph also carries what :func:`girth_at_least` has proven about its
-    girth: a floor (3 at first, true of every simple graph) and a ceiling
-    (``UNBOUNDED`` at first).  Nothing changes a graph's edges after
+    A graph also carries what :func:`girth_at_least` and :func:`girth` have
+    proven about its girth: a floor (3 at first, true of every simple graph)
+    and a ceiling (``UNBOUNDED`` at first).  Nothing changes a graph's edges after
     construction, so a bound proven once holds for the graph's life.
     """
 
@@ -186,16 +185,39 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-@dataclass(frozen=True)
 class LayerProfile:
-    """Hop-layer sizes ``d_0(v), d_1(v), ..., d_r(v)`` around ``source``."""
+    """Hop-layer sizes ``d_0(v), d_1(v), ..., d_r(v)`` around ``source``.
 
-    source: int
-    counts: tuple[int, ...]
+    Immutable: equal profiles compare and hash alike.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.counts or self.counts[0] != 1:
+    __slots__ = ("source", "counts")
+
+    def __init__(self, source: int, counts: tuple[int, ...]) -> None:
+        if not counts or counts[0] != 1:
             raise GraphError("layer profile must start with d_0 = 1")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return LayerProfile, (self.source, self.counts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.counts) == (other.source, other.counts)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.counts))
+
+    def __repr__(self) -> str:
+        return f"LayerProfile(source={self.source!r}, counts={self.counts!r})"
 
     def d(self, i: int) -> int:
         """Number of vertices exactly ``i`` hops away (0 beyond the radius)."""
@@ -516,15 +538,21 @@ def short_cycle(adj: Sequence[Sequence[int]], limit: int,
 def girth(g: Graph):
     """Length (edge count) of a shortest cycle; ``UNBOUNDED`` for forests.
 
-    Takes any cycle witness, then asks :func:`short_cycle` for a shorter one
-    until there is none.
+    Starts from the girth ceiling ``g`` carries (see :func:`girth_at_least`),
+    or from any cycle witness, and asks :func:`short_cycle` for a shorter
+    cycle until there is none or the length reaches the floor.  The answer
+    is kept on ``g`` as both floor and ceiling, so a later ``girth`` or
+    ``girth_at_least`` on ``g`` scans nothing.  No scan at limit n proves a
+    forest: a cycle has at most n edges.
     """
     adj = g.adjacency()
-    best = UNBOUNDED
-    hit = short_cycle(adj, g.n)
-    while hit is not None:
-        best = hit[0]
-        hit = short_cycle(adj, best - 1)
+    best = g._girth_ceiling
+    while best > g._girth_floor:
+        hit = short_cycle(adj, g.n if best == UNBOUNDED else best - 1)
+        if hit is None:
+            g._girth_floor = best
+            break
+        best = g._girth_ceiling = hit[0]
     return best
 
 

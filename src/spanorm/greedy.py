@@ -44,7 +44,6 @@ yields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -67,20 +66,47 @@ __all__ = [
 _BALL_MASK_MAX_N = 4096
 
 
-@dataclass(frozen=True)
 class Spanner:
-    """A subgraph of ``base`` together with its stretch."""
+    """A subgraph of ``base`` together with its stretch.
 
-    base: Graph
-    kept_edges: tuple[tuple[int, int], ...]
-    t: int
-    _graph: list = field(default_factory=list, init=False, repr=False, compare=False)
+    Immutable: equal spanners compare and hash alike, and the cached
+    ``graph()`` takes no part in either.
+    """
+
+    __slots__ = ("base", "kept_edges", "t", "_graph")
+
+    def __init__(self, base: Graph, kept_edges: tuple[tuple[int, int], ...], t: int) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "kept_edges", kept_edges)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_graph", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Spanner, (self.base, self.kept_edges, self.t)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.base, self.kept_edges, self.t)
+                == (other.base, other.kept_edges, other.t))
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.kept_edges, self.t))
+
+    def __repr__(self) -> str:
+        return f"Spanner(base={self.base!r}, kept_edges={self.kept_edges!r}, t={self.t!r})"
 
     def graph(self) -> Graph:
         """The spanner as a Graph on the full vertex set (cached)."""
-        if not self._graph:
-            self._graph.append(self.base.subgraph(self.kept_edges))
-        return self._graph[0]
+        if self._graph is None:
+            object.__setattr__(self, "_graph", self.base.subgraph(self.kept_edges))
+        return self._graph
 
     @property
     def m(self) -> int:

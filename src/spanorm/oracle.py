@@ -20,7 +20,7 @@ making results reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_core import (
     Graph,
@@ -49,8 +49,7 @@ class OracleSizeError(ValueError):
     """Instance too large for exhaustive search."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     optimum: Spanner
     optimum_norm: float
     explored: int
@@ -310,8 +309,7 @@ def greedy_ratio(g: Graph, t: int, p, greedy: Spanner | None = None) -> float:
     return optimal_spanner(g, t, p, greedy=greedy).greedy_ratio
 
 
-@dataclass(frozen=True)
-class BallGrowthReport:
+class BallGrowthReport(NamedTuple):
     alpha: float
     inductive_violations: tuple
     optimal_bound_violations: tuple

@@ -7,15 +7,21 @@ simple-cycle search, and so on.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import spanorm
 from spanorm.extremal import _gap_forward, _lift_repair_rounds
 from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, within_hops
 from spanorm.greedy import Spanner
@@ -609,3 +615,37 @@ def square_systems(draw, entries, zero=0, max_n: int = 7):
     mat = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
     vec = draw(st.lists(entry, min_size=n, max_size=n))
     return mat, vec
+
+
+def child_env() -> dict:
+    """The environment of a child that finds ``spanorm`` where the tests
+    found it, ahead of any ``PYTHONPATH`` already set."""
+    src = str(Path(spanorm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _imported(argv: list[str], cwd=None) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run ``python -X importtime *argv``; return the process and the modules
+    it imported, read off the ``import time:`` lines of its stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+                          text=True, env=child_env(), cwd=cwd)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    names.discard("imported package")  # the table's header
+    return proc, names
+
+
+@functools.lru_cache(maxsize=None)
+def _bare_imports() -> frozenset:
+    """The modules ``python -c pass`` imports in the children's environment
+    (with it the ``site`` hooks of the installation, such as ``.pth`` files)."""
+    return frozenset(_imported(["-c", "pass"])[1])
+
+
+def cli_imports(args, cwd=None) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run ``python -m spanorm.cli *args`` in a child; return the process
+    and the modules it imported beyond those a bare interpreter imports."""
+    proc, names = _imported(["-m", "spanorm.cli", *map(str, args)], cwd)
+    return proc, names - _bare_imports()

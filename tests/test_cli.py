@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -14,12 +13,15 @@ import pytest
 
 import spanorm
 import spanorm.extremal
+import spanorm.graph_core
 import spanorm.greedy
 import spanorm.oracle
 from spanorm.cli import _dumps, main, run_experiment
 from spanorm.extremal import named_girth_graph
 from spanorm.graph_core import Graph, format_edge_list, parse_edge_list
 from spanorm.greedy import Spanner, greedy_spanner
+
+from helpers import child_env, cli_imports
 
 
 @pytest.fixture
@@ -394,6 +396,23 @@ class TestSubcommands:
             tmp_path / "b.meta.json"
         ).read_text()
 
+    def test_gen_named_scans_for_girth_once(self, tmp_path, capsys, monkeypatch):
+        # the build proves McGee's girth (a witness, then nothing shorter)
+        # and meta["girth"] reads that proof instead of a third scan
+        scans = []
+        search = spanorm.graph_core.short_cycle
+
+        def counted(adj, limit, roots=None):
+            scans.append(limit)
+            return search(adj, limit, roots)
+
+        monkeypatch.setattr(spanorm.graph_core, "short_cycle", counted)
+        code, out = run_cli(["gen", "--family", "named", "--params", '{"name": "mcgee"}',
+                             "--out", tmp_path / "g"], capsys)
+        assert code == 0
+        assert json.loads(out)["girth"] == 7.0
+        assert len(scans) == 2
+
     @pytest.mark.parametrize(
         "family,params",
         [
@@ -693,11 +712,8 @@ class TestExperiment:
 def _child(argv, cwd=None, timeout=None):
     # the child finds the package where this process found it, so the tests
     # also run from a checkout without PYTHONPATH or an install
-    src = str(Path(spanorm.__file__).resolve().parents[1])
-    env = dict(os.environ, COLUMNS="80")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=timeout)
+                          env=dict(child_env(), COLUMNS="80"), cwd=cwd, timeout=timeout)
 
 
 def test_module_entry_point():
@@ -856,3 +872,29 @@ class TestColdStart:
         assert proc.stdout == ""
         assert "error:" in proc.stderr
         assert "lb_lp" not in loaded
+
+    # the stdlib modules the LP side needs, and the LP side itself
+    LP_IMPORTS = {"dataclasses", "fractions", "csv", "spanorm.lb_lp", "spanorm.simplex"}
+
+    @pytest.mark.parametrize("args", [
+        ["greedy", "--stretch", 3],
+        ["verify", "--stretch", 3],
+        ["oracle", "--stretch", 3, "--p", 2],
+        ["decompose", "--k", 3],
+        ["norm"],
+    ], ids=lambda args: args[0])
+    def test_graph_commands_import_no_lp_stdlib(self, args, petersen_file):
+        # Petersen has 15 edges, so verify runs the oracle's ratio check too
+        proc, imported = cli_imports([args[0], "--input", petersen_file, *args[1:]])
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)
+        assert "spanorm.graph_core" in imported
+        assert not imported & self.LP_IMPORTS
+
+    def test_gen_named_imports_no_lp(self, tmp_path):
+        proc, imported = cli_imports(["gen", "--family", "named", "--params",
+                                      '{"name": "mcgee"}', "--out", tmp_path / "g"])
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["girth"] == 7.0
+        assert "spanorm.extremal" in imported
+        assert not imported & {"spanorm.lb_lp", "spanorm.simplex"}

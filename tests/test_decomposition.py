@@ -397,6 +397,25 @@ class TestLayerCounts:
             call(g, 3)
             assert calls == [7], call.__name__
 
+    def test_named_graph_build_leaves_its_girth(self, monkeypatch):
+        # McGee's build proves its girth 7 in two scans (a witness, then
+        # nothing shorter) and keeps it, so the k = 3 calls, which need girth
+        # >= 7, scan nothing more
+        scans = []
+        search = graph_core.short_cycle
+
+        def counted(adj, limit, roots=None):
+            scans.append(limit)
+            return search(adj, limit, roots)
+
+        monkeypatch.setattr(graph_core, "short_cycle", counted)
+        g = named_girth_graph("mcgee")
+        assert len(scans) == 2 and scans[-1] == 6
+        assert check_coverage(g, 3)
+        class_contributions(g, 3)
+        phi(g, 3)
+        assert len(scans) == 2
+
     @pytest.mark.parametrize("side, degree, min_girth, k", [(300, 4, 8, 3), (350, 3, 10, 4)])
     def test_lift_leaves_its_girth_proof(self, monkeypatch, side, degree, min_girth, k):
         # the lift's final girth check proves girth >= min_girth - 1 on the

@@ -332,6 +332,35 @@ class TestGirth:
             memo = fresh(g)
             assert [girth_at_least(memo, k) for k in order] == [want[k] for k in order]
 
+    @settings(max_examples=150, deadline=None)
+    @given(g=unit_graphs())
+    def test_girth_leaves_its_proof_property(self, g):
+        # girth keeps the girth on g as floor and ceiling; every later verdict
+        # on g is what a fresh graph gives at that bound
+        gv = girth(g)
+        for k in range(g.n + 3):
+            assert girth_at_least(g, k) == girth_at_least(fresh(g), k), k
+        assert girth(g) == gv
+
+    def test_girth_scans_nothing_once_proven(self, monkeypatch):
+        scans = []
+        search = graph_core.short_cycle
+
+        def counted(adj, limit, roots=None):
+            scans.append(limit)
+            return search(adj, limit, roots)
+
+        monkeypatch.setattr(graph_core, "short_cycle", counted)
+        for g in (petersen_graph(), complete_graph(4), path_graph(6)):
+            gv = girth(g)
+            scanned = len(scans)
+            assert [girth_at_least(g, k) for k in range(12)] == [k <= gv for k in range(12)]
+            assert girth(g) == gv
+            assert len(scans) == scanned
+        # Petersen: a 5-cycle witness, then nothing shorter; K4: a triangle
+        # witness, already at the floor 3; the path: no cycle at limit n
+        assert scans == [10, 4, 4, 6]
+
     def test_girth_at_least_scans_once_per_open_bound(self, monkeypatch):
         # Petersen has girth 5: a verdict at 6 proves the ceiling 5, one at
         # 5 the floor 5, and every later bound is answered without a scan
@@ -544,7 +573,9 @@ class TestCycleVerdict:
         # Heawood has girth 6, so at limit 5 every root runs its search out to
         # two hops; root s reads only its ball in the subgraph on s..n-1.  The
         # shim wraps g's own lists, which girth_at_least hands to short_cycle.
-        g = named_girth_graph("heawood")
+        # A fresh copy, since the build's girth proof would settle the bound.
+        heawood = named_girth_graph("heawood")
+        g = Graph(heawood.n, heawood.edges)
         adj = g.adjacency()
         shims = []
         search = graph_core.short_cycle
