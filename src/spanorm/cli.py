@@ -282,6 +282,16 @@ def _cmd_lb_sweep(args) -> int:
     return 1 if bad else 0
 
 
+# the --params keys each gen family reads; any other key is refused
+_GEN_KEYS = {
+    "named": ("name",),
+    "tightness": ("k", "p", "n", "Lambda"),
+    "lcr": ("L", "C", "R", "p", "center"),
+    "skewed": ("L", "C", "R", "skew", "p", "center", "skew_exponent"),
+    "lp": ("t", "p", "lambda", "n"),
+}
+
+
 def _cmd_gen(args) -> int:
     from .extremal import (build_from_lp, build_lcr, build_skewed,
                            build_tightness, named_girth_graph)
@@ -291,6 +301,12 @@ def _cmd_gen(args) -> int:
     if not isinstance(params, dict):
         raise ValueError(f"--params must be a JSON object, got {args.params}")
     family = args.family
+    unknown = [key for key in params if key not in _GEN_KEYS[family]]
+    if unknown:
+        raise ValueError(f"--params for family {family} has the unknown "
+                         f"key{'s' if len(unknown) > 1 else ''} "
+                         f"{', '.join(map(repr, unknown))}; it reads "
+                         f"{', '.join(_GEN_KEYS[family])}")
     meta: dict = {"family": family, "seed": args.seed, "params": params}
     # every parameter is read before any file is written, so a missing or
     # mistyped one is a usage error that leaves nothing behind

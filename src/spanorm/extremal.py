@@ -26,10 +26,9 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph_core import (Graph, degree_norm, girth, girth_at_least, hop_layers,
                          lp_norm, short_cycle, within_hops)
@@ -351,8 +350,7 @@ def random_bipartite_lift(side: int, degree: int, min_girth: int, seed: int) -> 
 # -- layered minimal-spanner instances ----------------------------------------
 
 
-@dataclass(frozen=True)
-class _Gap:
+class _Gap(NamedTuple):
     """Deterministic edge rule between layers i-1 (size a) and i (size b).
 
     contract: every layer-(i-1) vertex has one neighbor (owner map); stars
@@ -505,25 +503,49 @@ def _rules_span_all_pairs(gaps: tuple, sizes: tuple) -> bool:
     return bool(junctions) or center == mprime
 
 
-@dataclass
 class LayeredInstance:
     """A layered spanner plus its host (spanner + biclique V_0 x V_t).
 
     Rule-based instances (from build_lcr / build_skewed) may stay virtual;
     LP-sampled instances carry explicit graphs.  Vertex ids are contiguous
-    by layer.
+    by layer: ``offsets[i]`` is the first id of layer i, set from
+    ``layer_sizes`` at construction.  The fields can be reassigned (they
+    are not re-validated, and ``offsets`` is not recomputed), and they
+    decide ``==``; an instance holds a dict, so it does not hash.
     """
 
-    t: int
-    p: float
-    layer_sizes: tuple
-    gaps: tuple = ()
-    predicted: dict = field(default_factory=dict)
-    explicit_spanner: Graph | None = None
-    explicit_host: Graph | None = None  # the spanner plus the V_0 x V_t pairs it reaches
+    __slots__ = ("t", "p", "layer_sizes", "gaps", "predicted", "explicit_spanner",
+                 "explicit_host", "offsets")
 
-    def __post_init__(self):
-        self.offsets = (0, *accumulate(self.layer_sizes))
+    def __init__(self, t: int, p: float, layer_sizes: tuple, gaps: tuple = (),
+                 predicted: dict | None = None, explicit_spanner: Graph | None = None,
+                 explicit_host: Graph | None = None) -> None:
+        self.t = t
+        self.p = p
+        self.layer_sizes = layer_sizes
+        self.gaps = gaps
+        self.predicted = {} if predicted is None else predicted
+        self.explicit_spanner = explicit_spanner
+        # the spanner plus the V_0 x V_t pairs it reaches
+        self.explicit_host = explicit_host
+        self.offsets = (0, *accumulate(layer_sizes))
+
+    def _key(self) -> tuple:
+        return (self.t, self.p, self.layer_sizes, self.gaps, self.predicted,
+                self.explicit_spanner, self.explicit_host)
+
+    def __reduce__(self):
+        return LayeredInstance, self._key()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        names = self.__slots__
+        return ("LayeredInstance("
+                + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._key())) + ")")
 
     # -- layout ----------------------------------------------------------
 

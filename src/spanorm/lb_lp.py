@@ -67,9 +67,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .simplex import _dense_solve, _part, _solve
 
@@ -212,37 +211,76 @@ SKEW_LEFT = "left"
 SKEW_RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class LcrParams:
+class _Frozen:
+    """Base of the slotted records: fields are set once, by ``__init__``
+    through ``object.__setattr__``, and assignment or deletion raises
+    ``AttributeError``.  ``_key()`` gives the values of the leading
+    ``__slots__``: the fields that ``repr``, ``==`` (same class only),
+    ``hash`` and pickling see, in constructor order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        names = self.__slots__
+        return (f"{self.__class__.__name__}("
+                + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._key())) + ")")
+
+
+class LcrParams(_Frozen):
     """Shape of an extremal layered spanner: L + C + R = t layers past V_0.
 
-    ``skew`` marks the variants used above the nice lambda range.  A right
-    skew needs C >= 1 (else ``ParameterError``); the interpolation walk
-    never makes one with C = 0.  ``skew_exponent`` is read by nothing: the
-    generators take the skew exponent as an argument.
+    L, C and R are ints (not bools) at least 0, else ``ParameterError``
+    naming the field.  ``skew`` marks the variants used above the nice
+    lambda range.  A right skew needs C >= 1 (else ``ParameterError``); the
+    interpolation walk never makes one with C = 0.  ``skew_exponent`` is
+    read by nothing: the generators take the skew exponent as an argument.
     """
 
-    L: int
-    C: int
-    R: int
-    skew: str = SKEW_NONE
-    skew_exponent: object = None
+    __slots__ = ("L", "C", "R", "skew", "skew_exponent")
 
-    def __post_init__(self):
-        if self.L < 0 or self.C < 0 or self.R < 0:
+    def __init__(self, L: int, C: int, R: int, skew: str = SKEW_NONE,
+                 skew_exponent: object = None) -> None:
+        for name, value in (("L", L), ("C", C), ("R", R)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParameterError(f"section length {name} must be an int, got {value!r}")
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "skew", skew)
+        object.__setattr__(self, "skew_exponent", skew_exponent)
+        if L < 0 or C < 0 or R < 0:
             raise ParameterError(f"negative section length in {self}")
-        if self.skew not in (SKEW_NONE, SKEW_LEFT, SKEW_RIGHT):
-            raise ParameterError(f"unknown skew {self.skew!r}")
-        if self.skew == SKEW_RIGHT and self.C < 1:
+        if skew not in (SKEW_NONE, SKEW_LEFT, SKEW_RIGHT):
+            raise ParameterError(f"unknown skew {skew!r}")
+        if skew == SKEW_RIGHT and C < 1:
             raise ParameterError("right skew needs C >= 1")
+
+    def _key(self) -> tuple:
+        return (self.L, self.C, self.R, self.skew, self.skew_exponent)
 
     @property
     def t(self) -> int:
         return self.L + self.C + self.R
 
 
-@dataclass(frozen=True)
-class DualCertificate:
+class DualCertificate(NamedTuple):
     """Assignment to the dual variables of the relaxed lower-bound LP."""
 
     x: object
@@ -259,11 +297,10 @@ class DualCertificate:
 
     def as_dict(self) -> dict:
         """The fields in order, with a, b and D as lists."""
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
 
-@dataclass(frozen=True)
-class LbLpModel:
+class LbLpModel(_Frozen):
     """The relaxed lower-bound LP of ``build_model`` in log space; all rows
     are ``coeffs . x >= rhs``.
 
@@ -271,18 +308,26 @@ class LbLpModel:
     builds at different nominal n are identical object for object.
 
     ``_basis`` holds the basis of the model's float pivot run once one has
-    returned (see ``solve``); it takes no part in ``repr``, ``==`` or
-    ``hash``, and dies with the model.
+    returned (see ``solve``); it takes no part in ``repr``, ``==``, ``hash``
+    or pickling, and dies with the model.
     """
 
-    t: int
-    p: object
-    lam: object
-    var_names: tuple[str, ...]
-    row_names: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    rhs: tuple
-    _basis: list = field(default_factory=list, init=False, repr=False, compare=False)
+    __slots__ = ("t", "p", "lam", "var_names", "row_names", "rows", "rhs", "_basis")
+
+    def __init__(self, t: int, p, lam, var_names: tuple[str, ...],
+                 row_names: tuple[str, ...], rows: tuple[tuple, ...], rhs: tuple) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "var_names", var_names)
+        object.__setattr__(self, "row_names", row_names)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "_basis", [])
+
+    def _key(self) -> tuple:
+        return (self.t, self.p, self.lam, self.var_names, self.row_names, self.rows,
+                self.rhs)
 
     def objective_vector(self):
         return tuple(1 if v == "ell" else 0 for v in self.var_names)
@@ -352,8 +397,7 @@ def build_model(t: int, p, lam) -> LbLpModel:
     )
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     ell: object
     duals: dict
 
@@ -509,18 +553,25 @@ def _high_p_candidate(p, t: int) -> LcrParams:
 # -- optimality conditions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     ok: bool
     slack: float
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    params: LcrParams
-    applicable: bool
-    conditions: tuple[Condition, ...]
+class ConditionReport(_Frozen):
+    """The conditions checked for ``params``; iterating walks them."""
+
+    __slots__ = ("params", "applicable", "conditions")
+
+    def __init__(self, params: LcrParams, applicable: bool,
+                 conditions: tuple[Condition, ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "conditions", conditions)
+
+    def _key(self) -> tuple:
+        return (self.params, self.applicable, self.conditions)
 
     @property
     def all_ok(self) -> bool:
@@ -955,8 +1006,9 @@ def _lp_dual(params: LcrParams, p) -> DualCertificate:
 CERTIFICATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
+    """Truthy only when ``ok`` (a plain pair of fields would always be)."""
+
     ok: bool
     violations: tuple[str, ...]
 

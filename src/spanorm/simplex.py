@@ -60,9 +60,8 @@ linear solver; the closed-form certificates in ``lb_lp`` use it too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = ["Infeasible", "LpSolution", "SimplexError", "Unbounded", "solve_lp"]
 
@@ -88,8 +87,7 @@ class _NeedsExact(Exception):
     """Internal: a float result needs exact arithmetic; climb a rung."""
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     """An optimum and its dual multipliers, one per input row (module doc)."""
 
     objective: object

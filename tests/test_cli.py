@@ -499,6 +499,20 @@ class TestSubcommands:
              f"center_size {10**400} at p = 2.0 overflows a float"),
             ("skewed", {"L": 1, "C": 1, "R": 1, "skew": "right", "p": 2.0, "center": 10**400,
                         "skew_exponent": 0.2}, f"center_size {10**400} at p = 2.0"),
+            ("lcr", {"L": True, "C": 1, "R": 1, "p": 2, "center": 8},
+             "section length L must be an int, got True"),
+            ("lcr", {"L": 1.5, "C": 1, "R": 1, "p": 2, "center": 8},
+             "section length L must be an int, got 1.5"),
+            ("skewed", {"L": 1, "C": 1, "R": False, "skew": "right", "p": 2.0, "center": 16,
+                        "skew_exponent": 0.25}, "section length R must be an int, got False"),
+            ("lcr", {"L": 1, "C": 1, "R": 1, "p": 2.0, "center": 8, "skew_exponent": 0.3},
+             "family lcr has the unknown key 'skew_exponent'; it reads L, C, R, p, center"),
+            ("named", {"name": "mcgee", "center": 8},
+             "family named has the unknown key 'center'; it reads name"),
+            ("lp", {"t": 3, "p": "2", "lambda": "1", "n": 64, "seed": 1, "L": 1},
+             "family lp has the unknown keys 'seed', 'L'; it reads t, p, lambda, n"),
+            ("tightness", {"k": 2, "p": 3.0, "n": 100, "Lambda": 50, "lambda": 1},
+             "family tightness has the unknown key 'lambda'; it reads k, p, n, Lambda"),
         ],
     )
     def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):
@@ -898,3 +912,40 @@ class TestColdStart:
         assert json.loads(proc.stdout)["girth"] == 7.0
         assert "spanorm.extremal" in imported
         assert not imported & {"spanorm.lb_lp", "spanorm.simplex"}
+
+    # the record machinery the package leaves out: ``dataclasses`` loads
+    # ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``)
+    RECORD_IMPORTS = {"dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("args", [
+        ["lb", "--t", 3, "--p", 2, "--lambda", 1, "--exact", "--certificate"],
+        ["lb-sweep", "--grid", "grid.json"],
+        ["gen", "--family", "lp", "--params", {"t": 3, "p": "2", "lambda": "1", "n": 64}],
+        ["gen", "--family", "lcr", "--params", {"L": 1, "C": 1, "R": 1, "p": 2.0,
+                                                "center": 8}],
+        ["gen", "--family", "skewed", "--params", {"L": 1, "C": 1, "R": 1, "skew": "right",
+                                                   "p": 2.0, "center": 16,
+                                                   "skew_exponent": 0.25}],
+        ["experiment", "--spec", "spec.json", "--fresh"],
+    ], ids=["lb", "lb-sweep", "gen-lp", "gen-lcr", "gen-skewed", "experiment"])
+    def test_lp_and_layered_commands_import_no_dataclasses(self, args, tmp_path):
+        (tmp_path / "grid.json").write_text(json.dumps(
+            {"t": [2, 3], "p": ["2", "5/2"], "lambda_points": 3}))
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"name": "e", "families": ["greedy_bound", "lb_agreement"], "output": "e",
+             "grid": {"seeds": [0], "n": [40], "t": [3], "p": ["2"]}}))
+        if args[0] == "gen":
+            args = [*args[:-1], json.dumps(args[-1]), "--out", "inst"]
+        proc, imported = cli_imports(args, cwd=tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout
+        # lb_lp is loaded by ``from . import lb_lp``, which -X importtime does
+        # not report; the simplex it imports is reported
+        assert "spanorm.simplex" in imported
+        assert not imported & self.RECORD_IMPORTS
+
+    def test_lp_and_layered_modules_import_no_dataclasses(self):
+        proc = _child(["-c", "import sys, spanorm.lb_lp, spanorm.extremal; "
+                       "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"])
+        assert proc.returncode == 0
+        assert proc.stdout == "[]\n"

@@ -1,6 +1,5 @@
 """Layered instance generators, named graphs, lifts, and tightness families."""
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -377,8 +376,9 @@ class TestRuleVerdictMutants:
 
     def _replace_gap(self, inst, index, **changes):
         gaps = list(inst.gaps)
-        gaps[index] = dataclasses.replace(gaps[index], **changes)
-        return dataclasses.replace(inst, gaps=tuple(gaps))
+        gaps[index] = gaps[index]._replace(**changes)
+        return LayeredInstance(inst.t, inst.p, inst.layer_sizes, tuple(gaps), inst.predicted,
+                               inst.explicit_spanner, inst.explicit_host)
 
     @pytest.mark.parametrize("owner", ids=["shifted", "plus_one", "ceiling"], argvalues=[
         lambda x, big, small: (x + 1) * small // big,
