@@ -228,10 +228,17 @@ class LayerProfile:
 
 
 def _check_p(p) -> None:
+    # a bool is an int to Python but not a norm parameter, and a str or
+    # None does not compare with 1
     if p is INFINITY:
         return
-    if not 1 <= p < math.inf:
-        raise GraphError(f"norm parameter must be a finite p >= 1 or INFINITY, got {p}")
+    try:
+        ok = not isinstance(p, bool) and 1 <= p < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
+        raise GraphError(f"norm parameter p must be a finite number >= 1 or INFINITY, "
+                         f"got {p!r}")
 
 
 def degree_norm(degrees: Iterable[int], p, counts: Iterable[int] | None = None) -> float:

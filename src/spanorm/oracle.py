@@ -1,20 +1,18 @@
 """Brute-force minimum-lp-norm t-spanner oracle and greedy-ratio checks.
 
 The oracle enumerates edge subsets, so it is the independent ground truth
-the rest of the package is validated against.  Exhaustive mode walks every
-subset and checks each with ``verify_stretch``; branch-and-bound mode prunes
-on two sound tests (the norm of the degrees already forced, and
-spannability of each excluded edge inside the still-available graph) and
-re-verifies every surviving leaf, so both modes return the same optimum.
-The branch-and-bound builds no graph per node: it keeps the available
-edges (kept plus undecided) as one adjacency that the drop branch edits in
-place and restores on backtrack (on a unit graph one int bitmask per
-vertex, so a drop is two XORs, and the spannability test a hop search over
-those bits), keeps the degree multiset as one integer that the keep branch
-updates in O(1), computes each multiset's norm once per search, and at a
-leaf, where that adjacency is the kept set, checks only the dropped edges'
-stretch.  Ties break to the lexicographically smallest kept edge set,
-making results reproducible.
+the rest of the package is validated against.  Exhaustive mode checks
+every subset with ``verify_stretch``; branch-and-bound mode prunes on two
+sound tests (the norm of the degrees already forced, and spannability of
+each dropped edge in the still-available graph) and re-verifies every
+surviving leaf, so both modes return the same optimum.  The
+branch-and-bound builds no graph per node: it edits one adjacency of the
+available edges in place (on a unit graph one int bitmask per vertex, so a
+drop is two XORs), picks its spannability test once per search (on a unit
+graph a hop search over those bits whose first level is one AND), keeps
+the degree multiset as one integer with a memo of its norm, and at a leaf
+checks only the dropped edges' stretch.  Ties break to the
+lexicographically smallest kept edge set, making results reproducible.
 """
 
 from __future__ import annotations
@@ -65,31 +63,46 @@ class OracleResult(NamedTuple):
         return self.greedy_norm / self.optimum_norm
 
 
-def _within_hops_mask(mask: list[int], u: int, v: int, cap: int) -> bool:
-    """True iff ``v`` is within ``cap >= 1`` hops of ``u != v``, where bit y
-    of ``mask[x]`` is set iff x-y is an edge.
-
-    Level i of the search is the set of vertices exactly i hops from u, one
-    int; v is within ``cap`` hops iff a level i < ``cap`` meets ``mask[v]``.
-    An empty level stops the search, so a ``cap`` far above n costs what
-    ``cap = n`` does.
+def _mask_spanned(mask: list[int], order: list, t: int):
+    """The unit prune test of one search: ``spanned(i)`` is true iff the ends
+    of ``order[i] = (u, v)``, ``u != v``, are within ``t >= 1`` hops in
+    ``mask`` (bit y of ``mask[x]`` set iff x-y is an edge).  Level k, the
+    vertices k hops from u, is one int; v is within t hops iff a level
+    k < min(t, n) meets ``mask[v]``, as no later level can.  Level 0 is one
+    shift, level 1 (``mask[u]``) one AND; bits are walked only from level 2
+    on, level t - 2's one at a time.
     """
-    near = mask[v]
-    seen = level = 1 << u
-    while not level & near:
-        cap -= 1
-        if not cap:
+    t = min(t, len(mask))
+
+    def spanned(i: int) -> bool:
+        u, v = order[i]
+        near = mask[v]
+        if near >> u & 1:
+            return True
+        level = mask[u]
+        if level & near:
+            return t > 1
+        if t < 3:
             return False
-        reach = 0
+        seen = level | 1 << u
+        for _ in range(t - 3):
+            reach = 0
+            while level:
+                w = level.bit_length() - 1
+                reach |= mask[w]
+                level ^= 1 << w
+            level = reach & ~seen
+            if level & near:
+                return True
+            seen |= level
         while level:
-            low = level & -level
-            reach |= mask[low.bit_length() - 1]
-            level ^= low
-        level = reach & ~seen
-        if not level:
-            return False
-        seen |= level
-    return True
+            w = level.bit_length() - 1
+            if mask[w] & near:
+                return True
+            level ^= 1 << w
+        return False
+
+    return spanned
 
 
 def optimal_spanner(
@@ -101,75 +114,70 @@ def optimal_spanner(
     ``prune=True`` adds branch-and-bound and stretches to 40 edges.  Edges
     are ordered with the greedy spanner's complement first, which lets the
     norm bound bite early.  A caller that holds ``greedy_spanner(g, t)``
-    passes it as ``greedy`` to save building it again; a spanner built on
-    another graph or at another stretch raises ``ValueError``.
+    passes it as ``greedy`` to save building it again; a ``greedy`` that is
+    not a ``Spanner``, or one built on another graph or at another stretch,
+    raises ``ValueError``.  ``p`` is a number >= 1 (not a bool) or
+    ``INFINITY``; anything else raises ``GraphError``.
 
-    The branch-and-bound keeps one mutable adjacency of the kept edges
-    plus every undecided one.  On a unit graph it is ``mask``, one int per
-    vertex with bit y of ``mask[x]`` set iff x-y is available: the drop
-    branch clears the edge's two bits for its subtree and sets them again
-    on backtrack (two XORs each way), and the spannability prune asks
-    ``_within_hops_mask``, a hop search whose levels are ints.  On a
-    weighted graph it is ``avail``, one list per vertex: the drop branch
-    takes its edge out of two lists and puts it back in the same slots,
-    and the prune asks ``within_length`` with cap ``t * length``.  Both
-    tests answer exactly whether the edge's ends are within the cap in the
-    available edges, the verdict ``within_hops`` gives on lists, so a unit
-    graph and its copy with every length 1.0 search the same tree.  Neither runs
-    inside the order's prefix of greedy-complement edges, where every
-    greedy edge is available and the test would pass.  At a leaf the
-    adjacency is the kept set.  The leaf norm is ``degree_norm`` of the
-    running degrees, the same float ``lp_norm`` gives, and the stretch
-    check asks the same question about the dropped edges only: a kept edge
-    spans itself, as ``verify_stretch`` sees it.  A drop child skips the
-    norm bound test its parent just passed on the same degrees and
-    incumbent; a keep child's test runs in the parent, before the call, on
-    the same incumbent the child would see, and a child it prunes counts as
-    explored and pruned without a call.  ``prune=False`` builds a graph and
-    calls ``verify_stretch`` per subset, and stays the independent
-    reference.
+    The branch-and-bound keeps one mutable adjacency of the kept edges plus
+    every undecided one, and picks its spannability test once, before the
+    search.  On a unit graph the adjacency is ``mask``, one int per vertex
+    with bit y of ``mask[x]`` set iff x-y is available: a drop clears the
+    edge's two bits for its subtree and sets them again on backtrack, and
+    the test is the closure ``_mask_spanned`` builds over ``mask``, the
+    order and ``t``: a hop search whose levels are ints, level 1 one AND.
+    On a weighted graph the adjacency is ``avail``, one list per vertex
+    edited in the same slots, and the test ``within_length`` with cap
+    ``t * length``.  Both answer exactly whether the edge's ends are within
+    the cap in the available edges, the verdict ``within_hops`` gives on
+    lists, so a unit graph and its copy with every length 1.0 search the
+    same tree.  Neither runs inside the order's prefix of greedy-complement
+    edges, where every greedy edge is available and the test would pass.
+    At a leaf the adjacency is the kept set: the leaf norm is
+    ``degree_norm`` of the running degrees, the same float ``lp_norm``
+    gives, and the stretch check asks only about the dropped edges, as a
+    kept edge spans itself.  A drop child skips the bound test its parent
+    passed on the same degrees and incumbent; a keep child's test runs in
+    the parent on the incumbent the child would see, and a child it prunes
+    counts as explored and pruned without a call.  ``prune=False`` builds a
+    graph and calls ``verify_stretch`` per subset, and stays the
+    independent reference.
 
     The bound test computes ``degree_norm`` once per degree multiset the
-    search meets and reads it from a dict after that.  The multiset is kept
-    as ``key = sum((n+1)**d for d in degrees)``: it starts at ``n`` (every
-    degree 0), and keeping edge ``(u, v)`` adds ``(n+1)**(d+1) - (n+1)**d``
-    for each end before the keep child gets it.  Two facts make the
-    memo return the very float a fresh call would:
+    search meets, named by ``key = sum((n+1)**d for d in degrees)``: it
+    starts at ``n`` (every degree 0), and keeping edge ``(u, v)`` adds
+    ``(n+1)**(d+1) - (n+1)**d`` for each end.  The memo returns the very
+    float a fresh call would:
 
     - ``degree_norm`` of a per-vertex list depends only on the multiset of
       its entries, for every ``p``.  ``INFINITY`` takes a ``max``.  A finite
-      ``p`` sums with ``math.fsum``, which is correctly rounded, so its sum
-      is that of the exact real sum whatever the order.  Whether a term
-      overflows depends on that term alone, and as the terms are
-      non-negative every partial sum is at most the whole one, so the sum
-      leaves the float range in every order or in none; the scaled branch
-      then divides by the ``max`` and again sums with ``fsum``.
-    - The key determines the multiset: in a simple graph every degree is
-      below ``n``, and at most ``n < n+1`` vertices share a degree, so the
-      count of degree ``d`` is the key's ``d``-th base-``(n+1)`` digit.
-      The power table needs only the exponents up to ``g``'s largest
-      degree, which no degree in the search exceeds, so its size does not
-      grow with ``n``.
+      ``p`` sums with ``math.fsum``, which is correctly rounded, so the
+      order does not matter.  Whether a term overflows depends on that term
+      alone, and as the terms are non-negative every partial sum is at most
+      the whole one, so the sum leaves the float range in every order or in
+      none; the scaled branch divides by the ``max`` and again uses ``fsum``.
+    - The key determines the multiset: every degree is below ``n`` and at
+      most ``n < n+1`` vertices share one, so the count of degree ``d`` is
+      the key's ``d``-th base-``(n+1)`` digit.  The power table stops at
+      ``g``'s largest degree, which no degree in the search exceeds.
 
     So the search tree, ``explored``, ``pruned`` and the optimum are those
     of a search that calls ``degree_norm`` at every node.
     """
     m = g.m
-    if prune and m > PRUNED_EDGE_LIMIT:
-        raise OracleSizeError(f"{m} edges exceeds the pruned limit {PRUNED_EDGE_LIMIT}")
-    if not prune and m > EXHAUSTIVE_EDGE_LIMIT:
-        raise OracleSizeError(
-            f"{m} edges exceeds the exhaustive limit {EXHAUSTIVE_EDGE_LIMIT}"
-        )
+    limit = PRUNED_EDGE_LIMIT if prune else EXHAUSTIVE_EDGE_LIMIT
+    if m > limit:
+        kind = "pruned" if prune else "exhaustive"
+        raise OracleSizeError(f"{m} edges exceeds the {kind} limit {limit}")
     if greedy is None:
         greedy = greedy_spanner(g, t)
+    elif not isinstance(greedy, Spanner):
+        raise ValueError(f"greedy must be a Spanner, got {type(greedy).__name__}")
     elif not (greedy.base == g and greedy.t == t):
         raise ValueError(f"greedy is a spanner of {greedy.base!r} at t={greedy.t!r}, "
                          f"not of {g!r} at t={t!r}")
     greedy_edges = set(greedy.kept_edges)
-    order = [e for e in g.edges if e not in greedy_edges] + [
-        e for e in g.edges if e in greedy_edges
-    ]
+    order = sorted(g.edges, key=greedy_edges.__contains__)
     # order[:complement] are the edges the greedy dropped
     complement = m - len(greedy_edges)
 
@@ -205,39 +213,31 @@ def optimal_spanner(
         kept: list = []
         dropped: list[int] = []
         lengths = g.lengths
+        # spanned(i): the available edges span order[i] within its budget
         if lengths is None:
             mask = [0] * g.n
             for u, v in g.edges:
                 mask[u] |= 1 << v
                 mask[v] |= 1 << u
+            spanned = _mask_spanned(mask, order, t)
         else:
             mask = None
             avail = [list(nbrs) for nbrs in g.adjacency()]
             budget = [t * lengths[e] for e in order]
 
-        def spanned(i: int) -> bool:
-            # order[i] is spanned within its budget by the edges now available
-            u, v = order[i]
-            if mask is not None:
-                return _within_hops_mask(mask, u, v, t)
-            return within_length(avail, lengths, u, v, budget[i])
+            def spanned(i: int) -> bool:
+                return within_length(avail, lengths, *order[i], budget[i])
 
         def leaf(norm: float) -> None:
-            if norm > best_norm:
-                return
-            if not all(map(spanned, dropped)):
-                return
-            offer(norm, tuple(sorted(kept)))
+            if norm <= best_norm and all(map(spanned, dropped)):
+                offer(norm, tuple(sorted(kept)))
 
-        # keeping an edge raises a degree to at most g's own largest, so
-        # the table stops there whatever n is
         power = [(g.n + 1) ** d for d in range(max(g.degrees(), default=0) + 1)]
         norms: dict[int, float] = {}
 
         def dfs(idx: int, norm: float, key: int) -> None:
-            # the caller has passed the bound test on norm, the norm of the
-            # degrees; key is sum over v of (n+1)**degrees[v], which names
-            # the degree multiset
+            # the caller passed the bound test on norm, the degrees' norm;
+            # key, sum over v of (n+1)**degrees[v], names their multiset
             nonlocal explored, pruned
             explored += 1
             if idx == m:

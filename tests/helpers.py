@@ -626,26 +626,45 @@ def child_env() -> dict:
     return env
 
 
+# run in a child as ``python -c _MODULES_PROBE [module [args]]``: run the
+# module as ``__main__`` (if one is named), keep its exit code, and write
+# every module loaded by then as the last line of stderr.  ``sys.modules``
+# also holds the submodules that ``from . import x`` loads, which
+# ``python -X importtime`` does not log
+_MODULES_PROBE = """
+import runpy, sys
+code = 0
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module(sys.argv.pop(1), run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print("modules:", *sorted(sys.modules), file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def _imported(argv: list[str], cwd=None) -> tuple[subprocess.CompletedProcess, set[str]]:
-    """Run ``python -X importtime *argv``; return the process and the modules
-    it imported, read off the ``import time:`` lines of its stderr."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+    """Run ``python -c _MODULES_PROBE *argv``; return the process, its stderr
+    without the probe's line, and the modules loaded when the run ended."""
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True,
                           text=True, env=child_env(), cwd=cwd)
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    names.discard("imported package")  # the table's header
-    return proc, names
+    head, _, last = proc.stderr.rstrip("\n").rpartition("\n")
+    assert last.startswith("modules: "), proc.stderr
+    proc.stderr = head + "\n" if head else ""
+    return proc, set(last.split()[1:])
 
 
 @functools.lru_cache(maxsize=None)
 def _bare_imports() -> frozenset:
-    """The modules ``python -c pass`` imports in the children's environment
-    (with it the ``site`` hooks of the installation, such as ``.pth`` files)."""
-    return frozenset(_imported(["-c", "pass"])[1])
+    """The modules the probe alone loads in the children's environment (with
+    them the ``site`` hooks of the installation, such as ``.pth`` files)."""
+    return frozenset(_imported([])[1])
 
 
 def cli_imports(args, cwd=None) -> tuple[subprocess.CompletedProcess, set[str]]:
-    """Run ``python -m spanorm.cli *args`` in a child; return the process
-    and the modules it imported beyond those a bare interpreter imports."""
-    proc, names = _imported(["-m", "spanorm.cli", *map(str, args)], cwd)
+    """Run ``spanorm.cli *args`` as ``__main__`` in a child; return the
+    process and the modules loaded by the time ``main()`` returned beyond
+    those the bare probe loads."""
+    proc, names = _imported(["spanorm.cli", *map(str, args)], cwd)
     return proc, names - _bare_imports()

@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+import re
 import types
 from collections import Counter
 from fractions import Fraction
@@ -161,6 +162,17 @@ class TestNorms:
                 lp_norm(path, p)
             with pytest.raises(GraphError):
                 subset_norm(path, range(3), p)
+
+    @pytest.mark.parametrize("p", [True, False, "2", None, [2], 1j], ids=repr)
+    def test_bool_or_non_number_p_rejected(self, p):
+        # a bool is not read as p = 1, and a value that does not compare
+        # with 1 raises GraphError naming p, not TypeError
+        path = Graph(3, [(0, 1), (1, 2)])
+        named = r"^norm parameter p must be .*, got " + re.escape(repr(p))
+        with pytest.raises(GraphError, match=named):
+            lp_norm(path, p)
+        with pytest.raises(GraphError, match="norm parameter p must be"):
+            subset_norm(path, range(3), p)
 
 
 class TestDegreeNorm:

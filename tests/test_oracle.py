@@ -10,10 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanorm.oracle
-from spanorm.graph_core import Graph, INFINITY, degree_norm, girth_at_least, lp_norm
+from spanorm.graph_core import (
+    Graph,
+    GraphError,
+    INFINITY,
+    degree_norm,
+    girth_at_least,
+    lp_norm,
+    subset_norm,
+    within_hops,
+)
 from spanorm.greedy import Spanner, greedy_spanner, verify_stretch
 from spanorm.oracle import (
     OracleSizeError,
+    _mask_spanned,
     ball_growth_check,
     greedy_ratio,
     optimal_spanner,
@@ -242,9 +252,13 @@ class TestOptimalSpanner:
         # test: 3959 bitmask hop tests here against 4085 with the test, and
         # the same search tree
         calls = []
-        real = spanorm.oracle._within_hops_mask
-        monkeypatch.setattr(spanorm.oracle, "_within_hops_mask",
-                            lambda *args: calls.append(args) or real(*args))
+        real = spanorm.oracle._mask_spanned
+
+        def counting_factory(mask, order, t):
+            spanned = real(mask, order, t)
+            return lambda i: calls.append(i) or spanned(i)
+
+        monkeypatch.setattr(spanorm.oracle, "_mask_spanned", counting_factory)
         g, t, p = seeded_oracle_case(16)
         assert g.lengths is None
         res = optimal_spanner(g, t, p)
@@ -305,11 +319,59 @@ class TestOptimalSpanner:
         degrees, permuted = pair
         assert degree_norm(permuted, p) == degree_norm(degrees, p)
 
+    @pytest.mark.parametrize("p", [True, False, "2", None, 0.5], ids=repr)
+    def test_bad_p_refused(self, p):
+        # p = True answered as p = 1 before, and p = "2" escaped as TypeError
+        for prune in (True, False):
+            with pytest.raises(GraphError, match="norm parameter p must be"):
+                optimal_spanner(cycle_graph(5), 3, p, prune=prune)
+
     def test_petersen_forced_whole(self):
         # girth 5 means no 3-spanner may drop an edge
         g = petersen_graph()
         res = optimal_spanner(g, 3, 2)
         assert res.optimum.kept_edges == g.edges
+
+
+def kernel_graphs():
+    """Unit graphs on 2..12 vertices for the hop-kernel test: edgeless, long
+    paths (distances up to n - 1), two components with isolated vertices,
+    dense and sparse random graphs, each with an isolated vertex or not."""
+    yield Graph(12, [])
+    yield path_graph(12)
+    yield cycle_graph(11)
+    yield complete_graph(6)
+    yield petersen_graph()
+    yield Graph(12, [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8), (8, 5), (9, 10)])
+    rng = random.Random(36)
+    for n in range(2, 13):
+        for density in (0.15, 0.3, 0.6):
+            top = n - 1 if rng.random() < 0.5 else n
+            edges = [(u, v) for u in range(top) for v in range(u + 1, top)
+                     if rng.random() < density]
+            yield Graph(n, edges)
+
+
+class TestMaskSpanned:
+    def test_matches_within_hops(self):
+        # the factory's verdict against the list BFS on every ordered pair
+        # and every cap 1..n+1, isolated vertices and other components too;
+        # a cap far above n costs what cap n does
+        met = set()
+        for g in kernel_graphs():
+            adj = g.adjacency()
+            mask = [sum(1 << y for y in nbrs) for nbrs in adj]
+            order = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+            for cap in [*range(1, g.n + 2), 10**12]:
+                spanned = _mask_spanned(mask, order, cap)
+                for i, (u, v) in enumerate(order):
+                    want = within_hops(adj, u, v, cap)
+                    assert spanned(i) == want, (g.edges, u, v, cap)
+                    met.add((min(cap, 4), want, within_hops(adj, u, v, cap - 1)))
+        # each of caps 1, 2, 3 and 4+ answers yes at exactly the cap and
+        # no, and caps from 2 on yes below the cap too
+        assert met == {(c, w, b) for c in range(1, 5) for w, b in
+                       ((True, True), (True, False), (False, False))} - {(1, True, True)}
 
 
 class TestGreedyRatio:
@@ -353,6 +415,17 @@ class TestGreedyRatio:
                 greedy_ratio(g, 3, 2, greedy=other)
             with pytest.raises(ValueError, match="greedy is a spanner of"):
                 optimal_spanner(g, 3, 2, greedy=other)
+
+    def test_greedy_not_a_spanner_refused(self):
+        # a Graph or a tuple has no base or t: refused by name, not with
+        # an AttributeError
+        g = complete_graph(5)
+        for other in (greedy_spanner(g, 3).graph(), greedy_spanner(g, 3).kept_edges):
+            with pytest.raises(ValueError, match="^greedy must be a Spanner"):
+                greedy_ratio(g, 3, 2, greedy=other)
+            for prune in (True, False):
+                with pytest.raises(ValueError, match="^greedy must be a Spanner"):
+                    optimal_spanner(g, 3, 2, prune=prune, greedy=other)
 
     def test_one_greedy_per_ratio(self, monkeypatch):
         calls = []
