@@ -30,6 +30,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
+from ._record import Record
 from .graph_core import (Graph, degree_norm, girth, girth_at_least, hop_layers,
                          lp_norm, short_cycle, within_hops)
 from .greedy import verify_stretch
@@ -503,7 +504,7 @@ def _rules_span_all_pairs(gaps: tuple, sizes: tuple) -> bool:
     return bool(junctions) or center == mprime
 
 
-class LayeredInstance:
+class LayeredInstance(Record):
     """A layered spanner plus its host (spanner + biclique V_0 x V_t).
 
     Rule-based instances (from build_lcr / build_skewed) may stay virtual;
@@ -533,19 +534,6 @@ class LayeredInstance:
     def _key(self) -> tuple:
         return (self.t, self.p, self.layer_sizes, self.gaps, self.predicted,
                 self.explicit_spanner, self.explicit_host)
-
-    def __reduce__(self):
-        return LayeredInstance, self._key()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        names = self.__slots__
-        return ("LayeredInstance("
-                + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._key())) + ")")
 
     # -- layout ----------------------------------------------------------
 

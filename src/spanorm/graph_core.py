@@ -22,6 +22,8 @@ from itertools import islice, repeat
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Frozen
+
 __all__ = [
     "Graph",
     "GraphError",
@@ -185,39 +187,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-class LayerProfile:
-    """Hop-layer sizes ``d_0(v), d_1(v), ..., d_r(v)`` around ``source``.
-
-    Immutable: equal profiles compare and hash alike.
-    """
+class LayerProfile(Frozen):
+    """Hop-layer sizes ``d_0(v), d_1(v), ..., d_r(v)`` around ``source``."""
 
     __slots__ = ("source", "counts")
 
     def __init__(self, source: int, counts: tuple[int, ...]) -> None:
         if not counts or counts[0] != 1:
             raise GraphError("layer profile must start with d_0 = 1")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "counts", counts)
+        self._fill(source=source, counts=counts)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return LayerProfile, (self.source, self.counts)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.counts) == (other.source, other.counts)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.counts))
-
-    def __repr__(self) -> str:
-        return f"LayerProfile(source={self.source!r}, counts={self.counts!r})"
+    def _key(self) -> tuple:
+        return (self.source, self.counts)
 
     def d(self, i: int) -> int:
         """Number of vertices exactly ``i`` hops away (0 beyond the radius)."""

@@ -48,6 +48,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Frozen
 from .graph_core import Graph, INFINITY, within_length
 
 __all__ = [
@@ -66,46 +67,22 @@ __all__ = [
 _BALL_MASK_MAX_N = 4096
 
 
-class Spanner:
-    """A subgraph of ``base`` together with its stretch.
-
-    Immutable: equal spanners compare and hash alike, and the cached
-    ``graph()`` takes no part in either.
-    """
+class Spanner(Frozen):
+    """A subgraph of ``base`` together with its stretch; the cached
+    ``graph()`` takes no part in ``==`` or ``hash``."""
 
     __slots__ = ("base", "kept_edges", "t", "_graph")
 
     def __init__(self, base: Graph, kept_edges: tuple[tuple[int, int], ...], t: int) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "kept_edges", kept_edges)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "_graph", None)
+        self._fill(base=base, kept_edges=kept_edges, t=t, _graph=None)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Spanner, (self.base, self.kept_edges, self.t)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.base, self.kept_edges, self.t)
-                == (other.base, other.kept_edges, other.t))
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.kept_edges, self.t))
-
-    def __repr__(self) -> str:
-        return f"Spanner(base={self.base!r}, kept_edges={self.kept_edges!r}, t={self.t!r})"
+    def _key(self) -> tuple:
+        return (self.base, self.kept_edges, self.t)
 
     def graph(self) -> Graph:
         """The spanner as a Graph on the full vertex set (cached)."""
         if self._graph is None:
-            object.__setattr__(self, "_graph", self.base.subgraph(self.kept_edges))
+            self._fill(_graph=self.base.subgraph(self.kept_edges))
         return self._graph
 
     @property

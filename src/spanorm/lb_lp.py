@@ -28,8 +28,9 @@ Numeric policy: ``p`` and ``lambda`` may be int, float or Fraction.  Each
 public entry point turns an int into a Fraction once (``_exactify``), and
 the arithmetic below it follows the type it is given, so exact input gives
 exact output and float input float output.  Lambda must lie in the LP's
-own range (0, 1 + 1/p], tested with no slack (``_check_lambda``); every
-test against an interior range cap goes through ``_at_most``: exact when
+own range (0, 1 + 1/p], tested with no slack (``_check_lambda``); the
+closed forms and primals test only lambda > 0 (``_check_lambda_positive``).
+Every test against an interior range cap goes through ``_at_most``: exact when
 both sides are Fractions, and with a 1e-12 relative slack otherwise.
 ``verify_certificate`` still checks in float, at the absolute
 ``CERTIFICATE_TOL``, even for exact certificates; an exact referee for it
@@ -70,6 +71,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
+from ._record import Frozen
 from .simplex import _dense_solve, _part, _solve
 
 __all__ = [
@@ -147,6 +149,12 @@ def _check_lambda(p, lam) -> None:
         raise ParameterError(f"lambda must lie in (0, 1 + 1/p], got {lam}")
 
 
+def _check_lambda_positive(lam) -> None:
+    """The low end of ``_check_lambda`` alone; NaN fails it too."""
+    if not lam > 0:
+        raise ParameterError(f"lambda must be > 0, got {lam}")
+
+
 def _q(p):
     """(p-1)/p."""
     return (p - 1) / p
@@ -177,8 +185,9 @@ def e_coeff(i: int, j: int, p):
     At p = 1 the 0**0 = 1 convention gives E(i,0) = 1 and E(i,j) = 1 + 1/i
     for j >= 1.
     """
-    if i < 1 or j < 0:
-        raise ParameterError(f"e_coeff needs i >= 1 and j >= 0, got ({i},{j})")
+    if not (type(i) is int and type(j) is int and i >= 1 and j >= 0):
+        raise ParameterError(f"e_coeff needs ints i >= 1 and j >= 0, got ({i!r},{j!r})")
+    _check_p(p)
     p = _exactify(p)
     return 1 + p / i * (1 - _qpow(p, j))
 
@@ -211,39 +220,7 @@ SKEW_LEFT = "left"
 SKEW_RIGHT = "right"
 
 
-class _Frozen:
-    """Base of the slotted records: fields are set once, by ``__init__``
-    through ``object.__setattr__``, and assignment or deletion raises
-    ``AttributeError``.  ``_key()`` gives the values of the leading
-    ``__slots__``: the fields that ``repr``, ``==`` (same class only),
-    ``hash`` and pickling see, in constructor order."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._key()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        names = self.__slots__
-        return (f"{self.__class__.__name__}("
-                + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._key())) + ")")
-
-
-class LcrParams(_Frozen):
+class LcrParams(Frozen):
     """Shape of an extremal layered spanner: L + C + R = t layers past V_0.
 
     L, C and R are ints (not bools) at least 0, else ``ParameterError``
@@ -260,11 +237,7 @@ class LcrParams(_Frozen):
         for name, value in (("L", L), ("C", C), ("R", R)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParameterError(f"section length {name} must be an int, got {value!r}")
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "skew", skew)
-        object.__setattr__(self, "skew_exponent", skew_exponent)
+        self._fill(L=L, C=C, R=R, skew=skew, skew_exponent=skew_exponent)
         if L < 0 or C < 0 or R < 0:
             raise ParameterError(f"negative section length in {self}")
         if skew not in (SKEW_NONE, SKEW_LEFT, SKEW_RIGHT):
@@ -300,7 +273,7 @@ class DualCertificate(NamedTuple):
         return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
 
-class LbLpModel(_Frozen):
+class LbLpModel(Frozen):
     """The relaxed lower-bound LP of ``build_model`` in log space; all rows
     are ``coeffs . x >= rhs``.
 
@@ -316,14 +289,8 @@ class LbLpModel(_Frozen):
 
     def __init__(self, t: int, p, lam, var_names: tuple[str, ...],
                  row_names: tuple[str, ...], rows: tuple[tuple, ...], rhs: tuple) -> None:
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "var_names", var_names)
-        object.__setattr__(self, "row_names", row_names)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "_basis", [])
+        self._fill(t=t, p=p, lam=lam, var_names=var_names, row_names=row_names, rows=rows,
+                   rhs=rhs, _basis=[])
 
     def _key(self) -> tuple:
         return (self.t, self.p, self.lam, self.var_names, self.row_names, self.rows,
@@ -333,11 +300,19 @@ class LbLpModel(_Frozen):
         return tuple(1 if v == "ell" else 0 for v in self.var_names)
 
 
-def _check_tp(t: int, p) -> None:
+def _check_t(t: int) -> None:
     if isinstance(t, bool) or not (isinstance(t, int) and t >= 1):
         raise ParameterError(f"stretch t must be a positive integer, got {t!r}")
+
+
+def _check_p(p) -> None:
     if p is None or isinstance(p, bool) or not 1 <= p < math.inf:
         raise ParameterError(f"p must be a finite real >= 1, got {p}")
+
+
+def _check_tp(t: int, p) -> None:
+    _check_t(t)
+    _check_p(p)
 
 
 def build_model(t: int, p, lam) -> LbLpModel:
@@ -559,16 +534,14 @@ class Condition(NamedTuple):
     slack: float
 
 
-class ConditionReport(_Frozen):
+class ConditionReport(Frozen):
     """The conditions checked for ``params``; iterating walks them."""
 
     __slots__ = ("params", "applicable", "conditions")
 
     def __init__(self, params: LcrParams, applicable: bool,
                  conditions: tuple[Condition, ...]) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "conditions", conditions)
+        self._fill(params=params, applicable=applicable, conditions=conditions)
 
     def _key(self) -> tuple:
         return (self.params, self.applicable, self.conditions)
@@ -635,6 +608,7 @@ def closed_form_exponent(params: LcrParams, p, lam):
     """Closed-form exponent of a plain (L,C,R) shape inside the nice range."""
     if params.skew != SKEW_NONE:
         raise ParameterError("closed form applies to plain shapes only")
+    _check_lambda_positive(lam)
     p, lam = _exactify(p), _exactify(lam)
     bound = nice_range_max(params, p)
     if not _at_most(lam, bound):
@@ -657,6 +631,7 @@ def low_p_exponent(t: int, p, lam, nu=1):
     the exponent of the vertex-count floor (log_n n = 1 by default).
     """
     _check_tp(t, p)
+    _check_lambda_positive(lam)
     p, lam, nu = _exactify(p), _exactify(lam), _exactify(nu)
     if t % 2 == 0:
         if not _is_at_most_golden(p):
@@ -877,6 +852,7 @@ def minimal_spanner_primal(params: LcrParams, p, lam) -> dict:
         raise ParameterError("use skewed_primal for skewed shapes")
     if params.C == 0 and (params.L == 0 or params.R == 0):
         raise ParameterError("C = 0 needs L, R >= 1")
+    _check_lambda_positive(lam)
     p, lam = _exactify(p), _exactify(lam)
     return _primal(params, p, lam)
 
@@ -897,6 +873,7 @@ def skewed_primal(params: LcrParams, p, lam) -> dict:
         raise ParameterError("left skew needs L >= 1")
     if params.skew == SKEW_NONE:
         raise ParameterError("skewed_primal needs a left or right skew")
+    _check_lambda_positive(lam)
     p, lam = _exactify(p), _exactify(lam)
     assign = _primal(params, p, lam)
     mu = assign[f"nu{L}"]
@@ -1101,13 +1078,14 @@ def lb_value(t: int, p, n: int, big_lambda) -> float:
     """
     from .graph_core import INFINITY
 
+    _check_t(t)
+    if n < 2:
+        raise ParameterError(f"need n >= 2, got {n}")
     if p is INFINITY:
         if not 1 <= big_lambda <= n:
             raise ParameterError(f"max-degree norm {big_lambda} outside [1, n]")
         return float(big_lambda) ** (1.0 / t)
-    _check_tp(t, p)
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
+    _check_p(p)
     lo = 2 * n ** (1 / float(p))
     hi = float(n) ** (1 + 1 / float(p))
     lam_f = math.log(float(big_lambda)) / math.log(n)

@@ -513,6 +513,8 @@ class TestSubcommands:
              "family lp has the unknown keys 'seed', 'L'; it reads t, p, lambda, n"),
             ("tightness", {"k": 2, "p": 3.0, "n": 100, "Lambda": 50, "lambda": 1},
              "family tightness has the unknown key 'lambda'; it reads k, p, n, Lambda"),
+            ("lp", {"t": 2, "p": "2", "lambda": "-1", "n": 50}, "lambda must be > 0, got -1"),
+            ("lp", {"t": 2, "p": "2", "lambda": "0", "n": 50}, "lambda must be > 0, got 0"),
         ],
     )
     def test_gen_refusal_exit_2(self, family, params, reason, tmp_path, capsys):

@@ -190,6 +190,18 @@ class TestECoeff:
         with pytest.raises(ParameterError):
             e_coeff(1, -1, 2)
 
+    @pytest.mark.parametrize("i, j", [(True, 1), (1, False), (1.0, 1), (1, 2.0)])
+    def test_non_int_indices_refused(self, i, j):
+        with pytest.raises(ParameterError, match="needs ints"):
+            e_coeff(i, j, 2)
+
+    @pytest.mark.parametrize("p", [0.5, F(1, 2), 0, -2, math.nan, math.inf, True, None])
+    def test_p_below_1_or_not_finite_refused(self, p):
+        with pytest.raises(ParameterError, match="p must be a finite real >= 1"):
+            e_coeff(1, 1, p)
+        with pytest.raises(ParameterError, match="p must be a finite real >= 1"):
+            nice_range_max(LcrParams(1, 1, 1), p)
+
 
 class TestModel:
     def test_relaxed_variable_count(self):
@@ -649,6 +661,20 @@ class TestClosedForms:
             low_p_exponent(4, F(17, 10), F(1))  # above golden ratio
         with pytest.raises(ParameterError):
             low_p_exponent(5, F(21, 10), F(1))
+
+    def test_nan_p_refused_before_the_range_test(self):
+        with pytest.raises(ParameterError, match="p must be a finite real >= 1"):
+            closed_form_exponent(LcrParams(1, 1, 1), math.nan, 1)
+
+    @pytest.mark.parametrize("lam", [-1, 0, F(0), -0.5, 0.0, math.nan])
+    def test_lambda_at_most_0_or_nan_refused(self, lam):
+        plain, skewed = LcrParams(1, 1, 1), LcrParams(1, 1, 1, SKEW_RIGHT)
+        for call in (lambda: closed_form_exponent(plain, 2, lam),
+                     lambda: low_p_exponent(3, 2, lam),
+                     lambda: minimal_spanner_primal(plain, 2, lam),
+                     lambda: skewed_primal(skewed, 2, lam)):
+            with pytest.raises(ParameterError, match="lambda must be > 0"):
+                call()
 
 
 class TestDualCertificates:
@@ -1118,6 +1144,16 @@ def test_lb_value_infinity_endpoint():
     assert lb_value(2, INFINITY, 100, 49) == pytest.approx(7.0)
     with pytest.raises(ParameterError):
         lb_value(3, INFINITY, 100, 1000)
+
+
+@pytest.mark.parametrize("t, n, match", [(0, 100, "stretch t"), (-1, 100, "stretch t"),
+                                         (True, 100, "stretch t"), (2.0, 100, "stretch t"),
+                                         (3, 1, "n >= 2")])
+def test_lb_value_infinity_checks_t_and_n(t, n, match):
+    from spanorm.graph_core import INFINITY
+
+    with pytest.raises(ParameterError, match=match):
+        lb_value(t, INFINITY, n, 1)
 
 
 def test_lb_value_p1_floor():

@@ -7,9 +7,11 @@ value, and the frozen ones refuse assignment.
 
 import pickle
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import spanorm
 from spanorm.decomposition import class_contributions, classify, peel_low_degree
 from spanorm.extremal import build_from_lp, build_lcr, named_girth_graph
 from spanorm.graph_core import GraphError, LayerProfile, layer_profile, lp_norm
@@ -148,6 +150,10 @@ RECORDS = {
 # the only record whose fields can be reassigned, as its dataclass's could
 MUTABLE = {"LayeredInstance", "LayeredInstance-lp"}
 
+# the private cache slots, which take no part in the repr and are set only
+# by the record itself
+PRIVATE_SLOTS = {"Spanner": ["_graph"], "LbLpModel": ["_basis"]}
+
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_repr_pinned(name):
@@ -181,7 +187,16 @@ def test_assignment_refused(name):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
         record.extra = None
+    private = [slot for slot in getattr(type(record), "__slots__", ()) if slot[0] == "_"]
+    assert private == PRIVATE_SLOTS.get(name, [])
+    for slot in private:
+        with pytest.raises(AttributeError):
+            setattr(record, slot, None)
+        with pytest.raises(AttributeError):
+            delattr(record, slot)
     assert repr(record) == text
 
 
@@ -250,3 +265,12 @@ def test_lcr_params_refuses_a_non_int_section(field, value):
     sections = {"L": 1, "C": 1, "R": 1, field: value}
     with pytest.raises(ParameterError, match=f"section length {field} must be an int"):
         LcrParams(**sections)
+
+
+def test_records_set_their_slots_only_through_the_record_base():
+    # a hand-written frozen record would write its fields with
+    # object.__setattr__; only the base in _record.py may
+    package = Path(spanorm.__file__).parent
+    writers = sorted(path.name for path in package.glob("*.py")
+                     if "object.__setattr__" in path.read_text(encoding="utf-8"))
+    assert writers == ["_record.py"]
