@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import islice, repeat
-from operator import mul
+from operator import eq, index, itemgetter, lt, mul
 from typing import Iterable, Mapping, Sequence
 
 from ._record import Frozen
@@ -74,14 +74,30 @@ class Graph:
     No self-loops, no parallel edges.  ``lengths`` maps each edge to a
     finite, strictly positive length; ``None`` means unit lengths throughout.
 
+    Construction refuses with ``GraphError``: an ``n`` that is not an ``int``
+    (a bool included) or is negative; an edge that is not a pair; a vertex
+    id that fails ``operator.index`` or lies outside ``0..n-1``; a
+    self-loop; a parallel edge; and a length that is missing, on a non-edge,
+    or not finite and > 0.  An edge refusal names the first bad edge in
+    input order.  Edges are stored sorted, each as ``(u, v)`` with u < v.
+    Canonical input (such tuples only) is checked in C-level passes; the
+    per-edge loop runs only to name the edge that those passes refuse.
+
+    The set of edges that construction validates is kept (``subgraph`` and
+    the stretch check's subgraph test read it).  Adjacency lists and degrees
+    are built on the first call to ``adjacency``, ``neighbors``, ``degrees``
+    or ``degree`` and kept; the greedy and the stretch check never read the
+    input graph's, so they never build them.  Threads that race on a first
+    read each build equal tuples.
+
     A graph also carries what :func:`girth_at_least` and :func:`girth` have
     proven about its girth: a floor (3 at first, true of every simple graph)
     and a ceiling (``UNBOUNDED`` at first).  Nothing changes a graph's edges after
     construction, so a bound proven once holds for the graph's life.
     """
 
-    __slots__ = ("n", "edges", "lengths", "_adj", "_degrees", "_girth_floor",
-                 "_girth_ceiling")
+    __slots__ = ("n", "edges", "lengths", "_edge_set", "_adj", "_degrees",
+                 "_girth_floor", "_girth_ceiling")
 
     def __init__(
         self,
@@ -89,23 +105,28 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         lengths: Mapping[tuple[int, int], float] | None = None,
     ) -> None:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise GraphError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        canon = []
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphError(f"parallel edge {e}")
-            seen.add(e)
-            canon.append(e)
+        given = list(edges)
+        try:
+            canon = _canonical(given)
+            seen = set(canon)
+            # with every u < v (or u <= v once canonicalized), the least id
+            # is a first and the largest a second
+            ok = (len(seen) == len(canon)
+                  and (canon is given or not any(map(eq, map(_first, canon), map(_second, canon))))
+                  and (not canon or min(map(index, map(_first, canon))) >= 0
+                       and max(map(index, map(_second, canon))) < n))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            _refuse_edges(n, given)
         canon.sort()
         self.n = n
         self.edges = tuple(canon)
+        self._edge_set = seen
         if lengths is not None:
             norm_len = {}
             for (u, v), w in lengths.items():
@@ -121,12 +142,7 @@ class Graph:
             self.lengths = norm_len
         else:
             self.lengths = None
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(a) for a in adj)
-        self._degrees = tuple(len(a) for a in self._adj)
+        self._adj = self._degrees = None
         self._girth_floor = 3
         self._girth_ceiling = UNBOUNDED
 
@@ -141,16 +157,28 @@ class Graph:
         return self.lengths is not None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return self.adjacency()[v]
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._adj
+        """Ascending neighbour tuples indexed by vertex id (built on first read)."""
+        adj = self._adj
+        if adj is None:
+            lists: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            adj = tuple(map(tuple, lists))
+            self._degrees = tuple(map(len, adj))
+            self._adj = adj
+        return adj
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return self.degrees()[v]
 
     def degrees(self) -> tuple[int, ...]:
         """Degree vector indexed by vertex id (sum is always even)."""
+        if self._degrees is None:
+            self.adjacency()
         return self._degrees
 
     def edge_length(self, u: int, v: int) -> float:
@@ -161,11 +189,11 @@ class Graph:
 
     def subgraph(self, keep_edges: Iterable[tuple[int, int]]) -> "Graph":
         """Graph on the same vertex set containing only ``keep_edges``."""
-        kept = [(u, v) if u < v else (v, u) for u, v in keep_edges]
-        own = set(self.edges)
-        for e in kept:
-            if e not in own:
-                raise GraphError(f"{e} is not an edge of the base graph")
+        kept = _canonical(list(keep_edges))
+        own = self._edge_set
+        if not own.issuperset(kept):
+            e = next(e for e in kept if e not in own)
+            raise GraphError(f"{e} is not an edge of the base graph")
         if self.lengths is None:
             return Graph(self.n, kept)
         return Graph(self.n, kept, {e: self.lengths[e] for e in kept})
@@ -185,6 +213,49 @@ class Graph:
     def __repr__(self) -> str:
         kind = "weighted" if self.weighted else "unit"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
+
+
+_first, _second = itemgetter(0), itemgetter(1)
+_PAIR = frozenset((2,))
+
+
+def _canonical(edges: list) -> list:
+    """``edges`` itself when every edge is a tuple ``(u, v)`` with u < v,
+    which three C-level passes test; otherwise a new list of ``(min, max)``
+    tuples.  An edge that is not a pair, or whose ends do not compare,
+    raises ``ValueError`` or ``TypeError``."""
+    if (all(map(isinstance, edges, repeat(tuple)))
+            and _PAIR.issuperset(map(len, edges))
+            and all(map(lt, map(_first, edges), map(_second, edges)))):
+        return edges
+    return [(u, v) if u < v else (v, u) for u, v in edges]
+
+
+def _refuse_edges(n: int, edges: list) -> None:
+    """Raise ``GraphError`` for the first edge of ``edges``, in input order,
+    that is not a pair of integer ids, lies out of range for ``n``, is a
+    self-loop or repeats an earlier edge.  ``Graph`` calls it only once its
+    bulk passes have refused ``edges``."""
+    seen = set()
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {e!r} is not a pair of vertex ids") from None
+        try:
+            iu, iv = index(u), index(v)
+        except TypeError:
+            raise GraphError(f"edge ({u!r},{v!r}) has a vertex id that is not "
+                             f"an integer") from None
+        if not (0 <= iu < n and 0 <= iv < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if iu == iv:
+            raise GraphError(f"self-loop at vertex {u}")
+        e = (iu, iv) if iu < iv else (iv, iu)
+        if e in seen:
+            raise GraphError(f"parallel edge {e}")
+        seen.add(e)
+    raise GraphError("vertex ids must compare and hash as integers")
 
 
 class LayerProfile(Frozen):

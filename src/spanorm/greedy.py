@@ -151,7 +151,7 @@ def verify_stretch(g: Graph, h: Spanner | Graph, t: int) -> bool:
     hg = h.graph() if isinstance(h, Spanner) else h
     lengths = g.lengths
     if lengths is None:
-        ok = hg.lengths is None and set(g.edges).issuperset(hg.edges)
+        ok = hg.lengths is None and g._edge_set.issuperset(hg.edges)
     else:
         ok = hg.lengths is not None and hg.lengths.items() <= lengths.items()
     if hg.n != g.n or not ok:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import spanorm
 from spanorm.extremal import _gap_forward, _lift_repair_rounds
-from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, within_hops
+from spanorm.graph_core import INFINITY, LENGTH_RTOL, Graph, GraphError, within_hops
 from spanorm.greedy import Spanner
 from spanorm.lb_lp import ParameterError
 from spanorm.simplex import LpSolution, _integer_rows, _integer_solve, _NeedsExact, solve_lp
@@ -69,6 +69,34 @@ def random_connected_graph(rng: random.Random, n: int, m: int) -> Graph:
             break
         edges.add((u, v))
     return Graph(n, sorted(edges))
+
+
+def reference_graph_parts(n: int, edges, lengths=None) -> tuple:
+    """``(edges, lengths, adjacency, degrees)`` by the per-edge rule ``Graph``
+    used before it validated in bulk: each edge in input order is checked
+    for range, then for a self-loop, then against the edges before it, and
+    the first fault raises ``GraphError`` with the message ``Graph`` gives.
+    Lengths are assumed valid."""
+    canon = []
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise GraphError(f"parallel edge {e}")
+        seen.add(e)
+        canon.append(e)
+    canon.sort()
+    if lengths is not None:
+        lengths = {(u, v) if u < v else (v, u): float(w) for (u, v), w in lengths.items()}
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in canon:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(canon), lengths, tuple(map(tuple, adj)), tuple(map(len, adj))
 
 
 def reference_layered_text(inst, host: bool = False) -> str:

@@ -1,7 +1,9 @@
 """Graph construction, norms, layers, girth, distances, and IO round trips."""
 
 import heapq
+import itertools
 import math
+import pickle
 import random
 import re
 import types
@@ -34,7 +36,7 @@ from spanorm.graph_core import (
     within_hops,
     within_length,
 )
-from spanorm.greedy import greedy_spanner
+from spanorm.greedy import greedy_spanner, verify_stretch
 
 import helpers
 from helpers import (
@@ -48,6 +50,7 @@ from helpers import (
     random_connected_graph,
     reference_counter_norm,
     reference_cycle_free,
+    reference_graph_parts,
     reference_lp_norm,
     reference_min_vertex_verdict,
     reference_short_cycle,
@@ -65,7 +68,129 @@ def fresh(g: Graph) -> Graph:
     return Graph(g.n, g.edges, g.lengths)
 
 
+class _IndexOnly:
+    """A vertex id that passes ``operator.index`` but does not compare."""
+
+    def __init__(self, i: int) -> None:
+        self.i = i
+
+    def __index__(self) -> int:
+        return self.i
+
+
+@st.composite
+def edge_inputs(draw):
+    """``(n, edges, lengths, container, as_lists)``: a simple graph's edges in
+    any orientation and order, as tuples, with or without lengths (their keys
+    oriented either way), and now and then one bad edge (a self-loop, an id
+    out of range, or a repeat in either orientation) at any position.
+    ``container`` and ``as_lists`` say how to hand the edges to ``Graph``."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = draw(st.permutations([(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]))
+    lengths = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+        keys = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+        lengths = dict(zip(keys, map(float, weights)))
+    bad = draw(st.sampled_from([None, None, "loop", "range", "repeat"]))
+    if bad == "repeat" and edges:
+        u, v = draw(st.sampled_from(edges))
+        bad_edge = draw(st.sampled_from([(u, v), (v, u)]))
+    elif bad == "range":
+        bad_edge = draw(st.sampled_from([(draw(st.integers(0, n - 1)), n + draw(st.integers(0, 2))),
+                                         (-1, draw(st.integers(0, n - 1)))]))
+    elif bad == "loop":
+        v = draw(st.integers(0, n - 1))
+        bad_edge = (v, v)
+    else:
+        bad_edge = None
+    if bad_edge is not None:
+        at = draw(st.integers(0, len(edges)))
+        edges = edges[:at] + [bad_edge] + edges[at:]
+    container = draw(st.sampled_from([tuple, list, iter]))
+    return n, edges, lengths, container, draw(st.booleans())
+
+
 class TestConstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_inputs())
+    def test_matches_per_edge_reference(self, case):
+        """Bulk validation keeps the per-edge rule: the same graph, or the
+        same refusal of the same first bad edge; pickles taken before and
+        after the adjacency is first read load as the same graph."""
+        n, edges, lengths, container, as_lists = case
+        given = container([list(e) for e in edges] if as_lists else edges)
+        try:
+            ref_edges, ref_lengths, ref_adj, ref_degrees = reference_graph_parts(n, edges, lengths)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as info:
+                Graph(n, given, lengths)
+            assert str(info.value) == str(exc)
+            return
+        g = Graph(n, given, lengths)
+        assert g.edges == ref_edges and g.lengths == ref_lengths
+        assert all(type(e) is tuple for e in g.edges)
+        cold = pickle.loads(pickle.dumps(g))
+        assert g.adjacency() == ref_adj and g.degrees() == ref_degrees
+        assert [g.neighbors(v) for v in range(n)] == list(ref_adj)
+        assert [g.degree(v) for v in range(n)] == list(ref_degrees)
+        warm = pickle.loads(pickle.dumps(g))
+        for other in (Graph(n, ref_edges, ref_lengths), cold, warm):
+            assert other == g and hash(other) == hash(g)
+            assert other.degrees() == ref_degrees and other.adjacency() == ref_adj
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(0, 1.0)], "edge (0,1.0) has a vertex id that is not an integer"),
+        (3, [(0.5, 2)], "edge (0.5,2) has a vertex id that is not an integer"),
+        (3.0, [(0, 1)], "vertex count must be an integer, got 3.0"),
+        (True, [], "vertex count must be an integer, got True"),
+        (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertex ids"),
+        (3, [("0", "1")], "edge ('0','1') has a vertex id that is not an integer"),
+        (3, [(0, 1), 2], "edge 2 is not a pair of vertex ids"),
+        (3, [(1, 2), [0]], "edge [0] is not a pair of vertex ids"),
+        (3, [(0, None)], "edge (0,None) has a vertex id that is not an integer"),
+        (3, [(_IndexOnly(0), _IndexOnly(1))], "vertex ids must compare and hash as integers"),
+    ])
+    def test_refuses_malformed_input(self, n, edges, message):
+        with pytest.raises(GraphError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (1, 0), (2, 2)], "parallel edge (0, 1)"),
+        ([(2, 2), (0, 5)], "self-loop at vertex 2"),
+        ([(0, 5), (2, 2)], "edge (0,5) out of range for n=3"),
+    ])
+    def test_refusal_names_first_bad_edge(self, edges, message):
+        with pytest.raises(GraphError) as info:
+            Graph(3, edges)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_greedy_path_leaves_input_adjacency_unbuilt(self, weighted):
+        """The greedy, ``Spanner.graph``, the girth check and the stretch check
+        read the input graph's edges and lengths, never its adjacency."""
+        rng = random.Random(13)
+        g = random_connected_graph(rng, 40, 120)
+        if weighted:
+            g = Graph(g.n, g.edges, {e: float(rng.choice((1, 2, 3))) for e in g.edges})
+        t = 3
+        h = greedy_spanner(g, t)
+        hg = h.graph()
+        assert girth_at_least(hg, t + 2) or weighted
+        assert verify_stretch(g, hg, t)
+        assert g._adj is None and g._degrees is None
+        assert hg._adj is not None
+
+    def test_subgraph_names_first_non_edge(self):
+        g = path_graph(4)
+        with pytest.raises(GraphError) as info:
+            g.subgraph([(1, 0), (3, 0), (2, 0)])
+        assert str(info.value) == "(0, 3) is not an edge of the base graph"
+
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
             Graph(3, [(0, 0)])
