@@ -127,21 +127,7 @@ class Graph:
         self.n = n
         self.edges = tuple(canon)
         self._edge_set = seen
-        if lengths is not None:
-            norm_len = {}
-            for (u, v), w in lengths.items():
-                e = (u, v) if u < v else (v, u)
-                if e not in seen:
-                    raise GraphError(f"length given for non-edge {e}")
-                if not (math.isfinite(w) and w > 0):
-                    raise GraphError(f"length {w} on edge {e} is not finite and > 0")
-                norm_len[e] = float(w)
-            missing = seen - set(norm_len)
-            if missing:
-                raise GraphError(f"missing lengths for {len(missing)} edges")
-            self.lengths = norm_len
-        else:
-            self.lengths = None
+        self.lengths = None if lengths is None else _valid_lengths(lengths, seen)
         self._adj = self._degrees = None
         self._girth_floor = 3
         self._girth_ceiling = UNBOUNDED
@@ -196,7 +182,7 @@ class Graph:
             raise GraphError(f"{e} is not an edge of the base graph")
         if self.lengths is None:
             return Graph(self.n, kept)
-        return Graph(self.n, kept, {e: self.lengths[e] for e in kept})
+        return Graph(self.n, kept, dict(zip(kept, map(self.lengths.__getitem__, kept))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -256,6 +242,39 @@ def _refuse_edges(n: int, edges: list) -> None:
             raise GraphError(f"parallel edge {e}")
         seen.add(e)
     raise GraphError("vertex ids must compare and hash as integers")
+
+
+def _valid_lengths(lengths: Mapping, edge_set: set) -> dict:
+    """``lengths`` as a dict from canonical edges to floats, after checking
+    that every key is an edge of ``edge_set`` in either orientation, every
+    value finite and > 0, and every edge given a length.  A key given in
+    both orientations keeps its later value.
+
+    Canonical keys are tested in one ``issuperset`` and the values in
+    C-level passes; only when these refuse does the per-entry loop run, to
+    raise ``GraphError`` for the first bad entry in input order."""
+    keys, ws = list(lengths), list(lengths.values())
+    try:
+        if not edge_set.issuperset(keys):
+            keys = [(u, v) if u < v else (v, u) for u, v in keys]
+        ok = (edge_set.issuperset(keys) and all(map(math.isfinite, ws))
+              and (not ws or min(ws) > 0))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if ok:
+        norm_len = dict(zip(keys, map(float, ws)))
+    else:
+        norm_len = {}
+        for (u, v), w in lengths.items():
+            e = (u, v) if u < v else (v, u)
+            if e not in edge_set:
+                raise GraphError(f"length given for non-edge {e}")
+            if not (math.isfinite(w) and w > 0):
+                raise GraphError(f"length {w} on edge {e} is not finite and > 0")
+            norm_len[e] = float(w)
+    if len(norm_len) != len(edge_set):
+        raise GraphError(f"missing lengths for {len(edge_set) - len(norm_len)} edges")
+    return norm_len
 
 
 class LayerProfile(Frozen):
@@ -450,7 +469,9 @@ def within_length(
     The weighted twin of :func:`within_hops`: a bidirectional bounded
     Dijkstra.  One search grows from ``u`` and one from ``v``, each with its
     own heap and labels, and each step pops the side with the smaller heap.
-    No label above the bound is ever set.
+    No label above the bound is ever set, and an end with no edge answers
+    False before any heap is made (the weighted greedy asks that often: its
+    spanner starts empty).
 
     - Meeting rule: relaxing x-y to a new label ``nd`` returns True as soon
       as y has a label on the other side and ``nd + other[y] <= bound``;
@@ -474,6 +495,8 @@ def within_length(
     bound = cap * (1.0 + LENGTH_RTOL)
     if u == v:
         return bound >= 0
+    if not adj[u] or not adj[v]:
+        return False  # an end with no edge reaches nothing, at any cap
     pop, push, inf = heapq.heappop, heapq.heappush, math.inf
     near, far = {u: 0.0}, {v: 0.0}
     heap, other = [(0.0, u)], [(0.0, v)]

@@ -23,28 +23,49 @@ budget?  Weighted graphs ask ``graph_core.within_length``, a Dijkstra that
 grows one search from u and one from v until they meet within the budget or
 their heap tops add up to more than it.
 
-Unit-length graphs ask ``_unspanned``, which caches one hop ball per source
-vertex.  A ``Graph`` keeps its edges sorted by (u, v) with u < v, so the
-edges (u, .) come in one run, and during that run H changes only by edges
-at u.  With a = ceil(t/2) and b = floor(t/2), d(u,v) <= t iff ball_a(u) and
-ball_b(v) meet (``_spans_by_balls`` proves it).  So ball_a(u) is marked once,
-when u's run starts, and each edge (u, v) grows only v's ball of radius b,
-stopping at the first marked vertex.  When an edge is kept, u's ball gains
-exactly v's layers 0..a-1 of the H before the edge: a path of length <= a
-from u that uses the new edge starts with it (a later use would revisit u),
-and one that avoids it was in the ball already.  The search has built those
-layers, since a-1 <= b, so the ball stays exact at no extra cost.  The
-stretch check asks all its questions of one fixed H, so on unit graphs of at
-most ``_BALL_MASK_MAX_N`` vertices it precomputes every ball as a bitmask and
-answers each edge with one AND (``_spans_by_balls``); larger unit graphs run
-``_unspanned`` on a copy of H's adjacency and stop at the first edge it
-yields.
+Unit-length graphs rest on balls: with a = ceil(t/2) and b = floor(t/2),
+d(u,v) <= t iff ball_a(u) and ball_b(v) meet (``_spans_by_balls`` proves
+it).  A ``Graph`` keeps its edges sorted by (u, v) with u < v, so the edges
+(u, .) come in one run, and during that run H changes only by edges at u.
+So ball_a(u) is made once, when u's run starts, and kept exact by one rule:
+when an edge (u, v) is kept, u's ball gains exactly ball_{a-1}(v) of the H
+before the edge.  A path of length <= a from u that uses the new edge
+starts with it (a later use would revisit u), and one that avoids it was in
+the ball already.
+
+The unit greedy on at most ``_BALL_MASK_MAX_N`` vertices holds its balls
+as bitmasks (``_kept_by_masks``).  ``one[x]`` is x's closed ball of radius
+1 and, for t >= 4, ``two[x]`` x's ball of radius 2; both stay exact as H
+grows.  Adding (u, v) sets v's bit in ``two[x]`` for each old neighbour x
+of u and u's bit for each old neighbour x of v, ORs ``one[v]`` into
+``two[u]`` and ``one[u]`` into ``two[v]``, and sets the new bits of
+``one[u]`` and ``one[v]``: the new paths of length <= 2 are x-u-v, x-v-u,
+u-v-y and v-u-y.  A ball of radius r > 2 is the OR of ``two[y]`` over y
+in ball_{r-2}(x) (at t = 3, where no ``two`` is kept, ball_2 is the OR of
+``one`` over ball_1), and ball_j(x) holds the ends of x's walks of at most
+j steps, which j set passes list (``_grown``); no bit is ever walked.  So
+``big`` = ball_a(u) costs one OR per listed vertex once per run; each edge
+(u, v) is spanned iff ``big & ball_b(v)``, one AND when b <= 2 and
+otherwise ``two`` ORed level by level over v's walks until the first hit;
+and a kept edge ORs ball_{a-1}(v) into ``big``: the last mask made for odd
+t, and the one before it for even t.  Larger unit graphs run
+``_unspanned``, which marks ball_a(u) in a stamp list once per run, grows
+v's ball of radius b per edge by BFS, stopping at the first marked vertex,
+and on a kept edge marks v's layers 0..a-1, which that search has built
+since a-1 <= b.
+
+The stretch check asks all its questions of one fixed H, so on unit graphs
+of at most ``_BALL_MASK_MAX_N`` vertices it precomputes every ball as a
+bitmask and answers each edge with one AND (``_spans_by_balls``); larger
+unit graphs run ``_unspanned`` on a copy of H's adjacency and stop at the
+first edge it yields.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
+from itertools import chain
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -58,12 +79,15 @@ __all__ = [
     "verify_stretch",
 ]
 
-# The ball tables take about n*n/4 bytes and n*n time to build, while the
-# ball-caching scan stops at the first meeting.  On sparse graphs (m = 3n,
-# t = 3) a per-edge BFS broke even with the masks near this size (at n = 8000
-# the masks took 0.055 s against 0.019 s, CPython 3.11); on 96 graphs of the
-# greedy sweep (n <= 500) the masks took 0.07-0.09 s against 0.14-0.28 s for
-# the scan at t = 3, 5, 7.
+# Masks of n bits cost n/8 bytes per vertex and per table, and each OR reads
+# a whole mask, while the ball-caching scan stops at the first meeting, so
+# both mask paths give way to ``_unspanned`` above this size (CPython 3.11,
+# sparse graphs with m = 3n).  The stretch check's tables broke even near
+# it: at n = 8000 they took 0.055 s against 0.019 s at t = 3, and on 96
+# graphs of the greedy sweep (n <= 500) 0.07-0.09 s against 0.14-0.28 s at
+# t = 3, 5, 7.  The greedy's masks took 0.0067/0.0121/0.0222 s against
+# 0.0083/0.0196/0.0334 s for the scan at n = 4096 and t = 3/5/7, and
+# 0.030/0.041/0.075 s against 0.019/0.048/0.082 s at n = 8000.
 _BALL_MASK_MAX_N = 4096
 
 
@@ -96,13 +120,14 @@ def greedy_spanner(g: Graph, t: int) -> Spanner:
     Ties between equal-length edges break by (min endpoint, max endpoint),
     so reruns are reproducible.  An edge of length w is kept iff the partial
     spanner has no path within t*w.  On unit lengths the edges are scanned
-    in ``g.edges`` order, one run per smaller endpoint u, by ``_unspanned``:
-    it marks u's ball of radius ceil(t/2) once per run, asks each edge
-    (u, v) whether v's ball of radius floor(t/2) meets it, and on a kept
-    edge adds v's layers 0..ceil(t/2)-1 to u's ball (see the module
-    docstring).  Weighted edges ask ``within_length`` with cap t*w.  A
-    stretch that is not an ``int`` at least 1, or whose t*w is not a finite
-    float, raises ``ValueError``.
+    in ``g.edges`` order, one run per smaller endpoint u: u's ball of radius
+    ceil(t/2) is made once per run, each edge (u, v) asks whether v's ball
+    of radius floor(t/2) meets it, and a kept edge adds v's ball of radius
+    ceil(t/2)-1 to u's (see the module docstring).  The balls are bitmasks
+    (``_kept_by_masks``) on at most ``_BALL_MASK_MAX_N`` vertices and stamps
+    (``_unspanned``) above.  Weighted edges ask ``within_length`` with cap
+    t*w.  A stretch that is not an ``int`` at least 1, or whose t*w is not a
+    finite float, raises ``ValueError``.
     """
     _check_stretch(t, g.lengths)
     if t < 1:
@@ -111,7 +136,10 @@ def greedy_spanner(g: Graph, t: int) -> Spanner:
     lengths = g.lengths
     if lengths is None:
         # a Graph keeps its edges sorted by (u, v), the unit-length order
-        kept = list(_unspanned(adj, g.edges, t))
+        if g.n <= _BALL_MASK_MAX_N:
+            kept = _kept_by_masks(adj, g.edges, t)
+        else:
+            kept = list(_unspanned(adj, g.edges, t))
     else:
         kept = []
         for u, v in sorted(g.edges, key=lambda e: (lengths[e], e)):
@@ -234,6 +262,80 @@ def _unspanned(adj: list[list[int]], edges, t: int) -> Iterator[tuple[int, int]]
         if a > 0:
             for x in near:
                 stamp[x] = here
+
+
+def _kept_by_masks(adj: list[list[int]], edges, t: int) -> list[tuple[int, int]]:
+    """The edges (u, v) of ``edges`` that the unit greedy keeps for
+    ``t >= 1``, each added to ``adj`` (empty at the start) as it is kept.
+
+    ``edges`` must come in runs of one u, one run per u, as sorted
+    ``Graph.edges`` do.  ``one[x]`` and (for t >= 4) ``two[x]`` are x's balls
+    of radius 1 and 2 as bitmasks, exact as H grows; ``big`` is ball_a(u),
+    a = ceil(t/2), made once per run and grown by the keep rule.  An edge
+    (u, v) is spanned iff ``big`` meets ball_b(v), b = floor(t/2) (see
+    ``_spans_by_balls``), and on a kept edge ``big`` gains ball_{a-1}(v) of
+    the H before it (see the module docstring).
+    """
+    a, b = (t + 1) // 2, t // 2
+    bit = [1 << x for x in range(len(adj))]
+    ball = [bit, bit[:], bit[:]] if t >= 4 else [bit, bit[:]]
+    one, top = ball[1], ball[-1]
+    s = len(ball) - 1  # top holds the balls of radius s
+    kept = []
+    src = -1
+    for u, v in edges:
+        if u != src:
+            src = u
+            big = _grown(adj, top, u, a - s)[1]
+        if b <= s:
+            if big & ball[b][v]:
+                continue
+            near = ball[a - 1][v]
+        else:
+            if big & top[v]:
+                continue
+            prev, near = _grown(adj, top, v, b - s, big)
+            if big & near:
+                continue
+            if a == b:
+                near = prev
+        kept.append((u, v))
+        big |= near
+        if s == 2:
+            for x in adj[u]:
+                top[x] |= bit[v]
+            for x in adj[v]:
+                top[x] |= bit[u]
+            top[u] |= one[v]
+            top[v] |= one[u]
+        one[u] |= bit[v]
+        one[v] |= bit[u]
+        adj[u].append(v)
+        adj[v].append(u)
+    return kept
+
+
+def _grown(adj, top, x, r: int, stop: int = 0) -> tuple[int, int]:
+    """``(ball_{s+r-1}(x), ball_{s+r}(x))`` as bitmasks, given ``top[y]`` =
+    ball_s(y) for every y and ``r >= 1`` (for r <= 0 both are ``top[x]``).
+
+    ball_{s+j}(x) is the OR of ``top`` over ball_j(x), which is the union of
+    W_0..W_j, W_i the ends of x's walks of length i: W_1 is ``adj[x]`` and
+    W_{i+1} the neighbours of W_i.  Each W_i holds at most n vertices,
+    so no vertex is walked twice in one level.  The growth stops early
+    once the mask meets ``stop`` (the caller reads only that it met) or
+    stops changing (x's component is in; every later ball equals it, so
+    both values are right).
+    """
+    prev = cur = top[x]
+    layer = adj[x]
+    for i in range(r):
+        if i:
+            layer = set(chain.from_iterable(map(adj.__getitem__, layer)))
+        prev, cur = cur, reduce(or_, map(top.__getitem__, layer), cur)
+        if cur & stop or cur == prev:
+            break
+    return prev, cur
 
 
 def _spans_by_balls(adj: Sequence[Sequence[int]], edges, t: int) -> bool:

@@ -72,11 +72,14 @@ def random_connected_graph(rng: random.Random, n: int, m: int) -> Graph:
 
 
 def reference_graph_parts(n: int, edges, lengths=None) -> tuple:
-    """``(edges, lengths, adjacency, degrees)`` by the per-edge rule ``Graph``
+    """``(edges, lengths, adjacency, degrees)`` by the per-entry rule ``Graph``
     used before it validated in bulk: each edge in input order is checked
-    for range, then for a self-loop, then against the edges before it, and
-    the first fault raises ``GraphError`` with the message ``Graph`` gives.
-    Lengths are assumed valid."""
+    for range, then for a self-loop, then against the edges before it; then
+    each length in input order for a key that is no edge in either
+    orientation, then for a value that is not finite and > 0; then for edges
+    left without a length.  The first fault raises ``GraphError`` with the
+    message ``Graph`` gives.  A key given in both orientations keeps its
+    later value."""
     canon = []
     seen = set()
     for u, v in edges:
@@ -91,7 +94,16 @@ def reference_graph_parts(n: int, edges, lengths=None) -> tuple:
         canon.append(e)
     canon.sort()
     if lengths is not None:
-        lengths = {(u, v) if u < v else (v, u): float(w) for (u, v), w in lengths.items()}
+        given, lengths = lengths, {}
+        for (u, v), w in given.items():
+            e = (u, v) if u < v else (v, u)
+            if e not in seen:
+                raise GraphError(f"length given for non-edge {e}")
+            if not (math.isfinite(w) and w > 0):
+                raise GraphError(f"length {w} on edge {e} is not finite and > 0")
+            lengths[e] = float(w)
+        if len(lengths) < len(seen):
+            raise GraphError(f"missing lengths for {len(seen) - len(lengths)} edges")
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in canon:
         adj[u].append(v)

@@ -82,9 +82,13 @@ class _IndexOnly:
 def edge_inputs(draw):
     """``(n, edges, lengths, container, as_lists)``: a simple graph's edges in
     any orientation and order, as tuples, with or without lengths (their keys
-    oriented either way), and now and then one bad edge (a self-loop, an id
-    out of range, or a repeat in either orientation) at any position.
-    ``container`` and ``as_lists`` say how to hand the edges to ``Graph``."""
+    oriented either way, as int or float values), and now and then one bad
+    edge (a self-loop, an id out of range, or a repeat in either orientation)
+    at any position.  Lengths now and then carry one fault of their own at
+    any position: a key on a non-edge, a value that is not finite and > 0,
+    an edge left out, or a key repeated in the other orientation (valid:
+    the later value wins).  ``container`` and ``as_lists`` say how to hand
+    the edges to ``Graph``."""
     n = draw(st.integers(1, 9))
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -92,9 +96,24 @@ def edge_inputs(draw):
     edges = draw(st.permutations([(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]))
     lengths = None
     if draw(st.booleans()):
-        weights = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+        weights = draw(st.lists(st.sampled_from((1, 2, 3, 0.5, 2.0)),
+                                min_size=len(edges), max_size=len(edges)))
         keys = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
-        lengths = dict(zip(keys, map(float, weights)))
+        items = list(zip(keys, weights))
+        fault = draw(st.sampled_from([None, None, "non-edge", "value", "missing", "both"]))
+        at = draw(st.integers(0, len(items)))
+        if fault == "non-edge":
+            others = [e for e in pairs if e not in chosen] + [(0, n), (n + 1, 0)]
+            items.insert(at, (draw(st.sampled_from(others)), 1.0))
+        elif fault == "value":
+            items.insert(at, (draw(st.sampled_from(edges)) if edges else (0, n),
+                              draw(st.sampled_from([0.0, -1.0, 0, math.inf, -math.inf, math.nan]))))
+        elif fault == "missing" and items:
+            del items[at - 1]
+        elif fault == "both" and items:
+            (u, v), _ = items[at - 1]
+            items.insert(at, ((v, u), 3.0))
+        lengths = dict(items)
     bad = draw(st.sampled_from([None, None, "loop", "range", "repeat"]))
     if bad == "repeat" and edges:
         u, v = draw(st.sampled_from(edges))
@@ -837,6 +856,26 @@ class TestWithinLength:
         assert not within_length(adj, lens, 0, 1, 1e9)
         assert within_length(adj, lens, 2, 1, 0.2)
         assert not within_length(adj, lens, 2, 1, 0.19)
+
+    def test_end_without_edges_answers_before_any_heap(self, monkeypatch):
+        # the verdict is the one-directional search's, and no heap is pushed
+        rng = random.Random(17)
+        g = random_connected_graph(rng, 12, 20)
+        kept = [e for e in g.edges if e[0] >= 4 and e[1] >= 4]  # 0..3 isolated
+        lens = {e: rng.choice((0.5, 1.0, 2.0)) for e in kept}
+        adj = Graph(g.n, kept, lens).adjacency()
+        cases = [(u, v, cap) for u in range(4) for v in range(g.n) if u != v
+                 for cap in (0.0, 1.0, 1e9, math.inf)]
+        wants = [reference_within_length(adj, lens, u, v, cap) for u, v, cap in cases]
+        assert not any(wants)
+
+        def refuse(*args):
+            raise AssertionError("a heap was pushed")
+
+        monkeypatch.setattr(graph_core.heapq, "heappush", refuse)
+        for (u, v, cap), want in zip(cases, wants):
+            assert within_length(adj, lens, u, v, cap) is want
+            assert within_length(adj, lens, v, u, cap) is want
 
     def test_cap_equal_to_a_dyadic_distance(self):
         # a path of 2.0 whose halves meet in the middle, and a detour of

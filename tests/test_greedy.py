@@ -1,5 +1,6 @@
 """Greedy spanner behavior, stretch verification, and the upper-bound exponent."""
 
+import itertools
 import math
 import random
 import signal
@@ -365,8 +366,10 @@ class TestBallMasks:
 
 
 class TestUnitScan:
-    """The unit greedy's ball-caching scan (``_unspanned``) against one
-    ``within_hops`` query per edge (``reference_unit_greedy``)."""
+    """The unit greedy against one ``within_hops`` query per edge
+    (``reference_unit_greedy``): the bitmask scan on these sizes, and the
+    ball-caching scan (``_unspanned``) where a test calls it or lowers the
+    gate."""
 
     def test_matches_per_edge_bfs_seeded(self):
         rng = random.Random(2201)
@@ -465,6 +468,49 @@ class TestUnitScan:
         # yet in u's ball, which happens on the hub's own run alone
         assert reads[0] == g.n - 1
         assert all(r <= 2 for r in reads[1:])
+
+
+class TestUnitMasks:
+    """The unit greedy's bitmask scan (``_kept_by_masks``) and the gate that
+    picks it over ``_unspanned``, against one ``within_hops`` query per
+    edge (``reference_unit_greedy``)."""
+
+    def test_gate_picks_the_branch(self, monkeypatch):
+        # masks up to 4096 vertices (as the README states), the ball-caching
+        # scan above
+        def refuse(*args):
+            raise AssertionError("wrong branch")
+
+        at_gate = Graph(4096, [(0, 1), (0, 2), (1, 2)])
+        above = Graph(4097, [(0, 1), (0, 2), (1, 2)])
+        monkeypatch.setattr(greedy_module, "_unspanned", refuse)
+        assert greedy_spanner(at_gate, 3).kept_edges == ((0, 1), (0, 2))
+        monkeypatch.undo()
+        monkeypatch.setattr(greedy_module, "_kept_by_masks", refuse)
+        assert greedy_spanner(above, 3).kept_edges == ((0, 1), (0, 2))
+
+    def test_matches_per_edge_bfs_every_stretch_seeded(self):
+        # every t from 1 to 13, even ones included (t = 0 is refused before
+        # either path runs), on n 1-60 at every density and on n 100-500,
+        # whose masks span several machine words; both paths of the gate
+        rng = random.Random(3907)
+        graphs = []
+        for n in range(1, 61):
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs += [Graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))) for _ in range(4)]
+        for _ in range(6):
+            n = rng.randint(100, 500)
+            graphs.append(random_connected_graph(rng, n, rng.randint(n, 3 * n)))
+        kept = dropped = 0
+        for g in graphs:
+            for t in range(1, 14):
+                want = reference_unit_greedy(g, t)
+                assert greedy_spanner(g, t).kept_edges == want, (g, t)
+                with mock.patch.object(greedy_module, "_BALL_MASK_MAX_N", 0):
+                    assert greedy_spanner(g, t).kept_edges == want, (g, t)
+                kept += len(want)
+                dropped += g.m - len(want)
+        assert kept > 0 and dropped > 0
 
 
 class TestGreedyInvariants:
